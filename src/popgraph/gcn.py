@@ -12,7 +12,8 @@ predictor weights.
 ``graph_loss`` weights whatever per-edge scores and rewards it is given. The
 trainer passes row-normalized scores (each edge's log p minus its source
 row's off-diagonal logsumexp, so one edge gains only at its row-mates'
-expense) and rewards less each node's running mean reward.
+expense; ``numerics.kernel_edge_scores``) and rewards less each node's
+running mean reward.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import numerics as nm
 from .graphgen import SampledGraph
@@ -90,10 +92,15 @@ class GcnModel:
 def gcn_forward(a_hat, x, model: GcnModel) -> Tensor:
     """ReLU(Â X W1) -> ReLU(· W2 + b2) -> · W3 + b3.
 
-    Â and X are plain arrays (neither is trained); the product Â X is folded
-    before touching the tape. Regression output is squeezed to shape (N,).
+    Â is a ``scipy.sparse`` matrix (the CSR that ``graphgen.symmetrize``
+    builds) or a dense array; X is a plain array. Neither is trained, so the
+    product Â X is folded before touching the tape. Regression output is
+    squeezed to shape (N,).
     """
-    a_hat = a_hat.values if isinstance(a_hat, Tensor) else np.asarray(a_hat, dtype=float)
+    if isinstance(a_hat, Tensor):
+        a_hat = a_hat.values
+    elif not sp.issparse(a_hat):
+        a_hat = np.asarray(a_hat, dtype=float)
     x = x.values if isinstance(x, Tensor) else np.asarray(x, dtype=float)
     n = x.shape[0]
     if a_hat.shape != (n, n):

@@ -6,21 +6,31 @@ get i.i.d. Gumbel(0,1) noise and the k largest perturbed entries win. The
 retained per-edge scores stay noise-free, so gradients reach the feature
 weighting and the temperature while the noise acts as a constant.
 
+No N x N array is built. ``pairwise_distance`` and ``edge_probabilities``
+return row-block operators, and the sampler walks them a block of rows at a
+time: distances, kernel, Gumbel noise, the diagonal mask and a partial top-k.
+The normalized adjacency of a draw is a ``scipy.sparse`` CSR matrix, built
+on first use.
+
 Static kNN and uniform-random graphs cover the non-adaptive baselines.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import numerics as nm
 from .numerics import Tensor
 
 __all__ = [
     "METRICS",
+    "PairwiseDistances",
+    "EdgeScores",
     "SampledGraph",
     "pairwise_distance",
     "edge_probabilities",
@@ -40,107 +50,164 @@ METRICS = ("euclidean", "cosine", "hyperbolic")
 _BALL_MARGIN = 1e-3
 
 
-def pairwise_distance(features, metric: str) -> Tensor:
-    """All-pairs distance matrix of the rows of ``features``.
+class PairwiseDistances:
+    """The (N, N) distance matrix of the rows of ``features`` as a row-block
+    operator: ``rows(r0, r1)`` computes rows r0..r1-1 (zero on each row's own
+    column) without gradient. Gradients reach ``features`` through the
+    sampled edges' scores (``numerics.kernel_edge_scores``)."""
+
+    def __init__(self, features: Tensor, metric: str):
+        self.features = features
+        self.metric = metric
+        self.shape = (features.shape[0], features.shape[0])
+        self._kernel = nm.block_distance(metric, features.values)
+
+    def rows(self, r0: int, r1: int) -> np.ndarray:
+        return self._kernel.rows(r0, r1)
+
+
+class EdgeScores:
+    """log p = -t * d^2 over a ``PairwiseDistances`` operator, by row blocks."""
+
+    def __init__(self, distances: PairwiseDistances, t: Tensor):
+        self.distances = distances
+        self.features = distances.features
+        self.metric = distances.metric
+        self.t = t
+        self.shape = distances.shape
+
+    def rows(self, r0: int, r1: int) -> np.ndarray:
+        return nm.kernel_scores(self.distances.rows(r0, r1), float(self.t.values))
+
+
+def pairwise_distance(features, metric: str) -> PairwiseDistances:
+    """All-pairs distances of the rows of ``features``, as a row-block operator.
 
     euclidean and cosine apply directly; hyperbolic first rescales all rows
-    radially so the largest norm reaches 1 - 1e-3, then measures Poincare
-    distance inside the unit ball. Differentiable w.r.t. the features.
+    radially so the largest norm reaches 1 - 1e-3 (on the tape, before any
+    blocking), then measures Poincare distance inside the unit ball.
     """
     f = features if isinstance(features, Tensor) else Tensor(features)
     if f.ndim != 2 or f.shape[0] < 2:
         raise nm.ShapeError(f"pairwise_distance: need at least 2 rows, got {f.shape}")
-    if metric == "euclidean":
-        return nm.sqrt(nm.pairwise_sqdist(f))
-    if metric == "cosine":
-        return nm.pairwise_cosine_distance(f)
     if metric == "hyperbolic":
         norms = nm.sqrt(nm.tsum(nm.square(f), axis=1))
-        top = float(norms.values.max())
-        if top == 0.0:
-            return Tensor(np.zeros((f.shape[0], f.shape[0])))
-        top_t = nm.reshape(nm.gather_rows(norms, np.array([int(norms.values.argmax())])), ())
-        scaled = f * ((1.0 - _BALL_MARGIN) / top_t)
-        return nm.pairwise_poincare_distance(scaled)
-    raise ValueError(f"unknown distance metric {metric!r}; expected one of {METRICS}")
+        if float(norms.values.max()) > 0.0:
+            top_t = nm.reshape(nm.gather_rows(norms, np.array([int(norms.values.argmax())])), ())
+            f = f * ((1.0 - _BALL_MARGIN) / top_t)
+    return PairwiseDistances(f, metric)
 
 
-def edge_probabilities(distances, t) -> Tensor:
+def edge_probabilities(distances, t):
     """log p_ij = -t * d_ij^2. Callers keep t positive by passing t = exp(tau).
 
-    The zero diagonal of the distance matrix makes log p_ii = 0 (p_ii = 1)
-    until the sampler masks it out.
+    A ``PairwiseDistances`` operator gives an ``EdgeScores`` operator; a dense
+    distance matrix gives the dense score Tensor. The zero diagonal of the
+    distances makes log p_ii = 0 (p_ii = 1) until the sampler masks it out.
     """
-    d = distances if isinstance(distances, Tensor) else Tensor(distances)
     t = t if isinstance(t, Tensor) else Tensor(float(t))
     if t.shape != ():
         raise nm.ShapeError(f"edge_probabilities: t must be scalar, got {t.shape}")
+    if isinstance(distances, PairwiseDistances):
+        return EdgeScores(distances, t)
+    d = distances if isinstance(distances, Tensor) else Tensor(distances)
     return -(nm.square(d) * t)
 
 
 def topk_desc(values: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries along the last axis, descending,
-    ties broken toward the lower index."""
-    order = np.argsort(-values, axis=-1, kind="stable")
-    return order[..., :k]
+    """Indices of the k largest entries of each row of a 2-D array,
+    descending, ties broken toward the lower index.
+
+    A partial partition finds each row's k winners and a lexsort orders them;
+    rows whose ties straddle the k-th place fall back to a stable sort.
+    """
+    n = values.shape[1]
+    rows = np.arange(values.shape[0])[:, None]
+    part = np.argpartition(values, n - k, axis=1)[:, n - k:]
+    picked = values[rows, part]
+    top = part[rows, np.lexsort((part, -picked), axis=1)]
+    straddle = (values >= picked.min(axis=1)[:, None]).sum(axis=1) > k
+    if straddle.any():
+        top[straddle] = np.argsort(-values[straddle], axis=1, kind="stable")[:, :k]
+    return top
 
 
 @dataclass
 class SampledGraph:
     """One draw of a sparse directed graph plus everything needed to train
-    on it and to replay it."""
+    on it."""
 
-    edges: np.ndarray        # (N*k, 2) directed (src, dst)
-    log_probs: Tensor        # (N*k,) noise-free log p per edge, on the tape
+    edges: np.ndarray        # (N*k, 2) directed (src, dst), grouped by source
+    log_probs: Tensor        # (N*k,) noise-free per-edge score, on the tape
     n_nodes: int
     k: int
-    noise: np.ndarray        # (N, N) frozen Gumbel noise that chose the edges
-    a_hat: np.ndarray        # (N, N) symmetrized normalized adjacency
+    noise: np.ndarray | None = None  # the replay noise passed in, if any
+
+    @functools.cached_property
+    def a_hat(self) -> sp.csr_array:
+        """Symmetrized normalized adjacency, built on first use."""
+        return symmetrize(self.edges, self.n_nodes)
 
     def edge_set(self) -> set:
         return {(int(i), int(j)) for i, j in self.edges}
 
 
 def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
-                       noise: np.ndarray | None = None) -> SampledGraph:
-    """Draw k out-edges per node from the score matrix.
+                       noise: np.ndarray | None = None,
+                       normalize: bool = False) -> SampledGraph:
+    """Draw k out-edges per node from the scores.
 
-    Pass ``noise`` to replay a previous draw (or zeros to degenerate to
-    deterministic top-k). The diagonal is masked, so self-edges never occur
-    and every node ends with exactly k out-edges.
+    ``log_p`` is an ``EdgeScores`` operator, walked a block of rows at a
+    time, or a dense score matrix, taken as one block. Noise comes from
+    ``rng`` one block of rows after another, which draws the same numbers as
+    one (N, N) draw; pass ``noise`` to replay such a draw (or zeros to
+    degenerate to deterministic top-k). The diagonal is masked, so
+    self-edges never occur and every node ends with exactly k out-edges.
+
+    The per-edge scores are the raw log p; with ``normalize`` (operator
+    input only) they are first-pick log-probabilities, log p_ij -
+    logsumexp_{l != i} log p_il. Gumbel-Top-k ignores a per-row constant,
+    so the same noise picks the same edges either way.
     """
-    lp = log_p if isinstance(log_p, Tensor) else Tensor(log_p)
+    blocked = isinstance(log_p, EdgeScores)
+    lp = log_p if blocked or isinstance(log_p, Tensor) else Tensor(log_p)
     n = lp.shape[0]
-    if lp.ndim != 2 or lp.shape[1] != n:
+    if len(lp.shape) != 2 or lp.shape[1] != n:
         raise nm.ShapeError(f"gumbel_topk_sample: score matrix must be square, got {lp.shape}")
     if not 1 <= k < n:
         raise ValueError(f"k={k} out-edges per node impossible with {n} nodes")
+    if normalize and not blocked:
+        raise ValueError("gumbel_topk_sample: normalize needs an EdgeScores operator")
     if noise is None:
         if rng is None:
             raise ValueError("provide an rng (or explicit noise) to sample")
-        noise = rng.gumbel(0.0, 1.0, (n, n))
     else:
         noise = np.asarray(noise, dtype=np.float64)
         if noise.shape != (n, n):
             raise nm.ShapeError(f"noise shape {noise.shape} does not match ({n}, {n})")
 
-    perturbed = lp.values + noise
-    np.fill_diagonal(perturbed, -np.inf)
-    targets = topk_desc(perturbed, k)                      # (N, k)
+    targets = np.empty((n, k), dtype=np.intp)
+    raw = np.empty((n, k))
+    row_lse = np.empty(n) if normalize else None
+    for r0, r1 in nm.row_blocks(n, nm.rows_per_block(n) if blocked else n):
+        scores = lp.rows(r0, r1) if blocked else lp.values
+        block_noise = rng.gumbel(0.0, 1.0, (r1 - r0, n)) if noise is None else noise[r0:r1]
+        perturbed = scores + block_noise
+        nm.fill_block_diagonal(perturbed, r0, -np.inf)
+        targets[r0:r1] = topk_desc(perturbed, k)
+        if blocked:
+            raw[r0:r1] = scores[np.arange(r1 - r0)[:, None], targets[r0:r1]]
+        if normalize:
+            row_lse[r0:r1] = nm.offdiag_logsumexp(scores, r0)
     sources = np.repeat(np.arange(n), k)
     edges = np.column_stack([sources, targets.reshape(-1)])
 
-    flat_idx = edges[:, 0] * n + edges[:, 1]
-    log_probs = nm.gather_rows(nm.reshape(lp, (n * n,)), flat_idx)
-
-    return SampledGraph(
-        edges=edges,
-        log_probs=log_probs,
-        n_nodes=n,
-        k=k,
-        noise=noise,
-        a_hat=symmetrize(edges, n),
-    )
+    if blocked:
+        log_probs = nm.kernel_edge_scores(lp.features, lp.t, lp.metric, edges, normalize,
+                                          forward=(raw.reshape(-1), row_lse))
+    else:
+        log_probs = nm.gather_rows(nm.reshape(lp, (n * n,)), edges[:, 0] * n + edges[:, 1])
+    return SampledGraph(edges=edges, log_probs=log_probs, n_nodes=n, k=k, noise=noise)
 
 
 def knn_static_graph(features, k: int, metric: str = "cosine") -> np.ndarray:
@@ -151,9 +218,12 @@ def knn_static_graph(features, k: int, metric: str = "cosine") -> np.ndarray:
     if not 1 <= k < n:
         raise ValueError(f"k={k} neighbors impossible with {n} nodes")
     with nm.no_grad():
-        d = pairwise_distance(f, metric).values.copy()
-    np.fill_diagonal(d, np.inf)
-    targets = topk_desc(-d, k)
+        d = pairwise_distance(f, metric)
+    targets = np.empty((n, k), dtype=np.intp)
+    for r0, r1 in nm.row_blocks(n, nm.rows_per_block(n)):
+        block = d.rows(r0, r1)
+        nm.fill_block_diagonal(block, r0, np.inf)
+        targets[r0:r1] = topk_desc(-block, k)
     sources = np.repeat(np.arange(n), k)
     return np.column_stack([sources, targets.reshape(-1)])
 
@@ -171,19 +241,21 @@ def random_graph(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(rows, dtype=np.intp)
 
 
-def symmetrize(edges: np.ndarray, n: int) -> np.ndarray:
+def symmetrize(edges: np.ndarray, n: int) -> sp.csr_array:
     """Union the edges with their reverses, add self-loops, and normalize:
-    A_hat = D^(-1/2) (A + I) D^(-1/2)."""
+    A_hat = D^(-1/2) (A + I) D^(-1/2), as an (N, N) CSR matrix."""
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     if edges.size and np.any(edges[:, 0] == edges[:, 1]):
         raise ValueError("symmetrize: input contains self-edges")
-    a = np.zeros((n, n))
-    if edges.size:
-        a[edges[:, 0], edges[:, 1]] = 1.0
-        a[edges[:, 1], edges[:, 0]] = 1.0
-    np.fill_diagonal(a, 1.0)
-    inv_sqrt_deg = 1.0 / np.sqrt(a.sum(axis=1))
-    return a * np.outer(inv_sqrt_deg, inv_sqrt_deg)
+    loops = np.arange(n)
+    keys = np.unique(np.concatenate([edges[:, 0] * n + edges[:, 1],
+                                     edges[:, 1] * n + edges[:, 0], loops * (n + 1)]))
+    rows, cols = np.divmod(keys, n)
+    degree = np.bincount(rows, minlength=n)
+    inv_sqrt_deg = 1.0 / np.sqrt(degree.astype(np.float64))
+    indptr = np.concatenate([[0], np.cumsum(degree)])
+    return sp.csr_array((inv_sqrt_deg[rows] * inv_sqrt_deg[cols], cols, indptr),
+                        shape=(n, n))
 
 
 def _unique_undirected(edges: np.ndarray) -> np.ndarray:
@@ -229,7 +301,9 @@ def export_graph(graph, labels, path, fmt: str = "json") -> None:
     dot: one node statement per subject, filled with a blue-to-red ramp over
     the label range, plus one directed edge statement per edge.
     json: {nodes: [{id, age}], edges: [{src, dst, logp?}]}; the logp field is
-    present exactly when the input is a sampled graph.
+    present exactly when the input is a sampled graph, and holds its
+    per-edge scores (the raw, noise-free -t * d^2 unless it was drawn with
+    ``normalize``).
     """
     if isinstance(graph, SampledGraph):
         edges = graph.edges

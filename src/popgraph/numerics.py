@@ -1,9 +1,9 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
 Covers exactly what the pipeline needs: affine layers, graph convolutions,
-pairwise-distance kernels, and scalar losses. Broadcasting is limited to
-scalar-vs-tensor so shape mistakes fail loudly. Every primitive checks its
-output for NaN/Inf and raises instead of propagating garbage.
+row-blocked pairwise-distance kernels, and scalar losses. Broadcasting is
+limited to scalar-vs-tensor so shape mistakes fail loudly. Every primitive
+checks its output for NaN/Inf and raises instead of propagating garbage.
 
 The tape is thread-local: one training run owns one tape. Independent runs
 may execute on separate threads without sharing state.
@@ -32,11 +32,15 @@ __all__ = [
     "add_rowvec",
     "mul_rowvec",
     "log_softmax_rows",
-    "offdiag_logsumexp_rows",
     "take_per_row",
-    "pairwise_sqdist",
-    "pairwise_cosine_distance",
-    "pairwise_poincare_distance",
+    "BLOCK_ENTRIES",
+    "rows_per_block",
+    "row_blocks",
+    "fill_block_diagonal",
+    "kernel_scores",
+    "offdiag_logsumexp",
+    "block_distance",
+    "kernel_edge_scores",
     "grad_check",
     "GradCheckReport",
 ]
@@ -528,135 +532,235 @@ def log_softmax_rows(logits) -> Tensor:
     return _apply("log_softmax_rows", out, (logits,), bwd)
 
 
-def offdiag_logsumexp_rows(scores, block_rows: int = 256) -> Tensor:
-    """out[i] = log sum_{l != i} exp(scores[i, l]) for a square (n, n) matrix.
-
-    Works on blocks of ``block_rows`` rows, and the backward pass recomputes
-    each block's softmax from the saved (n,) output, so no (n, n)
-    intermediate outlives the call. The diagonal is excluded in both passes
-    and receives zero gradient.
-    """
-    scores = _as_tensor(scores)
-    n = scores.shape[0]
-    if scores.ndim != 2 or scores.shape[1] != n or n < 2:
-        raise ShapeError(f"offdiag_logsumexp_rows: operand must be square with at "
-                         f"least 2 rows, got {scores.shape}")
-    if block_rows < 1:
-        raise ValueError("offdiag_logsumexp_rows: block_rows must be at least 1")
-    v = scores.values
-
-    def masked_block(r0, r1):
-        block = v[r0:r1].copy()
-        rows = np.arange(r1 - r0)
-        block[rows, rows + r0] = -np.inf
-        return block
-
-    out = np.empty(n)
-    for r0 in range(0, n, block_rows):
-        r1 = min(r0 + block_rows, n)
-        block = masked_block(r0, r1)
-        top = block.max(axis=1)
-        out[r0:r1] = top + np.log(np.exp(block - top[:, None]).sum(axis=1))
-
-    def bwd(g):
-        grad = np.empty_like(v)
-        for r0 in range(0, n, block_rows):
-            r1 = min(r0 + block_rows, n)
-            softmax = np.exp(masked_block(r0, r1) - out[r0:r1, None])
-            grad[r0:r1] = g[r0:r1, None] * softmax
-        return (grad,)
-
-    return _apply("offdiag_logsumexp_rows", out, (scores,), bwd)
-
-
 # ---------------------------------------------------------------------------
-# pairwise-distance kernels (fused: the N x N x d intermediate never exists)
+# row-blocked pairwise distances and the kernel edge scores built on them
 # ---------------------------------------------------------------------------
 
-
-def pairwise_sqdist(f) -> Tensor:
-    """All-pairs squared euclidean distances of the rows of f; zero diagonal."""
-    f = _as_tensor(f)
-    if f.ndim != 2:
-        raise ShapeError(f"pairwise_sqdist: operand must be 2-D, got {f.shape}")
-    v = f.values
-    r = np.sum(v * v, axis=1)
-    s = np.maximum(r[:, None] + r[None, :] - 2.0 * (v @ v.T), 0.0)
-    np.fill_diagonal(s, 0.0)
-
-    def bwd(g):
-        g = g.copy()
-        np.fill_diagonal(g, 0.0)
-        row = g.sum(axis=1) + g.sum(axis=0)
-        return (2.0 * row[:, None] * v - 2.0 * ((g + g.T) @ v),)
-
-    return _apply("pairwise_sqdist", s, (f,), bwd)
+# entries of one (rows x N) block: 2 MB of float64, so the few block-sized
+# temporaries of a pass stay near L2 and no N x N array is ever made
+BLOCK_ENTRIES = 1 << 18
 
 
-def pairwise_cosine_distance(f) -> Tensor:
-    """All-pairs cosine distances 1 - cos(u, v); zero rows give distance 1.
+def rows_per_block(n: int) -> int:
+    """Rows per block for blocks that span all N columns."""
+    return max(1, BLOCK_ENTRIES // n)
 
-    The diagonal is forced to zero. Gradients of zero rows are zero (the
-    distance is locally constant there by convention).
+
+def row_blocks(n: int, rows: int):
+    """(r0, r1) bounds of consecutive row blocks covering range(n)."""
+    for r0 in range(0, n, rows):
+        yield r0, min(r0 + rows, n)
+
+
+def fill_block_diagonal(block: np.ndarray, r0: int, value: float) -> None:
+    """Set each row's own column, (i, r0 + i), of a block of rows r0.. to value."""
+    rows = np.arange(block.shape[0])
+    block[rows, rows + r0] = value
+
+
+def kernel_scores(distances: np.ndarray, t: float) -> np.ndarray:
+    """log p = -t d^2 on a block of distance values."""
+    return -((distances * distances) * t)
+
+
+def offdiag_logsumexp(scores: np.ndarray, r0: int) -> np.ndarray:
+    """Each row's logsumexp over all columns but its own, for a block of rows
+    r0..; masks the own column of ``scores`` to -inf in place."""
+    fill_block_diagonal(scores, r0, -np.inf)
+    top = scores.max(axis=1)
+    return top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
+
+
+def _sqdist_pullback(v, r0, r1, g, acc) -> None:
+    """Add the pullback of g through s_ij = |v_i - v_j|^2 for block rows i."""
+    vi = v[r0:r1]
+    acc += 2.0 * (g.sum(axis=0)[:, None] * v - g.T @ vi)
+    acc[r0:r1] += 2.0 * (g.sum(axis=1)[:, None] * vi - g @ v)
+
+
+class _BlockDistance:
+    """Distances from a block of rows to every row under one metric.
+
+    ``forward(r0, r1)`` returns the (r1 - r0, N) block, zero on each row's
+    own column, and what its pullback needs; ``pullback(r0, r1, saved, g,
+    acc)`` adds the block's vector-Jacobian product with g (zero on the own
+    columns) into ``accumulator()``, which ``finish`` turns into d/dv.
     """
-    f = _as_tensor(f)
-    if f.ndim != 2:
-        raise ShapeError(f"pairwise_cosine_distance: operand must be 2-D, got {f.shape}")
-    v = f.values
-    norms = np.sqrt(np.sum(v * v, axis=1))
-    nonzero = norms > 0.0
-    safe = np.where(nonzero, norms, 1.0)
-    u = v / safe[:, None]
-    d = 1.0 - u @ u.T
-    np.fill_diagonal(d, 0.0)
 
-    def bwd(g):
-        gs = -g.copy()
-        np.fill_diagonal(gs, 0.0)
-        gu = (gs + gs.T) @ u
-        gf = (gu - u * np.sum(gu * u, axis=1)[:, None]) / safe[:, None]
-        gf[~nonzero] = 0.0
-        return (gf,)
+    def rows(self, r0, r1):
+        return self.forward(r0, r1)[0]
 
-    return _apply("pairwise_cosine_distance", d, (f,), bwd)
+    def accumulator(self):
+        return np.zeros_like(self.v)
+
+    def finish(self, acc):
+        return acc
 
 
-def pairwise_poincare_distance(f) -> Tensor:
-    """All-pairs Poincare-ball distances of rows already inside the unit ball.
+class _Euclidean(_BlockDistance):
+    """|v_i - v_j|; zero subgradient at coincident points."""
 
-    d(u, v) = arcosh(1 + 2|u-v|^2 / ((1-|u|^2)(1-|v|^2))). Rows must have
-    norm strictly below 1; callers rescale first. Coincident pairs get a
-    zero subgradient (arcosh is not differentiable at 1).
-    """
-    f = _as_tensor(f)
-    if f.ndim != 2:
-        raise ShapeError(f"pairwise_poincare_distance: operand must be 2-D, got {f.shape}")
-    v = f.values
-    r = np.sum(v * v, axis=1)
-    if np.any(r >= 1.0):
-        raise NumericsError("pairwise_poincare_distance: rows must lie strictly inside "
-                            "the unit ball; rescale inputs first")
-    a = np.maximum(r[:, None] + r[None, :] - 2.0 * (v @ v.T), 0.0)
-    b_vec = 1.0 - r
-    b = np.outer(b_vec, b_vec)
-    z = 1.0 + 2.0 * a / b
-    d = np.arccosh(np.maximum(z, 1.0))
-    np.fill_diagonal(d, 0.0)
+    def __init__(self, v):
+        self.v = v
+        self.r = np.sum(v * v, axis=1)
 
-    def bwd(g):
-        g = g.copy()
-        np.fill_diagonal(g, 0.0)
+    def forward(self, r0, r1):
+        v, r = self.v, self.r
+        s = np.maximum(r[r0:r1, None] + r[None, :] - 2.0 * (v[r0:r1] @ v.T), 0.0)
+        fill_block_diagonal(s, r0, 0.0)
+        d = np.sqrt(s)
+        return d, d
+
+    def pullback(self, r0, r1, d, g, acc):
+        positive = d > 0
+        gs = np.where(positive, g / (2.0 * np.where(positive, d, 1.0)), 0.0)
+        _sqdist_pullback(self.v, r0, r1, gs, acc)
+
+
+class _Cosine(_BlockDistance):
+    """1 - cos(v_i, v_j); a zero row is at distance 1 from every other row
+    and gets zero gradient."""
+
+    def __init__(self, v):
+        norms = np.sqrt(np.sum(v * v, axis=1))
+        self.nonzero = norms > 0.0
+        self.safe = np.where(self.nonzero, norms, 1.0)
+        self.v = self.u = v / self.safe[:, None]
+
+    def forward(self, r0, r1):
+        d = 1.0 - self.u[r0:r1] @ self.u.T
+        fill_block_diagonal(d, r0, 0.0)
+        return d, None
+
+    def pullback(self, r0, r1, saved, g, acc):
+        # acc collects d(loss)/du
+        u = self.u
+        acc -= g.T @ u[r0:r1]
+        acc[r0:r1] -= g @ u
+
+    def finish(self, acc):
+        u = self.u
+        gf = (acc - u * np.sum(acc * u, axis=1)[:, None]) / self.safe[:, None]
+        gf[~self.nonzero] = 0.0
+        return gf
+
+
+class _Poincare(_BlockDistance):
+    """arcosh(1 + 2|v_i - v_j|^2 / ((1 - |v_i|^2)(1 - |v_j|^2))) for rows
+    strictly inside the unit ball; zero subgradient at coincident points."""
+
+    def __init__(self, v):
+        self.v = v
+        self.r = np.sum(v * v, axis=1)
+        if np.any(self.r >= 1.0):
+            raise NumericsError("poincare distance: rows must lie strictly inside "
+                                "the unit ball; rescale inputs first")
+        self.b = 1.0 - self.r
+
+    def forward(self, r0, r1):
+        v, r = self.v, self.r
+        a = np.maximum(r[r0:r1, None] + r[None, :] - 2.0 * (v[r0:r1] @ v.T), 0.0)
+        b = np.outer(self.b[r0:r1], self.b)
+        z = 1.0 + 2.0 * a / b
+        d = np.arccosh(np.maximum(z, 1.0))
+        fill_block_diagonal(d, r0, 0.0)
+        return d, (a, b, z)
+
+    def accumulator(self):
+        # d(loss)/dv through |v_i - v_j|^2, and d(loss)/d(1 - |v_i|^2)
+        return np.zeros_like(self.v), np.zeros_like(self.b)
+
+    def pullback(self, r0, r1, saved, g, acc):
+        a, b, z = saved
+        gv, db = acc
         zsq = np.maximum(z * z - 1.0, 0.0)
         w = np.where(zsq > 1e-24, g / np.sqrt(np.where(zsq > 0, zsq, 1.0)), 0.0)
-        ga = w * (2.0 / b)
         gb = w * (-2.0 * a / (b * b))
-        row = ga.sum(axis=1) + ga.sum(axis=0)
-        gv = 2.0 * row[:, None] * v - 2.0 * ((ga + ga.T) @ v)
-        db = (gb + gb.T) @ b_vec
-        gv += 2.0 * (-db)[:, None] * v
-        return (gv,)
+        _sqdist_pullback(self.v, r0, r1, w * (2.0 / b), gv)
+        db += gb.T @ self.b[r0:r1]
+        db[r0:r1] += gb @ self.b
 
-    return _apply("pairwise_poincare_distance", d, (f,), bwd)
+    def finish(self, acc):
+        gv, db = acc
+        return gv - 2.0 * db[:, None] * self.v
+
+
+BLOCK_METRICS = {"euclidean": _Euclidean, "cosine": _Cosine, "hyperbolic": _Poincare}
+
+
+def block_distance(metric: str, v: np.ndarray):
+    """Row-block distance kernel of one metric over the rows of v: ``rows(r0,
+    r1)`` gives the (r1 - r0, N) block, zero on each row's own column."""
+    if metric not in BLOCK_METRICS:
+        raise ValueError(f"unknown distance metric {metric!r}; expected one of "
+                         f"{tuple(BLOCK_METRICS)}")
+    return BLOCK_METRICS[metric](v)
+
+
+def kernel_edge_scores(features, t, metric: str, edges, normalize: bool,
+                       forward=None) -> Tensor:
+    """Score each (src, dst) edge with log p = -t d(f_src, f_dst)^2.
+
+    With ``normalize`` each score less its source row's off-diagonal
+    logsumexp: log p_e - logsumexp_{l != src} log p_src,l, the
+    log-probability that dst is src's first pick (Plackett-Luce). The
+    distances are computed block by block of source rows, and the backward
+    pass recomputes each block, so no N x N array outlives a block. A caller
+    whose own pass over the blocks already has the raw scores (and, with
+    ``normalize``, the (N,) row logsumexps) hands them over as ``forward =
+    (raw, row_lse)`` instead of having them recomputed.
+    """
+    f, t = _as_tensor(features), _as_tensor(t)
+    if f.ndim != 2 or f.shape[0] < 2:
+        raise ShapeError(f"kernel_edge_scores: features must be 2-D with at least "
+                         f"2 rows, got {f.shape}")
+    n = f.shape[0]
+    if t.shape != ():
+        raise ShapeError(f"kernel_edge_scores: t must be scalar, got {t.shape}")
+    edges = np.asarray(edges, dtype=np.intp)
+    if edges.ndim != 2 or edges.shape[1] != 2 or np.any((edges < 0) | (edges >= n)):
+        raise ShapeError(f"kernel_edge_scores: edges must be (E, 2) node indices "
+                         f"below {n}")
+    src, dst = edges[:, 0], edges[:, 1]
+    if np.any(src == dst):
+        raise ValueError("kernel_edge_scores: edges contain self-edges")
+    step = rows_per_block(n)
+    dist = block_distance(metric, f.values)
+    tv = float(t.values)
+    order = np.argsort(src, kind="stable")
+    cuts = np.searchsorted(src, np.arange(0, n + step, step), sorter=order)
+    blocks = [(r0, r1, order[cuts[b]:cuts[b + 1]])
+              for b, (r0, r1) in enumerate(row_blocks(n, step))]
+
+    if forward is None:
+        raw = np.empty(len(src))
+        row_lse = np.empty(n) if normalize else None
+        for r0, r1, sel in blocks:
+            scores = kernel_scores(dist.rows(r0, r1), tv)
+            raw[sel] = scores[src[sel] - r0, dst[sel]]
+            if normalize:
+                row_lse[r0:r1] = offdiag_logsumexp(scores, r0)
+    else:
+        raw, row_lse = forward
+    out = raw - row_lse[src] if normalize else raw
+
+    def bwd(g):
+        g_rows = np.bincount(src, weights=g, minlength=n) if normalize else None
+        acc = dist.accumulator()
+        g_t = 0.0
+        for r0, r1, sel in blocks:
+            d, saved = dist.forward(r0, r1)
+            g_s = np.bincount((src[sel] - r0) * n + dst[sel], weights=g[sel],
+                              minlength=(r1 - r0) * n).reshape(r1 - r0, n)
+            if normalize:
+                scores = kernel_scores(d, tv)
+                fill_block_diagonal(scores, r0, -np.inf)
+                g_s -= g_rows[r0:r1, None] * np.exp(scores - row_lse[r0:r1, None])
+            g_t -= np.sum(g_s * (d * d))
+            dist.pullback(r0, r1, saved, g_s * d * (-2.0 * tv), acc)
+        return dist.finish(acc), np.array(g_t)
+
+    return _apply("kernel_edge_scores", out, (f, t), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -206,23 +206,20 @@ def _attention_vector(mlp, phenotypes, mode: str):
 
 def _sample_epoch_graph(mlp, tau, phenotypes, config, rng, noise=None,
                         normalize=False):
-    """Weighted phenotypes -> distances -> kernel -> one Gumbel-Top-k draw.
+    """Weighted phenotypes -> distances -> kernel -> one Gumbel-Top-k draw,
+    in one pass over row blocks (no N x N array).
 
     With ``normalize`` the returned per-edge scores become row-normalized
     log-probabilities, log p_ij - logsumexp_{l != i} log p_il: the
-    log-probability that j is the first of i's k picks (Plackett-Luce). The
-    sampler itself sees the raw scores; Gumbel-Top-k ignores a per-row
-    constant, so the same noise picks the same edges either way.
+    log-probability that j is the first of i's k picks (Plackett-Luce).
+    Gumbel-Top-k ignores a per-row constant, so the same noise picks the
+    same edges either way.
     """
     a = _attention_vector(mlp, phenotypes, config.attention_mode)
     f = weight_phenotypes(a, Tensor(phenotypes))
     d = pairwise_distance(f, config.distance_metric)
     log_p = edge_probabilities(d, nm.exp(tau))
-    graph = gumbel_topk_sample(log_p, config.k, rng=rng, noise=noise)
-    if normalize:
-        row_lse = nm.offdiag_logsumexp_rows(log_p)
-        graph.log_probs = graph.log_probs - nm.gather_rows(row_lse, graph.edges[:, 0])
-    return graph
+    return gumbel_topk_sample(log_p, config.k, rng=rng, noise=noise, normalize=normalize)
 
 
 def _epoch_adjacency(mlp, tau, phenotypes, config, rng, fixed_a_hat=None,

@@ -123,3 +123,63 @@ def blp_mae_floor(shapes, signs, noise_std, age_range):
                   + m * np.array([math.erf(v / (s0 * math.sqrt(2.0))) for v in m]))
     lo, hi = age_range
     return (hi - lo) * float(np.sum(wq * folded))
+
+
+# ---------------------------------------------------------------------------
+# dense reference for the row-blocked graph path
+#
+# The whole (N, N) matrices, built the way the dense pipeline built them:
+# distances, kernel, one Gumbel perturbation, a full stable sort per row and
+# a dense normalized adjacency.
+# ---------------------------------------------------------------------------
+
+
+def dense_distances(v: np.ndarray, metric: str) -> np.ndarray:
+    """All-pairs distances of the rows of v, zero diagonal; hyperbolic
+    rescales so the largest row norm is 1 - 1e-3 first."""
+    v = np.asarray(v, dtype=float)
+    r = np.sum(v * v, axis=1)
+    if metric == "euclidean":
+        d = np.sqrt(np.maximum(r[:, None] + r[None, :] - 2.0 * (v @ v.T), 0.0))
+    elif metric == "cosine":
+        norms = np.sqrt(r)
+        u = v / np.where(norms > 0.0, norms, 1.0)[:, None]
+        d = 1.0 - u @ u.T
+    elif metric == "hyperbolic":
+        top = np.sqrt(r).max()
+        if top > 0.0:
+            v = v * ((1.0 - 1e-3) / top)
+            r = np.sum(v * v, axis=1)
+        a = np.maximum(r[:, None] + r[None, :] - 2.0 * (v @ v.T), 0.0)
+        d = np.arccosh(np.maximum(1.0 + 2.0 * a / np.outer(1.0 - r, 1.0 - r), 1.0))
+    else:
+        raise ValueError(metric)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def dense_symmetrize(edges: np.ndarray, n: int) -> np.ndarray:
+    """D^(-1/2) (A + I) D^(-1/2) of the undirected union of the edges."""
+    a = np.zeros((n, n))
+    a[edges[:, 0], edges[:, 1]] = 1.0
+    a[edges[:, 1], edges[:, 0]] = 1.0
+    np.fill_diagonal(a, 1.0)
+    inv_sqrt_deg = 1.0 / np.sqrt(a.sum(axis=1))
+    return a * np.outer(inv_sqrt_deg, inv_sqrt_deg)
+
+
+def dense_draw(v: np.ndarray, t: float, metric: str, k: int, noise: np.ndarray):
+    """(edges, first-pick log p per edge, dense A_hat) of one Gumbel-Top-k
+    draw with the given (N, N) noise."""
+    log_p = -t * dense_distances(v, metric) ** 2
+    n = log_p.shape[0]
+    perturbed = log_p + noise
+    np.fill_diagonal(perturbed, -np.inf)
+    targets = np.argsort(-perturbed, axis=1, kind="stable")[:, :k]
+    edges = np.column_stack([np.repeat(np.arange(n), k), targets.reshape(-1)])
+    masked = log_p.copy()
+    np.fill_diagonal(masked, -np.inf)
+    top = masked.max(axis=1)
+    row_lse = top + np.log(np.exp(masked - top[:, None]).sum(axis=1))
+    first_pick = log_p[edges[:, 0], edges[:, 1]] - row_lse[edges[:, 0]]
+    return edges, first_pick, dense_symmetrize(edges, n)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    dense_draw,
+    dense_symmetrize,
     empirical_topk_sets,
     plackett_luce_set_probs,
     softmax,
@@ -31,32 +34,37 @@ from popgraph.numerics import Tensor, grad_check
 RNG = np.random.default_rng(2024)
 
 
+def dense(operator) -> np.ndarray:
+    """All rows of a row-block operator as one array."""
+    return operator.rows(0, operator.shape[0])
+
+
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
 
 
 def test_euclidean_3_4_5():
-    d = pairwise_distance(np.array([[0.0, 0.0], [3.0, 4.0]]), "euclidean")
-    assert abs(d.values[0, 1] - 5.0) < 1e-12
-    assert d.values[0, 0] == 0.0
+    d = dense(pairwise_distance(np.array([[0.0, 0.0], [3.0, 4.0]]), "euclidean"))
+    assert abs(d[0, 1] - 5.0) < 1e-12
+    assert d[0, 0] == 0.0
 
 
 def test_cosine_orthogonal_and_identical():
-    d = pairwise_distance(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]), "cosine")
-    assert abs(d.values[0, 1] - 1.0) < 1e-12
-    assert abs(d.values[0, 2]) < 1e-12  # same direction, different length
+    d = dense(pairwise_distance(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]), "cosine"))
+    assert abs(d[0, 1] - 1.0) < 1e-12
+    assert abs(d[0, 2]) < 1e-12  # same direction, different length
 
 
 def test_hyperbolic_coincident_rows():
-    d = pairwise_distance(np.array([[0.3, 0.1], [0.3, 0.1], [0.0, 0.5]]), "hyperbolic")
-    assert d.values[0, 1] == 0.0
-    assert d.values[0, 2] > 0.0
+    d = dense(pairwise_distance(np.array([[0.3, 0.1], [0.3, 0.1], [0.0, 0.5]]), "hyperbolic"))
+    assert d[0, 1] == 0.0
+    assert d[0, 2] > 0.0
 
 
 def test_hyperbolic_rescales_large_inputs():
     f = np.array([[10.0, 0.0], [0.0, 10.0], [5.0, 5.0]])
-    d = pairwise_distance(f, "hyperbolic").values
+    d = dense(pairwise_distance(f, "hyperbolic"))
     assert np.all(np.isfinite(d))
     assert np.all(d >= 0.0)
 
@@ -68,11 +76,14 @@ def test_unknown_metric():
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
 def test_distance_gradients_match_fd(metric):
+    # k = n - 1 draws every off-diagonal pair, so the weighted sum of the
+    # drawn scores -d^2 reaches every distance
     f = Tensor(RNG.uniform(0.1, 1.0, size=(5, 3)), requires_grad=True)
-    w = Tensor(RNG.normal(size=(5, 5)))
+    w = Tensor(RNG.normal(size=20))
 
     def loss():
-        return (pairwise_distance(f, metric) * w).sum()
+        lp = edge_probabilities(pairwise_distance(f, metric), 1.0)
+        return (gumbel_topk_sample(lp, 4, noise=np.zeros((5, 5))).log_probs * w).sum()
 
     report = grad_check(loss, [f])
     assert report.passed, f"{metric}: {report.summary()}"
@@ -80,7 +91,7 @@ def test_distance_gradients_match_fd(metric):
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
 def test_distances_symmetric_zero_diagonal(metric):
-    d = pairwise_distance(RNG.uniform(size=(6, 4)), metric).values
+    d = dense(pairwise_distance(RNG.uniform(size=(6, 4)), metric))
     assert np.allclose(d, d.T, atol=1e-12)
     assert np.allclose(np.diag(d), 0.0)
     assert np.all(np.isfinite(d))
@@ -128,7 +139,7 @@ def test_kernel_gradient_through_temperature():
 
 def test_kernel_nonpositive_log():
     d = pairwise_distance(RNG.uniform(size=(5, 3)), "euclidean")
-    lp = edge_probabilities(d, math.exp(0.0)).values
+    lp = dense(edge_probabilities(d, math.exp(0.0)))
     assert np.all(lp <= 0.0)
 
 
@@ -151,9 +162,10 @@ def test_sampler_retains_noise_free_scores():
 
 
 def test_sampler_replay_with_frozen_noise():
+    # the generator's noise, drawn again as one (N, N) array, replays the draw
     lp = Tensor(RNG.normal(size=(7, 7)))
     g1 = gumbel_topk_sample(lp, k=3, rng=np.random.default_rng(5))
-    g2 = gumbel_topk_sample(lp, k=3, noise=g1.noise)
+    g2 = gumbel_topk_sample(lp, k=3, noise=np.random.default_rng(5).gumbel(0.0, 1.0, (7, 7)))
     assert np.array_equal(g1.edges, g2.edges)
 
 
@@ -218,6 +230,76 @@ def test_sampler_k2_sets_match_plackett_luce():
     assert total_variation(freqs, expect) <= 0.01
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 17])
+def test_topk_desc_breaks_ties_like_a_stable_sort(n):
+    """Small integers make ties everywhere, across the k-th place too; half
+    the rows carry a -inf diagonal entry as the sampler's mask does; k runs
+    up to n - 1."""
+    rng = np.random.default_rng(n)
+    values = rng.integers(0, 3, size=(400, n)).astype(float)
+    rows = np.arange(200)
+    values[rows, rows % n] = -np.inf
+    straddled = 0
+    for k in range(1, n):
+        expect = np.argsort(-values, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(topk_desc(values, k), expect), f"n={n} k={k}"
+        kth = np.take_along_axis(values, expect[:, -1:], axis=1)
+        straddled += int(np.sum(np.count_nonzero(values >= kth, axis=1) > k))
+    assert n == 2 or straddled > 0
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
+@pytest.mark.parametrize("rows_per_block", [1, 4, 37])
+def test_blocked_draw_matches_dense_reference(metric, rows_per_block, monkeypatch):
+    """Blocks of 1 row, of 4 rows (the last one ragged) and one block: the
+    same noise picks the same edges as a dense draw with a full stable sort,
+    with the same first-pick log p and the same normalized adjacency; the
+    generator's block-by-block noise is one (N, N) draw."""
+    n, k, t = 37, 5, 2.5
+    v = RNG.normal(size=(n, 6))
+    v[7] = v[3]  # coincident points, d = 0
+    if metric == "cosine":
+        v[11] = 0.0  # distance 1 to every other row
+    monkeypatch.setattr(nm, "BLOCK_ENTRIES", rows_per_block * n)
+    noise = np.random.default_rng(8).gumbel(0.0, 1.0, (n, n))
+    edges, first_pick, a_hat = dense_draw(v, t, metric, k, noise)
+
+    lp = edge_probabilities(pairwise_distance(v, metric), t)
+    g = gumbel_topk_sample(lp, k, noise=noise, normalize=True)
+    assert np.array_equal(g.edges, edges)
+    assert np.max(np.abs(g.log_probs.values - first_pick)) <= 1e-12
+    assert np.array_equal(g.a_hat.toarray(), a_hat)
+    drawn = gumbel_topk_sample(lp, k, rng=np.random.default_rng(8))
+    assert np.array_equal(drawn.edges, edges)
+
+
+def test_draw_holds_no_n_by_n_array():
+    """At N = 3000 one N x N float64 array is 72 MB: neither a no-grad draw
+    nor a training draw's forward and backward may allocate that much."""
+    n = 3000
+    bound = n * n * 8
+    phen = RNG.uniform(size=(n, 40))
+    tracemalloc.start()
+    try:
+        with nm.no_grad():
+            lp = edge_probabilities(pairwise_distance(phen, "euclidean"), 10.0)
+            g = gumbel_topk_sample(lp, 5, rng=np.random.default_rng(0))
+            assert g.a_hat.nnz <= n * 11
+        _, nograd_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        f = Tensor(phen, requires_grad=True)
+        tau = Tensor(np.log(10.0), requires_grad=True)
+        lp = edge_probabilities(pairwise_distance(f, "euclidean"), nm.exp(tau))
+        g = gumbel_topk_sample(lp, 5, rng=np.random.default_rng(1), normalize=True)
+        nm.backward((g.log_probs * Tensor(RNG.normal(size=n * 5))).sum())
+        _, train_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nograd_peak < bound, f"no-grad draw peaked at {nograd_peak / 2**20:.1f} MiB"
+    assert train_peak < bound, f"training draw peaked at {train_peak / 2**20:.1f} MiB"
+    assert np.all(np.isfinite(f.grad)) and tau.grad != 0.0
+
+
 # ---------------------------------------------------------------------------
 # static graphs
 # ---------------------------------------------------------------------------
@@ -267,11 +349,11 @@ def test_random_graph_complete_exhaustion():
 
 
 def test_symmetrize_empty_is_identity():
-    assert np.array_equal(symmetrize(np.empty((0, 2)), 3), np.eye(3))
+    assert np.array_equal(symmetrize(np.empty((0, 2)), 3).toarray(), np.eye(3))
 
 
 def test_symmetrize_single_pair_closed_form():
-    a_hat = symmetrize(np.array([[0, 1]]), 2)
+    a_hat = symmetrize(np.array([[0, 1]]), 2).toarray()
     assert np.allclose(a_hat, [[0.5, 0.5], [0.5, 0.5]])
 
 
@@ -287,20 +369,20 @@ def test_symmetrize_bounds_and_flip_invariance(n, seed):
     # exceed 1 when a hub meets low-degree neighbors, so they are not checked
     rng = np.random.default_rng(seed)
     edges = random_graph(n, 2, rng)
-    a_hat = symmetrize(edges, n)
+    a_hat = symmetrize(edges, n).toarray()
     assert np.allclose(a_hat, a_hat.T)
     assert np.all(a_hat >= 0.0) and np.all(a_hat <= 1.0)
     assert np.max(np.abs(np.linalg.eigvalsh(a_hat))) <= 1.0 + 1e-12
 
     flipped = edges[:, ::-1]
-    assert np.allclose(symmetrize(flipped, n), a_hat)
+    assert np.allclose(symmetrize(flipped, n).toarray(), a_hat)
 
 
 def test_symmetrize_regular_graph_row_sums_are_one():
     # ring: every node and neighbor has equal degree, so rows sum to 1
     n = 6
     ring = np.array([(i, (i + 1) % n) for i in range(n)])
-    sums = symmetrize(ring, n).sum(axis=1)
+    sums = symmetrize(ring, n).toarray().sum(axis=1)
     assert np.allclose(sums, 1.0)
 
 

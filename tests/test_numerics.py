@@ -134,37 +134,99 @@ def _brute_offdiag_logsumexp(v):
                      for i in range(n)])
 
 
+def _all_pairs(n):
+    """Every off-diagonal (src, dst) pair, grouped by source."""
+    return np.array([(i, j) for i in range(n) for j in range(n) if j != i])
+
+
 @pytest.mark.parametrize("block_rows", [1, 3, 7, 256])
-def test_offdiag_logsumexp_rows_values_and_fd(block_rows):
-    """Seven rows in blocks of 1, 3 (a ragged last block), 7 and 256; the
-    diagonal carries the row maximum, so leaking it in would show."""
+def test_offdiag_logsumexp_rows_values_and_fd(block_rows, monkeypatch):
+    """The first-pick normalizer: each row's logsumexp over every column but
+    its own, in blocks of 1, 3 (a ragged last block), 7 and 256 rows of 7.
+    The diagonal carries the row maximum, so leaking it in would show."""
     v = RNG.normal(size=(7, 7))
     np.fill_diagonal(v, 5.0)
-    a = Tensor(v, requires_grad=True)
-    out = nm.offdiag_logsumexp_rows(a, block_rows=block_rows)
-    assert np.allclose(out.values, _brute_offdiag_logsumexp(v), atol=1e-12)
-    weights = RNG.normal(size=7)
-    _check(lambda: (nm.offdiag_logsumexp_rows(a, block_rows=block_rows) * weights).sum(), [a])
-    reset_tape()
-    a.zero_grad()
-    backward((nm.offdiag_logsumexp_rows(a, block_rows=block_rows) * weights).sum())
-    assert np.all(np.diag(a.grad) == 0.0)
-    # each row's gradient is its weight times an off-diagonal softmax
-    assert np.allclose(a.grad.sum(axis=1), weights, atol=1e-12)
+    out = np.concatenate([nm.offdiag_logsumexp(v[r0:r1].copy(), r0)
+                          for r0, r1 in nm.row_blocks(7, block_rows)])
+    assert np.allclose(out, _brute_offdiag_logsumexp(v), atol=1e-12)
+
+    # on the tape: the normalized scores of all n - 1 candidates of a row
+    # are a log-softmax over them, and finite differences agree
+    monkeypatch.setattr(nm, "BLOCK_ENTRIES", block_rows * 7)
+    f = Tensor(RNG.normal(size=(7, 3)), requires_grad=True)
+    t = Tensor(0.8, requires_grad=True)
+    edges = _all_pairs(7)
+    scores = nm.kernel_edge_scores(f, t, "euclidean", edges, True).values
+    raw = nm.kernel_edge_scores(f, t, "euclidean", edges, False).values
+    assert np.allclose(np.exp(scores).reshape(7, 6).sum(axis=1), 1.0, atol=1e-12)
+    dense = np.zeros((7, 7))
+    dense[edges[:, 0], edges[:, 1]] = raw
+    np.fill_diagonal(dense, 5.0)
+    assert np.allclose(scores, raw - _brute_offdiag_logsumexp(dense)[edges[:, 0]],
+                       atol=1e-12)
+    weights = Tensor(RNG.normal(size=len(edges)))
+    _check(lambda: (nm.kernel_edge_scores(f, t, "euclidean", edges, True)
+                    * weights).sum(), [f, t])
 
 
 def test_offdiag_logsumexp_rows_rejects_bad_operands():
-    with pytest.raises(ShapeError, match="square"):
-        nm.offdiag_logsumexp_rows(Tensor(np.zeros((3, 4))))
+    edges = np.array([[0, 1]])
+    with pytest.raises(ShapeError, match="2-D"):
+        nm.kernel_edge_scores(Tensor(np.zeros(3)), Tensor(1.0), "euclidean", edges, True)
     with pytest.raises(ShapeError, match="at least 2"):
-        nm.offdiag_logsumexp_rows(Tensor(np.zeros((1, 1))))
-    with pytest.raises(ValueError, match="block_rows"):
-        nm.offdiag_logsumexp_rows(Tensor(np.zeros((3, 3))), block_rows=0)
+        nm.kernel_edge_scores(Tensor(np.zeros((1, 1))), Tensor(1.0), "euclidean",
+                              edges, True)
+    with pytest.raises(ValueError, match="self-edges"):
+        nm.kernel_edge_scores(Tensor(np.zeros((3, 3))), Tensor(1.0), "euclidean",
+                              np.array([[1, 1]]), True)
+    with pytest.raises(ValueError, match="metric"):
+        nm.kernel_edge_scores(Tensor(np.zeros((3, 3))), Tensor(1.0), "manhattan",
+                              edges, True)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
+@pytest.mark.parametrize("block_rows", [1, 4, 10])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_kernel_edge_scores_fd(metric, block_rows, normalize, monkeypatch):
+    """Finite differences of the fused blocked primitive over 10 rows, in
+    blocks of one row, of four (a ragged last block) and of all rows. Rows
+    2 and 5 coincide (d = 0). Row 9 is zero; its cosine distances are 1 by
+    convention, a kink that finite differences cannot see through, so it is
+    held out of the check and must get exactly zero cosine gradient."""
+    monkeypatch.setattr(nm, "BLOCK_ENTRIES", block_rows * 10)
+    v = RNG.uniform(-0.4, 0.4, size=(9, 3))
+    v[5] = v[2]
+    f = Tensor(v, requires_grad=True)
+    zero_row = Tensor(np.zeros((1, 3)), requires_grad=True)
+    t = Tensor(1.7, requires_grad=True)
+    edges = _all_pairs(10)[RNG.permutation(90)[:50]]  # ungrouped, both directions
+    weights = Tensor(RNG.normal(size=50))
+
+    def loss():
+        rows = nm.concat([f, zero_row], axis=0)
+        return (nm.kernel_edge_scores(rows, t, metric, edges, normalize) * weights).sum()
+
+    _check(loss, [f, t])
+    reset_tape()
+    zero_row.zero_grad()
+    backward(loss())
+    if metric == "cosine":
+        assert np.all(zero_row.grad == 0.0)
 
 
 # ---------------------------------------------------------------------------
-# pairwise kernels vs brute-force loops
+# row-blocked distance kernels vs brute-force loops
 # ---------------------------------------------------------------------------
+
+
+def _dense(metric, v):
+    return nm.block_distance(metric, v).rows(0, v.shape[0])
+
+
+def _pair_loss(f, metric, w):
+    """sum_e w_e * (-d_e^2) over every off-diagonal pair."""
+    return (nm.kernel_edge_scores(f, Tensor(1.0), metric, _all_pairs(f.shape[0]), False)
+            * Tensor(w)).sum()
 
 
 def _brute_sqdist(v):
@@ -179,18 +241,18 @@ def _brute_sqdist(v):
 def test_pairwise_sqdist_values_and_grad():
     v = RNG.normal(size=(6, 4))
     f = Tensor(v, requires_grad=True)
-    d = nm.pairwise_sqdist(f)
-    assert np.allclose(d.values, _brute_sqdist(v), atol=1e-12)
-    assert np.allclose(np.diag(d.values), 0.0)
+    d = _dense("euclidean", v)
+    assert np.allclose(d * d, _brute_sqdist(v), atol=1e-12)
+    assert np.allclose(np.diag(d), 0.0)
 
-    w = RNG.normal(size=(6, 6))
-    _check(lambda: (nm.pairwise_sqdist(f) * Tensor(w)).sum(), [f])
+    w = RNG.normal(size=30)
+    _check(lambda: _pair_loss(f, "euclidean", w), [f])
 
 
 def test_pairwise_cosine_values_and_grad():
     v = RNG.normal(size=(5, 3))
     f = Tensor(v, requires_grad=True)
-    d = nm.pairwise_cosine_distance(f).values
+    d = _dense("cosine", v)
 
     for i in range(5):
         for j in range(5):
@@ -200,16 +262,16 @@ def test_pairwise_cosine_values_and_grad():
                 expect = 1.0 - v[i] @ v[j] / (np.linalg.norm(v[i]) * np.linalg.norm(v[j]))
                 assert abs(d[i, j] - expect) < 1e-12
 
-    w = RNG.normal(size=(5, 5))
-    _check(lambda: (nm.pairwise_cosine_distance(f) * Tensor(w)).sum(), [f])
+    w = RNG.normal(size=20)
+    _check(lambda: _pair_loss(f, "cosine", w), [f])
 
 
 def test_pairwise_cosine_zero_row():
     v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     f = Tensor(v, requires_grad=True)
-    d = nm.pairwise_cosine_distance(f)
-    assert d.values[0, 1] == 1.0 and d.values[0, 2] == 1.0
-    backward(d.sum())
+    d = _dense("cosine", v)
+    assert d[0, 1] == 1.0 and d[0, 2] == 1.0
+    backward(_pair_loss(f, "cosine", np.ones(6)))
     assert np.all(f.grad[0] == 0.0)
     assert np.all(np.isfinite(f.grad))
 
@@ -230,17 +292,15 @@ def _brute_poincare(v):
 def test_pairwise_poincare_values_and_grad():
     v = RNG.uniform(-0.4, 0.4, size=(5, 3))
     f = Tensor(v, requires_grad=True)
-    d = nm.pairwise_poincare_distance(f)
-    assert np.allclose(d.values, _brute_poincare(v), atol=1e-12)
+    assert np.allclose(_dense("hyperbolic", v), _brute_poincare(v), atol=1e-12)
 
-    w = RNG.normal(size=(5, 5))
-    _check(lambda: (nm.pairwise_poincare_distance(f) * Tensor(w)).sum(), [f])
+    w = RNG.normal(size=20)
+    _check(lambda: _pair_loss(f, "hyperbolic", w), [f])
 
 
 def test_pairwise_poincare_rejects_outside_ball():
-    f = Tensor(np.array([[0.9, 0.9], [0.1, 0.1]]))
     with pytest.raises(NumericsError):
-        nm.pairwise_poincare_distance(f)
+        nm.block_distance("hyperbolic", np.array([[0.9, 0.9], [0.1, 0.1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +399,7 @@ finite_cols = st.integers(min_value=1, max_value=5)
 @given(n=finite_rows, m=finite_cols, seed=st.integers(0, 2**31 - 1))
 def test_sqdist_symmetric_nonnegative(n, m, seed):
     v = np.random.default_rng(seed).normal(size=(n, m))
-    d = nm.pairwise_sqdist(Tensor(v)).values
+    d = _dense("euclidean", v) ** 2
     assert np.allclose(d, d.T)
     assert np.all(d >= 0.0)
     assert np.allclose(np.diag(d), 0.0)
@@ -349,7 +409,7 @@ def test_sqdist_symmetric_nonnegative(n, m, seed):
 @given(n=finite_rows, m=finite_cols, seed=st.integers(0, 2**31 - 1))
 def test_cosine_range(n, m, seed):
     v = np.random.default_rng(seed).normal(size=(n, m))
-    d = nm.pairwise_cosine_distance(Tensor(v)).values
+    d = _dense("cosine", v)
     assert np.all(d >= -1e-12)
     assert np.all(d <= 2.0 + 1e-12)
     assert np.allclose(d, d.T)
