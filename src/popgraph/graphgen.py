@@ -232,13 +232,11 @@ def random_graph(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """k distinct uniform out-edges per node, never to itself."""
     if not 1 <= k < n:
         raise ValueError(f"k={k} out-edges per node impossible with {n} nodes")
-    rows = []
+    targets = np.empty((n, k), dtype=np.intp)
     for i in range(n):
-        picks = rng.choice(n - 1, size=k, replace=False)
-        picks = picks + (picks >= i)
-        for j in picks:
-            rows.append((i, int(j)))
-    return np.asarray(rows, dtype=np.intp)
+        targets[i] = rng.choice(n - 1, size=k, replace=False)
+    targets += targets >= np.arange(n)[:, None]
+    return np.column_stack([np.repeat(np.arange(n), k), targets.reshape(-1)])
 
 
 def symmetrize(edges: np.ndarray, n: int) -> sp.csr_array:

@@ -337,6 +337,19 @@ def test_random_graph_degrees_and_variation():
     assert not np.array_equal(edges, other)
 
 
+def test_random_graph_draws_one_choice_per_row_in_order():
+    # a seed keeps giving the edges of one rng.choice per row, row by row
+    for n, k, seed in [(2, 1, 0), (10, 3, 5), (600, 5, 1), (40, 39, 2)]:
+        rng = np.random.default_rng(seed)
+        expected = []
+        for i in range(n):
+            picks = rng.choice(n - 1, size=k, replace=False)
+            expected += [(i, int(j + (j >= i))) for j in picks]
+        edges = random_graph(n, k, np.random.default_rng(seed))
+        assert edges.dtype == np.intp
+        assert edges.tolist() == [list(e) for e in expected]
+
+
 def test_random_graph_complete_exhaustion():
     edges = random_graph(3, 2, np.random.default_rng(4))
     assert {tuple(e) for e in edges} == {(i, j) for i in range(3)
