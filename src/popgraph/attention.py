@@ -9,8 +9,6 @@ end to end through the edge distribution.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +24,6 @@ __all__ = [
     "weight_phenotypes",
     "as_attention_vector",
     "rank_phenotypes",
-    "save_ranking_csv",
-    "save_ranking_json",
 ]
 
 
@@ -129,21 +125,3 @@ def rank_phenotypes(vector: AttentionVector) -> list:
          "weight": float(vector.weights[j])}
         for r, j in enumerate(order)
     ]
-
-
-def save_ranking_csv(vector: AttentionVector, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "name", "kind", "weight"])
-        for row in rank_phenotypes(vector):
-            writer.writerow([row["rank"], row["name"], row["kind"], repr(row["weight"])])
-
-
-def save_ranking_json(vector: AttentionVector, path) -> None:
-    payload = {
-        "weights": {name: float(w) for name, w in zip(vector.names, vector.weights)},
-        "ranking": rank_phenotypes(vector),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -39,16 +39,15 @@ from .dataio import (
 )
 from .graphgen import (
     GRAPH_FORMATS,
-    derive_run_seed,
     export_graph,
     homophily_score,
     knn_static_graph,
     random_graph,
 )
 from .trainer import (
-    HOMOPHILY_STREAM,
     MetricsRecord,
     TrainConfig,
+    attention_weights,
     evaluate_classification,
     evaluate_regression,
     load_run,
@@ -57,6 +56,7 @@ from .trainer import (
     save_history_csv,
     save_metrics_json,
     save_run,
+    stream_rng,
 )
 
 __all__ = [
@@ -79,7 +79,8 @@ ABLATION_METRICS = ("euclidean", "cosine", "hyperbolic", "random")
 ABLATION_METHODS = ("adaptive", "static", "random", "linear")
 EXPORT_TARGETS = ("attention", "graph-static", "graph-learned")
 
-# substream tag for the fixed random graph of a static+random ablation cell
+# stream tag (trainer.stream_rng) for the fixed random graph of a
+# static+random ablation cell
 STATIC_RANDOM_STREAM = 0x5EED0003
 
 
@@ -460,9 +461,7 @@ def _train_one_seed(dataset, config: ExperimentConfig, seed: int,
     save_run(result, seed_dir / "checkpoint.json")
     if result.attention_vector is not None:
         _attention_files(result, dataset, seed_dir, stamp)
-    edges = sample_trained_edges(
-        result, dataset,
-        np.random.default_rng(derive_run_seed(seed, HOMOPHILY_STREAM)))
+    edges = sample_trained_edges(result, dataset)
     _write_graph(edges, dataset.y, seed_dir / "graph_learned", stamp)
     return record
 
@@ -548,8 +547,8 @@ def _ablate_cell(datasets: dict, config: ExperimentConfig, cell) -> MetricsRecor
     elif method == "static":
         cfg = config.train_config(seed, lam=0.0)
         if metric == "random":
-            rng = np.random.default_rng(derive_run_seed(seed, STATIC_RANDOM_STREAM))
-            edges = random_graph(dataset.n_subjects, cfg.k, rng)
+            edges = random_graph(dataset.n_subjects, cfg.k,
+                                 stream_rng(seed, STATIC_RANDOM_STREAM))
         else:
             edges = knn_static_graph(dataset.phenotype_matrix(), cfg.k, metric=metric)
         _, record = run_experiment(dataset, cfg, fixed_edges=edges, extra=extra)
@@ -679,21 +678,15 @@ def cmd_export(run_dir, what: str, seed: int | None = None) -> Path:
         if result.attention is None:
             raise CliError("this run has no attention scorer (static, random, "
                            "or ones-mode graph)")
-        from . import numerics as nm
-        from .attention import aggregate_attention, attention_forward
-        with nm.no_grad():
-            result.attention_vector = aggregate_attention(
-                attention_forward(dataset.phenotype_matrix(),
-                                  result.attention)).values.copy()
+        result.attention_vector = attention_weights(result.attention,
+                                                    dataset.phenotype_matrix())
         _attention_files(result, dataset, export_dir, stamp)
         return export_dir
 
     mode = config.task
     labels = dataset.y if mode == "regression" else dataset.class_labels
     if what == "graph-learned":
-        edges = sample_trained_edges(
-            result, dataset,
-            np.random.default_rng(derive_run_seed(seed, HOMOPHILY_STREAM)))
+        edges = sample_trained_edges(result, dataset)
         stem = export_dir / "graph_learned"
     else:
         edges = knn_static_graph(dataset.phenotype_matrix(),
@@ -743,14 +736,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "out", None):
         config.out_dir = args.out
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         config.seeds = _parse_seeds(args.seeds)
         if not config.seeds:
             raise CliError("empty --seeds override")
-    if getattr(args, "workers", None):
+    if getattr(args, "workers", None) is not None:
         config.workers = args.workers
         if config.workers < 1:
-            raise CliError("workers must be at least 1")
+            raise CliError("--workers must be at least 1")
     return config
 
 

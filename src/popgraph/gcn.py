@@ -18,7 +18,6 @@ running mean reward.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +37,7 @@ __all__ = [
     "reward",
     "graph_loss",
     "total_loss",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
-
-CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -223,34 +218,3 @@ def total_loss(l_gcn, l_graph, lam: float = 1.0, rewards=None) -> LossBreakdown:
                  "reward_min": float(rewards.min()),
                  "reward_max": float(rewards.max())}
     return LossBreakdown(total=total, l_gcn=gv, l_graph=rv, lam=lam, **stats)
-
-
-def save_checkpoint(model: GcnModel, path, config_hash: str = "") -> None:
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "task": model.task,
-        "config_hash": config_hash,
-        "params": {
-            name: {"shape": list(p.shape), "values": p.values.reshape(-1).tolist()}
-            for name, p in zip(model.param_names(), model.params())
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_checkpoint(path) -> tuple:
-    """Returns (model, config_hash). Rejects unknown format versions."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint {path}: unsupported format version {version!r}")
-    tensors = {}
-    for name, entry in payload["params"].items():
-        values = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        tensors[name] = Tensor(values, requires_grad=True)
-    model = GcnModel(w1=tensors["w1"], w2=tensors["w2"], b2=tensors["b2"],
-                     w3=tensors["w3"], b3=tensors["b3"], task=payload["task"])
-    return model, payload.get("config_hash", "")

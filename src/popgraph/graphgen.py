@@ -28,7 +28,6 @@ from . import numerics as nm
 from .numerics import Tensor
 
 __all__ = [
-    "METRICS",
     "PairwiseDistances",
     "EdgeScores",
     "SampledGraph",
@@ -42,10 +41,7 @@ __all__ = [
     "homophily_score",
     "export_graph",
     "GRAPH_FORMATS",
-    "derive_run_seed",
 ]
-
-METRICS = ("euclidean", "cosine", "hyperbolic")
 
 _BALL_MARGIN = 1e-3
 
@@ -342,8 +338,3 @@ def export_graph(graph, labels, path, fmt: str = "json") -> None:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"failed writing graph to {path}: {exc}") from exc
-
-
-def derive_run_seed(master_seed: int, run_index: int) -> int:
-    """Independent per-run seed stream: master seed XOR run index."""
-    return int(master_seed) ^ int(run_index)

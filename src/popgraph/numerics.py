@@ -12,7 +12,6 @@ may execute on separate threads without sharing state.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +24,6 @@ __all__ = [
     "no_grad",
     "backward",
     "reset_tape",
-    "tape_size",
     "concat",
     "gather_rows",
     "masked_select",
@@ -41,8 +39,6 @@ __all__ = [
     "offdiag_logsumexp",
     "block_distance",
     "kernel_edge_scores",
-    "grad_check",
-    "GradCheckReport",
 ]
 
 
@@ -93,10 +89,6 @@ def reset_tape() -> None:
     """Drop all recorded operations without running backward."""
     _ops().clear()
     _TLS.epoch = _tape_epoch() + 1
-
-
-def tape_size() -> int:
-    return len(_ops())
 
 
 class Tensor:
@@ -174,9 +166,6 @@ class Tensor:
     def sigmoid(self):
         return sigmoid(self)
 
-    def log(self):
-        return log(self)
-
     def exp(self):
         return exp(self)
 
@@ -219,7 +208,7 @@ def _apply(name: str, out_values: np.ndarray, parents: Sequence[Tensor],
     out.values = out_values
     track = _grad_enabled() and any(p.requires_grad for p in parents)
     out.requires_grad = track
-    out.grad = np.zeros_like(out_values) if track else None
+    out.grad = None
     out._from_op = track
     out._epoch = _tape_epoch()
     if track:
@@ -251,8 +240,10 @@ def backward(loss: Tensor) -> None:
             if contribution is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.values)
-            parent.grad += contribution
+                # a copy: ``add`` hands the same array to both parents
+                parent.grad = np.array(contribution, dtype=np.float64)
+            else:
+                parent.grad += contribution
     ops.clear()
     _TLS.epoch = _tape_epoch() + 1
 
@@ -360,14 +351,6 @@ def sigmoid(a) -> Tensor:
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-a.values))
     return _apply("sigmoid", s, (a,), lambda g: (g * s * (1.0 - s),))
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    av = a.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(av)
-    return _apply("log", out, (a,), lambda g: (g / av,))
 
 
 def exp(a) -> Tensor:
@@ -761,89 +744,3 @@ def kernel_edge_scores(features, t, metric: str, edges, normalize: bool,
         return dist.finish(acc), np.array(g_t)
 
     return _apply("kernel_edge_scores", out, (f, t), bwd)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GradCheckReport:
-    """Comparison of analytic gradients against central finite differences."""
-
-    max_rel_error: float
-    worst_param: int
-    worst_element: int
-    per_param: list = field(default_factory=list)
-    tolerance: float = 1e-4
-    passed: bool = False
-    suspected_nondifferentiable: bool = False
-
-    def summary(self) -> str:
-        status = "OK" if self.passed else "FAIL"
-        note = " (non-differentiable point suspected)" if self.suspected_nondifferentiable else ""
-        return (f"grad_check {status}: max rel error {self.max_rel_error:.3e} "
-                f"at param {self.worst_param}[{self.worst_element}] "
-                f"(tolerance {self.tolerance:.1e}){note}")
-
-
-def grad_check(build_loss: Callable[[], Tensor], params: Sequence[Tensor],
-               h: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:
-    """Compare analytic gradients of ``build_loss()`` with finite differences.
-
-    ``build_loss`` must rebuild the loss from scratch on each call and be
-    deterministic given the current parameter values (freeze any sampling
-    before checking). Relative error uses a floor tied to the largest
-    gradient magnitude so that dead units with ~0 gradient are judged
-    against finite-difference noise, not against zero.
-    """
-    reset_tape()
-    for p in params:
-        p.zero_grad()
-    loss = build_loss()
-    backward(loss)
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.values)
-                for p in params]
-
-    numeric = []
-    with no_grad():
-        for p in params:
-            flat = p.values.reshape(-1)
-            fd = np.zeros_like(flat)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                hi = build_loss().item()
-                flat[i] = orig - h
-                lo = build_loss().item()
-                flat[i] = orig
-                fd[i] = (hi - lo) / (2.0 * h)
-            numeric.append(fd.reshape(p.values.shape))
-
-    scale = max(max((np.max(np.abs(a)) for a in analytic), default=0.0),
-                max((np.max(np.abs(n)) for n in numeric), default=0.0))
-    floor = max(1e-6 * scale, 1e-8)
-
-    max_rel = 0.0
-    worst_param = worst_element = 0
-    per_param = []
-    for k, (a, n) in enumerate(zip(analytic, numeric)):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-        rel = np.abs(a - n) / denom
-        pmax = float(rel.max()) if rel.size else 0.0
-        per_param.append(pmax)
-        if pmax > max_rel:
-            max_rel = pmax
-            worst_param = k
-            worst_element = int(rel.argmax())
-
-    return GradCheckReport(
-        max_rel_error=max_rel,
-        worst_param=worst_param,
-        worst_element=worst_element,
-        per_param=per_param,
-        tolerance=tolerance,
-        passed=max_rel <= tolerance,
-        suspected_nondifferentiable=max_rel > 0.5,
-    )

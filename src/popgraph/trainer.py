@@ -31,7 +31,6 @@ from .gcn import (
     total_loss,
 )
 from .graphgen import (
-    derive_run_seed,
     edge_probabilities,
     gumbel_topk_sample,
     homophily_score,
@@ -51,6 +50,8 @@ __all__ = [
     "train",
     "infer",
     "InferenceResult",
+    "attention_weights",
+    "stream_rng",
     "sample_trained_edges",
     "evaluate_regression",
     "evaluate_classification",
@@ -63,8 +64,7 @@ __all__ = [
 
 RUN_FORMAT_VERSION = 1
 
-# substream tags for seeds derived from a run's master seed; large constants
-# so a derived seed never lands on another run's master seed
+# tags of the random streams a run derives from its master seed (stream_rng)
 INFERENCE_STREAM = 0x5EED0001
 HOMOPHILY_STREAM = 0x5EED0002
 
@@ -202,6 +202,24 @@ def _attention_vector(mlp, phenotypes, mode: str):
     if mode == "ones":
         return Tensor(np.ones(phenotypes.shape[1]))
     return aggregate_attention(attention_forward(phenotypes, mlp))
+
+
+def stream_rng(seed: int, stream: int) -> np.random.Generator:
+    """The generator of one random stream derived from a run's master seed.
+
+    Seeding with the pair [seed, stream] keeps each derived stream apart
+    from the others and from every master-seed stream default_rng(s) with s
+    below 2**32 (numpy splits a larger s into 32-bit words, so s = seed +
+    stream * 2**32 would replay it).
+    """
+    return np.random.default_rng([seed, stream])
+
+
+def attention_weights(mlp: AttentionMlp, phenotypes) -> np.ndarray:
+    """The scorer's aggregated attention vector over ``phenotypes``, one
+    weight per column, computed without recording on the tape."""
+    with nm.no_grad():
+        return aggregate_attention(attention_forward(phenotypes, mlp)).values
 
 
 def _sample_epoch_graph(mlp, tau, phenotypes, config, rng, noise=None,
@@ -391,15 +409,10 @@ def train(dataset: PopulationDataset, config: TrainConfig,
         best_epoch = history[-1]["epoch"]
         best_val = history[-1]["val_metric"]
 
-    attention_vector = None
-    if mlp is not None:
-        with nm.no_grad():
-            attention_vector = aggregate_attention(
-                attention_forward(phenotypes, mlp)).values.copy()
-
     return TrainResult(
         model=model, attention=mlp, tau=tau,
-        attention_vector=attention_vector, history=history,
+        attention_vector=None if mlp is None else attention_weights(mlp, phenotypes),
+        history=history,
         best_epoch=best_epoch, best_val=best_val, epsilon=epsilon,
         config=config, fixed_edges=fixed_edges)
 
@@ -451,14 +464,15 @@ def infer(result: TrainResult, dataset: PopulationDataset, n_samples: int,
     return InferenceResult(predictions=mean)
 
 
-def sample_trained_edges(result: TrainResult, dataset: PopulationDataset,
-                         rng: np.random.Generator):
+def sample_trained_edges(result: TrainResult, dataset: PopulationDataset):
     """One graph draw at the trained parameters (for homophily measurement
-    and export)."""
+    and export), from the run's ``HOMOPHILY_STREAM``, so every call for a run
+    gives the same edges."""
     config = result.config
     if result.fixed_edges is not None:
         return result.fixed_edges
     phenotypes = dataset.phenotype_matrix()
+    rng = stream_rng(config.seed, HOMOPHILY_STREAM)
     if config.distance_metric == "random":
         return random_graph(dataset.n_subjects, config.k, rng)
     with nm.no_grad():
@@ -596,7 +610,7 @@ def run_experiment(dataset: PopulationDataset, config: TrainConfig,
     result = train(dataset, config, fixed_edges=fixed_edges)
     masks = dataset.require_masks()
     out = infer(result, dataset, config.inference_samples,
-                np.random.default_rng(derive_run_seed(config.seed, INFERENCE_STREAM)))
+                stream_rng(config.seed, INFERENCE_STREAM))
 
     record = MetricsRecord(task=config.task, seed=config.seed,
                            config_hash=config_hash(config.to_dict()),
@@ -615,8 +629,7 @@ def run_experiment(dataset: PopulationDataset, config: TrainConfig,
         record.macro_f1 = scores["macro_f1"]
         labels_for_homophily = dataset.class_labels
 
-    edges = sample_trained_edges(result, dataset,
-                                 np.random.default_rng(derive_run_seed(config.seed, HOMOPHILY_STREAM)))
+    edges = sample_trained_edges(result, dataset)
     record.homophily = homophily_score(edges, labels_for_homophily, mode=config.task)
     record.extra["n_epochs_run"] = len(result.history)
     record.wall_clock_seconds = time.perf_counter() - started

@@ -5,9 +5,13 @@ formulas that are slow but obviously correct, for checking the fast paths.
 """
 
 import math
+from dataclasses import dataclass, field
 from itertools import permutations
+from typing import Callable, Sequence
 
 import numpy as np
+
+from popgraph import numerics as nm
 
 
 def softmax(values: np.ndarray) -> np.ndarray:
@@ -183,3 +187,94 @@ def dense_draw(v: np.ndarray, t: float, metric: str, k: int, noise: np.ndarray):
     row_lse = top + np.log(np.exp(masked - top[:, None]).sum(axis=1))
     first_pick = log_p[edges[:, 0], edges[:, 1]] - row_lse[edges[:, 0]]
     return edges, first_pick, dense_symmetrize(edges, n)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference gradient checking and tape inspection
+# ---------------------------------------------------------------------------
+
+
+def tape_size() -> int:
+    """Operations recorded on this thread's tape."""
+    return len(nm._ops())
+
+
+@dataclass
+class GradCheckReport:
+    """Comparison of analytic gradients against central finite differences."""
+
+    max_rel_error: float
+    worst_param: int
+    worst_element: int
+    per_param: list = field(default_factory=list)
+    tolerance: float = 1e-4
+    passed: bool = False
+    suspected_nondifferentiable: bool = False
+
+    def summary(self) -> str:
+        status = "OK" if self.passed else "FAIL"
+        note = " (non-differentiable point suspected)" if self.suspected_nondifferentiable else ""
+        return (f"grad_check {status}: max rel error {self.max_rel_error:.3e} "
+                f"at param {self.worst_param}[{self.worst_element}] "
+                f"(tolerance {self.tolerance:.1e}){note}")
+
+
+def grad_check(build_loss: Callable[[], nm.Tensor], params: Sequence[nm.Tensor],
+               h: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:
+    """Compare analytic gradients of ``build_loss()`` with finite differences.
+
+    ``build_loss`` must rebuild the loss from scratch on each call and be
+    deterministic given the current parameter values (freeze any sampling
+    before checking). Relative error uses a floor tied to the largest
+    gradient magnitude so that dead units with ~0 gradient are judged
+    against finite-difference noise, not against zero.
+    """
+    nm.reset_tape()
+    for p in params:
+        p.zero_grad()
+    loss = build_loss()
+    nm.backward(loss)
+    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.values)
+                for p in params]
+
+    numeric = []
+    with nm.no_grad():
+        for p in params:
+            flat = p.values.reshape(-1)
+            fd = np.zeros_like(flat)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                hi = build_loss().item()
+                flat[i] = orig - h
+                lo = build_loss().item()
+                flat[i] = orig
+                fd[i] = (hi - lo) / (2.0 * h)
+            numeric.append(fd.reshape(p.values.shape))
+
+    scale = max(max((np.max(np.abs(a)) for a in analytic), default=0.0),
+                max((np.max(np.abs(n)) for n in numeric), default=0.0))
+    floor = max(1e-6 * scale, 1e-8)
+
+    max_rel = 0.0
+    worst_param = worst_element = 0
+    per_param = []
+    for k, (a, n) in enumerate(zip(analytic, numeric)):
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+        rel = np.abs(a - n) / denom
+        pmax = float(rel.max()) if rel.size else 0.0
+        per_param.append(pmax)
+        if pmax > max_rel:
+            max_rel = pmax
+            worst_param = k
+            worst_element = int(rel.argmax())
+
+    return GradCheckReport(
+        max_rel_error=max_rel,
+        worst_param=worst_param,
+        worst_element=worst_element,
+        per_param=per_param,
+        tolerance=tolerance,
+        passed=max_rel <= tolerance,
+        suspected_nondifferentiable=max_rel > 0.5,
+    )

@@ -1,8 +1,12 @@
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import grad_check
 from popgraph import numerics as nm
 from popgraph.attention import (
     AttentionMlp,
@@ -10,11 +14,10 @@ from popgraph.attention import (
     aggregate_attention,
     attention_forward,
     rank_phenotypes,
-    save_ranking_csv,
-    save_ranking_json,
     weight_phenotypes,
 )
-from popgraph.numerics import Tensor, backward, grad_check
+from popgraph.cli import _attention_files
+from popgraph.numerics import Tensor, backward
 
 RNG = np.random.default_rng(99)
 
@@ -150,20 +153,20 @@ def test_rank_phenotypes_order_and_ties():
 
 
 def test_ranking_csv_and_json_exports(tmp_path):
-    vec = as_attention_vector(np.array([0.25, 1.0]), ["q00", "s00"],
-                              ["non-imaging", "imaging"])
-    csv_path = tmp_path / "ranking.csv"
-    save_ranking_csv(vec, csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "rank,name,kind,weight"
-    assert lines[1].startswith("1,s00,imaging,")
+    result = SimpleNamespace(attention_vector=np.array([0.25, 1.0]))
+    dataset = SimpleNamespace(n_nonimaging=1, n_imaging=1,
+                              phenotype_names=["q00", "s00"])
+    _attention_files(result, dataset, tmp_path, "abc123")
+    lines = (tmp_path / "attention.csv").read_text().strip().splitlines()
+    assert lines[0] == "# config_hash=abc123"
+    assert lines[1] == "rank,name,kind,weight"
+    assert lines[2].startswith("1,s00,imaging,")
+    assert lines[3].startswith("2,q00,non-imaging,")
 
-    json_path = tmp_path / "ranking.json"
-    save_ranking_json(vec, json_path)
-    import json
-    payload = json.loads(json_path.read_text())
-    assert payload["weights"]["q00"] == 0.25
-    assert payload["ranking"][0]["name"] == "s00"
+    payload = json.loads((tmp_path / "attention.json").read_text())
+    assert payload["config_hash"] == "abc123"
+    assert payload["weights"] == {"q00": 0.25, "s00": 1.0}
+    assert [row["name"] for row in payload["ranking"]] == ["s00", "q00"]
 
 
 def test_vector_metadata_length_check():

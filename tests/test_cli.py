@@ -417,3 +417,13 @@ def test_main_seed_override_rejects_garbage(tmp_path, capsys):
     path = write_config(tmp_path, experiment_dict(tmp_path / "run"))
     assert main(["train", "--config", str(path), "--seeds", "zero"]) == 2
     assert "seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--seeds", "")])
+def test_main_rejects_falsy_overrides(tmp_path, capsys, flag, value):
+    """A falsy override is still an override: it must be checked, not
+    silently replaced by the config's value."""
+    path = write_config(tmp_path, experiment_dict(tmp_path / "run"))
+    assert main(["train", "--config", str(path), flag, value]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import grad_check
 from popgraph import numerics as nm
 from popgraph.gcn import (
     GcnModel,
@@ -10,10 +11,8 @@ from popgraph.gcn import (
     gcn_forward,
     graph_loss,
     huber_loss,
-    load_checkpoint,
     null_epsilon,
     reward,
-    save_checkpoint,
     total_loss,
 )
 from popgraph.graphgen import (
@@ -22,7 +21,7 @@ from popgraph.graphgen import (
     random_graph,
     symmetrize,
 )
-from popgraph.numerics import Tensor, backward, grad_check
+from popgraph.numerics import Tensor, backward
 
 RNG = np.random.default_rng(31)
 
@@ -327,30 +326,3 @@ def test_total_loss_lambda_zero_freezes_graph_parameters():
 def test_total_loss_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         total_loss(float("nan"), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-
-def test_checkpoint_round_trip(tmp_path):
-    model = tiny_model(n_out=4, task="classification", seed=13)
-    path = tmp_path / "model.json"
-    save_checkpoint(model, path, config_hash="abc123")
-    loaded, ch = load_checkpoint(path)
-    assert ch == "abc123"
-    assert loaded.task == "classification"
-    for a, b in zip(model.params(), loaded.params()):
-        assert np.array_equal(a.values, b.values)
-
-
-def test_checkpoint_rejects_unknown_version(tmp_path):
-    path = tmp_path / "model.json"
-    save_checkpoint(tiny_model(), path)
-    import json as _json
-    payload = _json.loads(path.read_text())
-    payload["format_version"] = 99
-    path.write_text(_json.dumps(payload))
-    with pytest.raises(ValueError, match="version"):
-        load_checkpoint(path)

@@ -11,6 +11,7 @@ from oracles import (
     dense_draw,
     dense_symmetrize,
     empirical_topk_sets,
+    grad_check,
     plackett_luce_set_probs,
     softmax,
     total_variation,
@@ -18,7 +19,6 @@ from oracles import (
 from popgraph import numerics as nm
 from popgraph.graphgen import (
     SampledGraph,
-    derive_run_seed,
     edge_probabilities,
     export_graph,
     gumbel_topk_sample,
@@ -29,7 +29,7 @@ from popgraph.graphgen import (
     symmetrize,
     topk_desc,
 )
-from popgraph.numerics import Tensor, grad_check
+from popgraph.numerics import Tensor
 
 RNG = np.random.default_rng(2024)
 
@@ -476,9 +476,3 @@ def test_export_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="format"):
         export_graph(np.array([[0, 1]]), np.array([1.0, 2.0]),
                      tmp_path / "g.x", fmt="gexf")
-
-
-def test_derive_run_seed_distinct_streams():
-    seeds = {derive_run_seed(12345, i) for i in range(16)}
-    assert len(seeds) == 16
-    assert derive_run_seed(12345, 0) == 12345

@@ -12,11 +12,14 @@ import pytest
 import popgraph.numerics as nm
 from oracles import rank_auc
 from popgraph.attention import AttentionMlp, aggregate_attention, attention_forward, weight_phenotypes
+from popgraph.cli import STATIC_RANDOM_STREAM
 from popgraph.dataio import SyntheticConfig, generate_synthetic, make_class_labels, normalize_minmax, split
 from popgraph.gcn import GcnModel, gcn_forward, graph_loss, huber_loss, null_epsilon, reward, total_loss
 from popgraph.graphgen import edge_probabilities, gumbel_topk_sample, pairwise_distance
 from popgraph.numerics import Tensor
 from popgraph.trainer import (
+    HOMOPHILY_STREAM,
+    INFERENCE_STREAM,
     AdamW,
     MetricsRecord,
     TrainConfig,
@@ -31,6 +34,7 @@ from popgraph.trainer import (
     save_history_csv,
     save_metrics_json,
     save_run,
+    stream_rng,
     train,
 )
 from popgraph.trainer import _sample_epoch_graph
@@ -388,13 +392,30 @@ def test_infer_rejects_nonpositive_sample_count():
 def test_sample_trained_edges_shapes_and_paths():
     ds = tiny_dataset()
     result = train(ds, tiny_config())
-    edges = sample_trained_edges(result, ds, np.random.default_rng(0))
+    edges = sample_trained_edges(result, ds)
     assert edges.shape == (ds.n_subjects * 3, 2)
-    again = sample_trained_edges(result, ds, np.random.default_rng(0))
-    assert np.array_equal(edges, again)
+    assert np.array_equal(edges, sample_trained_edges(result, ds))
+    with nm.no_grad():
+        drawn = _sample_epoch_graph(result.attention, result.tau, ds.phenotype_matrix(),
+                                    result.config,
+                                    stream_rng(result.config.seed, HOMOPHILY_STREAM))
+    assert np.array_equal(edges, drawn.edges)
 
     fixed = train(ds, tiny_config(), fixed_edges=edges)
-    assert np.array_equal(sample_trained_edges(fixed, ds, np.random.default_rng(1)), edges)
+    assert np.array_equal(sample_trained_edges(fixed, ds), edges)
+
+
+def test_derived_streams_never_replay_a_master_seed():
+    """Under the old XOR scheme seed 0's inference stream was master seed
+    0x5EED0001's stream; no derived stream may replay a master seed's."""
+    def first_draws(rng):
+        return tuple(rng.integers(0, 2**63, 4).tolist())
+
+    tags = (INFERENCE_STREAM, HOMOPHILY_STREAM, STATIC_RANDOM_STREAM)
+    derived = {first_draws(stream_rng(seed, tag)) for seed in range(8) for tag in tags}
+    assert len(derived) == 8 * len(tags)
+    masters = set(range(64)) | set(tags) | {seed ^ tag for seed in range(8) for tag in tags}
+    assert not derived & {first_draws(np.random.default_rng(s)) for s in masters}
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +553,14 @@ def test_metrics_record_validation():
         MetricsRecord(task="classification", seed=0, config_hash="", accuracy=1.2).validate()
 
 
-def test_run_checkpoint_round_trip(tmp_path):
-    ds = tiny_dataset()
-    result = train(ds, tiny_config())
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_run_checkpoint_round_trip(tmp_path, task):
+    ds = tiny_dataset(task=task)
+    result = train(ds, tiny_config(task=task, n_classes=3))
     path = tmp_path / "run.json"
     save_run(result, path)
     loaded = load_run(path)
+    assert loaded.model.task == task
     assert loaded.config == result.config
     assert loaded.epsilon == result.epsilon
     assert loaded.best_epoch == result.best_epoch
@@ -547,9 +570,11 @@ def test_run_checkpoint_round_trip(tmp_path):
         assert np.array_equal(a.values, b.values)
     assert loaded.tau.values == result.tau.values
     # identical stochastic predictions through the restored parameters
-    a = infer(result, ds, 3, np.random.default_rng(5)).predictions
-    b = infer(loaded, ds, 3, np.random.default_rng(5)).predictions
-    assert np.array_equal(a, b)
+    a = infer(result, ds, 3, np.random.default_rng(5))
+    b = infer(loaded, ds, 3, np.random.default_rng(5))
+    assert np.array_equal(a.predictions, b.predictions)
+    if task == "classification":
+        assert np.array_equal(a.probabilities, b.probabilities)
 
 
 def test_run_checkpoint_keeps_fixed_edges(tmp_path):
