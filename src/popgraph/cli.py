@@ -734,12 +734,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
+        if not args.out:
+            raise CliError("empty --out override")
         config.out_dir = args.out
     if getattr(args, "seeds", None) is not None:
         config.seeds = _parse_seeds(args.seeds)
         if not config.seeds:
             raise CliError("empty --seeds override")
+        if len(set(config.seeds)) != len(config.seeds):
+            raise CliError(f"duplicate seeds in --seeds override {args.seeds!r}")
     if getattr(args, "workers", None) is not None:
         config.workers = args.workers
         if config.workers < 1:

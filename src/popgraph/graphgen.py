@@ -61,6 +61,10 @@ class PairwiseDistances:
     def rows(self, r0: int, r1: int) -> np.ndarray:
         return self._kernel.rows(r0, r1)
 
+    def squared_rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0..r1-1 of d^2, as a fresh array."""
+        return self._kernel.forward(r0, r1)[0]
+
 
 class EdgeScores:
     """log p = -t * d^2 over a ``PairwiseDistances`` operator, by row blocks."""
@@ -73,7 +77,8 @@ class EdgeScores:
         self.shape = distances.shape
 
     def rows(self, r0: int, r1: int) -> np.ndarray:
-        return nm.kernel_scores(self.distances.rows(r0, r1), float(self.t.values))
+        sq = self.distances.squared_rows(r0, r1)
+        return nm.kernel_scores(sq, float(self.t.values), out=sq)
 
 
 def pairwise_distance(features, metric: str) -> PairwiseDistances:
@@ -155,10 +160,13 @@ def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
 
     ``log_p`` is an ``EdgeScores`` operator, walked a block of rows at a
     time, or a dense score matrix, taken as one block. Noise comes from
-    ``rng`` one block of rows after another, which draws the same numbers as
-    one (N, N) draw; pass ``noise`` to replay such a draw (or zeros to
-    degenerate to deterministic top-k). The diagonal is masked, so
-    self-edges never occur and every node ends with exactly k out-edges.
+    ``rng`` through ``numerics.gumbel_fill``, one block of rows after
+    another into one reused buffer: the uniforms of one (N, N)
+    ``Generator.gumbel`` draw, transformed with the vectorised log, so
+    within a few ULP of it. Pass ``noise`` to replay a draw (``gumbel_fill``
+    of an (N, N) array gives the generator's), or zeros to degenerate to
+    deterministic top-k. The diagonal is masked, so self-edges never occur
+    and every node ends with exactly k out-edges.
 
     The per-edge scores are the raw log p; with ``normalize`` (operator
     input only) they are first-pick log-probabilities, log p_ij -
@@ -185,10 +193,16 @@ def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
     targets = np.empty((n, k), dtype=np.intp)
     raw = np.empty((n, k))
     row_lse = np.empty(n) if normalize else None
-    for r0, r1 in nm.row_blocks(n, nm.rows_per_block(n) if blocked else n):
+    step = nm.rows_per_block(n) if blocked else n
+    buffer = np.empty((min(step, n), n))
+    for r0, r1 in nm.row_blocks(n, step):
         scores = lp.rows(r0, r1) if blocked else lp.values
-        block_noise = rng.gumbel(0.0, 1.0, (r1 - r0, n)) if noise is None else noise[r0:r1]
-        perturbed = scores + block_noise
+        perturbed = buffer[:r1 - r0]
+        if noise is None:
+            nm.gumbel_fill(rng, perturbed)
+        else:
+            perturbed[:] = noise[r0:r1]
+        perturbed += scores
         nm.fill_block_diagonal(perturbed, r0, -np.inf)
         targets[r0:r1] = topk_desc(perturbed, k)
         if blocked:

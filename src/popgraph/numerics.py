@@ -36,6 +36,7 @@ __all__ = [
     "row_blocks",
     "fill_block_diagonal",
     "kernel_scores",
+    "gumbel_fill",
     "offdiag_logsumexp",
     "block_distance",
     "kernel_edge_scores",
@@ -541,9 +542,34 @@ def fill_block_diagonal(block: np.ndarray, r0: int, value: float) -> None:
     block[rows, rows + r0] = value
 
 
-def kernel_scores(distances: np.ndarray, t: float) -> np.ndarray:
-    """log p = -t d^2 on a block of distance values."""
-    return -((distances * distances) * t)
+def kernel_scores(sq: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
+    """log p = -t d^2 on a block of squared distances (in place with out=sq)."""
+    return np.multiply(sq, -t, out=out)
+
+
+def gumbel_fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill a C-contiguous float64 array with Gumbel(0, 1) noise and return it.
+
+    The same uniforms and formula as ``Generator.gumbel(0, 1, out.shape)``,
+    -log(-log(1 - U)), but with numpy's vectorised log in place of a scalar
+    libm call per variate, so each value g agrees to a few ULP of
+    max(|g|, 1) and the generator ends in the same state. A uniform of
+    exactly 0 would give +inf; like ``Generator.gumbel`` those entries are
+    redrawn from ``rng``, though after the whole fill rather than in stream
+    order.
+    """
+    rng.random(out=out)
+    if not out.all():
+        flat = out.reshape(-1)
+        zero = np.flatnonzero(flat == 0.0)
+        while zero.size:
+            flat[zero] = rng.random(zero.size)
+            zero = zero[flat[zero] == 0.0]
+    np.subtract(1.0, out, out=out)
+    np.log(out, out=out)
+    np.negative(out, out=out)
+    np.log(out, out=out)
+    return np.negative(out, out=out)
 
 
 def offdiag_logsumexp(scores: np.ndarray, r0: int) -> np.ndarray:
@@ -552,6 +578,14 @@ def offdiag_logsumexp(scores: np.ndarray, r0: int) -> np.ndarray:
     fill_block_diagonal(scores, r0, -np.inf)
     top = scores.max(axis=1)
     return top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
+
+
+def _sqdist_block(v, r, r0, r1) -> np.ndarray:
+    """max(|v_i|^2 + |v_j|^2 - 2 v_i.v_j, 0) for block rows i, from v and the
+    squared row norms r."""
+    s = (-2.0 * v[r0:r1]) @ v.T
+    s += r[r0:r1, None] + r
+    return np.maximum(s, 0.0, out=s)
 
 
 def _sqdist_pullback(v, r0, r1, g, acc) -> None:
@@ -564,14 +598,29 @@ def _sqdist_pullback(v, r0, r1, g, acc) -> None:
 class _BlockDistance:
     """Distances from a block of rows to every row under one metric.
 
-    ``forward(r0, r1)`` returns the (r1 - r0, N) block, zero on each row's
-    own column, and what its pullback needs; ``pullback(r0, r1, saved, g,
-    acc)`` adds the block's vector-Jacobian product with g (zero on the own
-    columns) into ``accumulator()``, which ``finish`` turns into d/dv.
+    ``forward(r0, r1)`` returns the (r1 - r0, N) block of squared distances,
+    zero on each row's own column, as a fresh array the caller may
+    overwrite, and what its pullback needs; ``pullback(r0, r1, saved, g,
+    scale, acc)`` adds the block's vector-Jacobian product with scale * g
+    (zero on the own columns) through the squared distances into
+    ``accumulator()``, which ``finish`` turns into d/dv. ``rows(r0, r1)``
+    gives the distances themselves.
+
+    This base serves metrics that compute d and then d^2: a subclass gives
+    ``distances(r0, r1)`` -> (d, saved) and ``distance_pullback``, the same
+    product through d.
     """
 
+    def forward(self, r0, r1):
+        d, saved = self.distances(r0, r1)
+        return d * d, (d, saved)
+
+    def pullback(self, r0, r1, saved, g, scale, acc):
+        d, inner = saved
+        self.distance_pullback(r0, r1, inner, g * d * (2.0 * scale), acc)
+
     def rows(self, r0, r1):
-        return self.forward(r0, r1)[0]
+        return self.distances(r0, r1)[0]
 
     def accumulator(self):
         return np.zeros_like(self.v)
@@ -581,23 +630,22 @@ class _BlockDistance:
 
 
 class _Euclidean(_BlockDistance):
-    """|v_i - v_j|; zero subgradient at coincident points."""
+    """|v_i - v_j|, kept squared: no square root on the kernel's path."""
 
     def __init__(self, v):
         self.v = v
         self.r = np.sum(v * v, axis=1)
 
     def forward(self, r0, r1):
-        v, r = self.v, self.r
-        s = np.maximum(r[r0:r1, None] + r[None, :] - 2.0 * (v[r0:r1] @ v.T), 0.0)
+        s = _sqdist_block(self.v, self.r, r0, r1)
         fill_block_diagonal(s, r0, 0.0)
-        d = np.sqrt(s)
-        return d, d
+        return s, None
 
-    def pullback(self, r0, r1, d, g, acc):
-        positive = d > 0
-        gs = np.where(positive, g / (2.0 * np.where(positive, d, 1.0)), 0.0)
-        _sqdist_pullback(self.v, r0, r1, gs, acc)
+    def pullback(self, r0, r1, saved, g, scale, acc):
+        _sqdist_pullback(self.v, r0, r1, g * scale, acc)
+
+    def rows(self, r0, r1):
+        return np.sqrt(self.forward(r0, r1)[0])
 
 
 class _Cosine(_BlockDistance):
@@ -610,12 +658,12 @@ class _Cosine(_BlockDistance):
         self.safe = np.where(self.nonzero, norms, 1.0)
         self.v = self.u = v / self.safe[:, None]
 
-    def forward(self, r0, r1):
+    def distances(self, r0, r1):
         d = 1.0 - self.u[r0:r1] @ self.u.T
         fill_block_diagonal(d, r0, 0.0)
         return d, None
 
-    def pullback(self, r0, r1, saved, g, acc):
+    def distance_pullback(self, r0, r1, saved, g, acc):
         # acc collects d(loss)/du
         u = self.u
         acc -= g.T @ u[r0:r1]
@@ -640,9 +688,8 @@ class _Poincare(_BlockDistance):
                                 "the unit ball; rescale inputs first")
         self.b = 1.0 - self.r
 
-    def forward(self, r0, r1):
-        v, r = self.v, self.r
-        a = np.maximum(r[r0:r1, None] + r[None, :] - 2.0 * (v[r0:r1] @ v.T), 0.0)
+    def distances(self, r0, r1):
+        a = _sqdist_block(self.v, self.r, r0, r1)
         b = np.outer(self.b[r0:r1], self.b)
         z = 1.0 + 2.0 * a / b
         d = np.arccosh(np.maximum(z, 1.0))
@@ -653,7 +700,7 @@ class _Poincare(_BlockDistance):
         # d(loss)/dv through |v_i - v_j|^2, and d(loss)/d(1 - |v_i|^2)
         return np.zeros_like(self.v), np.zeros_like(self.b)
 
-    def pullback(self, r0, r1, saved, g, acc):
+    def distance_pullback(self, r0, r1, saved, g, acc):
         a, b, z = saved
         gv, db = acc
         zsq = np.maximum(z * z - 1.0, 0.0)
@@ -719,7 +766,8 @@ def kernel_edge_scores(features, t, metric: str, edges, normalize: bool,
         raw = np.empty(len(src))
         row_lse = np.empty(n) if normalize else None
         for r0, r1, sel in blocks:
-            scores = kernel_scores(dist.rows(r0, r1), tv)
+            sq, _ = dist.forward(r0, r1)
+            scores = kernel_scores(sq, tv, out=sq)
             raw[sel] = scores[src[sel] - r0, dst[sel]]
             if normalize:
                 row_lse[r0:r1] = offdiag_logsumexp(scores, r0)
@@ -732,15 +780,16 @@ def kernel_edge_scores(features, t, metric: str, edges, normalize: bool,
         acc = dist.accumulator()
         g_t = 0.0
         for r0, r1, sel in blocks:
-            d, saved = dist.forward(r0, r1)
+            sq, saved = dist.forward(r0, r1)
             g_s = np.bincount((src[sel] - r0) * n + dst[sel], weights=g[sel],
                               minlength=(r1 - r0) * n).reshape(r1 - r0, n)
             if normalize:
-                scores = kernel_scores(d, tv)
+                scores = kernel_scores(sq, tv)
                 fill_block_diagonal(scores, r0, -np.inf)
                 g_s -= g_rows[r0:r1, None] * np.exp(scores - row_lse[r0:r1, None])
-            g_t -= np.sum(g_s * (d * d))
-            dist.pullback(r0, r1, saved, g_s * d * (-2.0 * tv), acc)
+            g_t -= np.sum(g_s * sq)
+            sq = scores = None  # free both blocks before the pullback's temporaries
+            dist.pullback(r0, r1, saved, g_s, -tv, acc)
         return dist.finish(acc), np.array(g_t)
 
     return _apply("kernel_edge_scores", out, (f, t), bwd)

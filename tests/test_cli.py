@@ -419,11 +419,20 @@ def test_main_seed_override_rejects_garbage(tmp_path, capsys):
     assert "seeds" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--seeds", "")])
+@pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--seeds", ""), ("--out", "")])
 def test_main_rejects_falsy_overrides(tmp_path, capsys, flag, value):
     """A falsy override is still an override: it must be checked, not
     silently replaced by the config's value."""
     path = write_config(tmp_path, experiment_dict(tmp_path / "run"))
     assert main(["train", "--config", str(path), flag, value]) == 2
     assert flag in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_main_rejects_duplicate_seed_override(tmp_path, capsys):
+    """The config file's duplicate-seed check holds for --seeds too: two
+    runs of one seed would write the same seed directory."""
+    path = write_config(tmp_path, experiment_dict(tmp_path / "run"))
+    assert main(["train", "--config", str(path), "--seeds", "0,0", "--workers", "2"]) == 2
+    assert "duplicate seeds" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()

@@ -165,7 +165,8 @@ def test_sampler_replay_with_frozen_noise():
     # the generator's noise, drawn again as one (N, N) array, replays the draw
     lp = Tensor(RNG.normal(size=(7, 7)))
     g1 = gumbel_topk_sample(lp, k=3, rng=np.random.default_rng(5))
-    g2 = gumbel_topk_sample(lp, k=3, noise=np.random.default_rng(5).gumbel(0.0, 1.0, (7, 7)))
+    g2 = gumbel_topk_sample(lp, k=3, noise=nm.gumbel_fill(np.random.default_rng(5),
+                                                          np.empty((7, 7))))
     assert np.array_equal(g1.edges, g2.edges)
 
 
@@ -254,14 +255,14 @@ def test_blocked_draw_matches_dense_reference(metric, rows_per_block, monkeypatc
     """Blocks of 1 row, of 4 rows (the last one ragged) and one block: the
     same noise picks the same edges as a dense draw with a full stable sort,
     with the same first-pick log p and the same normalized adjacency; the
-    generator's block-by-block noise is one (N, N) draw."""
+    generator's block-by-block noise is one (N, N) ``gumbel_fill``."""
     n, k, t = 37, 5, 2.5
     v = RNG.normal(size=(n, 6))
     v[7] = v[3]  # coincident points, d = 0
     if metric == "cosine":
         v[11] = 0.0  # distance 1 to every other row
     monkeypatch.setattr(nm, "BLOCK_ENTRIES", rows_per_block * n)
-    noise = np.random.default_rng(8).gumbel(0.0, 1.0, (n, n))
+    noise = nm.gumbel_fill(np.random.default_rng(8), np.empty((n, n)))
     edges, first_pick, a_hat = dense_draw(v, t, metric, k, noise)
 
     lp = edge_probabilities(pairwise_distance(v, metric), t)

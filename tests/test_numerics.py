@@ -212,6 +212,51 @@ def test_kernel_edge_scores_fd(metric, block_rows, normalize, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Gumbel noise
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed, shape", [(0, (1,)), (1, (7, 7)), (2, (3, 1001)),
+                                         (3, (512, 400))])
+def test_gumbel_fill_matches_generator_gumbel(seed, shape):
+    """The uniforms and formula of Generator.gumbel with a vectorised log:
+    within 4 ULP, counted at max(|g|, 1) because near g = 0 the last log's
+    argument is near 1, where an ULP of the inner log is an absolute error,
+    and the generator ends in the same state."""
+    reference = np.random.default_rng(seed)
+    expect = reference.gumbel(0.0, 1.0, shape)
+    rng = np.random.default_rng(seed)
+    got = nm.gumbel_fill(rng, np.empty(shape))
+    assert np.all(np.abs(got - expect) <= 4 * np.spacing(np.maximum(np.abs(expect), 1.0)))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+class _ZeroUniforms:
+    """A generator whose first fill has exact zeros in every third entry and
+    whose first redraw gives one more zero."""
+
+    def __init__(self):
+        self.inner = np.random.default_rng(0)
+        self.calls = 0
+
+    def random(self, size=None, out=None):
+        u = self.inner.random(size, out=out)
+        if self.calls == 0:
+            u.reshape(-1)[::3] = 0.0
+        elif self.calls == 1:
+            u[0] = 0.0
+        self.calls += 1
+        return u
+
+
+def test_gumbel_fill_redraws_zero_uniforms():
+    rng = _ZeroUniforms()
+    noise = nm.gumbel_fill(rng, np.empty((4, 5)))
+    assert np.all(np.isfinite(noise))
+    assert rng.calls == 3
+
+
+# ---------------------------------------------------------------------------
 # row-blocked distance kernels vs brute-force loops
 # ---------------------------------------------------------------------------
 
