@@ -4,7 +4,6 @@ features, and the GCN on a fixed cosine kNN graph (no graph learning).
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -152,8 +151,7 @@ def static_gcn_experiment(dataset, feature_source: str, config: TrainConfig,
         raise ValueError(f"unknown feature_source {feature_source!r}; "
                          f"expected one of {FEATURE_SOURCES}")
     edges = knn_static_graph(source, k, metric=metric)
-    static_config = dataclasses.replace(config, lam=0.0)
-    return run_experiment(dataset, static_config, fixed_edges=edges,
+    return run_experiment(dataset, config, fixed_edges=edges,
                           extra={"experiment": "static",
                                  "feature_source": feature_source,
                                  "graph_metric": metric, "graph_k": k})

@@ -88,10 +88,14 @@ class CliError(Exception):
     """User-facing failure: bad config, missing file, empty grid."""
 
 
-def _require_keys(block: dict, allowed: set, where: str) -> None:
-    unknown = set(block) - allowed
+def _from_dict(cls, payload: dict, where: str):
+    """``cls(**payload)``, refusing keys that are not fields of ``cls``.
+    Absent keys take the field defaults; ``cls.__post_init__`` coerces and
+    checks the values."""
+    unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise CliError(f"unknown {where} keys: {sorted(unknown)}")
+    return cls(**payload)
 
 
 @dataclass
@@ -104,43 +108,18 @@ class DatasetBlock:
     label_column: str = "age"
     kinds: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "seed": self.seed,
-            "split_fractions": list(self.split_fractions),
-            "synthetic": self.synthetic.to_dict(),
-            "csv_path": self.csv_path,
-            "label_column": self.label_column,
-            "kinds": dict(self.kinds),
-        }
-
-    @classmethod
-    def from_dict(cls, block: dict) -> "DatasetBlock":
-        _require_keys(block, {"source", "seed", "split_fractions", "synthetic",
-                              "csv_path", "label_column", "kinds"}, "dataset")
-        synth = block.get("synthetic", {})
-        if isinstance(synth, dict):
-            synth = dict(synth)
-            if "age_range" in synth:
-                synth["age_range"] = tuple(synth["age_range"])
-            synth = SyntheticConfig(**synth)
-        out = cls(
-            source=block.get("source", "synthetic"),
-            seed=int(block.get("seed", 0)),
-            split_fractions=tuple(block.get("split_fractions", (0.75, 0.05, 0.20))),
-            synthetic=synth,
-            csv_path=block.get("csv_path"),
-            label_column=block.get("label_column", "age"),
-            kinds=dict(block.get("kinds") or {}),
-        )
-        if out.source not in ("synthetic", "csv"):
-            raise CliError(f"unknown dataset source {out.source!r}")
-        if out.source == "csv" and not out.csv_path:
+    def __post_init__(self) -> None:
+        self.seed = int(self.seed)
+        self.split_fractions = tuple(self.split_fractions)
+        if not isinstance(self.synthetic, SyntheticConfig):
+            self.synthetic = _from_dict(SyntheticConfig, self.synthetic, "synthetic")
+        self.kinds = dict(self.kinds or {})
+        if self.source not in ("synthetic", "csv"):
+            raise CliError(f"unknown dataset source {self.source!r}")
+        if self.source == "csv" and not self.csv_path:
             raise CliError("csv dataset needs csv_path")
-        if len(out.split_fractions) != 3:
+        if len(self.split_fractions) != 3:
             raise CliError("split_fractions must have exactly 3 entries")
-        return out
 
 
 @dataclass
@@ -149,32 +128,19 @@ class AblationBlock:
     distance_metrics: list = field(default_factory=lambda: ["euclidean"])
     methods: list = field(default_factory=lambda: ["adaptive"])
 
-    def to_dict(self) -> dict:
-        return {
-            "phenotype_subsets": list(self.phenotype_subsets),
-            "distance_metrics": list(self.distance_metrics),
-            "methods": list(self.methods),
-        }
-
-    @classmethod
-    def from_dict(cls, block: dict) -> "AblationBlock":
-        _require_keys(block, {"phenotype_subsets", "distance_metrics", "methods"},
-                      "ablation")
-        out = cls(
-            phenotype_subsets=list(block.get("phenotype_subsets", ["both"])),
-            distance_metrics=list(block.get("distance_metrics", ["euclidean"])),
-            methods=list(block.get("methods", ["adaptive"])),
-        )
-        for subset in out.phenotype_subsets:
+    def __post_init__(self) -> None:
+        self.phenotype_subsets = list(self.phenotype_subsets)
+        self.distance_metrics = list(self.distance_metrics)
+        self.methods = list(self.methods)
+        for subset in self.phenotype_subsets:
             if subset not in PHENOTYPE_SUBSETS:
                 raise CliError(f"unknown phenotype subset {subset!r}")
-        for metric in out.distance_metrics:
+        for metric in self.distance_metrics:
             if metric not in ABLATION_METRICS:
                 raise CliError(f"unknown ablation metric {metric!r}")
-        for method in out.methods:
+        for method in self.methods:
             if method not in ABLATION_METHODS:
                 raise CliError(f"unknown ablation method {method!r}")
-        return out
 
 
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} - {"task", "seed"}
@@ -184,22 +150,40 @@ _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} - {"task", "seed
 class ExperimentConfig:
     task: str = "regression"
     dataset: DatasetBlock = field(default_factory=DatasetBlock)
-    train: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)  # TrainConfig fields but task and seed
     ablation: AblationBlock = field(default_factory=AblationBlock)
     out_dir: str = "runs/experiment"
     seeds: list = field(default_factory=lambda: [0])
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.dataset, DatasetBlock):
+            self.dataset = _from_dict(DatasetBlock, self.dataset, "dataset")
+        if not isinstance(self.ablation, AblationBlock):
+            self.ablation = _from_dict(AblationBlock, self.ablation, "ablation")
+        self.train = dict(self.train)
+        self.seeds = [int(s) for s in self.seeds]
+        self.workers = int(self.workers)
+        if self.task not in ("regression", "classification"):
+            raise CliError(f"unknown task {self.task!r}")
+        if not self.out_dir:
+            raise CliError("out_dir is empty")
+        if not self.seeds:
+            raise CliError("seeds list is empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise CliError("duplicate seeds")
+        if self.workers < 1:
+            raise CliError("workers must be at least 1")
+        unknown = set(self.train) - _TRAIN_KEYS
+        if unknown:
+            raise CliError(f"unknown train keys: {sorted(unknown)}")
+        try:
+            self.train_config(self.seeds[0])
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"bad train block: {exc}") from exc
+
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "dataset": self.dataset.to_dict(),
-            "train": dict(self.train),
-            "ablation": self.ablation.to_dict(),
-            "out_dir": self.out_dir,
-            "seeds": list(self.seeds),
-            "workers": self.workers,
-        }
+        return dataclasses.asdict(self)
 
     @property
     def experiment_hash(self) -> str:
@@ -213,28 +197,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        _require_keys(payload, {"task", "dataset", "train", "ablation", "out_dir",
-                                "seeds", "workers"}, "config")
-        train = dict(payload.get("train", {}))
-        _require_keys(train, _TRAIN_KEYS, "train")
-        out = cls(
-            task=payload.get("task", "regression"),
-            dataset=DatasetBlock.from_dict(payload.get("dataset", {})),
-            train=train,
-            ablation=AblationBlock.from_dict(payload.get("ablation", {})),
-            out_dir=payload.get("out_dir", "runs/experiment"),
-            seeds=[int(s) for s in payload.get("seeds", [0])],
-            workers=int(payload.get("workers", 1)),
-        )
-        if out.task not in ("regression", "classification"):
-            raise CliError(f"unknown task {out.task!r}")
-        if not out.seeds:
-            raise CliError("seeds list is empty")
-        if len(set(out.seeds)) != len(out.seeds):
-            raise CliError("duplicate seeds")
-        if out.workers < 1:
-            raise CliError("workers must be at least 1")
-        return out
+        return _from_dict(cls, payload, "config")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -265,7 +228,10 @@ def _load_run_dir_config(run_dir: Path) -> ExperimentConfig:
         raise CliError(f"{run_dir} has no config.json; not a run directory?")
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    return ExperimentConfig.from_dict(payload["experiment"])
+    experiment = payload.get("experiment") if isinstance(payload, dict) else None
+    if not isinstance(experiment, dict):
+        raise CliError(f"{path} holds no experiment block; not a run directory?")
+    return ExperimentConfig.from_dict(experiment)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +254,7 @@ def build_dataset(config: ExperimentConfig) -> PopulationDataset:
     split(ds, fractions=tuple(block.split_fractions), seed=block.seed)
     normalize_minmax(ds)
     if config.task == "classification":
-        n_classes = int(config.train.get("n_classes", 4))
+        n_classes = config.train_config(config.seeds[0]).n_classes
         classes, edges = make_class_labels(ds.y, ds.masks.train, n_classes)
         ds.class_labels = classes
         ds.meta["class_edges"] = [float(e) for e in edges]
@@ -517,7 +483,7 @@ def _linear_cell(dataset, config: ExperimentConfig, seed: int,
         record.mae = scores["mae"]
         record.pearson_r = scores["pearson_r"]
     else:
-        n_classes = int(config.train.get("n_classes", 4))
+        n_classes = config.train_config(seed).n_classes
         model = linear_fit(dataset.X[masks.train], dataset.class_labels[masks.train],
                            task="logistic", n_classes=n_classes)
         scores = evaluate_classification(model.predict_proba(dataset.X),
@@ -545,7 +511,7 @@ def _ablate_cell(datasets: dict, config: ExperimentConfig, cell) -> MetricsRecor
         cfg = config.train_config(seed, distance_metric=metric)
         _, record = run_experiment(dataset, cfg, extra=extra)
     elif method == "static":
-        cfg = config.train_config(seed, lam=0.0)
+        cfg = config.train_config(seed)
         if metric == "random":
             edges = random_graph(dataset.n_subjects, cfg.k,
                                  stream_rng(seed, STATIC_RANDOM_STREAM))
@@ -734,20 +700,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "out", None) is not None:
-        if not args.out:
-            raise CliError("empty --out override")
-        config.out_dir = args.out
-    if getattr(args, "seeds", None) is not None:
-        config.seeds = _parse_seeds(args.seeds)
-        if not config.seeds:
-            raise CliError("empty --seeds override")
-        if len(set(config.seeds)) != len(config.seeds):
-            raise CliError(f"duplicate seeds in --seeds override {args.seeds!r}")
-    if getattr(args, "workers", None) is not None:
-        config.workers = args.workers
-        if config.workers < 1:
-            raise CliError("--workers must be at least 1")
+    """Replace the config's out_dir, seeds and workers with the flags given,
+    through the same checks a config file's values pass."""
+    for flag, name in (("out", "out_dir"), ("seeds", "seeds"), ("workers", "workers")):
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        if flag == "seeds":
+            value = _parse_seeds(value)
+        try:
+            config = dataclasses.replace(config, **{name: value})
+        except CliError as exc:
+            raise CliError(f"--{flag} override: {exc}") from exc
     return config
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "KIND_NONIMAGING",
     "KIND_IMAGING",
     "KIND_FEATURE",
-    "PhenotypeColumn",
     "SplitMasks",
     "SyntheticConfig",
     "CsvSchema",
@@ -51,21 +50,10 @@ def config_hash(mapping) -> str:
 
 
 @dataclass
-class PhenotypeColumn:
-    name: str
-    kind: str  # KIND_NONIMAGING or KIND_IMAGING
-    values: np.ndarray
-    relevant: bool | None = None  # planted flag, synthetic datasets only
-
-
-@dataclass
 class SplitMasks:
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {"train": self.train, "val": self.val, "test": self.test}
 
     def check(self, n: int) -> None:
         total = self.train.astype(int) + self.val.astype(int) + self.test.astype(int)
@@ -90,6 +78,9 @@ class SyntheticConfig:
     n_relevant_imaging: int = 10
     noise_std: float = 0.1
     age_range: tuple = (47.0, 81.0)
+
+    def __post_init__(self) -> None:
+        self.age_range = tuple(self.age_range)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -157,15 +148,6 @@ class PopulationDataset:
     def phenotype_matrix(self) -> np.ndarray:
         """(N, Q+S) matrix: non-imaging columns first, then imaging."""
         return np.concatenate([self.nonimaging, self.X[:, self.imaging_cols]], axis=1)
-
-    def columns(self) -> list:
-        out = []
-        phen = self.phenotype_matrix()
-        for j, name in enumerate(self.phenotype_names):
-            kind = KIND_NONIMAGING if j < self.n_nonimaging else KIND_IMAGING
-            flag = None if self.relevant is None else bool(self.relevant[j])
-            out.append(PhenotypeColumn(name, kind, phen[:, j], flag))
-        return out
 
     def require_masks(self) -> SplitMasks:
         if self.masks is None:

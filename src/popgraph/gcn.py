@@ -188,7 +188,6 @@ class LossBreakdown:
     total: Tensor
     l_gcn: float
     l_graph: float
-    lam: float = 1.0
     reward_mean: float | None = None
     reward_min: float | None = None
     reward_max: float | None = None
@@ -198,23 +197,19 @@ class LossBreakdown:
         return float(self.total.values)
 
 
-def total_loss(l_gcn, l_graph, lam: float = 1.0, rewards=None) -> LossBreakdown:
-    """Combine the supervised and graph terms: total = L_GCN + lam * L_graph.
-
-    lam defaults to 1 (plain sum); 0 trains the predictor alone, leaving the
-    edge-distribution parameters without gradient.
-    """
+def total_loss(l_gcn, l_graph, rewards=None) -> LossBreakdown:
+    """Combine the supervised and graph terms: total = L_GCN + L_graph."""
     gv = float(l_gcn.values) if isinstance(l_gcn, Tensor) else float(l_gcn)
     rv = float(l_graph.values) if isinstance(l_graph, Tensor) else float(l_graph)
     if not (np.isfinite(gv) and np.isfinite(rv)):
         raise ValueError(f"non-finite loss component: L_GCN={gv}, L_graph={rv}")
     l_gcn = l_gcn if isinstance(l_gcn, Tensor) else Tensor(gv)
     l_graph = l_graph if isinstance(l_graph, Tensor) else Tensor(rv)
-    total = l_gcn + l_graph if lam == 1.0 else l_gcn + l_graph * lam
+    total = l_gcn + l_graph
     stats = {}
     if rewards is not None:
         rewards = np.asarray(rewards, dtype=float)
         stats = {"reward_mean": float(rewards.mean()),
                  "reward_min": float(rewards.min()),
                  "reward_max": float(rewards.max())}
-    return LossBreakdown(total=total, l_gcn=gv, l_graph=rv, lam=lam, **stats)
+    return LossBreakdown(total=total, l_gcn=gv, l_graph=rv, **stats)

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import numerics as nm
 from .attention import AttentionMlp, aggregate_attention, attention_forward, weight_phenotypes
@@ -62,7 +61,7 @@ __all__ = [
     "load_run",
 ]
 
-RUN_FORMAT_VERSION = 1
+RUN_FORMAT_VERSION = 2
 
 # tags of the random streams a run derives from its master seed (stream_rng)
 INFERENCE_STREAM = 0x5EED0001
@@ -94,20 +93,14 @@ class TrainConfig:
     learning_rate: float = 0.005
     epochs: int = 300
     patience: int = 30            # 0 disables early stopping
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 0.01
-    eps_opt: float = 1e-8
     k: int = 5
     distance_metric: str = "euclidean"   # euclidean | cosine | hyperbolic | random
     inference_samples: int = 8
-    lam: float = 1.0
     seed: int = 0
     n_classes: int = 4
     gcn_hidden1: int = 512
     gcn_hidden2: int = 128
     attention_mode: str = "learned"      # learned | ones
-    huber_delta: float = 1.0
 
     def validate(self) -> None:
         if self.task not in ("regression", "classification"):
@@ -330,10 +323,7 @@ def train(dataset: PopulationDataset, config: TrainConfig,
 
     epsilon = null_epsilon(targets[train_mask], task=config.task,
                            n_classes=config.n_classes)
-    optimizer = AdamW(model.params() + extra_params,
-                      lr=config.learning_rate, beta1=config.beta1,
-                      beta2=config.beta2, eps=config.eps_opt,
-                      weight_decay=config.weight_decay)
+    optimizer = AdamW(model.params() + extra_params, lr=config.learning_rate)
 
     fixed_a_hat = None
     if fixed_edges is not None:
@@ -355,7 +345,7 @@ def train(dataset: PopulationDataset, config: TrainConfig,
                                             fixed_a_hat, normalize=True)
             preds = gcn_forward(a_hat, dataset.X, model)
             if config.task == "regression":
-                l_gcn = huber_loss(preds, targets, train_mask, config.huber_delta)
+                l_gcn = huber_loss(preds, targets, train_mask)
             else:
                 l_gcn = cross_entropy_loss(preds, targets, train_mask)
 
@@ -367,10 +357,9 @@ def train(dataset: PopulationDataset, config: TrainConfig,
                 l_graph = graph_loss(graph, rho - reward_baseline, train_mask)
                 reward_baseline = (REWARD_BASELINE_MOMENTUM * reward_baseline
                                    + (1.0 - REWARD_BASELINE_MOMENTUM) * rho)
-                breakdown = total_loss(l_gcn, l_graph, config.lam,
-                                       rewards=rho[train_mask])
+                breakdown = total_loss(l_gcn, l_graph, rewards=rho[train_mask])
             else:
-                breakdown = total_loss(l_gcn, Tensor(0.0), config.lam)
+                breakdown = total_loss(l_gcn, Tensor(0.0))
 
             nm.backward(breakdown.total)
             optimizer.step()
@@ -506,11 +495,14 @@ def evaluate_regression(pred, y, mask) -> dict:
 
 
 def _auc_one_vs_rest(scores: np.ndarray, positive: np.ndarray) -> float:
-    ranks = rankdata(scores)  # average ranks give ties half credit
-    n_pos = int(positive.sum())
-    n_neg = positive.size - n_pos
-    pos_rank_sum = float(ranks[positive].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    """Mann-Whitney AUC: the share of (positive, negative) pairs whose
+    positive scores higher, a tie counting one half."""
+    negatives = np.sort(scores[~positive])
+    pos = scores[positive]
+    below = np.searchsorted(negatives, pos, "left")
+    not_above = np.searchsorted(negatives, pos, "right")
+    # a win adds 2 and a tie 1 to below + not_above, so the sum is 2U
+    return float((below + not_above).sum()) / (2.0 * pos.size * negatives.size)
 
 
 def evaluate_classification(probabilities, classes, mask) -> dict:
@@ -526,8 +518,8 @@ def evaluate_classification(probabilities, classes, mask) -> dict:
     probs = np.asarray(probabilities, dtype=float)[mask]
     truth = np.asarray(classes, dtype=np.intp)[mask]
     row_sums = probs.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-6):
-        raise ValueError("probability rows must sum to 1")
+    if not np.all(np.abs(row_sums - 1.0) <= 1e-6):  # a NaN row fails too
+        raise ValueError("probability rows must be finite and sum to 1")
     n_classes = probs.shape[1]
     predicted = probs.argmax(axis=1)
 

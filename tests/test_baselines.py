@@ -2,7 +2,6 @@
 GCN's equivalence with the trainer run on the same frozen graph.
 """
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -170,8 +169,7 @@ def test_static_experiment_matches_trainer_on_same_graph():
     cfg = static_config()
     result_a, rec_a = static_gcn_experiment(ds, "phenotypes", cfg, k=3)
     edges = knn_static_graph(ds.phenotype_matrix(), 3, metric="cosine")
-    result_b, rec_b = run_experiment(ds, dataclasses.replace(cfg, lam=0.0),
-                                     fixed_edges=edges)
+    result_b, rec_b = run_experiment(ds, cfg, fixed_edges=edges)
     assert result_a.history == result_b.history
     assert rec_a.mae == rec_b.mae
     assert rec_a.pearson_r == rec_b.pearson_r

@@ -84,10 +84,11 @@ def test_config_rejects_unknown_keys(tmp_path):
     bad["learning_rate"] = 0.1  # belongs inside "train"
     with pytest.raises(CliError, match="unknown config keys"):
         ExperimentConfig.from_dict(bad)
-    bad = experiment_dict(tmp_path / "run")
-    bad["train"]["momentum"] = 0.9
-    with pytest.raises(CliError, match="unknown train keys"):
-        ExperimentConfig.from_dict(bad)
+    for key in ("momentum", "lam"):
+        bad = experiment_dict(tmp_path / "run")
+        bad["train"][key] = 0.9
+        with pytest.raises(CliError, match="unknown train keys"):
+            ExperimentConfig.from_dict(bad)
     bad = experiment_dict(tmp_path / "run")
     bad["dataset"]["fraction"] = 0.5
     with pytest.raises(CliError, match="unknown dataset keys"):
@@ -117,7 +118,7 @@ def test_train_config_carries_overrides(tmp_path):
     assert cfg.seed == 7
     assert cfg.task == "regression"
     assert cfg.epochs == 3 and cfg.k == 3
-    assert config.train_config(7, lam=0.0).lam == 0.0
+    assert config.train_config(7, k=4).k == 4
 
 
 def test_load_config_bad_paths(tmp_path):
@@ -411,6 +412,30 @@ def test_main_reports_config_errors(tmp_path, capsys):
 
     bad = write_config(tmp_path, {"task": "nonsense"})
     assert main(["train", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("train_key, value", [
+    ("k", 0), ("epochs", 0), ("distance_metric", "manhattan")])
+def test_main_rejects_bad_train_block_before_writing(tmp_path, capsys,
+                                                      train_key, value):
+    """A bad train value fails when the config loads, naming the key, not
+    once per seed after the run directory is written."""
+    payload = experiment_dict(tmp_path / "run")
+    payload["train"][train_key] = value
+    path = write_config(tmp_path, payload)
+    assert main(["train", "--config", str(path)]) == 2
+    assert train_key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("payload", [{"config_hash": "0"}, []])
+def test_main_export_rejects_config_without_experiment(tmp_path, capsys, payload):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "config.json").write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["export", "--run", str(run_dir), "--what", "attention"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "config.json" in err
 
 
 def test_main_seed_override_rejects_garbage(tmp_path, capsys):

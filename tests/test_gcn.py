@@ -305,24 +305,6 @@ def test_total_loss_additivity_exact():
         assert out.total_value == a + b
 
 
-def test_total_loss_lambda():
-    out = total_loss(2.0, 10.0, lam=0.1)
-    assert abs(out.total_value - 3.0) < 1e-12
-    zeroed = total_loss(2.0, 10.0, lam=0.0)
-    assert zeroed.total_value == 2.0
-
-
-def test_total_loss_lambda_zero_freezes_graph_parameters():
-    graph, tau = sample_tiny_graph(seed=5)
-    l_graph = graph_loss(graph, np.ones(5), np.ones(5, dtype=bool))
-    pred = Tensor(np.zeros(3), requires_grad=True)
-    l_gcn = huber_loss(pred, np.ones(3), np.ones(3, dtype=bool))
-    out = total_loss(l_gcn, l_graph, lam=0.0)
-    backward(out.total)
-    assert tau.grad == 0.0
-    assert pred.grad.any()
-
-
 def test_total_loss_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         total_loss(float("nan"), 1.0)

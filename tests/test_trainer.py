@@ -4,11 +4,16 @@ stopping, split isolation), stochastic inference, and the evaluation metrics.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import popgraph
 import popgraph.numerics as nm
 from oracles import rank_auc
 from popgraph.attention import AttentionMlp, aggregate_attention, attention_forward, weight_phenotypes
@@ -37,7 +42,7 @@ from popgraph.trainer import (
     stream_rng,
     train,
 )
-from popgraph.trainer import _sample_epoch_graph
+from popgraph.trainer import _auc_one_vs_rest, _sample_epoch_graph
 
 
 def tiny_dataset(seed=0, n=48, task="regression"):
@@ -209,9 +214,9 @@ def test_train_ones_attention_trains_temperature_only():
 
 def test_train_lam_zero_ones_attention_descends():
     ds = tiny_dataset(n=60)
-    cfg = tiny_config(attention_mode="ones", lam=0.0, epochs=10, patience=0)
+    cfg = tiny_config(attention_mode="ones", epochs=10, patience=0)
     result = train(ds, cfg)
-    assert result.history[-1]["L_total"] < result.history[0]["L_total"]
+    assert result.history[-1]["L_gcn"] < result.history[0]["L_gcn"]
 
 
 def test_train_aborts_with_epoch_on_divergence():
@@ -485,6 +490,27 @@ def test_evaluate_classification_auc_matches_bruteforce_with_ties():
     assert abs(out["macro_auc"] - expected) < 1e-12
 
 
+@pytest.mark.parametrize("seed, levels", [(0, 1), (1, 2), (2, 3), (3, 50)])
+def test_auc_one_vs_rest_equals_pairwise_count(seed, levels):
+    """The Mann-Whitney count agrees bit for bit with comparing every
+    (positive, negative) pair, ties (few score levels) at half credit."""
+    rng = np.random.default_rng(seed)
+    for n in (2, 7, 60):
+        scores = rng.integers(0, levels, n) / levels
+        positive = np.zeros(n, bool)
+        positive[rng.permutation(n)[:rng.integers(1, n)]] = True
+        assert _auc_one_vs_rest(scores, positive) == rank_auc(scores, positive)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs most of a run's start-up, and nothing needs it."""
+    src = str(Path(popgraph.__file__).resolve().parents[1])
+    code = "import sys, popgraph.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 def test_evaluate_classification_absent_class():
     probs = np.array([
         [0.6, 0.3, 0.1],
@@ -505,9 +531,10 @@ def test_evaluate_classification_absent_class():
 
 
 def test_evaluate_classification_rejects_unnormalized_rows():
-    probs = np.array([[0.5, 0.6], [0.5, 0.5]])
-    with pytest.raises(ValueError, match="sum to 1"):
-        evaluate_classification(probs, np.array([0, 1]), np.ones(2, bool))
+    for probs in (np.array([[0.5, 0.6], [0.5, 0.5]]),
+                  np.array([[np.nan, np.nan], [0.5, 0.5]])):
+        with pytest.raises(ValueError, match="sum to 1"):
+            evaluate_classification(probs, np.array([0, 1]), np.ones(2, bool))
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +625,22 @@ def test_run_checkpoint_rejects_unknown_version(tmp_path):
     payload["format_version"] = 99
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError, match="version"):
+        load_run(path)
+
+
+def test_run_checkpoint_rejects_version_1(tmp_path):
+    """A version-1 checkpoint stores TrainConfig knobs that no longer exist;
+    it fails on its version, not on the stale keys."""
+    ds = tiny_dataset()
+    result = train(ds, tiny_config(epochs=2))
+    path = tmp_path / "run.json"
+    save_run(result, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["format_version"] = 1
+    payload["config"].update(lam=1.0, beta1=0.9, beta2=0.999, eps_opt=1e-8,
+                             weight_decay=0.01, huber_delta=1.0)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="unsupported format version 1"):
         load_run(path)
 
 
