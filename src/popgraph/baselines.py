@@ -81,37 +81,65 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _softmax_loss(design: np.ndarray, wb: np.ndarray, onehot: np.ndarray):
+    """Mean cross-entropy of the scores ``design @ wb``, and the probabilities."""
+    log_p = _log_softmax(design @ wb)
+    return -float(np.sum(onehot * log_p)) / len(design), np.exp(log_p)
+
+
 def _logistic_fit(x: np.ndarray, classes: np.ndarray, n_classes: int,
                   tol: float, max_iter: int) -> LinearModel:
     n, m = x.shape
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), classes] = 1.0
-
     design = np.column_stack([x, np.ones(n)])
-    # step size from the softmax Hessian bound 0.5 * sigma_max^2 / n
-    sigma_max = np.linalg.svd(design, compute_uv=False)[0]
-    lr = n / (0.5 * sigma_max ** 2)
+    eye = np.eye(n_classes)
 
     wb = np.zeros((m + 1, n_classes))
-    for _ in range(max_iter):
-        probs = np.exp(_log_softmax(design @ wb))
+    loss, probs = _softmax_loss(design, wb, onehot)
+    grad = design.T @ (probs - onehot) / n
+    steps = 0
+    while steps < max_iter and np.linalg.norm(grad) > tol:
+        # Hessian in the row-major order of wb, the mean over rows of
+        # x x^T (x) (diag p - p p^T), as two GEMMs with z = x (x) p
+        z = (design[:, :, None] * probs[:, None, :]).reshape(n, wb.size)
+        diag = (z.T @ design).reshape(m + 1, n_classes, m + 1, 1) * eye[:, None, :]
+        hess = (diag.reshape(wb.size, wb.size) - z.T @ z) / n
+        # lstsq: adding one vector to every class's column leaves the softmax
+        # unchanged, so the Hessian is singular along that direction
+        step = np.linalg.lstsq(hess, grad.ravel(), rcond=None)[0].reshape(wb.shape)
+        slope = float(np.sum(grad * step))
+        alpha = 1.0
+        for _ in range(40):  # halve the step until the loss falls (Armijo)
+            trial = wb - alpha * step
+            trial_loss, trial_probs = _softmax_loss(design, trial, onehot)
+            if trial_loss <= loss - 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            break  # no step lowers the loss in floating point
+        wb, loss, probs = trial, trial_loss, trial_probs
         grad = design.T @ (probs - onehot) / n
-        if float(np.linalg.norm(grad)) <= tol:
-            break
-        wb -= lr * grad
-    else:
-        warnings.warn(f"logistic fit stopped at {max_iter} iterations above "
-                      f"tolerance {tol}", stacklevel=2)
+        steps += 1
+    grad_norm = float(np.linalg.norm(grad))
+    if grad_norm > tol:
+        warnings.warn(f"logistic fit stopped after {steps} Newton iterations "
+                      f"at gradient norm {grad_norm:.3g} above tolerance {tol}",
+                      stacklevel=2)
     return LinearModel(weights=wb[:-1], bias=wb[-1], task="logistic")
 
 
 def linear_fit(x_train, y_train, ridge: float = 1e-3, task: str = "regression",
                n_classes: int | None = None, tol: float = 1e-6,
-               max_iter: int = 200_000) -> LinearModel:
-    """Closed-form ridge regression, or multinomial logistic regression by
-    plain gradient descent run to a small-gradient stopping rule.
+               max_iter: int = 100) -> LinearModel:
+    """Closed-form ridge regression, or unregularized multinomial logistic
+    regression by damped Newton (IRLS) steps.
 
-    The intercept is never penalized. ``ridge`` only applies to regression.
+    Each logistic step solves the softmax Hessian system by least squares
+    and halves the step until the mean cross-entropy falls. The fit stops
+    once the gradient norm is at most ``tol``; ``max_iter`` counts Newton
+    steps, and running out of them warns. The intercept is never penalized.
+    ``ridge`` only applies to regression.
     """
     x = np.asarray(x_train, dtype=float)
     y = np.asarray(y_train)

@@ -77,6 +77,9 @@ __all__ = [
 PHENOTYPE_SUBSETS = ("non-imaging", "both", "imaging")
 ABLATION_METRICS = ("euclidean", "cosine", "hyperbolic", "random")
 ABLATION_METHODS = ("adaptive", "static", "random", "linear")
+# methods whose result never reads the distance metric: the linear fit, and
+# the random graph, which always trains with distance_metric="random"
+METRIC_FREE_METHODS = ("random", "linear")
 EXPORT_TARGETS = ("attention", "graph-static", "graph-learned")
 
 # stream tag (trainer.stream_rng) for the fixed random graph of a
@@ -435,10 +438,10 @@ def _train_one_seed(dataset, config: ExperimentConfig, seed: int,
 def cmd_train(config: ExperimentConfig) -> int:
     """One full run per seed, then a seed-aggregate JSON. Failed seeds leave
     the other runs' artifacts in place and flip the exit status."""
+    dataset = build_dataset(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(config, out / "config.json")
-    dataset = build_dataset(config)
 
     rows = _run_pool(config.seeds,
                      lambda seed: _train_one_seed(dataset, config, seed, out),
@@ -528,9 +531,18 @@ _CELL_COLUMNS = ("subset", "metric", "method", "seed", "mae", "pearson_r",
                  "accuracy", "macro_auc", "macro_f1", "homophily")
 
 
+def _run_key(cell) -> tuple:
+    """The run a cell needs: metric-free methods drop the metric, so one run
+    stands for that method's cell under every metric."""
+    subset, _, method, seed = cell
+    return (subset, None, method, seed) if method in METRIC_FREE_METHODS else cell
+
+
 def cmd_ablate(config: ExperimentConfig) -> int:
     """Cross-product {phenotype subset} x {distance metric} x {method}, one
-    run per cell per seed, plus an aggregate table sorted by headline metric."""
+    row per cell per seed, plus an aggregate table sorted by headline metric.
+    Each distinct run happens once: a metric-free method's run is copied to
+    its row under every metric, and its failure counts against each row."""
     block = config.ablation
     cells = [(subset, metric, method, seed)
              for subset in block.phenotype_subsets
@@ -540,24 +552,26 @@ def cmd_ablate(config: ExperimentConfig) -> int:
     if not cells:
         raise CliError("ablation grid is empty; list at least one subset, "
                        "metric, and method")
+    full = build_dataset(config)
+    datasets = {subset: restrict_phenotypes(full, subset)
+                for subset in block.phenotype_subsets}
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(config, out / "config.json")
 
-    full = build_dataset(config)
-    datasets = {subset: restrict_phenotypes(full, subset)
-                for subset in block.phenotype_subsets}
-
-    rows = _run_pool(cells, lambda cell: _ablate_cell(datasets, config, cell),
-                     config.workers)
+    keys = list(dict.fromkeys(_run_key(cell) for cell in cells))
+    runs = {key: (record, err) for key, record, err in _run_pool(
+        keys, lambda key: _ablate_cell(datasets, config, key), config.workers)}
     failures = {}
     by_cell = {}
     csv_rows = []
-    for cell, record, err in rows:
+    for cell in cells:
         subset, metric, method, seed = cell
+        record, err = runs[_run_key(cell)]
         if err is not None:
             failures[f"{subset}/{metric}/{method}/seed_{seed}"] = err
             continue
+        record = dataclasses.replace(record, extra={**record.extra, "metric": metric})
         by_cell.setdefault((subset, metric, method), []).append(record)
         csv_rows.append([subset, metric, method, seed]
                         + [getattr(record, name) for name in _CELL_COLUMNS[4:]])

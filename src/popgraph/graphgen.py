@@ -149,9 +149,6 @@ class SampledGraph:
         """Symmetrized normalized adjacency, built on first use."""
         return symmetrize(self.edges, self.n_nodes)
 
-    def edge_set(self) -> set:
-        return {(int(i), int(j)) for i, j in self.edges}
-
 
 def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
                        noise: np.ndarray | None = None,

@@ -24,7 +24,6 @@ __all__ = [
     "no_grad",
     "backward",
     "reset_tape",
-    "concat",
     "gather_rows",
     "masked_select",
     "add_rowvec",
@@ -392,25 +391,6 @@ def reshape(a, shape) -> Tensor:
     old = a.shape
     out = np.reshape(a.values, shape)
     return _apply("reshape", out, (a,), lambda g: (g.reshape(old),))
-
-
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
-    parts = [_as_tensor(t) for t in tensors]
-    if not parts:
-        raise ShapeError("concat: no operands")
-    nd = parts[0].ndim
-    for p in parts[1:]:
-        if p.ndim != nd:
-            raise ShapeError(f"concat: rank mismatch {parts[0].shape} vs {p.shape}")
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        return tuple(np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-                     for i in range(len(parts)))
-
-    return _apply("concat", np.concatenate([p.values for p in parts], axis=axis),
-                  tuple(parts), bwd)
 
 
 def gather_rows(a, indices) -> Tensor:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -105,14 +106,18 @@ class TrainConfig:
     def validate(self) -> None:
         if self.task not in ("regression", "classification"):
             raise ValueError(f"unknown task {self.task!r}")
+        for name in ("epochs", "patience", "k", "inference_samples", "seed",
+                     "n_classes", "gcn_hidden1", "gcn_hidden2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.inference_samples < 1:
-            raise ValueError("inference_samples must be at least 1")
+        for name, least in (("epochs", 1), ("patience", 0), ("k", 1),
+                            ("inference_samples", 1), ("n_classes", 2),
+                            ("gcn_hidden1", 1), ("gcn_hidden2", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
         if self.distance_metric not in ("euclidean", "cosine", "hyperbolic", "random"):
             raise ValueError(f"unknown distance_metric {self.distance_metric!r}")
         if self.attention_mode not in ("learned", "ones"):

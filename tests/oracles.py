@@ -10,6 +10,8 @@ from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.optimize import minimize
+from scipy.special import log_softmax
 
 from popgraph import numerics as nm
 
@@ -189,6 +191,37 @@ def dense_draw(v: np.ndarray, t: float, metric: str, k: int, noise: np.ndarray):
     return edges, first_pick, dense_symmetrize(edges, n)
 
 
+def edge_set(graph) -> set:
+    """A sampled graph's directed edges as a set of (src, dst) int pairs."""
+    return {(int(i), int(j)) for i, j in graph.edges}
+
+
+# ---------------------------------------------------------------------------
+# multinomial logistic optimum
+# ---------------------------------------------------------------------------
+
+
+def logistic_optimum(x: np.ndarray, classes: np.ndarray, n_classes: int):
+    """(weights, bias) minimizing the unregularized mean softmax
+    cross-entropy, found by L-BFGS-B with an analytic gradient, run until
+    the loss stops falling in floating point."""
+    n, m = x.shape
+    design = np.column_stack([x, np.ones(n)])
+    onehot = np.eye(n_classes)[classes]
+
+    def loss_and_grad(flat):
+        log_p = log_softmax(design @ flat.reshape(m + 1, n_classes), axis=1)
+        grad = design.T @ (np.exp(log_p) - onehot) / n
+        return -np.sum(onehot * log_p) / n, grad.ravel()
+
+    result = minimize(loss_and_grad, np.zeros((m + 1) * n_classes), jac=True,
+                      method="L-BFGS-B",
+                      options={"gtol": 1e-12, "ftol": 0.0, "maxcor": 50,
+                               "maxiter": 100_000, "maxfun": 100_000})
+    wb = result.x.reshape(m + 1, n_classes)
+    return wb[:-1], wb[-1]
+
+
 # ---------------------------------------------------------------------------
 # finite-difference gradient checking and tape inspection
 # ---------------------------------------------------------------------------
@@ -197,6 +230,27 @@ def dense_draw(v: np.ndarray, t: float, metric: str, k: int, noise: np.ndarray):
 def tape_size() -> int:
     """Operations recorded on this thread's tape."""
     return len(nm._ops())
+
+
+def concat(tensors: Sequence, axis: int = 0) -> nm.Tensor:
+    """Tape-recorded concatenation, for building test inputs out of
+    separately differentiated parts."""
+    parts = [nm._as_tensor(t) for t in tensors]
+    if not parts:
+        raise nm.ShapeError("concat: no operands")
+    nd = parts[0].ndim
+    for p in parts[1:]:
+        if p.ndim != nd:
+            raise nm.ShapeError(f"concat: rank mismatch {parts[0].shape} vs {p.shape}")
+    sizes = [p.shape[axis] for p in parts]
+    offsets = np.cumsum([0] + sizes)
+
+    def bwd(g):
+        return tuple(np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
+                     for i in range(len(parts)))
+
+    return nm._apply("concat", np.concatenate([p.values for p in parts], axis=axis),
+                     tuple(parts), bwd)
 
 
 @dataclass

@@ -7,9 +7,17 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import blp_mae_floor
+from scipy.special import softmax
+
+from oracles import blp_mae_floor, logistic_optimum
 from popgraph.baselines import LinearModel, linear_fit, static_gcn_experiment
-from popgraph.dataio import SyntheticConfig, generate_synthetic, normalize_minmax, split
+from popgraph.dataio import (
+    SyntheticConfig,
+    generate_synthetic,
+    make_class_labels,
+    normalize_minmax,
+    split,
+)
 from popgraph.graphgen import knn_static_graph
 from popgraph.trainer import TrainConfig, run_experiment
 
@@ -114,6 +122,47 @@ def test_logistic_warns_without_convergence():
         warnings.simplefilter("always")
         linear_fit(x, y, task="logistic", n_classes=3, max_iter=2)
     assert any("iterations" in str(w.message) for w in caught)
+
+
+def four_class_train_split(seed):
+    """Train rows (450 x 30) of a 4-class quantile-binned population shaped
+    like the ablation benchmark's."""
+    cfg = SyntheticConfig(n_subjects=600, n_nonimaging=20, n_imaging=20,
+                          n_node_features=30, n_relevant_nonimaging=10,
+                          n_relevant_imaging=10, noise_std=0.3)
+    ds = generate_synthetic(cfg, seed=seed)
+    masks = split(ds, seed=seed)
+    normalize_minmax(ds)
+    classes, _ = make_class_labels(ds.y, masks.train, 4)
+    return ds.X[masks.train], classes[masks.train]
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_logistic_newton_reaches_tolerance_within_step_cap(seed):
+    x, y = four_class_train_split(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = linear_fit(x, y, task="logistic", n_classes=4)
+    design = np.column_stack([x, np.ones(len(x))])
+    grad = design.T @ (model.predict_proba(x) - np.eye(4)[y]) / len(x)
+    assert np.linalg.norm(grad) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_logistic_probabilities_match_lbfgs_optimum(seed):
+    # at tol 1e-6 the probabilities can still sit 1e-4 off the optimum along
+    # the flattest direction, so fit tighter for an exact comparison
+    x, y = four_class_train_split(seed)
+    weights, bias = logistic_optimum(x, y, 4)
+    model = linear_fit(x, y, task="logistic", n_classes=4, tol=1e-8)
+    expected = softmax(x @ weights + bias, axis=1)
+    assert np.abs(model.predict_proba(x) - expected).max() <= 1e-6
+
+
+def test_logistic_single_newton_step_warns():
+    x, y = four_class_train_split(1)
+    with pytest.warns(UserWarning, match="logistic fit stopped after 1 Newton"):
+        linear_fit(x, y, task="logistic", n_classes=4, max_iter=1)
 
 
 def test_linear_fit_input_validation():

@@ -327,6 +327,64 @@ def test_cmd_ablate_subsets_and_static(tmp_path):
     assert all(row["method"] == "static" for row in table)
 
 
+def read_cells(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[1].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[2:]]
+
+
+METRIC_FREE_GRID = {"phenotype_subsets": ["both"],
+                    "distance_metrics": ["cosine", "hyperbolic"],
+                    "methods": ["static", "random", "linear"]}
+
+
+def test_cmd_ablate_runs_metric_free_cells_once(tmp_path, monkeypatch):
+    import popgraph.cli as cli_module
+    real_fit, real_run = cli_module.linear_fit, cli_module.run_experiment
+    calls = {"linear": 0, "random": 0, "static": 0}
+
+    def counted_fit(*args, **kwargs):
+        calls["linear"] += 1
+        return real_fit(*args, **kwargs)
+
+    def counted_run(dataset, cfg, fixed_edges=None, extra=None):
+        calls["static" if fixed_edges is not None else cfg.distance_metric] += 1
+        return real_run(dataset, cfg, fixed_edges=fixed_edges, extra=extra)
+
+    monkeypatch.setattr(cli_module, "linear_fit", counted_fit)
+    monkeypatch.setattr(cli_module, "run_experiment", counted_run)
+    payload = experiment_dict(tmp_path / "ablate", seeds=[0, 1],
+                              ablation=METRIC_FREE_GRID)
+    assert cmd_ablate(ExperimentConfig.from_dict(payload)) == 0
+    # once per (subset, seed) for the metric-free methods, per metric for static
+    assert calls == {"linear": 2, "random": 2, "static": 4}
+
+    cells = read_cells(tmp_path / "ablate" / "cells.csv")
+    assert len(cells) == 2 * 3 * 2
+    for method in ("random", "linear"):
+        for seed in ("0", "1"):
+            rows = [{k: v for k, v in row.items() if k != "metric"} for row in cells
+                    if row["method"] == method and row["seed"] == seed]
+            assert len(rows) == 2 and rows[0] == rows[1]
+
+
+def test_cmd_ablate_shared_failure_counts_once_per_row(tmp_path, monkeypatch):
+    import popgraph.cli as cli_module
+
+    def broken_fit(*args, **kwargs):
+        raise RuntimeError("sabotaged fit")
+
+    monkeypatch.setattr(cli_module, "linear_fit", broken_fit)
+    payload = experiment_dict(tmp_path / "ablate", ablation=METRIC_FREE_GRID)
+    assert cmd_ablate(ExperimentConfig.from_dict(payload)) == 1
+    out = tmp_path / "ablate"
+    failures = json.loads((out / "aggregate.json").read_text(encoding="utf-8"))["failures"]
+    assert sorted(failures) == ["both/cosine/linear/seed_0",
+                                "both/hyperbolic/linear/seed_0"]
+    assert all("sabotaged" in err for err in failures.values())
+    assert len(read_cells(out / "cells.csv")) + len(failures) == 2 * 3
+
+
 def test_cmd_ablate_empty_grid(tmp_path):
     payload = experiment_dict(tmp_path / "ablate",
                               ablation={"phenotype_subsets": ["both"],
@@ -415,16 +473,37 @@ def test_main_reports_config_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("train_key, value", [
-    ("k", 0), ("epochs", 0), ("distance_metric", "manhattan")])
+    ("k", 0), ("epochs", 0), ("distance_metric", "manhattan"),
+    ("gcn_hidden1", 0), ("gcn_hidden2", 0), ("patience", -1), ("n_classes", 1),
+    ("inference_samples", 1.5), ("epochs", 3.0), ("k", True)])
 def test_main_rejects_bad_train_block_before_writing(tmp_path, capsys,
                                                       train_key, value):
     """A bad train value fails when the config loads, naming the key, not
-    once per seed after the run directory is written."""
+    once per seed after the run directory is written. Widths below 1,
+    negative patience, fewer than 2 classes and non-integer counts are bad
+    values too, not a degenerate model or a TypeError in every seed."""
     payload = experiment_dict(tmp_path / "run")
     payload["train"][train_key] = value
     path = write_config(tmp_path, payload)
     assert main(["train", "--config", str(path)]) == 2
-    assert train_key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad train block" in err and train_key in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("broken", ["one_class", "missing_csv"])
+def test_main_dataset_failure_leaves_no_run_directory(tmp_path, capsys,
+                                                      command, broken):
+    payload = experiment_dict(tmp_path / "run")
+    if broken == "one_class":
+        payload["task"] = "classification"
+        payload["train"]["n_classes"] = 1
+    else:
+        payload["dataset"].update(source="csv", csv_path=str(tmp_path / "absent.csv"))
+    path = write_config(tmp_path, payload)
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "run").exists()
 
 

