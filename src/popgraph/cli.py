@@ -45,17 +45,17 @@ from .graphgen import (
     random_graph,
 )
 from .trainer import (
+    InferenceResult,
     MetricsRecord,
     TrainConfig,
     attention_weights,
-    evaluate_classification,
-    evaluate_regression,
     load_run,
     run_experiment,
     sample_trained_edges,
     save_history_csv,
     save_metrics_json,
     save_run,
+    score_test_split,
     stream_rng,
 )
 
@@ -77,8 +77,9 @@ __all__ = [
 PHENOTYPE_SUBSETS = ("non-imaging", "both", "imaging")
 ABLATION_METRICS = ("euclidean", "cosine", "hyperbolic", "random")
 ABLATION_METHODS = ("adaptive", "static", "random", "linear")
-# methods whose result never reads the distance metric: the linear fit, and
-# the random graph, which always trains with distance_metric="random"
+# methods whose result reads neither the distance metric nor the phenotype
+# subset: the linear fit of the node features, and the random graph, which
+# always trains with distance_metric="random"
 METRIC_FREE_METHODS = ("random", "linear")
 EXPORT_TARGETS = ("attention", "graph-static", "graph-learned")
 
@@ -477,23 +478,20 @@ def cmd_train(config: ExperimentConfig) -> int:
 
 def _linear_cell(dataset, config: ExperimentConfig, seed: int,
                  cell_hash: str) -> MetricsRecord:
-    masks = dataset.require_masks()
+    train = dataset.require_masks().train
     record = MetricsRecord(task=config.task, seed=seed, config_hash=cell_hash,
                            extra={"experiment": "linear"})
     if config.task == "regression":
-        model = linear_fit(dataset.X[masks.train], dataset.y[masks.train])
-        scores = evaluate_regression(model.predict(dataset.X), dataset.y, masks.test)
-        record.mae = scores["mae"]
-        record.pearson_r = scores["pearson_r"]
+        model = linear_fit(dataset.X[train], dataset.y[train])
+        out = InferenceResult(predictions=model.predict(dataset.X))
     else:
         n_classes = config.train_config(seed).n_classes
-        model = linear_fit(dataset.X[masks.train], dataset.class_labels[masks.train],
+        model = linear_fit(dataset.X[train], dataset.class_labels[train],
                            task="logistic", n_classes=n_classes)
-        scores = evaluate_classification(model.predict_proba(dataset.X),
-                                         dataset.class_labels, masks.test)
-        record.accuracy = scores["accuracy"]
-        record.macro_auc = scores["macro_auc"]
-        record.macro_f1 = scores["macro_f1"]
+        probabilities = model.predict_proba(dataset.X)
+        out = InferenceResult(predictions=probabilities.argmax(axis=1),
+                              probabilities=probabilities)
+    score_test_split(record, out, dataset)
     record.validate()
     return record
 
@@ -532,17 +530,26 @@ _CELL_COLUMNS = ("subset", "metric", "method", "seed", "mae", "pearson_r",
 
 
 def _run_key(cell) -> tuple:
-    """The run a cell needs: metric-free methods drop the metric, so one run
-    stands for that method's cell under every metric."""
-    subset, _, method, seed = cell
-    return (subset, None, method, seed) if method in METRIC_FREE_METHODS else cell
+    """The run a cell needs, without the axes that run never reads:
+    metric-free methods drop subset and metric, an adaptive cell under the
+    random metric is the random method's run, and a static cell under the
+    random metric (a graph drawn from the seed alone) drops the subset. A
+    dropped subset is None, which ``cmd_ablate`` maps to the full dataset."""
+    subset, metric, method, seed = cell
+    if method == "adaptive" and metric == "random":
+        method = "random"
+    if method in METRIC_FREE_METHODS:
+        return (None, None, method, seed)
+    if metric == "random":
+        return (None, metric, method, seed)
+    return cell
 
 
 def cmd_ablate(config: ExperimentConfig) -> int:
     """Cross-product {phenotype subset} x {distance metric} x {method}, one
     row per cell per seed, plus an aggregate table sorted by headline metric.
-    Each distinct run happens once: a metric-free method's run is copied to
-    its row under every metric, and its failure counts against each row."""
+    Each distinct run happens once (``_run_key``): a shared run is copied to
+    every row it stands for, and its failure counts against each row."""
     block = config.ablation
     cells = [(subset, metric, method, seed)
              for subset in block.phenotype_subsets
@@ -553,8 +560,8 @@ def cmd_ablate(config: ExperimentConfig) -> int:
         raise CliError("ablation grid is empty; list at least one subset, "
                        "metric, and method")
     full = build_dataset(config)
-    datasets = {subset: restrict_phenotypes(full, subset)
-                for subset in block.phenotype_subsets}
+    datasets = {None: full, **{subset: restrict_phenotypes(full, subset)
+                               for subset in block.phenotype_subsets}}
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(config, out / "config.json")
@@ -571,7 +578,8 @@ def cmd_ablate(config: ExperimentConfig) -> int:
         if err is not None:
             failures[f"{subset}/{metric}/{method}/seed_{seed}"] = err
             continue
-        record = dataclasses.replace(record, extra={**record.extra, "metric": metric})
+        record = dataclasses.replace(record, extra={
+            **record.extra, "subset": subset, "metric": metric, "method": method})
         by_cell.setdefault((subset, metric, method), []).append(record)
         csv_rows.append([subset, metric, method, seed]
                         + [getattr(record, name) for name in _CELL_COLUMNS[4:]])

@@ -138,8 +138,9 @@ class SampledGraph:
     """One draw of a sparse directed graph plus everything needed to train
     on it."""
 
-    edges: np.ndarray        # (N*k, 2) directed (src, dst), grouped by source
-    log_probs: Tensor        # (N*k,) noise-free per-edge score, on the tape
+    edges: np.ndarray         # (N*k, 2) directed (src, dst), grouped by source
+    log_probs: Tensor | None  # (N*k,) noise-free per-edge score, on the tape;
+                              # None for a fixed or uniform random graph
     n_nodes: int
     k: int
     noise: np.ndarray | None = None  # the replay noise passed in, if any

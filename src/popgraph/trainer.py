@@ -2,6 +2,11 @@
 and the kernel temperature, with per-epoch graph resampling, early stopping
 on validation, stochastic-inference averaging, and evaluation metrics.
 
+A run's graph is its fixed edges, uniform random edges (``distance_metric=
+"random"``) or a Gumbel-Top-k draw over weighted phenotypes. ``_draw_graph``
+alone decides which; every training, validation, inference and homophily
+draw goes through it.
+
 One call to train() owns one RNG stream (seeded from the config), so two runs
 with the same config produce bit-identical histories.
 """
@@ -31,12 +36,12 @@ from .gcn import (
     total_loss,
 )
 from .graphgen import (
+    SampledGraph,
     edge_probabilities,
     gumbel_topk_sample,
     homophily_score,
     pairwise_distance,
     random_graph,
-    symmetrize,
 )
 from .numerics import Tensor
 
@@ -56,6 +61,7 @@ __all__ = [
     "evaluate_regression",
     "evaluate_classification",
     "run_experiment",
+    "score_test_split",
     "save_history_csv",
     "save_metrics_json",
     "save_run",
@@ -139,6 +145,9 @@ class TrainResult:
     epsilon: float
     config: TrainConfig
     fixed_edges: np.ndarray | None = None
+    # the graph a fixed run draws every time, built on its first draw
+    _fixed_graph: SampledGraph | None = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     @property
     def temperature(self) -> float | None:
@@ -196,12 +205,6 @@ class AdamW:
 # ---------------------------------------------------------------------------
 
 
-def _attention_vector(mlp, phenotypes, mode: str):
-    if mode == "ones":
-        return Tensor(np.ones(phenotypes.shape[1]))
-    return aggregate_attention(attention_forward(phenotypes, mlp))
-
-
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """The generator of one random stream derived from a run's master seed.
 
@@ -220,36 +223,33 @@ def attention_weights(mlp: AttentionMlp, phenotypes) -> np.ndarray:
         return aggregate_attention(attention_forward(phenotypes, mlp)).values
 
 
-def _sample_epoch_graph(mlp, tau, phenotypes, config, rng, noise=None,
-                        normalize=False):
-    """Weighted phenotypes -> distances -> kernel -> one Gumbel-Top-k draw,
-    in one pass over row blocks (no N x N array).
+def _draw_graph(result: TrainResult, phenotypes: np.ndarray, rng: np.random.Generator,
+                normalize: bool = False) -> SampledGraph:
+    """One draw of the graph a run trains and predicts on.
 
-    With ``normalize`` the returned per-edge scores become row-normalized
-    log-probabilities, log p_ij - logsumexp_{l != i} log p_il: the
-    log-probability that j is the first of i's k picks (Plackett-Luce).
-    Gumbel-Top-k ignores a per-row constant, so the same noise picks the
-    same edges either way.
+    A fixed run's draw is the same graph every time, built on the first draw,
+    so its A_hat is symmetrized once per run. Under ``distance_metric=
+    "random"`` each node gets k fresh uniform out-edges. Any other run takes
+    one Gumbel-Top-k draw over phenotypes weighted by the attention vector (or
+    by ones); only that draw carries ``log_probs``, first-pick
+    log-probabilities with ``normalize`` (see ``gumbel_topk_sample``).
     """
-    a = _attention_vector(mlp, phenotypes, config.attention_mode)
-    f = weight_phenotypes(a, Tensor(phenotypes))
-    d = pairwise_distance(f, config.distance_metric)
-    log_p = edge_probabilities(d, nm.exp(tau))
-    return gumbel_topk_sample(log_p, config.k, rng=rng, noise=noise, normalize=normalize)
-
-
-def _epoch_adjacency(mlp, tau, phenotypes, config, rng, fixed_a_hat=None,
-                     normalize=False):
-    """Returns (a_hat, sampled_graph_or_None) for one forward pass."""
-    if fixed_a_hat is not None:
-        return fixed_a_hat, None
+    config = result.config
+    n = phenotypes.shape[0]
+    if result.fixed_edges is not None:
+        if result._fixed_graph is None:
+            result._fixed_graph = SampledGraph(result.fixed_edges, None, n,
+                                               len(result.fixed_edges) // n)
+        return result._fixed_graph
     if config.distance_metric == "random":
-        n = phenotypes.shape[0]
-        edges = random_graph(n, config.k, rng)
-        return symmetrize(edges, n), None
-    graph = _sample_epoch_graph(mlp, tau, phenotypes, config, rng,
-                                normalize=normalize)
-    return graph.a_hat, graph
+        return SampledGraph(random_graph(n, config.k, rng), None, n, config.k)
+    if config.attention_mode == "ones":
+        a = Tensor(np.ones(phenotypes.shape[1]))
+    else:
+        a = aggregate_attention(attention_forward(phenotypes, result.attention))
+    d = pairwise_distance(weight_phenotypes(a, Tensor(phenotypes)), config.distance_metric)
+    return gumbel_topk_sample(edge_probabilities(d, nm.exp(result.tau)), config.k,
+                              rng=rng, normalize=normalize)
 
 
 def _targets(dataset: PopulationDataset, task: str):
@@ -289,7 +289,7 @@ def train(dataset: PopulationDataset, config: TrainConfig,
     Per epoch: resample the graph, run the predictor, combine the supervised
     loss (train nodes) with the reward-weighted edge loss (train-sourced
     edges), and take one AdamW step. The edge loss scores each sampled edge
-    by its row-normalized log-probability (see ``_sample_epoch_graph``) and
+    by its first-pick log-probability (see ``gumbel_topk_sample``) and
     weights it by its source node's reward less that node's running mean
     reward (momentum ``REWARD_BASELINE_MOMENTUM``, started from the first
     epoch's rewards, so the first epoch's edge loss is zero). The
@@ -329,14 +329,11 @@ def train(dataset: PopulationDataset, config: TrainConfig,
     epsilon = null_epsilon(targets[train_mask], task=config.task,
                            n_classes=config.n_classes)
     optimizer = AdamW(model.params() + extra_params, lr=config.learning_rate)
+    result = TrainResult(
+        model=model, attention=mlp, tau=tau, attention_vector=None, history=[],
+        best_epoch=-1, best_val=np.inf if config.task == "regression" else -np.inf,
+        epsilon=epsilon, config=config, fixed_edges=fixed_edges)
 
-    fixed_a_hat = None
-    if fixed_edges is not None:
-        fixed_a_hat = symmetrize(fixed_edges, dataset.n_subjects)
-
-    history = []
-    best_val = np.inf if config.task == "regression" else -np.inf
-    best_epoch = -1
     best_snapshot = None
     stale = 0
     breakdown = None
@@ -346,15 +343,14 @@ def train(dataset: PopulationDataset, config: TrainConfig,
         try:
             nm.reset_tape()
             optimizer.zero_grad()
-            a_hat, graph = _epoch_adjacency(mlp, tau, phenotypes, config, rng,
-                                            fixed_a_hat, normalize=True)
-            preds = gcn_forward(a_hat, dataset.X, model)
+            graph = _draw_graph(result, phenotypes, rng, normalize=True)
+            preds = gcn_forward(graph.a_hat, dataset.X, model)
             if config.task == "regression":
                 l_gcn = huber_loss(preds, targets, train_mask)
             else:
                 l_gcn = cross_entropy_loss(preds, targets, train_mask)
 
-            if graph is not None:
+            if graph.log_probs is not None:
                 rho = reward(targets, _predicted(preds.values, config.task),
                              epsilon, config.task)
                 if reward_baseline is None:
@@ -370,15 +366,14 @@ def train(dataset: PopulationDataset, config: TrainConfig,
             optimizer.step()
 
             with nm.no_grad():
-                val_a_hat, _ = _epoch_adjacency(mlp, tau, phenotypes, config, rng,
-                                                fixed_a_hat)
-                val_preds = gcn_forward(val_a_hat, dataset.X, model).values
+                val_graph = _draw_graph(result, phenotypes, rng)
+                val_preds = gcn_forward(val_graph.a_hat, dataset.X, model).values
             val_metric = _val_metric(val_preds, targets, val_mask, config.task)
         except nm.NonFiniteError as exc:
             raise TrainingError(f"training aborted at epoch {epoch}: {exc}",
                                 epoch=epoch, breakdown=breakdown) from exc
 
-        history.append({
+        result.history.append({
             "epoch": epoch,
             "L_total": breakdown.total_value,
             "L_gcn": breakdown.l_gcn,
@@ -386,9 +381,9 @@ def train(dataset: PopulationDataset, config: TrainConfig,
             "val_metric": val_metric,
         })
 
-        if _improved(val_metric, best_val, config.task):
-            best_val = val_metric
-            best_epoch = epoch
+        if _improved(val_metric, result.best_val, config.task):
+            result.best_val = val_metric
+            result.best_epoch = epoch
             best_snapshot = [p.values.copy() for p in optimizer.params]
             stale = 0
         else:
@@ -400,15 +395,11 @@ def train(dataset: PopulationDataset, config: TrainConfig,
         for p, saved in zip(optimizer.params, best_snapshot):
             p.values = saved
     else:
-        best_epoch = history[-1]["epoch"]
-        best_val = history[-1]["val_metric"]
-
-    return TrainResult(
-        model=model, attention=mlp, tau=tau,
-        attention_vector=None if mlp is None else attention_weights(mlp, phenotypes),
-        history=history,
-        best_epoch=best_epoch, best_val=best_val, epsilon=epsilon,
-        config=config, fixed_edges=fixed_edges)
+        result.best_epoch = result.history[-1]["epoch"]
+        result.best_val = result.history[-1]["val_metric"]
+    if mlp is not None:
+        result.attention_vector = attention_weights(mlp, phenotypes)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -433,26 +424,25 @@ def infer(result: TrainResult, dataset: PopulationDataset, n_samples: int,
     """Average predictions over independently sampled graphs.
 
     Regression averages raw outputs; classification averages per-class
-    probabilities and then takes the argmax.
+    probabilities and then takes the argmax. A fixed graph is one draw, so
+    it gets one forward whatever ``n_samples`` says.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     config = result.config
     phenotypes = dataset.phenotype_matrix()
-    fixed_a_hat = None
-    if result.fixed_edges is not None:
-        fixed_a_hat = symmetrize(result.fixed_edges, dataset.n_subjects)
-
-    acc = None
+    acc, graph, drawn = None, None, 0
     with nm.no_grad():
         for _ in range(n_samples):
-            a_hat, _ = _epoch_adjacency(result.attention, result.tau, phenotypes,
-                                        config, rng, fixed_a_hat)
-            out = gcn_forward(a_hat, dataset.X, result.model).values
+            previous, graph = graph, _draw_graph(result, phenotypes, rng)
+            if graph is previous:
+                break  # a fixed run's one graph: another forward would repeat
+            out = gcn_forward(graph.a_hat, dataset.X, result.model).values
             if config.task == "classification":
                 out = _softmax_rows(out)
             acc = out if acc is None else acc + out
-    mean = acc / n_samples
+            drawn += 1
+    mean = acc / drawn
     if config.task == "classification":
         return InferenceResult(predictions=mean.argmax(axis=1), probabilities=mean)
     return InferenceResult(predictions=mean)
@@ -462,17 +452,9 @@ def sample_trained_edges(result: TrainResult, dataset: PopulationDataset):
     """One graph draw at the trained parameters (for homophily measurement
     and export), from the run's ``HOMOPHILY_STREAM``, so every call for a run
     gives the same edges."""
-    config = result.config
-    if result.fixed_edges is not None:
-        return result.fixed_edges
-    phenotypes = dataset.phenotype_matrix()
-    rng = stream_rng(config.seed, HOMOPHILY_STREAM)
-    if config.distance_metric == "random":
-        return random_graph(dataset.n_subjects, config.k, rng)
+    rng = stream_rng(result.config.seed, HOMOPHILY_STREAM)
     with nm.no_grad():
-        graph = _sample_epoch_graph(result.attention, result.tau, phenotypes,
-                                    config, rng)
-    return graph.edges
+        return _draw_graph(result, dataset.phenotype_matrix(), rng).edges
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +574,19 @@ class MetricsRecord:
         return d
 
 
+def score_test_split(record: MetricsRecord, out: InferenceResult,
+                     dataset: PopulationDataset) -> None:
+    """Score ``out`` on the test split: MAE and Pearson r for a regression
+    record, accuracy, macro-AUC and macro-F1 for a classification one."""
+    test = dataset.require_masks().test
+    if record.task == "regression":
+        scores = evaluate_regression(out.predictions, dataset.y, test)
+    else:
+        scores = evaluate_classification(out.probabilities, dataset.class_labels, test)
+    for name, value in scores.items():
+        setattr(record, name, value)
+
+
 def run_experiment(dataset: PopulationDataset, config: TrainConfig,
                    fixed_edges: np.ndarray | None = None,
                    extra: dict | None = None):
@@ -605,7 +600,6 @@ def run_experiment(dataset: PopulationDataset, config: TrainConfig,
     """
     started = time.perf_counter()
     result = train(dataset, config, fixed_edges=fixed_edges)
-    masks = dataset.require_masks()
     out = infer(result, dataset, config.inference_samples,
                 stream_rng(config.seed, INFERENCE_STREAM))
 
@@ -613,21 +607,9 @@ def run_experiment(dataset: PopulationDataset, config: TrainConfig,
                            config_hash=config_hash(config.to_dict()),
                            best_epoch=result.best_epoch, epsilon=result.epsilon,
                            extra=dict(extra or {}))
-    if config.task == "regression":
-        scores = evaluate_regression(out.predictions, dataset.y, masks.test)
-        record.mae = scores["mae"]
-        record.pearson_r = scores["pearson_r"]
-        labels_for_homophily = dataset.y
-    else:
-        scores = evaluate_classification(out.probabilities,
-                                         dataset.class_labels, masks.test)
-        record.accuracy = scores["accuracy"]
-        record.macro_auc = scores["macro_auc"]
-        record.macro_f1 = scores["macro_f1"]
-        labels_for_homophily = dataset.class_labels
-
-    edges = sample_trained_edges(result, dataset)
-    record.homophily = homophily_score(edges, labels_for_homophily, mode=config.task)
+    score_test_split(record, out, dataset)
+    record.homophily = homophily_score(sample_trained_edges(result, dataset),
+                                       _targets(dataset, config.task), mode=config.task)
     record.extra["n_epochs_run"] = len(result.history)
     record.wall_clock_seconds = time.perf_counter() - started
     record.validate()

@@ -333,7 +333,7 @@ def read_cells(path):
     return [dict(zip(header, line.split(","))) for line in lines[2:]]
 
 
-METRIC_FREE_GRID = {"phenotype_subsets": ["both"],
+METRIC_FREE_GRID = {"phenotype_subsets": ["both", "imaging"],
                     "distance_metrics": ["cosine", "hyperbolic"],
                     "methods": ["static", "random", "linear"]}
 
@@ -356,16 +356,47 @@ def test_cmd_ablate_runs_metric_free_cells_once(tmp_path, monkeypatch):
     payload = experiment_dict(tmp_path / "ablate", seeds=[0, 1],
                               ablation=METRIC_FREE_GRID)
     assert cmd_ablate(ExperimentConfig.from_dict(payload)) == 0
-    # once per (subset, seed) for the metric-free methods, per metric for static
-    assert calls == {"linear": 2, "random": 2, "static": 4}
+    # once per seed for the metric-free methods, per (subset, metric) for static
+    assert calls == {"linear": 2, "random": 2, "static": 8}
 
     cells = read_cells(tmp_path / "ablate" / "cells.csv")
-    assert len(cells) == 2 * 3 * 2
+    assert len(cells) == 2 * 2 * 3 * 2
     for method in ("random", "linear"):
         for seed in ("0", "1"):
-            rows = [{k: v for k, v in row.items() if k != "metric"} for row in cells
-                    if row["method"] == method and row["seed"] == seed]
-            assert len(rows) == 2 and rows[0] == rows[1]
+            rows = [{k: v for k, v in row.items() if k not in ("subset", "metric")}
+                    for row in cells if row["method"] == method and row["seed"] == seed]
+            assert len(rows) == 4 and all(row == rows[0] for row in rows)
+
+
+def test_cmd_ablate_runs_random_metric_cells_once(tmp_path, monkeypatch):
+    """Under the random metric an adaptive cell is the random method's run,
+    and a static cell's graph ignores the phenotype subset."""
+    import popgraph.cli as cli_module
+    real_run = cli_module.run_experiment
+    calls = {"random": 0, "static": 0}
+
+    def counted_run(dataset, cfg, fixed_edges=None, extra=None):
+        calls["static" if fixed_edges is not None else cfg.distance_metric] += 1
+        return real_run(dataset, cfg, fixed_edges=fixed_edges, extra=extra)
+
+    monkeypatch.setattr(cli_module, "run_experiment", counted_run)
+    payload = experiment_dict(
+        tmp_path / "ablate",
+        ablation={"phenotype_subsets": ["non-imaging", "imaging"],
+                  "distance_metrics": ["random"],
+                  "methods": ["adaptive", "static", "random"]})
+    assert cmd_ablate(ExperimentConfig.from_dict(payload)) == 0
+    assert calls == {"random": 1, "static": 1}
+
+    cells = read_cells(tmp_path / "ablate" / "cells.csv")
+    assert len(cells) == 2 * 3
+    for method in ("static", "random"):
+        rows = [{k: v for k, v in row.items() if k != "subset"} for row in cells
+                if row["method"] == method]
+        assert len(rows) == 2 and rows[0] == rows[1]
+    results = {row["method"]: {k: v for k, v in row.items() if k != "method"}
+               for row in cells if row["subset"] == "imaging"}
+    assert results["adaptive"] == results["random"]
 
 
 def test_cmd_ablate_shared_failure_counts_once_per_row(tmp_path, monkeypatch):
@@ -380,9 +411,11 @@ def test_cmd_ablate_shared_failure_counts_once_per_row(tmp_path, monkeypatch):
     out = tmp_path / "ablate"
     failures = json.loads((out / "aggregate.json").read_text(encoding="utf-8"))["failures"]
     assert sorted(failures) == ["both/cosine/linear/seed_0",
-                                "both/hyperbolic/linear/seed_0"]
+                                "both/hyperbolic/linear/seed_0",
+                                "imaging/cosine/linear/seed_0",
+                                "imaging/hyperbolic/linear/seed_0"]
     assert all("sabotaged" in err for err in failures.values())
-    assert len(read_cells(out / "cells.csv")) + len(failures) == 2 * 3
+    assert len(read_cells(out / "cells.csv")) + len(failures) == 2 * 2 * 3
 
 
 def test_cmd_ablate_empty_grid(tmp_path):

@@ -42,7 +42,7 @@ from popgraph.trainer import (
     stream_rng,
     train,
 )
-from popgraph.trainer import _auc_one_vs_rest, _sample_epoch_graph
+from popgraph.trainer import _auc_one_vs_rest, _draw_graph
 
 
 def tiny_dataset(seed=0, n=48, task="regression"):
@@ -332,24 +332,23 @@ def test_edge_normalizer_keeps_the_drawn_edges():
     mlp = AttentionMlp.init(phen.shape[1], rng)
     tau = Tensor(1.5, requires_grad=True)
     noise = rng.gumbel(0.0, 1.0, (24, 24))
-    cfg = tiny_config()
-    raw = _sample_epoch_graph(mlp, tau, phen, cfg, None, noise=noise)
-    normalized = _sample_epoch_graph(mlp, tau, phen, cfg, None, noise=noise,
-                                     normalize=True)
+    k = 3
+    a = aggregate_attention(attention_forward(phen, mlp))
+    scores = edge_probabilities(pairwise_distance(weight_phenotypes(a, Tensor(phen)),
+                                                  "euclidean"), nm.exp(tau))
+    raw = gumbel_topk_sample(scores, k, noise=noise)
+    normalized = gumbel_topk_sample(scores, k, noise=noise, normalize=True)
     nm.reset_tape()
     assert np.array_equal(raw.edges, normalized.edges)
 
-    with nm.no_grad():
-        a = aggregate_attention(attention_forward(phen, mlp))
-        d = pairwise_distance(weight_phenotypes(a, Tensor(phen)), "euclidean")
-        log_p = edge_probabilities(d, nm.exp(tau)).rows(0, 24)
+    log_p = scores.rows(0, 24)
     np.fill_diagonal(log_p, -np.inf)
     row_lse = np.log(np.exp(log_p).sum(axis=1))
     src = raw.edges[:, 0]
     assert np.allclose(normalized.log_probs.values,
                        raw.log_probs.values - row_lse[src], atol=1e-12)
     # first-pick probabilities of a row's k distinct picks sum below one
-    picked = np.exp(normalized.log_probs.values).reshape(24, cfg.k).sum(axis=1)
+    picked = np.exp(normalized.log_probs.values).reshape(24, k).sum(axis=1)
     assert np.all(picked < 1.0)
 
 
@@ -374,8 +373,28 @@ def test_infer_fixed_graph_ignores_sample_count():
     edges = knn_static_graph(ds.phenotype_matrix(), 3)
     result = train(ds, tiny_config(), fixed_edges=edges)
     one = infer(result, ds, 1, np.random.default_rng(0))
-    many = infer(result, ds, 5, np.random.default_rng(1))
-    assert np.allclose(one.predictions, many.predictions)
+    # the mean of 8 copies of one forward rounds away from that forward
+    many = infer(result, ds, 8, np.random.default_rng(1))
+    assert np.array_equal(one.predictions, many.predictions)
+
+
+def test_fixed_graph_run_symmetrizes_once(monkeypatch):
+    import popgraph.graphgen as graphgen_module
+    import popgraph.trainer as trainer_module
+    from popgraph.graphgen import knn_static_graph
+    real = graphgen_module.symmetrize
+    calls = []
+
+    def counted(edges, n):
+        calls.append(n)
+        return real(edges, n)
+
+    for module in (graphgen_module, trainer_module):
+        monkeypatch.setattr(module, "symmetrize", counted, raising=False)
+    ds = tiny_dataset()
+    edges = knn_static_graph(ds.phenotype_matrix(), 3)
+    run_experiment(ds, tiny_config(inference_samples=4), fixed_edges=edges)
+    assert calls == [ds.n_subjects]
 
 
 def test_infer_classification_outputs_probabilities():
@@ -401,9 +420,8 @@ def test_sample_trained_edges_shapes_and_paths():
     assert edges.shape == (ds.n_subjects * 3, 2)
     assert np.array_equal(edges, sample_trained_edges(result, ds))
     with nm.no_grad():
-        drawn = _sample_epoch_graph(result.attention, result.tau, ds.phenotype_matrix(),
-                                    result.config,
-                                    stream_rng(result.config.seed, HOMOPHILY_STREAM))
+        drawn = _draw_graph(result, ds.phenotype_matrix(),
+                            stream_rng(result.config.seed, HOMOPHILY_STREAM))
     assert np.array_equal(edges, drawn.edges)
 
     fixed = train(ds, tiny_config(), fixed_edges=edges)
