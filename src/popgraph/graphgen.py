@@ -59,11 +59,11 @@ class PairwiseDistances:
         self._kernel = nm.block_distance(metric, features.values)
 
     def rows(self, r0: int, r1: int) -> np.ndarray:
-        return self._kernel.rows(r0, r1)
+        return self._kernel.rows(np.arange(r0, r1))
 
     def squared_rows(self, r0: int, r1: int) -> np.ndarray:
         """Rows r0..r1-1 of d^2, as a fresh array."""
-        return self._kernel.forward(r0, r1)[0]
+        return self._kernel.forward(np.arange(r0, r1))[0]
 
 
 class EdgeScores:
@@ -194,6 +194,7 @@ def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
     step = nm.rows_per_block(n) if blocked else n
     buffer = np.empty((min(step, n), n))
     for r0, r1 in nm.row_blocks(n, step):
+        rows = np.arange(r0, r1)
         scores = lp.rows(r0, r1) if blocked else lp.values
         perturbed = buffer[:r1 - r0]
         if noise is None:
@@ -201,12 +202,12 @@ def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
         else:
             perturbed[:] = noise[r0:r1]
         perturbed += scores
-        nm.fill_block_diagonal(perturbed, r0, -np.inf)
+        nm.fill_block_diagonal(perturbed, rows, -np.inf)
         targets[r0:r1] = topk_desc(perturbed, k)
         if blocked:
             raw[r0:r1] = scores[np.arange(r1 - r0)[:, None], targets[r0:r1]]
         if normalize:
-            row_lse[r0:r1] = nm.offdiag_logsumexp(scores, r0)
+            row_lse[r0:r1] = nm.offdiag_logsumexp(scores, rows)
     sources = np.repeat(np.arange(n), k)
     edges = np.column_stack([sources, targets.reshape(-1)])
 
@@ -230,7 +231,7 @@ def knn_static_graph(features, k: int, metric: str = "cosine") -> np.ndarray:
     targets = np.empty((n, k), dtype=np.intp)
     for r0, r1 in nm.row_blocks(n, nm.rows_per_block(n)):
         block = d.rows(r0, r1)
-        nm.fill_block_diagonal(block, r0, np.inf)
+        nm.fill_block_diagonal(block, np.arange(r0, r1), np.inf)
         targets[r0:r1] = topk_desc(-block, k)
     sources = np.repeat(np.arange(n), k)
     return np.column_stack([sources, targets.reshape(-1)])

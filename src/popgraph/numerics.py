@@ -516,10 +516,9 @@ def row_blocks(n: int, rows: int):
         yield r0, min(r0 + rows, n)
 
 
-def fill_block_diagonal(block: np.ndarray, r0: int, value: float) -> None:
-    """Set each row's own column, (i, r0 + i), of a block of rows r0.. to value."""
-    rows = np.arange(block.shape[0])
-    block[rows, rows + r0] = value
+def fill_block_diagonal(block: np.ndarray, rows: np.ndarray, value: float) -> None:
+    """Set each row's own column, (i, rows[i]), of the block of ``rows`` to value."""
+    block[np.arange(len(rows)), rows] = value
 
 
 def kernel_scores(sq: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -552,55 +551,63 @@ def gumbel_fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out)
 
 
-def offdiag_logsumexp(scores: np.ndarray, r0: int) -> np.ndarray:
-    """Each row's logsumexp over all columns but its own, for a block of rows
-    r0..; masks the own column of ``scores`` to -inf in place."""
-    fill_block_diagonal(scores, r0, -np.inf)
+def offdiag_logsumexp(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each row's logsumexp over all columns but its own, for the block of
+    ``rows``; masks the own column of ``scores`` to -inf in place."""
+    fill_block_diagonal(scores, rows, -np.inf)
     top = scores.max(axis=1)
     return top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
 
 
-def _sqdist_block(v, r, r0, r1) -> np.ndarray:
-    """max(|v_i|^2 + |v_j|^2 - 2 v_i.v_j, 0) for block rows i, from v and the
-    squared row norms r."""
-    s = (-2.0 * v[r0:r1]) @ v.T
-    s += r[r0:r1, None] + r
+def _sqdist_block(v, r, rows) -> np.ndarray:
+    """max(|v_i|^2 + |v_j|^2 - 2 v_i.v_j, 0) for the block's rows i, from v
+    and the squared row norms r."""
+    s = (-2.0 * v[rows]) @ v.T
+    s += r[rows, None] + r
     return np.maximum(s, 0.0, out=s)
 
 
-def _sqdist_pullback(v, r0, r1, g, acc) -> None:
-    """Add the pullback of g through s_ij = |v_i - v_j|^2 for block rows i."""
-    vi = v[r0:r1]
-    acc += 2.0 * (g.sum(axis=0)[:, None] * v - g.T @ vi)
-    acc[r0:r1] += 2.0 * (g.sum(axis=1)[:, None] * vi - g @ v)
+def _sqdist_pullback(v, rows, g, scale, acc) -> None:
+    """Add the pullback of scale * g through s_ij = |v_i - v_j|^2 for the
+    block's rows i; scale multiplies the (N, d) products, so g is read as it
+    is and no scaled (rows, N) copy of it is made."""
+    vi = v[rows]
+    acc += (2.0 * scale) * (g.sum(axis=0)[:, None] * v - g.T @ vi)
+    acc[rows] += (2.0 * scale) * (g.sum(axis=1)[:, None] * vi - g @ v)
 
 
 class _BlockDistance:
     """Distances from a block of rows to every row under one metric.
 
-    ``forward(r0, r1)`` returns the (r1 - r0, N) block of squared distances,
+    A block is a set of rows: an ascending array of distinct row indices.
+    The sampler and the kNN graph hand over contiguous ranges; the backward
+    of ``kernel_edge_scores`` hands over only the rows that carry gradient.
+    ``forward(rows)`` returns the (len(rows), N) block of squared distances,
     zero on each row's own column, as a fresh array the caller may
-    overwrite, and what its pullback needs; ``pullback(r0, r1, saved, g,
+    overwrite, and what its pullback needs; ``pullback(rows, saved, g,
     scale, acc)`` adds the block's vector-Jacobian product with scale * g
     (zero on the own columns) through the squared distances into
-    ``accumulator()``, which ``finish`` turns into d/dv. ``rows(r0, r1)``
-    gives the distances themselves.
+    ``accumulator()``, which ``finish`` turns into d/dv. A row in no block
+    adds exactly what a zero row of g would: nothing. ``pullback`` may
+    overwrite ``saved``. ``rows(rows)`` gives the distances themselves.
 
     This base serves metrics that compute d and then d^2: a subclass gives
-    ``distances(r0, r1)`` -> (d, saved) and ``distance_pullback``, the same
+    ``distances(rows)`` -> (d, saved) and ``distance_pullback``, the same
     product through d.
     """
 
-    def forward(self, r0, r1):
-        d, saved = self.distances(r0, r1)
+    def forward(self, rows):
+        d, saved = self.distances(rows)
         return d * d, (d, saved)
 
-    def pullback(self, r0, r1, saved, g, scale, acc):
+    def pullback(self, rows, saved, g, scale, acc):
         d, inner = saved
-        self.distance_pullback(r0, r1, inner, g * d * (2.0 * scale), acc)
+        d *= g
+        d *= 2.0 * scale
+        self.distance_pullback(rows, inner, d, acc)
 
-    def rows(self, r0, r1):
-        return self.distances(r0, r1)[0]
+    def rows(self, rows):
+        return self.distances(rows)[0]
 
     def accumulator(self):
         return np.zeros_like(self.v)
@@ -616,16 +623,16 @@ class _Euclidean(_BlockDistance):
         self.v = v
         self.r = np.sum(v * v, axis=1)
 
-    def forward(self, r0, r1):
-        s = _sqdist_block(self.v, self.r, r0, r1)
-        fill_block_diagonal(s, r0, 0.0)
+    def forward(self, rows):
+        s = _sqdist_block(self.v, self.r, rows)
+        fill_block_diagonal(s, rows, 0.0)
         return s, None
 
-    def pullback(self, r0, r1, saved, g, scale, acc):
-        _sqdist_pullback(self.v, r0, r1, g * scale, acc)
+    def pullback(self, rows, saved, g, scale, acc):
+        _sqdist_pullback(self.v, rows, g, scale, acc)
 
-    def rows(self, r0, r1):
-        return np.sqrt(self.forward(r0, r1)[0])
+    def rows(self, rows):
+        return np.sqrt(self.forward(rows)[0])
 
 
 class _Cosine(_BlockDistance):
@@ -638,16 +645,16 @@ class _Cosine(_BlockDistance):
         self.safe = np.where(self.nonzero, norms, 1.0)
         self.v = self.u = v / self.safe[:, None]
 
-    def distances(self, r0, r1):
-        d = 1.0 - self.u[r0:r1] @ self.u.T
-        fill_block_diagonal(d, r0, 0.0)
+    def distances(self, rows):
+        d = 1.0 - self.u[rows] @ self.u.T
+        fill_block_diagonal(d, rows, 0.0)
         return d, None
 
-    def distance_pullback(self, r0, r1, saved, g, acc):
+    def distance_pullback(self, rows, saved, g, acc):
         # acc collects d(loss)/du
         u = self.u
-        acc -= g.T @ u[r0:r1]
-        acc[r0:r1] -= g @ u
+        acc -= g.T @ u[rows]
+        acc[rows] -= g @ u
 
     def finish(self, acc):
         u = self.u
@@ -668,27 +675,27 @@ class _Poincare(_BlockDistance):
                                 "the unit ball; rescale inputs first")
         self.b = 1.0 - self.r
 
-    def distances(self, r0, r1):
-        a = _sqdist_block(self.v, self.r, r0, r1)
-        b = np.outer(self.b[r0:r1], self.b)
+    def distances(self, rows):
+        a = _sqdist_block(self.v, self.r, rows)
+        b = np.outer(self.b[rows], self.b)
         z = 1.0 + 2.0 * a / b
         d = np.arccosh(np.maximum(z, 1.0))
-        fill_block_diagonal(d, r0, 0.0)
+        fill_block_diagonal(d, rows, 0.0)
         return d, (a, b, z)
 
     def accumulator(self):
         # d(loss)/dv through |v_i - v_j|^2, and d(loss)/d(1 - |v_i|^2)
         return np.zeros_like(self.v), np.zeros_like(self.b)
 
-    def distance_pullback(self, r0, r1, saved, g, acc):
+    def distance_pullback(self, rows, saved, g, acc):
         a, b, z = saved
         gv, db = acc
         zsq = np.maximum(z * z - 1.0, 0.0)
         w = np.where(zsq > 1e-24, g / np.sqrt(np.where(zsq > 0, zsq, 1.0)), 0.0)
         gb = w * (-2.0 * a / (b * b))
-        _sqdist_pullback(self.v, r0, r1, w * (2.0 / b), gv)
-        db += gb.T @ self.b[r0:r1]
-        db[r0:r1] += gb @ self.b
+        _sqdist_pullback(self.v, rows, w * (2.0 / b), 1.0, gv)
+        db += gb.T @ self.b[rows]
+        db[rows] += gb @ self.b
 
     def finish(self, acc):
         gv, db = acc
@@ -699,12 +706,26 @@ BLOCK_METRICS = {"euclidean": _Euclidean, "cosine": _Cosine, "hyperbolic": _Poin
 
 
 def block_distance(metric: str, v: np.ndarray):
-    """Row-block distance kernel of one metric over the rows of v: ``rows(r0,
-    r1)`` gives the (r1 - r0, N) block, zero on each row's own column."""
+    """Row-block distance kernel of one metric over the rows of v: ``rows(rows)``
+    gives the (len(rows), N) block of a set of rows, zero on each row's own
+    column."""
     if metric not in BLOCK_METRICS:
         raise ValueError(f"unknown distance metric {metric!r}; expected one of "
                          f"{tuple(BLOCK_METRICS)}")
     return BLOCK_METRICS[metric](v)
+
+
+def _edge_blocks(live: np.ndarray, src: np.ndarray, step: int):
+    """Cut the ascending row set ``live`` into blocks of ``step`` rows and
+    give each edge, by its source (a member of ``live``), to its block.
+    Yields (rows, the block's edge indices, each such edge's row position
+    within the block)."""
+    pos = np.searchsorted(live, src)
+    order = np.argsort(pos, kind="stable")
+    cuts = np.searchsorted(pos, np.arange(0, len(live) + step, step), sorter=order)
+    for b, c0 in enumerate(range(0, len(live), step)):
+        sel = order[cuts[b]:cuts[b + 1]]
+        yield live[c0:c0 + step], sel, pos[sel] - c0
 
 
 def kernel_edge_scores(features, t, metric: str, edges, normalize: bool,
@@ -719,6 +740,13 @@ def kernel_edge_scores(features, t, metric: str, edges, normalize: bool,
     whose own pass over the blocks already has the raw scores (and, with
     ``normalize``, the (N,) row logsumexps) hands them over as ``forward =
     (raw, row_lse)`` instead of having them recomputed.
+
+    The backward recomputes only the source rows with at least one edge of
+    nonzero upstream gradient, in blocks that are sets of such rows. Every
+    other row's gradient block is exactly zero: its normalizer weight, the
+    sum of its edges' gradients, is zero and no edge gradient lands in it.
+    Each block's gradient is built in one pass, in place in one (rows, N)
+    buffer reused across blocks.
     """
     f, t = _as_tensor(features), _as_tensor(t)
     if f.ndim != 2 or f.shape[0] < 2:
@@ -737,39 +765,45 @@ def kernel_edge_scores(features, t, metric: str, edges, normalize: bool,
     step = rows_per_block(n)
     dist = block_distance(metric, f.values)
     tv = float(t.values)
-    order = np.argsort(src, kind="stable")
-    cuts = np.searchsorted(src, np.arange(0, n + step, step), sorter=order)
-    blocks = [(r0, r1, order[cuts[b]:cuts[b + 1]])
-              for b, (r0, r1) in enumerate(row_blocks(n, step))]
 
     if forward is None:
         raw = np.empty(len(src))
         row_lse = np.empty(n) if normalize else None
-        for r0, r1, sel in blocks:
-            sq, _ = dist.forward(r0, r1)
+        for rows, sel, pos in _edge_blocks(np.arange(n), src, step):
+            sq, _ = dist.forward(rows)
             scores = kernel_scores(sq, tv, out=sq)
-            raw[sel] = scores[src[sel] - r0, dst[sel]]
+            raw[sel] = scores[pos, dst[sel]]
             if normalize:
-                row_lse[r0:r1] = offdiag_logsumexp(scores, r0)
+                row_lse[rows] = offdiag_logsumexp(scores, rows)
     else:
         raw, row_lse = forward
     out = raw - row_lse[src] if normalize else raw
 
     def bwd(g):
         g_rows = np.bincount(src, weights=g, minlength=n) if normalize else None
+        live_edges = np.flatnonzero(g)
+        live = np.unique(src[live_edges])
         acc = dist.accumulator()
         g_t = 0.0
-        for r0, r1, sel in blocks:
-            sq, saved = dist.forward(r0, r1)
-            g_s = np.bincount((src[sel] - r0) * n + dst[sel], weights=g[sel],
-                              minlength=(r1 - r0) * n).reshape(r1 - r0, n)
+        buffer = np.empty((min(step, len(live)), n))
+        for rows, sel, pos in _edge_blocks(live, src[live_edges], step):
+            sel = live_edges[sel]
+            sq, saved = dist.forward(rows)
+            # d(loss)/d(log p) of the block: -g_rows times the first-pick
+            # softmax, plus each edge's own gradient
+            g_s = buffer[:len(rows)]
             if normalize:
-                scores = kernel_scores(sq, tv)
-                fill_block_diagonal(scores, r0, -np.inf)
-                g_s -= g_rows[r0:r1, None] * np.exp(scores - row_lse[r0:r1, None])
-            g_t -= np.sum(g_s * sq)
-            sq = scores = None  # free both blocks before the pullback's temporaries
-            dist.pullback(r0, r1, saved, g_s, -tv, acc)
+                np.multiply(sq, -tv, out=g_s)
+                g_s -= row_lse[rows, None]
+                fill_block_diagonal(g_s, rows, -np.inf)
+                np.exp(g_s, out=g_s)
+                g_s *= -g_rows[rows, None]
+            else:
+                g_s.fill(0.0)
+            np.add.at(g_s.reshape(-1), pos * n + dst[sel], g[sel])
+            g_t -= np.dot(g_s.reshape(-1), sq.reshape(-1))
+            sq = None  # free the block before the pullback's temporaries
+            dist.pullback(rows, saved, g_s, -tv, acc)
         return dist.finish(acc), np.array(g_t)
 
     return _apply("kernel_edge_scores", out, (f, t), bwd)

@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import log_softmax
+from scipy.special import log_softmax, logsumexp
 
 from popgraph import numerics as nm
 
@@ -162,6 +162,36 @@ def dense_distances(v: np.ndarray, metric: str) -> np.ndarray:
         raise ValueError(metric)
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def dense_kernel_edge_grads(v: np.ndarray, t: float, metric: str, edges: np.ndarray,
+                            normalize: bool, g: np.ndarray, block_rows: int):
+    """(d/dv, d/dt) of sum_e g_e * kernel_edge_scores(v, t, metric, edges)_e,
+    the backward as first written: every source row's block is recomputed,
+    whether or not any of its edges carries gradient, in consecutive blocks
+    of ``block_rows`` rows. A block's d/d(log p) is built densely: a bincount
+    scatter of the edge gradients, less each row's summed gradient times its
+    first-pick softmax (logsumexp taken here, not from the forward)."""
+    n = v.shape[0]
+    dist = nm.block_distance(metric, v)
+    src, dst = edges[:, 0], edges[:, 1]
+    g_rows = np.bincount(src, weights=g, minlength=n)
+    acc = dist.accumulator()
+    g_t = 0.0
+    for r0 in range(0, n, block_rows):
+        r1 = min(r0 + block_rows, n)
+        rows = np.arange(r0, r1)
+        sq, saved = dist.forward(rows)
+        sel = (src >= r0) & (src < r1)
+        g_s = np.bincount((src[sel] - r0) * n + dst[sel], weights=g[sel],
+                          minlength=(r1 - r0) * n).reshape(r1 - r0, n)
+        if normalize:
+            scores = -t * sq
+            scores[rows - r0, rows] = -np.inf
+            g_s -= g_rows[r0:r1, None] * np.exp(scores - logsumexp(scores, axis=1)[:, None])
+        g_t -= np.sum(g_s * sq)
+        dist.pullback(rows, saved, g_s, -t, acc)
+    return dist.finish(acc), g_t
 
 
 def dense_symmetrize(edges: np.ndarray, n: int) -> np.ndarray:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import GradCheckReport, concat, grad_check, tape_size
+from oracles import (GradCheckReport, concat, dense_kernel_edge_grads, grad_check,
+                     tape_size)
 from popgraph import numerics as nm
 from popgraph.numerics import (
     NonFiniteError,
@@ -143,7 +144,7 @@ def test_offdiag_logsumexp_rows_values_and_fd(block_rows, monkeypatch):
     The diagonal carries the row maximum, so leaking it in would show."""
     v = RNG.normal(size=(7, 7))
     np.fill_diagonal(v, 5.0)
-    out = np.concatenate([nm.offdiag_logsumexp(v[r0:r1].copy(), r0)
+    out = np.concatenate([nm.offdiag_logsumexp(v[r0:r1].copy(), np.arange(r0, r1))
                           for r0, r1 in nm.row_blocks(7, block_rows)])
     assert np.allclose(out, _brute_offdiag_logsumexp(v), atol=1e-12)
 
@@ -181,15 +182,26 @@ def test_offdiag_logsumexp_rows_rejects_bad_operands():
                               edges, True)
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
-@pytest.mark.parametrize("block_rows", [1, 4, 10])
-@pytest.mark.parametrize("normalize", [False, True])
-def test_kernel_edge_scores_fd(metric, block_rows, normalize, monkeypatch):
+# source rows whose every edge gets zero weight, by id prefix
+DEAD_ROWS = {"": (), "dead-block-": (4, 5, 6, 7), "part-dead-": (1, 6)}
+
+
+@pytest.mark.parametrize("metric, block_rows, normalize, dead", [
+    pytest.param(metric, block_rows, normalize, dead,
+                 id=f"{prefix}{normalize}-{block_rows}-{metric}")
+    for prefix, dead in DEAD_ROWS.items()
+    for metric in ("euclidean", "cosine", "hyperbolic")
+    for block_rows in (1, 4, 10)
+    for normalize in (False, True)])
+def test_kernel_edge_scores_fd(metric, block_rows, normalize, dead, monkeypatch):
     """Finite differences of the fused blocked primitive over 10 rows, in
     blocks of one row, of four (a ragged last block) and of all rows. Rows
     2 and 5 coincide (d = 0). Row 9 is zero; its cosine distances are 1 by
     convention, a kink that finite differences cannot see through, so it is
-    held out of the check and must get exactly zero cosine gradient."""
+    held out of the check and must get exactly zero cosine gradient. Every
+    edge out of a ``dead`` source row has zero weight, so the backward skips
+    that row: rows 4-7 are the whole second block of four, and rows 1 and 6
+    leave two blocks partly live."""
     monkeypatch.setattr(nm, "BLOCK_ENTRIES", block_rows * 10)
     v = RNG.uniform(-0.4, 0.4, size=(9, 3))
     v[5] = v[2]
@@ -197,7 +209,9 @@ def test_kernel_edge_scores_fd(metric, block_rows, normalize, monkeypatch):
     zero_row = Tensor(np.zeros((1, 3)), requires_grad=True)
     t = Tensor(1.7, requires_grad=True)
     edges = _all_pairs(10)[RNG.permutation(90)[:50]]  # ungrouped, both directions
-    weights = Tensor(RNG.normal(size=50))
+    weights = RNG.normal(size=50)
+    weights[np.isin(edges[:, 0], dead)] = 0.0
+    weights = Tensor(weights)
 
     def loss():
         rows = concat([f, zero_row], axis=0)
@@ -209,6 +223,70 @@ def test_kernel_edge_scores_fd(metric, block_rows, normalize, monkeypatch):
     backward(loss())
     if metric == "cosine":
         assert np.all(zero_row.grad == 0.0)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_kernel_edge_scores_backward_skips_dead_rows(metric, normalize, monkeypatch):
+    """The backward hands the block kernel each source row that has an edge
+    with nonzero gradient exactly once, in blocks of at most rows_per_block
+    rows, and no other row; with no gradient at all it computes no block."""
+    monkeypatch.setattr(nm, "BLOCK_ENTRIES", 3 * 12)
+    kernel = nm.BLOCK_METRICS[metric]
+    forward = kernel.forward
+    handed = []
+
+    def counting_forward(self, rows):
+        handed.append(np.array(rows))
+        return forward(self, rows)
+
+    monkeypatch.setattr(kernel, "forward", counting_forward)
+    f = Tensor(RNG.uniform(-0.4, 0.4, size=(12, 3)), requires_grad=True)
+    t = Tensor(1.3, requires_grad=True)
+    edges = _all_pairs(12)
+    live = np.array([0, 2, 3, 7, 8, 11])
+    weights = np.where(np.isin(edges[:, 0], live), RNG.normal(size=len(edges)), 0.0)
+    weights[np.flatnonzero(edges[:, 0] == 7)[:10]] = 0.0  # row 7 keeps one live edge
+
+    scores = nm.kernel_edge_scores(f, t, metric, edges, normalize)
+    assert np.array_equal(np.concatenate(handed), np.arange(12))
+    handed.clear()
+    backward((scores * Tensor(weights)).sum())
+    assert max(len(rows) for rows in handed) == 3
+    assert np.array_equal(np.concatenate(handed), live)
+
+    f.zero_grad()
+    t.zero_grad()
+    scores = nm.kernel_edge_scores(f, t, metric, edges, normalize)
+    handed.clear()
+    backward((scores * Tensor(np.zeros(len(edges)))).sum())
+    assert handed == []
+    assert np.all(f.grad == 0.0) and t.grad == 0.0
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_kernel_edge_scores_backward_matches_dense_reference(metric, normalize,
+                                                            monkeypatch):
+    """Against the backward as first written (oracles.dense_kernel_edge_grads:
+    every row's block, a dense scatter) at N = 300 in blocks of 64 rows, with
+    k = 5 edges per row and zero gradient on every edge out of about a
+    quarter of the rows, as graph_loss gives the non-training sources."""
+    rng = np.random.default_rng(7)
+    n, k, block_rows = 300, 5, 64
+    monkeypatch.setattr(nm, "BLOCK_ENTRIES", block_rows * n)
+    v = rng.uniform(-0.3, 0.3, size=(n, 8))
+    targets = np.argsort(rng.random((n, n)) + 2.0 * np.eye(n), axis=1)[:, :k]
+    edges = np.column_stack([np.repeat(np.arange(n), k), targets.reshape(-1)])
+    g = np.where(rng.random(n)[edges[:, 0]] < 0.75, rng.normal(size=n * k), 0.0)
+    f = Tensor(v, requires_grad=True)
+    t = Tensor(10.0, requires_grad=True)
+
+    backward((nm.kernel_edge_scores(f, t, metric, edges, normalize) * Tensor(g)).sum())
+    grad_f, grad_t = dense_kernel_edge_grads(v, 10.0, metric, edges, normalize, g,
+                                             block_rows)
+    assert np.max(np.abs(f.grad - grad_f)) <= 1e-12 * np.max(np.abs(grad_f))
+    assert abs(t.grad - grad_t) <= 1e-12 * abs(grad_t)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +340,7 @@ def test_gumbel_fill_redraws_zero_uniforms():
 
 
 def _dense(metric, v):
-    return nm.block_distance(metric, v).rows(0, v.shape[0])
+    return nm.block_distance(metric, v).rows(np.arange(v.shape[0]))
 
 
 def _pair_loss(f, metric, w):
