@@ -18,11 +18,9 @@ from .numerics import Tensor
 
 __all__ = [
     "AttentionMlp",
-    "AttentionVector",
     "attention_forward",
     "aggregate_attention",
     "weight_phenotypes",
-    "as_attention_vector",
     "rank_phenotypes",
 ]
 
@@ -98,30 +96,14 @@ def weight_phenotypes(a, phenotypes) -> Tensor:
     return nm.mul_rowvec(phenotypes, a)
 
 
-@dataclass
-class AttentionVector:
-    """A trained weight vector plus the column metadata needed to read it."""
-
-    weights: np.ndarray
-    names: list
-    kinds: list
-
-    def __post_init__(self):
-        if not (len(self.weights) == len(self.names) == len(self.kinds)):
-            raise ValueError("attention vector and metadata lengths differ")
-
-
-def as_attention_vector(a, names, kinds) -> AttentionVector:
-    values = a.values if isinstance(a, Tensor) else np.asarray(a, dtype=float)
-    return AttentionVector(weights=values.copy(), names=list(names), kinds=list(kinds))
-
-
-def rank_phenotypes(vector: AttentionVector) -> list:
+def rank_phenotypes(weights, names, kinds) -> list:
     """Rows {rank, name, kind, weight} in descending weight order; ties keep
     the original column order."""
-    order = np.argsort(-vector.weights, kind="stable")
+    weights = np.asarray(weights, dtype=float)
+    if not len(weights) == len(names) == len(kinds):
+        raise ValueError("attention weights and column metadata lengths differ")
+    order = np.argsort(-weights, kind="stable")
     return [
-        {"rank": r + 1, "name": vector.names[j], "kind": vector.kinds[j],
-         "weight": float(vector.weights[j])}
+        {"rank": r + 1, "name": names[j], "kind": kinds[j], "weight": float(weights[j])}
         for r, j in enumerate(order)
     ]

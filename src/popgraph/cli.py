@@ -2,15 +2,15 @@
 ablation grids over phenotype subsets / distance metrics / methods, and
 artifact export (attention rankings, graph files).
 
-One JSON config file drives everything; flags only override its keys. Every
-file a command writes carries the experiment config hash, and re-running a
-command with the same config and seeds reproduces the metrics byte for byte.
+One JSON config file drives everything; flags only override its keys. Each
+artifact is written once, already stamped with the experiment config hash
+(README lists which hash each file carries), and re-running a command with
+the same config and seeds reproduces the metrics byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import as_attention_vector, rank_phenotypes
+from .attention import rank_phenotypes
 from .baselines import linear_fit
 from .dataio import (
     KIND_IMAGING,
@@ -36,6 +36,8 @@ from .dataio import (
     normalize_minmax,
     save_csv,
     split,
+    write_csv,
+    write_json,
 )
 from .graphgen import (
     GRAPH_FORMATS,
@@ -219,11 +221,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    payload = {"config_hash": config.experiment_hash,
-               "experiment": config.to_dict()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"config_hash": config.experiment_hash,
+                      "experiment": config.to_dict()})
 
 
 def _load_run_dir_config(run_dir: Path) -> ExperimentConfig:
@@ -294,52 +293,24 @@ def restrict_phenotypes(dataset: PopulationDataset, subset: str) -> PopulationDa
 # ---------------------------------------------------------------------------
 
 
-def _prepend_comment(path: Path, comment: str) -> None:
-    text = path.read_text(encoding="utf-8")
-    path.write_text(f"# {comment}\n{text}", encoding="utf-8")
-
-
-def _stamp_json(path: Path, experiment_hash: str) -> None:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    payload["config_hash"] = experiment_hash
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_graph(edges, labels, stem: Path, experiment_hash: str) -> None:
+def _write_graph(edges, labels, stem: Path, stamp: str) -> None:
     for fmt in GRAPH_FORMATS:
-        path = stem.with_suffix(f".{fmt}")
-        export_graph(edges, labels, path, fmt=fmt)
-        if fmt == "json":
-            _stamp_json(path, experiment_hash)
-        else:
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(f"// config_hash={experiment_hash}\n")
+        export_graph(edges, labels, stem.with_suffix(f".{fmt}"), stamp, fmt)
 
 
-def _attention_files(result, dataset, seed_dir: Path, experiment_hash: str) -> None:
+def _attention_files(weights, dataset, out_dir: Path, stamp: str) -> None:
+    names = dataset.phenotype_names
     kinds = ([KIND_NONIMAGING] * dataset.n_nonimaging
              + [KIND_IMAGING] * dataset.n_imaging)
-    vector = as_attention_vector(result.attention_vector,
-                                 dataset.phenotype_names, kinds)
-    csv_path = seed_dir / "attention.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "name", "kind", "weight"])
-        for row in rank_phenotypes(vector):
-            writer.writerow([row["rank"], row["name"], row["kind"],
-                             repr(row["weight"])])
-    _prepend_comment(csv_path, f"config_hash={experiment_hash}")
-    payload = {
-        "config_hash": experiment_hash,
-        "weights": {name: float(w) for name, w in zip(vector.names, vector.weights)},
-        "ranking": rank_phenotypes(vector),
-    }
-    with open(seed_dir / "attention.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ranking = rank_phenotypes(weights, names, kinds)
+    write_csv(out_dir / "attention.csv", stamp, ["rank", "name", "kind", "weight"],
+              [[row["rank"], row["name"], row["kind"], repr(row["weight"])]
+               for row in ranking])
+    write_json(out_dir / "attention.json", {
+        "config_hash": stamp,
+        "weights": {name: float(w) for name, w in zip(names, weights)},
+        "ranking": ranking,
+    })
 
 
 _METRIC_FIELDS = ("mae", "pearson_r", "accuracy", "macro_auc", "macro_f1",
@@ -406,9 +377,7 @@ def cmd_generate(config: ExperimentConfig, out_dir=None) -> Path:
                   **{n: KIND_IMAGING for n in ds.imaging_names}},
         "synthetic": block.synthetic.to_dict(),
     }
-    with open(out / "metadata.json", "w", encoding="utf-8") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "metadata.json", metadata)
     return out
 
 
@@ -426,11 +395,10 @@ def _train_one_seed(dataset, config: ExperimentConfig, seed: int,
     stamp = config.experiment_hash
 
     save_metrics_json(record, seed_dir / "metrics.json")
-    save_history_csv(result.history, seed_dir / "history.csv")
-    _prepend_comment(seed_dir / "history.csv", f"config_hash={stamp}")
+    save_history_csv(result.history, seed_dir / "history.csv", stamp)
     save_run(result, seed_dir / "checkpoint.json")
     if result.attention_vector is not None:
-        _attention_files(result, dataset, seed_dir, stamp)
+        _attention_files(result.attention_vector, dataset, seed_dir, stamp)
     edges = sample_trained_edges(result, dataset)
     _write_graph(edges, dataset.y, seed_dir / "graph_learned", stamp)
     return record
@@ -459,9 +427,7 @@ def cmd_train(config: ExperimentConfig) -> int:
         "aggregate": aggregate_records(list(records.values())),
         "failures": {str(seed): err for seed, err in failures.items()},
     }
-    with open(out / "aggregate.json", "w", encoding="utf-8") as fh:
-        json.dump(aggregate, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "aggregate.json", aggregate)
 
     for name, stats in aggregate["aggregate"].items():
         print(f"{name}: {stats['mean']:.4f} +/- {stats['std']:.4f} "
@@ -476,11 +442,10 @@ def cmd_train(config: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _linear_cell(dataset, config: ExperimentConfig, seed: int,
-                 cell_hash: str) -> MetricsRecord:
+def _linear_cell(dataset, config: ExperimentConfig, seed: int) -> MetricsRecord:
     train = dataset.require_masks().train
-    record = MetricsRecord(task=config.task, seed=seed, config_hash=cell_hash,
-                           extra={"experiment": "linear"})
+    record = MetricsRecord(task=config.task, seed=seed,
+                           config_hash=config.experiment_hash)
     if config.task == "regression":
         model = linear_fit(dataset.X[train], dataset.y[train])
         out = InferenceResult(predictions=model.predict(dataset.X))
@@ -499,30 +464,23 @@ def _linear_cell(dataset, config: ExperimentConfig, seed: int,
 def _ablate_cell(datasets: dict, config: ExperimentConfig, cell) -> MetricsRecord:
     subset, metric, method, seed = cell
     dataset = datasets[subset]
-    cell_hash = config_hash({"experiment": config.to_dict(), "subset": subset,
-                             "metric": metric, "method": method, "seed": seed})
-    extra = {"subset": subset, "metric": metric, "method": method}
-
     if method == "linear":
-        record = _linear_cell(dataset, config, seed, cell_hash)
-    elif method == "random":
+        return _linear_cell(dataset, config, seed)
+    if method == "random":
         cfg = config.train_config(seed, distance_metric="random")
-        _, record = run_experiment(dataset, cfg, extra=extra)
-    elif method == "adaptive":
+        return run_experiment(dataset, cfg)[1]
+    if method == "adaptive":
         cfg = config.train_config(seed, distance_metric=metric)
-        _, record = run_experiment(dataset, cfg, extra=extra)
-    elif method == "static":
+        return run_experiment(dataset, cfg)[1]
+    if method == "static":
         cfg = config.train_config(seed)
         if metric == "random":
             edges = random_graph(dataset.n_subjects, cfg.k,
                                  stream_rng(seed, STATIC_RANDOM_STREAM))
         else:
             edges = knn_static_graph(dataset.phenotype_matrix(), cfg.k, metric=metric)
-        _, record = run_experiment(dataset, cfg, fixed_edges=edges, extra=extra)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    record.extra.update(extra)
-    return record
+        return run_experiment(dataset, cfg, fixed_edges=edges)[1]
+    raise ValueError(f"unknown method {method!r}")
 
 
 _CELL_COLUMNS = ("subset", "metric", "method", "seed", "mae", "pearson_r",
@@ -578,19 +536,13 @@ def cmd_ablate(config: ExperimentConfig) -> int:
         if err is not None:
             failures[f"{subset}/{metric}/{method}/seed_{seed}"] = err
             continue
-        record = dataclasses.replace(record, extra={
-            **record.extra, "subset": subset, "metric": metric, "method": method})
         by_cell.setdefault((subset, metric, method), []).append(record)
         csv_rows.append([subset, metric, method, seed]
                         + [getattr(record, name) for name in _CELL_COLUMNS[4:]])
 
-    cells_path = out / "cells.csv"
-    with open(cells_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CELL_COLUMNS)
-        for row in csv_rows:
-            writer.writerow(["" if v is None else v for v in row])
-    _prepend_comment(cells_path, f"config_hash={config.experiment_hash}")
+    stamp = config.experiment_hash
+    write_csv(out / "cells.csv", stamp, _CELL_COLUMNS,
+              [["" if v is None else v for v in row] for row in csv_rows])
 
     headline = "mae" if config.task == "regression" else "accuracy"
     aggregated = []
@@ -607,7 +559,6 @@ def cmd_ablate(config: ExperimentConfig) -> int:
                  reverse=(headline == "accuracy"))
     aggregated = present + missing
 
-    agg_csv = out / "aggregate.csv"
     columns = ["subset", "metric", "method", "n_seeds"]
     seen = set(columns)
     for row in aggregated:
@@ -615,18 +566,10 @@ def cmd_ablate(config: ExperimentConfig) -> int:
             if key not in seen:
                 columns.append(key)
                 seen.add(key)
-    with open(agg_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in aggregated:
-            writer.writerow([row.get(col, "") for col in columns])
-    _prepend_comment(agg_csv, f"config_hash={config.experiment_hash}")
-
-    with open(out / "aggregate.json", "w", encoding="utf-8") as fh:
-        json.dump({"config_hash": config.experiment_hash, "task": config.task,
-                   "table": aggregated, "failures": failures},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_csv(out / "aggregate.csv", stamp, columns,
+              [[row.get(col, "") for col in columns] for row in aggregated])
+    write_json(out / "aggregate.json", {"config_hash": stamp, "task": config.task,
+                                        "table": aggregated, "failures": failures})
 
     for row in aggregated:
         label = f"{row['subset']}/{row['metric']}/{row['method']}"
@@ -666,9 +609,8 @@ def cmd_export(run_dir, what: str, seed: int | None = None) -> Path:
         if result.attention is None:
             raise CliError("this run has no attention scorer (static, random, "
                            "or ones-mode graph)")
-        result.attention_vector = attention_weights(result.attention,
-                                                    dataset.phenotype_matrix())
-        _attention_files(result, dataset, export_dir, stamp)
+        weights = attention_weights(result.attention, dataset.phenotype_matrix())
+        _attention_files(weights, dataset, export_dir, stamp)
         return export_dir
 
     mode = config.task

@@ -29,6 +29,8 @@ __all__ = [
     "CsvSchema",
     "PopulationDataset",
     "config_hash",
+    "write_json",
+    "write_csv",
     "generate_synthetic",
     "load_csv",
     "save_csv",
@@ -47,6 +49,23 @@ def config_hash(mapping) -> str:
     """sha256 of the canonical JSON form of a config mapping."""
     canonical = json.dumps(mapping, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(path, stamp: str, header, rows) -> None:
+    """Write a ``# config_hash=<stamp>`` line, the header, then the rows,
+    every line ending in a bare newline."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# config_hash={stamp}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass

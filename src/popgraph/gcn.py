@@ -92,11 +92,9 @@ def gcn_forward(a_hat, x, model: GcnModel) -> Tensor:
     product Â X is folded before touching the tape. Regression output is
     squeezed to shape (N,).
     """
-    if isinstance(a_hat, Tensor):
-        a_hat = a_hat.values
-    elif not sp.issparse(a_hat):
+    if not sp.issparse(a_hat):
         a_hat = np.asarray(a_hat, dtype=float)
-    x = x.values if isinstance(x, Tensor) else np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if a_hat.shape != (n, n):
         raise nm.ShapeError(f"gcn_forward: adjacency {a_hat.shape} does not match "

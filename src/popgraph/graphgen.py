@@ -18,13 +18,13 @@ Static kNN and uniform-random graphs cover the non-adaptive baselines.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import numerics as nm
+from .dataio import write_json
 from .numerics import Tensor
 
 __all__ = [
@@ -302,23 +302,15 @@ def _age_color(age: float, lo: float, hi: float) -> str:
     return f"#{r:02x}00{b:02x}"
 
 
-def export_graph(graph, labels, path, fmt: str = "json") -> None:
-    """Write a graph to disk.
+def export_graph(edges, labels, path, stamp: str, fmt: str) -> None:
+    """Write a graph to disk, stamped with the config hash ``stamp``.
 
     dot: one node statement per subject, filled with a blue-to-red ramp over
-    the label range, plus one directed edge statement per edge.
-    json: {nodes: [{id, age}], edges: [{src, dst, logp?}]}; the logp field is
-    present exactly when the input is a sampled graph, and holds its
-    per-edge scores (the raw, noise-free -t * d^2 unless it was drawn with
-    ``normalize``).
+    the label range, one directed edge statement per edge, then a
+    ``// config_hash=<stamp>`` line.
+    json: {config_hash, nodes: [{id, age}], edges: [{src, dst}]}.
     """
-    if isinstance(graph, SampledGraph):
-        edges = graph.edges
-        logp = np.asarray(graph.log_probs.values if isinstance(graph.log_probs, Tensor)
-                          else graph.log_probs, dtype=float)
-    else:
-        edges = np.asarray(graph, dtype=np.intp).reshape(-1, 2)
-        logp = None
+    edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     labels = np.asarray(labels, dtype=float)
     n = len(labels)
 
@@ -331,23 +323,14 @@ def export_graph(graph, labels, path, fmt: str = "json") -> None:
                          f'fillcolor="{color}"];')
         for (i, j) in edges:
             lines.append(f"  n{i} -> n{j};")
-        lines.append("}")
-        text = "\n".join(lines) + "\n"
+        lines += ["}", f"// config_hash={stamp}"]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
     elif fmt == "json":
-        payload = {
+        write_json(path, {
+            "config_hash": stamp,
             "nodes": [{"id": int(i), "age": float(labels[i])} for i in range(n)],
-            "edges": [
-                {"src": int(i), "dst": int(j)}
-                | ({} if logp is None else {"logp": float(logp[e])})
-                for e, (i, j) in enumerate(edges)
-            ],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            "edges": [{"src": int(i), "dst": int(j)} for (i, j) in edges],
+        })
     else:
         raise ValueError(f"unknown export format {fmt!r}; expected dot or json")
-
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"failed writing graph to {path}: {exc}") from exc

@@ -306,19 +306,12 @@ def div(a, b) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-        av, bv = a.values, b.values
-        return _apply("matmul", av @ bv, (a, b),
-                      lambda g: (g @ bv.T, av.T @ g))
-    if a.ndim == 2 and b.ndim == 1:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-        av, bv = a.values, b.values
-        return _apply("matmul", av @ bv, (a, b),
-                      lambda g: (g[:, None] * bv[None, :], av.T @ g))
-    raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
+    av, bv = a.values, b.values
+    return _apply("matmul", av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
 
 
 def add_rowvec(matrix, vec) -> Tensor:

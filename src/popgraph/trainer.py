@@ -13,7 +13,6 @@ with the same config produce bit-identical histories.
 
 from __future__ import annotations
 
-import csv
 import json
 import numbers
 import time
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import numerics as nm
 from .attention import AttentionMlp, aggregate_attention, attention_forward, weight_phenotypes
-from .dataio import PopulationDataset, config_hash
+from .dataio import PopulationDataset, config_hash, write_csv, write_json
 from .gcn import (
     GcnModel,
     cross_entropy_loss,
@@ -616,20 +615,15 @@ def run_experiment(dataset: PopulationDataset, config: TrainConfig,
     return result, record
 
 
-def save_history_csv(history: list, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "L_total", "L_gcn", "L_graph", "val_metric"])
-        for row in history:
-            writer.writerow([row["epoch"], repr(row["L_total"]), repr(row["L_gcn"]),
-                             repr(row["L_graph"]), repr(row["val_metric"])])
+def save_history_csv(history: list, path, stamp: str) -> None:
+    write_csv(path, stamp, ["epoch", "L_total", "L_gcn", "L_graph", "val_metric"],
+              [[row["epoch"], repr(row["L_total"]), repr(row["L_gcn"]),
+                repr(row["L_graph"]), repr(row["val_metric"])] for row in history])
 
 
 def save_metrics_json(record: MetricsRecord, path) -> None:
     record.validate()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, record.to_json_dict())
 
 
 def _pack(tensor: Tensor) -> dict:

@@ -10,7 +10,6 @@ from oracles import grad_check
 from popgraph import numerics as nm
 from popgraph.attention import (
     AttentionMlp,
-    as_attention_vector,
     aggregate_attention,
     attention_forward,
     rank_phenotypes,
@@ -141,22 +140,20 @@ def test_aggregate_range_invariant(n, m, seed):
 
 
 def test_rank_phenotypes_order_and_ties():
-    vec = as_attention_vector(np.array([0.1, 0.9, 0.5]),
-                              ["a", "b", "c"], ["non-imaging"] * 3)
-    ranked = rank_phenotypes(vec)
+    ranked = rank_phenotypes(np.array([0.1, 0.9, 0.5]),
+                             ["a", "b", "c"], ["non-imaging"] * 3)
     assert [row["name"] for row in ranked] == ["b", "c", "a"]
     assert [row["rank"] for row in ranked] == [1, 2, 3]
 
-    tied = as_attention_vector(np.array([0.4, 0.4, 0.4]),
-                               ["a", "b", "c"], ["imaging"] * 3)
-    assert [row["name"] for row in rank_phenotypes(tied)] == ["a", "b", "c"]
+    tied = rank_phenotypes(np.array([0.4, 0.4, 0.4]),
+                           ["a", "b", "c"], ["imaging"] * 3)
+    assert [row["name"] for row in tied] == ["a", "b", "c"]
 
 
 def test_ranking_csv_and_json_exports(tmp_path):
-    result = SimpleNamespace(attention_vector=np.array([0.25, 1.0]))
     dataset = SimpleNamespace(n_nonimaging=1, n_imaging=1,
                               phenotype_names=["q00", "s00"])
-    _attention_files(result, dataset, tmp_path, "abc123")
+    _attention_files(np.array([0.25, 1.0]), dataset, tmp_path, "abc123")
     lines = (tmp_path / "attention.csv").read_text().strip().splitlines()
     assert lines[0] == "# config_hash=abc123"
     assert lines[1] == "rank,name,kind,weight"
@@ -171,7 +168,7 @@ def test_ranking_csv_and_json_exports(tmp_path):
 
 def test_vector_metadata_length_check():
     with pytest.raises(ValueError):
-        as_attention_vector(np.ones(3), ["a"], ["imaging"])
+        rank_phenotypes(np.ones(3), ["a"], ["imaging"])
 
 
 def test_aggregation_stays_on_tape():

@@ -4,6 +4,7 @@ ablations, exports, and exit codes, all on miniature datasets.
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,6 +475,42 @@ def test_cmd_export_random_run_has_no_attention(tmp_path):
                                            "distance_metric": "random"})
     with pytest.raises(CliError, match="attention"):
         cmd_export(run_dir, "attention")
+
+
+def test_every_artifact_carries_the_experiment_hash(tmp_path):
+    """Each CSV opens with the experiment hash and ends its lines in a bare
+    newline; each graph file carries the hash in its own syntax."""
+    train = ExperimentConfig.from_dict(experiment_dict(tmp_path / "run"))
+    ablate = ExperimentConfig.from_dict(experiment_dict(
+        tmp_path / "ablate", ablation={"phenotype_subsets": ["both"],
+                                       "distance_metrics": ["euclidean"],
+                                       "methods": ["adaptive", "linear"]}))
+    assert cmd_train(train) == 0
+    assert cmd_ablate(ablate) == 0
+    for what in ("attention", "graph-learned", "graph-static"):
+        cmd_export(tmp_path / "run", what)
+
+    expected_csvs = (
+        (train, {"seed_0/history.csv", "seed_0/attention.csv",
+                 "seed_0/export/attention.csv"}),
+        (ablate, {"cells.csv", "aggregate.csv"}),
+    )
+    for config, names in expected_csvs:
+        out = Path(config.out_dir)
+        found = {p.relative_to(out).as_posix() for p in out.rglob("*.csv")}
+        assert found == names
+        for name in names:
+            data = (out / name).read_bytes()
+            assert data.startswith(f"# config_hash={config.experiment_hash}\n".encode())
+            assert b"\r" not in data, name
+
+    stamp = train.experiment_hash
+    seed_dir = tmp_path / "run" / "seed_0"
+    for stem in ("graph_learned", "export/graph_learned", "export/graph_static"):
+        graph = json.loads((seed_dir / f"{stem}.json").read_text(encoding="utf-8"))
+        assert graph["config_hash"] == stamp
+        dot = (seed_dir / f"{stem}.dot").read_text(encoding="utf-8")
+        assert dot.endswith(f"}}\n// config_hash={stamp}\n")
 
 
 # ---------------------------------------------------------------------------

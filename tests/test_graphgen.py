@@ -446,35 +446,26 @@ def test_homophily_counts_undirected_pairs_once():
 
 def test_export_dot_statements(tmp_path):
     path = tmp_path / "g.dot"
-    export_graph(np.array([[0, 1]]), np.array([47.0, 81.0]), path, fmt="dot")
+    export_graph(np.array([[0, 1]]), np.array([47.0, 81.0]), path, "ab12", "dot")
     text = path.read_text()
     assert text.count("[label=") == 2
     assert text.count("->") == 1
     assert '"#0000ff"' in text  # youngest is pure blue
     assert '"#ff0000"' in text  # oldest is pure red
+    assert text.endswith("}\n// config_hash=ab12\n")
 
 
 def test_export_json_round_trip(tmp_path):
     edges = random_graph(6, 2, np.random.default_rng(2))
     path = tmp_path / "g.json"
-    export_graph(edges, RNG.uniform(47, 81, 6), path, fmt="json")
+    export_graph(edges, RNG.uniform(47, 81, 6), path, "ab12", "json")
     payload = json.loads(path.read_text())
     back = {(e["src"], e["dst"]) for e in payload["edges"]}
     assert back == {tuple(map(int, e)) for e in edges}
-    assert all("logp" not in e for e in payload["edges"])
-
-
-def test_export_json_sampled_graph_carries_logp(tmp_path):
-    lp = Tensor(RNG.normal(size=(5, 5)))
-    g = gumbel_topk_sample(lp, k=2, rng=np.random.default_rng(3))
-    path = tmp_path / "s.json"
-    export_graph(g, RNG.uniform(47, 81, 5), path, fmt="json")
-    payload = json.loads(path.read_text())
-    assert all("logp" in e for e in payload["edges"])
-    assert len(payload["edges"]) == 10
+    assert payload["config_hash"] == "ab12"
 
 
 def test_export_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="format"):
         export_graph(np.array([[0, 1]]), np.array([1.0, 2.0]),
-                     tmp_path / "g.x", fmt="gexf")
+                     tmp_path / "g.x", "ab12", "gexf")

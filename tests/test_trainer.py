@@ -566,11 +566,12 @@ def test_history_csv_round_trip(tmp_path):
         {"epoch": 1, "L_total": 1.25, "L_gcn": 0.75, "L_graph": 0.5, "val_metric": 3.0},
     ]
     path = tmp_path / "history.csv"
-    save_history_csv(history, path)
+    save_history_csv(history, path, "ab12")
     lines = path.read_text(encoding="utf-8").strip().splitlines()
-    assert lines[0] == "epoch,L_total,L_gcn,L_graph,val_metric"
-    assert lines[1].split(",") == ["0", "1.5", "1.0", "0.5", "3.25"]
-    assert len(lines) == 3
+    assert lines[0] == "# config_hash=ab12"
+    assert lines[1] == "epoch,L_total,L_gcn,L_graph,val_metric"
+    assert lines[2].split(",") == ["0", "1.5", "1.0", "0.5", "3.25"]
+    assert len(lines) == 4
 
 
 def test_metrics_json_is_byte_identical_and_excludes_timing(tmp_path):
