@@ -27,8 +27,8 @@ __all__ = [
 
 @dataclass
 class AttentionMlp:
-    """One-hidden-layer scorer: n_phenotypes -> hidden (ReLU) -> n_phenotypes
-    (sigmoid). Hidden width defaults to twice the input width."""
+    """One-hidden-layer scorer: n_phenotypes -> 2 * n_phenotypes (ReLU) ->
+    n_phenotypes (sigmoid)."""
 
     w1: Tensor
     b1: Tensor
@@ -36,10 +36,8 @@ class AttentionMlp:
     b2: Tensor
 
     @classmethod
-    def init(cls, n_phenotypes: int, rng: np.random.Generator,
-             hidden: int | None = None) -> "AttentionMlp":
-        if hidden is None:
-            hidden = 2 * n_phenotypes
+    def init(cls, n_phenotypes: int, rng: np.random.Generator) -> "AttentionMlp":
+        hidden = 2 * n_phenotypes
         lim1 = 1.0 / np.sqrt(n_phenotypes)
         lim2 = 1.0 / np.sqrt(hidden)
         w1 = rng.uniform(-lim1, lim1, (n_phenotypes, hidden))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphgen import knn_static_graph
-from .trainer import TrainConfig, run_experiment
+from .trainer import TrainConfig, run_experiment, softmax_rows
 
 __all__ = [
     "LinearModel",
@@ -48,10 +48,7 @@ class LinearModel:
     def predict_proba(self, x) -> np.ndarray:
         if self.task != "logistic":
             raise ValueError("probabilities only exist for the logistic task")
-        scores = self._check(x) @ self.weights + self.bias
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax_rows(self._check(x) @ self.weights + self.bias)
 
 
 def _ridge_fit(x: np.ndarray, y: np.ndarray, ridge: float) -> LinearModel:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -283,8 +285,8 @@ def csv_schema_for(dataset: PopulationDataset) -> CsvSchema:
 
 def load_csv(path, schema: CsvSchema) -> PopulationDataset:
     """Load a phenotype table. Rows missing any mapped cell or the label are
-    dropped (count recorded in meta['n_dropped']); non-numeric cells are an
-    error naming the row and column."""
+    dropped (count recorded in meta['n_dropped']); non-numeric and non-finite
+    cells (nan, inf) are an error naming the row and column."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -322,6 +324,9 @@ def load_csv(path, schema: CsvSchema) -> PopulationDataset:
                 raise ValueError(
                     f"{path}: row {r + 2}, column {name!r}: "
                     f"non-numeric cell {cells[name]!r}") from None
+            if not math.isfinite(values[name]):
+                raise ValueError(f"{path}: row {r + 2}, column {name!r}: "
+                                 f"non-finite cell {cells[name]!r}")
         parsed.append(values)
 
     if not parsed:
@@ -384,9 +389,15 @@ def split(dataset: PopulationDataset, fractions=(0.75, 0.05, 0.20),
     """Random train/val/test partition with largest-remainder sizing.
 
     Sizes are the floors of fraction*N, with leftover slots handed to the
-    largest fractional remainders (ties broken by position). Raises if any
-    split comes out empty.
+    largest fractional remainders (ties broken by position). Raises if a
+    fraction is not a finite, nonnegative number, or if any split comes out
+    empty.
     """
+    names = ("train", "val", "test")
+    for name, f in zip(names, fractions):
+        if not (isinstance(f, numbers.Real) and math.isfinite(f) and f >= 0.0):
+            raise ValueError(f"{name} fraction {f!r} in {fractions} must be a finite, "
+                             "nonnegative number")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions sum to {sum(fractions)}, expected 1")
     n = dataset.n_subjects
@@ -397,7 +408,6 @@ def split(dataset: PopulationDataset, fractions=(0.75, 0.05, 0.20),
         k = int(np.argmax(remainders))
         sizes[k] += 1
         remainders[k] = -1.0
-    names = ("train", "val", "test")
     for name, size in zip(names, sizes):
         if size == 0:
             raise ValueError(f"{name} split is empty for N={n} and fractions {fractions}")

@@ -39,6 +39,9 @@ __all__ = [
     "total_loss",
 ]
 
+# error at which the Huber loss turns from quadratic to linear
+HUBER_DELTA = 1.0
+
 
 @dataclass
 class GcnModel:
@@ -73,15 +76,8 @@ class GcnModel:
     def n_features(self) -> int:
         return self.w1.shape[0]
 
-    @property
-    def n_out(self) -> int:
-        return self.w3.shape[1]
-
     def params(self) -> list:
         return [self.w1, self.w2, self.b2, self.w3, self.b3]
-
-    def param_names(self) -> list:
-        return ["w1", "w2", "b2", "w3", "b3"]
 
 
 def gcn_forward(a_hat, x, model: GcnModel) -> Tensor:
@@ -111,18 +107,19 @@ def gcn_forward(a_hat, x, model: GcnModel) -> Tensor:
     return out
 
 
-def huber_loss(pred: Tensor, y, mask, delta: float = 1.0) -> Tensor:
-    """Mean Huber loss over masked nodes: quadratic inside |e| <= delta,
-    linear outside. The branch indicator is fixed from the current values;
-    both branches meet with equal value and slope at the boundary."""
+def huber_loss(pred: Tensor, y, mask) -> Tensor:
+    """Mean Huber loss over masked nodes: quadratic inside |e| <=
+    ``HUBER_DELTA``, linear outside. The branch indicator is fixed from the
+    current values; both branches meet with equal value and slope at the
+    boundary."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("huber_loss: empty mask")
     y = np.asarray(y, dtype=float)
     err = nm.masked_select(pred, mask) - Tensor(y[mask])
-    small = np.abs(err.values) <= delta
+    small = np.abs(err.values) <= HUBER_DELTA
     quad = nm.square(err) * 0.5
-    lin = (nm.absolute(err) - 0.5 * delta) * delta
+    lin = (nm.absolute(err) - 0.5 * HUBER_DELTA) * HUBER_DELTA
     return (quad * small.astype(float) + lin * (~small).astype(float)).mean()
 
 
@@ -195,14 +192,8 @@ class LossBreakdown:
         return float(self.total.values)
 
 
-def total_loss(l_gcn, l_graph, rewards=None) -> LossBreakdown:
+def total_loss(l_gcn: Tensor, l_graph: Tensor, rewards=None) -> LossBreakdown:
     """Combine the supervised and graph terms: total = L_GCN + L_graph."""
-    gv = float(l_gcn.values) if isinstance(l_gcn, Tensor) else float(l_gcn)
-    rv = float(l_graph.values) if isinstance(l_graph, Tensor) else float(l_graph)
-    if not (np.isfinite(gv) and np.isfinite(rv)):
-        raise ValueError(f"non-finite loss component: L_GCN={gv}, L_graph={rv}")
-    l_gcn = l_gcn if isinstance(l_gcn, Tensor) else Tensor(gv)
-    l_graph = l_graph if isinstance(l_graph, Tensor) else Tensor(rv)
     total = l_gcn + l_graph
     stats = {}
     if rewards is not None:
@@ -210,4 +201,5 @@ def total_loss(l_gcn, l_graph, rewards=None) -> LossBreakdown:
         stats = {"reward_mean": float(rewards.mean()),
                  "reward_min": float(rewards.min()),
                  "reward_max": float(rewards.max())}
-    return LossBreakdown(total=total, l_gcn=gv, l_graph=rv, **stats)
+    return LossBreakdown(total=total, l_gcn=float(l_gcn.values),
+                         l_graph=float(l_graph.values), **stats)

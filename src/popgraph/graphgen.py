@@ -61,24 +61,20 @@ class PairwiseDistances:
     def rows(self, r0: int, r1: int) -> np.ndarray:
         return self._kernel.rows(np.arange(r0, r1))
 
-    def squared_rows(self, r0: int, r1: int) -> np.ndarray:
-        """Rows r0..r1-1 of d^2, as a fresh array."""
-        return self._kernel.forward(np.arange(r0, r1))[0]
-
 
 class EdgeScores:
     """log p = -t * d^2 over a ``PairwiseDistances`` operator, by row blocks."""
 
     def __init__(self, distances: PairwiseDistances, t: Tensor):
-        self.distances = distances
+        self._kernel = distances._kernel
         self.features = distances.features
         self.metric = distances.metric
         self.t = t
         self.shape = distances.shape
 
     def rows(self, r0: int, r1: int) -> np.ndarray:
-        sq = self.distances.squared_rows(r0, r1)
-        return nm.kernel_scores(sq, float(self.t.values), out=sq)
+        sq = self._kernel.forward(np.arange(r0, r1))[0]
+        return nm.kernel_scores(sq, float(self.t.values))
 
 
 def pairwise_distance(features, metric: str) -> PairwiseDistances:
@@ -142,7 +138,6 @@ class SampledGraph:
     log_probs: Tensor | None  # (N*k,) noise-free per-edge score, on the tape;
                               # None for a fixed or uniform random graph
     n_nodes: int
-    k: int
     noise: np.ndarray | None = None  # the replay noise passed in, if any
 
     @functools.cached_property
@@ -216,7 +211,7 @@ def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
                                           forward=(raw.reshape(-1), row_lse))
     else:
         log_probs = nm.gather_rows(nm.reshape(lp, (n * n,)), edges[:, 0] * n + edges[:, 1])
-    return SampledGraph(edges=edges, log_probs=log_probs, n_nodes=n, k=k, noise=noise)
+    return SampledGraph(edges=edges, log_probs=log_probs, n_nodes=n, noise=noise)
 
 
 def knn_static_graph(features, k: int, metric: str = "cosine") -> np.ndarray:

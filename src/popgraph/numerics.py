@@ -118,9 +118,6 @@ class Tensor:
     def size(self) -> int:
         return self.values.size
 
-    def item(self) -> float:
-        return float(self.values)
-
     def zero_grad(self) -> None:
         if self.requires_grad:
             self.grad = np.zeros_like(self.values)
@@ -160,32 +157,11 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def exp(self):
-        return exp(self)
-
-    def square(self):
-        return square(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def abs(self):
-        return absolute(self)
-
     def mean(self, axis=None):
         return mean(self, axis=axis)
 
     def sum(self, axis=None):
         return tsum(self, axis=axis)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def _as_tensor(x) -> Tensor:
@@ -514,9 +490,9 @@ def fill_block_diagonal(block: np.ndarray, rows: np.ndarray, value: float) -> No
     block[np.arange(len(rows)), rows] = value
 
 
-def kernel_scores(sq: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
-    """log p = -t d^2 on a block of squared distances (in place with out=sq)."""
-    return np.multiply(sq, -t, out=out)
+def kernel_scores(sq: np.ndarray, t: float) -> np.ndarray:
+    """log p = -t d^2 on a block of squared distances, in place in sq."""
+    return np.multiply(sq, -t, out=sq)
 
 
 def gumbel_fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -764,7 +740,7 @@ def kernel_edge_scores(features, t, metric: str, edges, normalize: bool,
         row_lse = np.empty(n) if normalize else None
         for rows, sel, pos in _edge_blocks(np.arange(n), src, step):
             sq, _ = dist.forward(rows)
-            scores = kernel_scores(sq, tv, out=sq)
+            scores = kernel_scores(sq, tv)
             raw[sel] = scores[pos, dst[sel]]
             if normalize:
                 row_lse[rows] = offdiag_logsumexp(scores, rows)

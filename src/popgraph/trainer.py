@@ -50,10 +50,10 @@ __all__ = [
     "TrainingError",
     "MetricsRecord",
     "AdamW",
-    "adamw_step",
     "train",
     "infer",
     "InferenceResult",
+    "softmax_rows",
     "attention_weights",
     "stream_rng",
     "sample_trained_edges",
@@ -82,6 +82,10 @@ INITIAL_LOG_TEMPERATURE = float(np.log(10.0))
 # momentum of the per-node running mean of rewards that baselines the edge
 # objective
 REWARD_BASELINE_MOMENTUM = 0.95
+
+# AdamW's moment decay rates, denominator guard and decoupled weight decay,
+# the defaults of Loshchilov & Hutter (arXiv:1711.05101)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.01
 
 
 class TrainingError(RuntimeError):
@@ -148,40 +152,20 @@ class TrainResult:
     _fixed_graph: SampledGraph | None = field(default=None, init=False, repr=False,
                                               compare=False)
 
-    @property
-    def temperature(self) -> float | None:
-        return None if self.tau is None else float(np.exp(self.tau.values))
-
 
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
 
 
-def adamw_step(values, grad, m, v, t, lr, beta1=0.9, beta2=0.999,
-               eps=1e-8, weight_decay=0.01):
-    """One decoupled-weight-decay Adam update. ``t`` is the 1-based step
-    count. Returns (new_values, new_m, new_v)."""
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    new_values = values * (1.0 - lr * weight_decay) - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new_values, m, v
-
-
 class AdamW:
-    """Holds first/second moments for a fixed parameter list. Decay applies
-    uniformly to every parameter it manages."""
+    """Decoupled-weight-decay Adam over a fixed parameter list, with the
+    ``ADAM_*`` and ``WEIGHT_DECAY`` constants. Holds the first and second
+    moments; decay applies uniformly to every parameter it manages."""
 
-    def __init__(self, params, lr=0.005, beta1=0.9, beta2=0.999,
-                 eps=1e-8, weight_decay=0.01):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.values) for p in self.params]
         self._v = [np.zeros_like(p.values) for p in self.params]
@@ -191,12 +175,17 @@ class AdamW:
             p.zero_grad()
 
     def step(self) -> None:
+        """One update; ``t`` counts steps from 1."""
         self.t += 1
+        lr = self.lr
         for i, p in enumerate(self.params):
-            grad = p.grad if p.grad is not None else np.zeros_like(p.values)
-            p.values, self._m[i], self._v[i] = adamw_step(
-                p.values, grad, self._m[i], self._v[i], self.t,
-                self.lr, self.beta1, self.beta2, self.eps, self.weight_decay)
+            grad = p.grad
+            m = self._m[i] = ADAM_BETA1 * self._m[i] + (1.0 - ADAM_BETA1) * grad
+            v = self._v[i] = ADAM_BETA2 * self._v[i] + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
+            p.values = (p.values * (1.0 - lr * WEIGHT_DECAY)
+                        - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +226,10 @@ def _draw_graph(result: TrainResult, phenotypes: np.ndarray, rng: np.random.Gene
     n = phenotypes.shape[0]
     if result.fixed_edges is not None:
         if result._fixed_graph is None:
-            result._fixed_graph = SampledGraph(result.fixed_edges, None, n,
-                                               len(result.fixed_edges) // n)
+            result._fixed_graph = SampledGraph(result.fixed_edges, None, n)
         return result._fixed_graph
     if config.distance_metric == "random":
-        return SampledGraph(random_graph(n, config.k, rng), None, n, config.k)
+        return SampledGraph(random_graph(n, config.k, rng), None, n)
     if config.attention_mode == "ones":
         a = Tensor(np.ones(phenotypes.shape[1]))
     else:
@@ -412,7 +400,8 @@ class InferenceResult:
     probabilities: np.ndarray | None = None  # (N, C) for classification
 
 
-def _softmax_rows(values: np.ndarray) -> np.ndarray:
+def softmax_rows(values: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an (n, c) array."""
     shifted = values - values.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -438,7 +427,7 @@ def infer(result: TrainResult, dataset: PopulationDataset, n_samples: int,
                 break  # a fixed run's one graph: another forward would repeat
             out = gcn_forward(graph.a_hat, dataset.X, result.model).values
             if config.task == "classification":
-                out = _softmax_rows(out)
+                out = softmax_rows(out)
             acc = out if acc is None else acc + out
             drawn += 1
     mean = acc / drawn
@@ -626,19 +615,22 @@ def save_metrics_json(record: MetricsRecord, path) -> None:
     write_json(path, record.to_json_dict())
 
 
-def _pack(tensor: Tensor) -> dict:
-    return {"shape": list(tensor.shape), "values": tensor.values.reshape(-1).tolist()}
+def _pack(model) -> dict:
+    """Each Tensor field of a model, by field name, as {shape, values}."""
+    return {name: {"shape": list(p.shape), "values": p.values.reshape(-1).tolist()}
+            for name, p in vars(model).items() if isinstance(p, Tensor)}
 
 
-def _unpack(entry: dict) -> Tensor:
-    values = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-    return Tensor(values, requires_grad=True)
+def _unpack(packed: dict) -> dict:
+    """The keyword arguments that rebuild the Tensor fields ``_pack`` wrote."""
+    return {name: Tensor(np.array(entry["values"], dtype=np.float64).reshape(entry["shape"]),
+                         requires_grad=True)
+            for name, entry in packed.items()}
 
 
 def save_run(result: TrainResult, path) -> None:
     """Checkpoint a whole trained run: predictor, scorer, temperature, config,
     and the frozen edge list if there was one."""
-    model = result.model
     payload = {
         "format_version": RUN_FORMAT_VERSION,
         "config": result.config.to_dict(),
@@ -646,11 +638,8 @@ def save_run(result: TrainResult, path) -> None:
         "epsilon": result.epsilon,
         "best_epoch": result.best_epoch,
         "best_val": result.best_val,
-        "gcn": {name: _pack(p)
-                for name, p in zip(model.param_names(), model.params())},
-        "attention": None if result.attention is None else {
-            name: _pack(p)
-            for name, p in zip(("w1", "b1", "w2", "b2"), result.attention.params())},
+        "gcn": _pack(result.model),
+        "attention": None if result.attention is None else _pack(result.attention),
         "log_temperature": None if result.tau is None else float(result.tau.values),
         "fixed_edges": None if result.fixed_edges is None
         else result.fixed_edges.tolist(),
@@ -672,14 +661,10 @@ def load_run(path) -> TrainResult:
         raise ValueError(f"run checkpoint {path}: unsupported format version "
                          f"{version!r}")
     config = TrainConfig(**payload["config"])
-    g = payload["gcn"]
-    model = GcnModel(w1=_unpack(g["w1"]), w2=_unpack(g["w2"]), b2=_unpack(g["b2"]),
-                     w3=_unpack(g["w3"]), b3=_unpack(g["b3"]), task=config.task)
+    model = GcnModel(**_unpack(payload["gcn"]), task=config.task)
     attention = None
     if payload["attention"] is not None:
-        a = payload["attention"]
-        attention = AttentionMlp(w1=_unpack(a["w1"]), b1=_unpack(a["b1"]),
-                                 w2=_unpack(a["w2"]), b2=_unpack(a["b2"]))
+        attention = AttentionMlp(**_unpack(payload["attention"]))
     tau = None
     if payload["log_temperature"] is not None:
         tau = Tensor(float(payload["log_temperature"]), requires_grad=True)

@@ -329,9 +329,9 @@ def grad_check(build_loss: Callable[[], nm.Tensor], params: Sequence[nm.Tensor],
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                hi = build_loss().item()
+                hi = float(build_loss().values)
                 flat[i] = orig - h
-                lo = build_loss().item()
+                lo = float(build_loss().values)
                 flat[i] = orig
                 fd[i] = (hi - lo) / (2.0 * h)
             numeric.append(fd.reshape(p.values.shape))

@@ -21,8 +21,8 @@ from popgraph.numerics import Tensor, backward
 RNG = np.random.default_rng(99)
 
 
-def make_mlp(n_phen, seed=0, hidden=None):
-    return AttentionMlp.init(n_phen, np.random.default_rng(seed), hidden=hidden)
+def make_mlp(n_phen, seed=0):
+    return AttentionMlp.init(n_phen, np.random.default_rng(seed))
 
 
 def test_zero_parameters_give_half_scores():

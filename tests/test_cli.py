@@ -562,18 +562,32 @@ def test_main_rejects_bad_train_block_before_writing(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
-@pytest.mark.parametrize("broken", ["one_class", "missing_csv"])
+@pytest.mark.parametrize("broken", ["one_class", "missing_csv", "negative_fraction",
+                                    "nonfinite_csv"])
 def test_main_dataset_failure_leaves_no_run_directory(tmp_path, capsys,
                                                       command, broken):
     payload = experiment_dict(tmp_path / "run")
     if broken == "one_class":
         payload["task"] = "classification"
         payload["train"]["n_classes"] = 1
-    else:
+    elif broken == "missing_csv":
         payload["dataset"].update(source="csv", csv_path=str(tmp_path / "absent.csv"))
+    elif broken == "negative_fraction":
+        payload["dataset"]["split_fractions"] = [1.2, -0.1, -0.1]
+    else:
+        # enough rows to split; the one nan cell is the only fault
+        rows = [f"{i / 40},{50 + i}" for i in range(40)]
+        rows[7] = "nan,57"
+        csv_path = tmp_path / "nan.csv"
+        csv_path.write_text("\n".join(["a,age"] + rows) + "\n", encoding="utf-8")
+        payload["dataset"].update(source="csv", csv_path=str(csv_path),
+                                  kinds={"a": "non-imaging"})
     path = write_config(tmp_path, payload)
     assert main([command, "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    cause = {"negative_fraction": "val fraction -0.1", "nonfinite_csv": "row 9, column 'a'"}
+    assert cause.get(broken, "") in err
     assert not (tmp_path / "run").exists()
 
 

@@ -165,10 +165,14 @@ def test_csv_drops_incomplete_rows(tmp_path):
 
 
 def test_csv_non_numeric_cell_names_location(tmp_path):
-    path = _write(tmp_path / "t.csv", "id,a,age\n1,0.1,50\n2,oops,51\n")
     schema = CsvSchema("age", {"a": KIND_NONIMAGING})
-    with pytest.raises(ValueError, match=r"row 3.*'a'"):
-        load_csv(path, schema)
+    for body, where in [("1,0.1,50\n2,oops,51\n", r"row 3.*'a'.*non-numeric"),
+                        ("1,0.1,50\n2,nan,51\n", r"row 3.*'a'.*non-finite"),
+                        ("1,0.1,50\n2,0.2,inf\n", r"row 3.*'age'.*non-finite"),
+                        ("1,-inf,50\n", r"row 2.*'a'.*non-finite")]:
+        path = _write(tmp_path / "t.csv", "id,a,age\n" + body)
+        with pytest.raises(ValueError, match=where):
+            load_csv(path, schema)
 
 
 def test_csv_unknown_kind_map_column(tmp_path):
@@ -284,6 +288,15 @@ def test_split_bad_fractions():
     ds = generate_synthetic(small_config(), seed=0)
     with pytest.raises(ValueError, match="fractions"):
         split(ds, (0.5, 0.2, 0.2), seed=0)
+    # sums to 1 but would train on every subject and leave val and test empty
+    with pytest.raises(ValueError, match="val fraction -0.1"):
+        split(ds, (1.2, -0.1, -0.1), seed=0)
+    with pytest.raises(ValueError, match="train fraction nan"):
+        split(ds, (float("nan"), 0.5, 0.5), seed=0)
+    with pytest.raises(ValueError, match="test fraction inf"):
+        split(ds, (0.5, 0.5, float("inf")), seed=0)
+    with pytest.raises(ValueError, match="train fraction '0.5'"):
+        split(ds, ("0.5", 0.25, 0.25), seed=0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -23,13 +23,16 @@ from popgraph.gcn import GcnModel, gcn_forward, graph_loss, huber_loss, null_eps
 from popgraph.graphgen import edge_probabilities, gumbel_topk_sample, pairwise_distance
 from popgraph.numerics import Tensor
 from popgraph.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     HOMOPHILY_STREAM,
     INFERENCE_STREAM,
+    WEIGHT_DECAY,
     AdamW,
     MetricsRecord,
     TrainConfig,
     TrainingError,
-    adamw_step,
     evaluate_classification,
     evaluate_regression,
     infer,
@@ -72,7 +75,7 @@ def tiny_config(**overrides):
 
 def test_adamw_two_steps_match_hand_computation():
     lr, b1, b2, eps, wd = 0.1, 0.9, 0.999, 1e-8, 0.01
-    p = np.array(1.0)
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, WEIGHT_DECAY) == (b1, b2, eps, wd)
 
     # step 1, g = 0.5
     m1 = 0.1 * 0.5
@@ -84,32 +87,37 @@ def test_adamw_two_steps_match_hand_computation():
     p2 = p1 * (1 - lr * wd) - lr * (m2 / (1 - b1 ** 2)) / (
         math.sqrt(v2 / (1 - b2 ** 2)) + eps)
 
-    got, m, v = adamw_step(p, np.array(0.5), np.zeros(()), np.zeros(()), 1,
-                           lr, b1, b2, eps, wd)
-    assert abs(float(got) - p1) < 1e-12
-    got, m, v = adamw_step(got, np.array(-0.25), m, v, 2, lr, b1, b2, eps, wd)
-    assert abs(float(got) - p2) < 1e-12
+    p = Tensor(1.0, requires_grad=True)
+    opt = AdamW([p], lr=lr)
+    p.grad = np.array(0.5)
+    opt.step()
+    assert abs(float(p.values) - p1) < 1e-12
+    p.grad = np.array(-0.25)
+    opt.step()
+    assert abs(float(p.values) - p2) < 1e-12
 
 
-def test_adamw_zero_grad_without_decay_is_fixed_point():
+def test_adamw_zero_grad_without_decay_is_fixed_point(monkeypatch):
+    monkeypatch.setattr(popgraph.trainer, "WEIGHT_DECAY", 0.0)
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    opt = AdamW([p], lr=0.05, weight_decay=0.0)
+    opt = AdamW([p], lr=0.05)
     before = p.values.copy()
     for _ in range(3):
-        opt.step()  # grad is None, treated as zeros
+        opt.step()  # grad stays at its initial zeros
     assert np.array_equal(p.values, before)
 
 
 def test_adamw_decay_only_shrinks_parameters():
     p = Tensor(np.array([4.0]), requires_grad=True)
-    opt = AdamW([p], lr=0.1, weight_decay=0.5)
+    opt = AdamW([p], lr=0.1)
     opt.step()
-    assert np.allclose(p.values, 4.0 * (1 - 0.1 * 0.5))
+    assert np.allclose(p.values, 4.0 * (1 - 0.1 * WEIGHT_DECAY))
     opt.step()
-    assert np.allclose(p.values, 4.0 * (1 - 0.1 * 0.5) ** 2)
+    assert np.allclose(p.values, 4.0 * (1 - 0.1 * WEIGHT_DECAY) ** 2)
 
 
-def test_adamw_class_matches_functional_on_matrix():
+def test_adamw_first_step_on_matrix_matches_formula():
+    """Step 1 from zero moments, elementwise on a matrix parameter."""
     rng = np.random.default_rng(0)
     values = rng.normal(size=(3, 2))
     grad = rng.normal(size=(3, 2))
@@ -117,8 +125,10 @@ def test_adamw_class_matches_functional_on_matrix():
     p.grad = grad.copy()
     opt = AdamW([p], lr=0.01)
     opt.step()
-    expect, _, _ = adamw_step(values, grad, np.zeros((3, 2)), np.zeros((3, 2)), 1, 0.01)
-    assert np.array_equal(p.values, expect)
+    m_hat = (1.0 - ADAM_BETA1) * grad / (1.0 - ADAM_BETA1)
+    v_hat = (1.0 - ADAM_BETA2) * grad * grad / (1.0 - ADAM_BETA2)
+    expect = values * (1.0 - 0.01 * WEIGHT_DECAY) - 0.01 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    assert np.allclose(p.values, expect, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +146,7 @@ def test_train_smoke_history_and_result():
         assert abs(row["L_total"] - (row["L_gcn"] + row["L_graph"])) < 1e-9
     assert result.attention_vector.shape == (8,)
     assert np.all(result.attention_vector >= 0) and np.all(result.attention_vector <= 1)
-    assert result.temperature > 0
+    assert result.tau is not None and np.isfinite(result.tau.values)
     assert result.epsilon > 0
 
 
@@ -231,7 +241,7 @@ def test_train_classification_smoke():
     ds = tiny_dataset(task="classification")
     result = train(ds, tiny_config(task="classification", n_classes=3))
     assert all(0.0 <= row["val_metric"] <= 1.0 for row in result.history)
-    assert result.model.n_out == 3
+    assert result.model.w3.shape[1] == 3
     # uniform-over-classes null reward offset
     assert abs(result.epsilon - (1 - 1 / 3)) < 1e-12
 
