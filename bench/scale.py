@@ -19,9 +19,8 @@ Per N the row gives:
   at its own rewards), so with 4 epochs the median rests on the other three.
 - ``peak_rss_mb``: ``ru_maxrss`` of that process, population included.
 - ``split_ms``: median time per call, from the spans. ``backward`` is the
-  whole tape backward of an epoch, ``sampler`` one Gumbel-Top-k draw (the
-  training and validation draws alike), ``validation`` the epoch's no-grad
-  validation draw and forward, ``gcn_forward`` one GCN forward.
+  whole tape backward of an epoch, ``sampler`` one Gumbel-Top-k draw,
+  ``gcn_forward`` one GCN forward.
 
 Each row also names the commit and a hash of ``src/popgraph``, so a row
 measured on an uncommitted tree still identifies its code, plus nproc and the
@@ -50,7 +49,7 @@ CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
              "MKL_NUM_THREADS": "1", "PYTHONHASHSEED": "0",
              "PYTHONDONTWRITEBYTECODE": "1"}
 SPLIT = {"backward": "numerics.backward_ms", "sampler": "graphgen.sampler_ms",
-         "validation": "trainer.val_ms", "gcn_forward": "gcn.forward_ms"}
+         "gcn_forward": "gcn.forward_ms"}
 
 
 def measure(root: Path, n: int) -> dict:

@@ -1,11 +1,11 @@
 """End-to-end training: joint optimization of the phenotype scorer, the GCN,
-and the kernel temperature, with per-epoch graph resampling, early stopping
+and the kernel temperature, with one graph draw per epoch, early stopping
 on validation, stochastic-inference averaging, and evaluation metrics.
 
 A run's graph is its fixed edges, uniform random edges (``distance_metric=
 "random"``) or a Gumbel-Top-k draw over weighted phenotypes. ``_draw_graph``
-alone decides which; every training, validation, inference and homophily
-draw goes through it.
+alone decides which; every training, inference and homophily draw goes
+through it. An epoch's validation metric is read off its training forward.
 
 One call to train() owns one RNG stream (seeded from the config), so two runs
 with the same config produce bit-identical histories.
@@ -280,10 +280,12 @@ def train(dataset: PopulationDataset, config: TrainConfig,
     weights it by its source node's reward less that node's running mean
     reward (momentum ``REWARD_BASELINE_MOMENTUM``, started from the first
     epoch's rewards, so the first epoch's edge loss is zero). The
-    temperature starts at exp(``INITIAL_LOG_TEMPERATURE``) = 10. Validation
-    runs on a fresh, unnormalized sample; the best-validation parameters are
-    restored at the end unless patience is 0, in which case the final
-    parameters stand.
+    temperature starts at exp(``INITIAL_LOG_TEMPERATURE``) = 10. The
+    validation metric is read off the same forward, before the step, so a
+    history row's losses and ``val_metric`` share one set of parameters. The
+    best epoch's parameters (from before its step) are restored at the end
+    unless patience is 0, in which case the final step's parameters stand;
+    an early stop ends the run before stepping.
 
     ``fixed_edges`` freezes the graph to a precomputed edge set: no sampling,
     no edge loss, identical wiring otherwise (the static-graph baseline).
@@ -332,6 +334,7 @@ def train(dataset: PopulationDataset, config: TrainConfig,
             optimizer.zero_grad()
             graph = _draw_graph(result, phenotypes, rng, normalize=True)
             preds = gcn_forward(graph.a_hat, dataset.X, model)
+            val_metric = _val_metric(preds.values, targets, val_mask, config.task)
             if config.task == "regression":
                 l_gcn = huber_loss(preds, targets, train_mask)
             else:
@@ -348,14 +351,6 @@ def train(dataset: PopulationDataset, config: TrainConfig,
                 breakdown = total_loss(l_gcn, l_graph, rewards=rho[train_mask])
             else:
                 breakdown = total_loss(l_gcn, Tensor(0.0))
-
-            nm.backward(breakdown.total)
-            optimizer.step()
-
-            with nm.no_grad():
-                val_graph = _draw_graph(result, phenotypes, rng)
-                val_preds = gcn_forward(val_graph.a_hat, dataset.X, model).values
-            val_metric = _val_metric(val_preds, targets, val_mask, config.task)
         except nm.NonFiniteError as exc:
             raise TrainingError(f"training aborted at epoch {epoch}: {exc}",
                                 epoch=epoch, breakdown=breakdown) from exc
@@ -377,6 +372,9 @@ def train(dataset: PopulationDataset, config: TrainConfig,
             stale += 1
             if config.patience > 0 and stale > config.patience:
                 break
+
+        nm.backward(breakdown.total)
+        optimizer.step()
 
     if config.patience > 0 and best_snapshot is not None:
         for p, saved in zip(optimizer.params, best_snapshot):
@@ -621,11 +619,26 @@ def _pack(model) -> dict:
             for name, p in vars(model).items() if isinstance(p, Tensor)}
 
 
-def _unpack(packed: dict) -> dict:
-    """The keyword arguments that rebuild the Tensor fields ``_pack`` wrote."""
-    return {name: Tensor(np.array(entry["values"], dtype=np.float64).reshape(entry["shape"]),
-                         requires_grad=True)
-            for name, entry in packed.items()}
+def _unpack(packed: dict, where: str, shapes) -> dict:
+    """The keyword arguments that rebuild the Tensor fields ``_pack`` wrote.
+
+    ``shapes(n_in)`` maps each field to its shape, n_in being the input
+    width the stored ``w1`` declares. A missing, unknown or misshapen entry
+    raises ValueError naming it, e.g. ``gcn.w2 shape [4, 8], expected [8, 4]``.
+    """
+    for name in sorted(shapes(0).keys() ^ packed.keys()):
+        raise ValueError(f"{where}.{name} {'unknown' if name in packed else 'missing'}")
+    n_in = packed["w1"]["shape"][0] if packed["w1"]["shape"] else None
+    kwargs = {}
+    for name, shape in shapes(n_in).items():
+        entry, shape = packed[name], list(shape)
+        if entry["shape"] != shape:
+            raise ValueError(f"{where}.{name} shape {entry['shape']}, expected {shape}")
+        values = np.array(entry["values"], dtype=np.float64)
+        if values.size != np.prod(shape):
+            raise ValueError(f"{where}.{name} holds {values.size} values, shape {shape}")
+        kwargs[name] = Tensor(values.reshape(shape), requires_grad=True)
+    return kwargs
 
 
 def save_run(result: TrainResult, path) -> None:
@@ -661,10 +674,16 @@ def load_run(path) -> TrainResult:
         raise ValueError(f"run checkpoint {path}: unsupported format version "
                          f"{version!r}")
     config = TrainConfig(**payload["config"])
-    model = GcnModel(**_unpack(payload["gcn"]), task=config.task)
+    h1, h2 = config.gcn_hidden1, config.gcn_hidden2
+    n_out = config.n_classes if config.task == "classification" else 1
+    model = GcnModel(**_unpack(payload["gcn"], f"run checkpoint {path}: gcn", lambda m: {
+        "w1": (m, h1), "w2": (h1, h2), "b2": (h2,), "w3": (h2, n_out), "b3": (n_out,)}),
+        task=config.task)
     attention = None
     if payload["attention"] is not None:
-        attention = AttentionMlp(**_unpack(payload["attention"]))
+        attention = AttentionMlp(**_unpack(
+            payload["attention"], f"run checkpoint {path}: attention", lambda p: {
+                "w1": (p, 2 * p), "b1": (2 * p,), "w2": (2 * p, p), "b2": (p,)}))
     tau = None
     if payload["log_temperature"] is not None:
         tau = Tensor(float(payload["log_temperature"]), requires_grad=True)

@@ -591,6 +591,29 @@ def test_main_dataset_failure_leaves_no_run_directory(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda run: run["gcn"].pop("b3"), "gcn.b3 missing"),
+    (lambda run: run["gcn"].update(extra=run["gcn"]["b3"]), "gcn.extra unknown"),
+    (lambda run: run["gcn"]["w2"].update(shape=[4, 8]), "gcn.w2 shape [4, 8], expected [8, 4]"),
+    (lambda run: run["gcn"]["b2"]["values"].pop(), "gcn.b2 holds 3 values, shape [4]"),
+    (lambda run: run["config"].update(gcn_hidden2=5), "gcn.w2 shape [8, 4], expected [8, 5]"),
+    (lambda run: run["attention"].pop("w1"), "attention.w1 missing"),
+    (lambda run: run["attention"]["b1"].update(shape=[15]),
+     "attention.b1 shape [15], expected [16]"),
+], ids=["missing", "unknown", "shape", "values", "config-width", "attention-missing",
+        "attention-shape"])
+def test_main_export_rejects_checkpoint_entries_off_the_config(tmp_path, capsys,
+                                                                edit, named):
+    run_dir = trained_run(tmp_path)
+    path = run_dir / "seed_0" / "checkpoint.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["export", "--run", str(run_dir), "--what", "attention"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
 @pytest.mark.parametrize("payload", [{"config_hash": "0"}, []])
 def test_main_export_rejects_config_without_experiment(tmp_path, capsys, payload):
     run_dir = tmp_path / "run"

@@ -229,12 +229,52 @@ def test_train_lam_zero_ones_attention_descends():
     assert result.history[-1]["L_gcn"] < result.history[0]["L_gcn"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
 def test_train_aborts_with_epoch_on_divergence():
+    """Epoch 0's step explodes the weights; epoch 1's forward is the first
+    to see them."""
     ds = tiny_dataset()
     with pytest.raises(TrainingError) as err:
         train(ds, tiny_config(learning_rate=1e150, epochs=3))
-    assert err.value.epoch == 0
-    assert "epoch 0" in str(err.value)
+    assert err.value.epoch == 1
+    assert "epoch 1" in str(err.value)
+
+
+@pytest.mark.parametrize("regime", ["learned", "random", "fixed"])
+def test_train_draws_one_graph_per_epoch_with_grad(monkeypatch, regime):
+    import popgraph.trainer as trainer_module
+    from popgraph.graphgen import knn_static_graph
+    real = trainer_module._draw_graph
+    grad_enabled = []
+
+    def counted(*args, **kwargs):
+        grad_enabled.append(nm._grad_enabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "_draw_graph", counted)
+    ds = tiny_dataset()
+    fixed = knn_static_graph(ds.phenotype_matrix(), 3) if regime == "fixed" else None
+    metric = "random" if regime == "random" else "euclidean"
+    result = train(ds, tiny_config(epochs=6, distance_metric=metric), fixed_edges=fixed)
+    assert len(result.history) == 6
+    assert grad_enabled == [True] * 6
+
+
+def test_train_restores_the_parameters_its_best_validation_measured():
+    """Early stopping on a fixed graph: the restored model scores exactly the
+    best validation metric, the one its history row holds."""
+    from popgraph.graphgen import knn_static_graph
+    from popgraph.trainer import _val_metric
+    ds = tiny_dataset()
+    edges = knn_static_graph(ds.phenotype_matrix(), 3)
+    result = train(ds, tiny_config(epochs=40, patience=3, learning_rate=0.05),
+                   fixed_edges=edges)
+    assert result.best_epoch < len(result.history) - 1
+    with nm.no_grad():
+        graph = _draw_graph(result, ds.phenotype_matrix(), np.random.default_rng(0))
+        preds = gcn_forward(graph.a_hat, ds.X, result.model).values
+    assert _val_metric(preds, ds.y, ds.masks.val, "regression") == result.best_val
+    assert result.history[result.best_epoch]["val_metric"] == result.best_val
 
 
 def test_train_classification_smoke():
