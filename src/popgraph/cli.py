@@ -47,6 +47,7 @@ from .graphgen import (
     random_graph,
 )
 from .trainer import (
+    DISTANCE_METRICS,
     InferenceResult,
     MetricsRecord,
     TrainConfig,
@@ -77,7 +78,6 @@ __all__ = [
 ]
 
 PHENOTYPE_SUBSETS = ("non-imaging", "both", "imaging")
-ABLATION_METRICS = ("euclidean", "cosine", "hyperbolic", "random")
 ABLATION_METHODS = ("adaptive", "static", "random", "linear")
 # methods whose result reads neither the distance metric nor the phenotype
 # subset: the linear fit of the node features, and the random graph, which
@@ -124,6 +124,8 @@ class DatasetBlock:
             raise CliError(f"unknown dataset source {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             raise CliError("csv dataset needs csv_path")
+        if self.source == "synthetic":
+            self.synthetic.validate()
         if len(self.split_fractions) != 3:
             raise CliError("split_fractions must have exactly 3 entries")
 
@@ -142,7 +144,7 @@ class AblationBlock:
             if subset not in PHENOTYPE_SUBSETS:
                 raise CliError(f"unknown phenotype subset {subset!r}")
         for metric in self.distance_metrics:
-            if metric not in ABLATION_METRICS:
+            if metric not in DISTANCE_METRICS:
                 raise CliError(f"unknown ablation metric {metric!r}")
         for method in self.methods:
             if method not in ABLATION_METHODS:
@@ -184,7 +186,8 @@ class ExperimentConfig:
         if unknown:
             raise CliError(f"unknown train keys: {sorted(unknown)}")
         try:
-            self.train_config(self.seeds[0])
+            for seed in self.seeds:
+                self.train_config(seed)
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad train block: {exc}") from exc
 
@@ -466,11 +469,9 @@ def _ablate_cell(datasets: dict, config: ExperimentConfig, cell) -> MetricsRecor
     dataset = datasets[subset]
     if method == "linear":
         return _linear_cell(dataset, config, seed)
-    if method == "random":
-        cfg = config.train_config(seed, distance_metric="random")
-        return run_experiment(dataset, cfg)[1]
-    if method == "adaptive":
-        cfg = config.train_config(seed, distance_metric=metric)
+    if method in ("adaptive", "random"):
+        cfg = config.train_config(
+            seed, distance_metric=metric if method == "adaptive" else "random")
         return run_experiment(dataset, cfg)[1]
     if method == "static":
         cfg = config.train_config(seed)
@@ -483,8 +484,7 @@ def _ablate_cell(datasets: dict, config: ExperimentConfig, cell) -> MetricsRecor
     raise ValueError(f"unknown method {method!r}")
 
 
-_CELL_COLUMNS = ("subset", "metric", "method", "seed", "mae", "pearson_r",
-                 "accuracy", "macro_auc", "macro_f1", "homophily")
+_CELL_COLUMNS = ("subset", "metric", "method", "seed") + _METRIC_FIELDS
 
 
 def _run_key(cell) -> tuple:
@@ -538,7 +538,7 @@ def cmd_ablate(config: ExperimentConfig) -> int:
             continue
         by_cell.setdefault((subset, metric, method), []).append(record)
         csv_rows.append([subset, metric, method, seed]
-                        + [getattr(record, name) for name in _CELL_COLUMNS[4:]])
+                        + [getattr(record, name) for name in _METRIC_FIELDS])
 
     stamp = config.experiment_hash
     write_csv(out / "cells.csv", stamp, _CELL_COLUMNS,
@@ -559,13 +559,9 @@ def cmd_ablate(config: ExperimentConfig) -> int:
                  reverse=(headline == "accuracy"))
     aggregated = present + missing
 
-    columns = ["subset", "metric", "method", "n_seeds"]
-    seen = set(columns)
-    for row in aggregated:
-        for key in row:
-            if key not in seen:
-                columns.append(key)
-                seen.add(key)
+    # the key columns, then every stat column in order of first appearance
+    columns = list(dict.fromkeys(["subset", "metric", "method", "n_seeds"]
+                                 + [key for row in aggregated for key in row]))
     write_csv(out / "aggregate.csv", stamp, columns,
               [[row.get(col, "") for col in columns] for row in aggregated])
     write_json(out / "aggregate.json", {"config_hash": stamp, "task": config.task,

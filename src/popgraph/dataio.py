@@ -31,6 +31,7 @@ __all__ = [
     "CsvSchema",
     "PopulationDataset",
     "config_hash",
+    "check_integers",
     "write_json",
     "write_csv",
     "generate_synthetic",
@@ -82,6 +83,22 @@ class SplitMasks:
             raise ValueError("split masks must partition the subject set exactly")
 
 
+def _finite_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def check_integers(owner, least: dict) -> None:
+    """Raise ValueError naming the first field of ``owner`` in ``least`` that
+    is not an integer (a bool is not one) or is below its least value."""
+    for name, bound in least.items():
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < bound:
+            raise ValueError(f"{name} must be at least {bound}")
+
+
 @dataclass
 class SyntheticConfig:
     """Shape of a generated population.
@@ -109,8 +126,13 @@ class SyntheticConfig:
         return d
 
     def validate(self) -> None:
-        if self.n_subjects < 20:
-            raise ValueError("need at least 20 subjects")
+        check_integers(self, {"n_subjects": 20, "n_nonimaging": 0, "n_imaging": 0,
+                              "n_node_features": 0, "n_relevant_nonimaging": 0,
+                              "n_relevant_imaging": 0})
+        if not _finite_number(self.noise_std) or self.noise_std < 0:
+            raise ValueError(f"noise_std must be a finite number >= 0, got {self.noise_std!r}")
+        if len(self.age_range) != 2 or not all(map(_finite_number, self.age_range)):
+            raise ValueError(f"age_range must be two finite numbers, got {list(self.age_range)!r}")
         if self.n_relevant_nonimaging > self.n_nonimaging:
             raise ValueError("n_relevant_nonimaging exceeds n_nonimaging")
         if self.n_relevant_imaging > self.n_imaging:
@@ -272,14 +294,10 @@ def save_csv(dataset: PopulationDataset, path) -> None:
 
 def csv_schema_for(dataset: PopulationDataset) -> CsvSchema:
     """Schema that reloads a save_csv export of this dataset."""
-    kinds = {}
-    for name in dataset.nonimaging_names:
-        kinds[name] = KIND_NONIMAGING
-    for name in dataset.imaging_names:
-        kinds[name] = KIND_IMAGING
     extra_idx = [i for i in range(dataset.X.shape[1]) if i not in dataset.imaging_cols]
-    for i in extra_idx:
-        kinds[dataset.feature_names[i]] = KIND_FEATURE
+    kinds = {**dict.fromkeys(dataset.nonimaging_names, KIND_NONIMAGING),
+             **dict.fromkeys(dataset.imaging_names, KIND_IMAGING),
+             **{dataset.feature_names[i]: KIND_FEATURE for i in extra_idx}}
     return CsvSchema(label_column=dataset.meta.get("label_column", "age"), kinds=kinds)
 
 
@@ -395,7 +413,7 @@ def split(dataset: PopulationDataset, fractions=(0.75, 0.05, 0.20),
     """
     names = ("train", "val", "test")
     for name, f in zip(names, fractions):
-        if not (isinstance(f, numbers.Real) and math.isfinite(f) and f >= 0.0):
+        if not (_finite_number(f) and f >= 0.0):
             raise ValueError(f"{name} fraction {f!r} in {fractions} must be a finite, "
                              "nonnegative number")
     if abs(sum(fractions) - 1.0) > 1e-9:

@@ -2,9 +2,11 @@
 
 Edge scores follow the exponential kernel log p_ij = -t * d(f_i, f_j)^2.
 Sparse graphs are drawn with the Gumbel-Top-k trick: each row's log scores
-get i.i.d. Gumbel(0,1) noise and the k largest perturbed entries win. The
-retained per-edge scores stay noise-free, so gradients reach the feature
-weighting and the temperature while the noise acts as a constant.
+get i.i.d. Gumbel(0,1) noise and the k largest perturbed entries win. Only
+a scored draw (the training draw) keeps per-edge scores: each edge's
+noise-free first-pick log-probability, so gradients reach the feature
+weighting and the temperature while the noise acts as a constant. Every
+other draw only selects edges.
 
 No N x N array is built. ``pairwise_distance`` and ``edge_probabilities``
 return row-block operators, and the sampler walks them a block of rows at a
@@ -74,7 +76,7 @@ class EdgeScores:
 
     def rows(self, r0: int, r1: int) -> np.ndarray:
         sq = self._kernel.forward(np.arange(r0, r1))[0]
-        return nm.kernel_scores(sq, float(self.t.values))
+        return np.multiply(sq, -float(self.t.values), out=sq)
 
 
 def pairwise_distance(features, metric: str) -> PairwiseDistances:
@@ -136,7 +138,7 @@ class SampledGraph:
 
     edges: np.ndarray         # (N*k, 2) directed (src, dst), grouped by source
     log_probs: Tensor | None  # (N*k,) noise-free per-edge score, on the tape;
-                              # None for a fixed or uniform random graph
+                              # None when the draw is not scored
     n_nodes: int
     noise: np.ndarray | None = None  # the replay noise passed in, if any
 
@@ -161,10 +163,12 @@ def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
     deterministic top-k. The diagonal is masked, so self-edges never occur
     and every node ends with exactly k out-edges.
 
-    The per-edge scores are the raw log p; with ``normalize`` (operator
-    input only) they are first-pick log-probabilities, log p_ij -
-    logsumexp_{l != i} log p_il. Gumbel-Top-k ignores a per-row constant,
-    so the same noise picks the same edges either way.
+    A dense score matrix's draw carries each edge's raw log p, gathered on
+    the tape. An operator's draw is scored only with ``normalize``: each
+    edge's first-pick log-probability, log p_ij - logsumexp_{l != i} log
+    p_il, from ``numerics.kernel_edge_scores``. Without it the draw only
+    selects edges and its ``log_probs`` is None. Gumbel-Top-k ignores a
+    per-row constant, so the same noise picks the same edges either way.
     """
     blocked = isinstance(log_p, EdgeScores)
     lp = log_p if blocked or isinstance(log_p, Tensor) else Tensor(log_p)
@@ -184,8 +188,8 @@ def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
             raise nm.ShapeError(f"noise shape {noise.shape} does not match ({n}, {n})")
 
     targets = np.empty((n, k), dtype=np.intp)
-    raw = np.empty((n, k))
-    row_lse = np.empty(n) if normalize else None
+    if normalize:
+        raw, row_lse = np.empty((n, k)), np.empty(n)
     step = nm.rows_per_block(n) if blocked else n
     buffer = np.empty((min(step, n), n))
     for r0, r1 in nm.row_blocks(n, step):
@@ -199,18 +203,17 @@ def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
         perturbed += scores
         nm.fill_block_diagonal(perturbed, rows, -np.inf)
         targets[r0:r1] = topk_desc(perturbed, k)
-        if blocked:
-            raw[r0:r1] = scores[np.arange(r1 - r0)[:, None], targets[r0:r1]]
         if normalize:
+            raw[r0:r1] = scores[np.arange(r1 - r0)[:, None], targets[r0:r1]]
             row_lse[r0:r1] = nm.offdiag_logsumexp(scores, rows)
     sources = np.repeat(np.arange(n), k)
     edges = np.column_stack([sources, targets.reshape(-1)])
 
-    if blocked:
-        log_probs = nm.kernel_edge_scores(lp.features, lp.t, lp.metric, edges, normalize,
-                                          forward=(raw.reshape(-1), row_lse))
-    else:
-        log_probs = nm.gather_rows(nm.reshape(lp, (n * n,)), edges[:, 0] * n + edges[:, 1])
+    log_probs = None if blocked else nm.gather_rows(nm.reshape(lp, (n * n,)),
+                                                    edges[:, 0] * n + edges[:, 1])
+    if normalize:
+        log_probs = nm.kernel_edge_scores(lp.features, lp.t, lp.metric, edges,
+                                          raw.reshape(-1), row_lse)
     return SampledGraph(edges=edges, log_probs=log_probs, n_nodes=n, noise=noise)
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "rows_per_block",
     "row_blocks",
     "fill_block_diagonal",
-    "kernel_scores",
     "gumbel_fill",
     "offdiag_logsumexp",
     "block_distance",
@@ -490,11 +489,6 @@ def fill_block_diagonal(block: np.ndarray, rows: np.ndarray, value: float) -> No
     block[np.arange(len(rows)), rows] = value
 
 
-def kernel_scores(sq: np.ndarray, t: float) -> np.ndarray:
-    """log p = -t d^2 on a block of squared distances, in place in sq."""
-    return np.multiply(sq, -t, out=sq)
-
-
 def gumbel_fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill a C-contiguous float64 array with Gumbel(0, 1) noise and return it.
 
@@ -697,25 +691,20 @@ def _edge_blocks(live: np.ndarray, src: np.ndarray, step: int):
         yield live[c0:c0 + step], sel, pos[sel] - c0
 
 
-def kernel_edge_scores(features, t, metric: str, edges, normalize: bool,
-                       forward=None) -> Tensor:
-    """Score each (src, dst) edge with log p = -t d(f_src, f_dst)^2.
+def kernel_edge_scores(features, t, metric: str, edges, raw, row_lse) -> Tensor:
+    """Record each (src, dst) edge's first-pick log-probability under log p =
+    -t d(f_src, f_dst)^2: log p_e - logsumexp_{l != src} log p_src,l
+    (Plackett-Luce). The sampler's own pass over the blocks already has each
+    edge's ``raw`` log p and the (N,) off-diagonal ``row_lse`` of every row,
+    so the forward only subtracts.
 
-    With ``normalize`` each score less its source row's off-diagonal
-    logsumexp: log p_e - logsumexp_{l != src} log p_src,l, the
-    log-probability that dst is src's first pick (Plackett-Luce). The
-    distances are computed block by block of source rows, and the backward
-    pass recomputes each block, so no N x N array outlives a block. A caller
-    whose own pass over the blocks already has the raw scores (and, with
-    ``normalize``, the (N,) row logsumexps) hands them over as ``forward =
-    (raw, row_lse)`` instead of having them recomputed.
-
-    The backward recomputes only the source rows with at least one edge of
-    nonzero upstream gradient, in blocks that are sets of such rows. Every
-    other row's gradient block is exactly zero: its normalizer weight, the
-    sum of its edges' gradients, is zero and no edge gradient lands in it.
-    Each block's gradient is built in one pass, in place in one (rows, N)
-    buffer reused across blocks.
+    The backward recomputes the distances block by block of source rows, so
+    no N x N array outlives a block, and only the source rows with at least
+    one edge of nonzero upstream gradient, in blocks that are sets of such
+    rows. Every other row's gradient block is exactly zero: its normalizer
+    weight, the sum of its edges' gradients, is zero and no edge gradient
+    lands in it. Each block's gradient is built in one pass, in place in one
+    (rows, N) buffer reused across blocks.
     """
     f, t = _as_tensor(features), _as_tensor(t)
     if f.ndim != 2 or f.shape[0] < 2:
@@ -731,25 +720,15 @@ def kernel_edge_scores(features, t, metric: str, edges, normalize: bool,
     src, dst = edges[:, 0], edges[:, 1]
     if np.any(src == dst):
         raise ValueError("kernel_edge_scores: edges contain self-edges")
+    if np.shape(raw) != (len(src),) or np.shape(row_lse) != (n,):
+        raise ShapeError("kernel_edge_scores: need one raw score per edge and one "
+                         "row logsumexp per row")
     step = rows_per_block(n)
     dist = block_distance(metric, f.values)
     tv = float(t.values)
 
-    if forward is None:
-        raw = np.empty(len(src))
-        row_lse = np.empty(n) if normalize else None
-        for rows, sel, pos in _edge_blocks(np.arange(n), src, step):
-            sq, _ = dist.forward(rows)
-            scores = kernel_scores(sq, tv)
-            raw[sel] = scores[pos, dst[sel]]
-            if normalize:
-                row_lse[rows] = offdiag_logsumexp(scores, rows)
-    else:
-        raw, row_lse = forward
-    out = raw - row_lse[src] if normalize else raw
-
     def bwd(g):
-        g_rows = np.bincount(src, weights=g, minlength=n) if normalize else None
+        g_rows = np.bincount(src, weights=g, minlength=n)
         live_edges = np.flatnonzero(g)
         live = np.unique(src[live_edges])
         acc = dist.accumulator()
@@ -761,18 +740,15 @@ def kernel_edge_scores(features, t, metric: str, edges, normalize: bool,
             # d(loss)/d(log p) of the block: -g_rows times the first-pick
             # softmax, plus each edge's own gradient
             g_s = buffer[:len(rows)]
-            if normalize:
-                np.multiply(sq, -tv, out=g_s)
-                g_s -= row_lse[rows, None]
-                fill_block_diagonal(g_s, rows, -np.inf)
-                np.exp(g_s, out=g_s)
-                g_s *= -g_rows[rows, None]
-            else:
-                g_s.fill(0.0)
+            np.multiply(sq, -tv, out=g_s)
+            g_s -= row_lse[rows, None]
+            fill_block_diagonal(g_s, rows, -np.inf)
+            np.exp(g_s, out=g_s)
+            g_s *= -g_rows[rows, None]
             np.add.at(g_s.reshape(-1), pos * n + dst[sel], g[sel])
             g_t -= np.dot(g_s.reshape(-1), sq.reshape(-1))
             sq = None  # free the block before the pullback's temporaries
             dist.pullback(rows, saved, g_s, -tv, acc)
         return dist.finish(acc), np.array(g_t)
 
-    return _apply("kernel_edge_scores", out, (f, t), bwd)
+    return _apply("kernel_edge_scores", raw - row_lse[src], (f, t), bwd)

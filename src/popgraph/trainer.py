@@ -14,7 +14,6 @@ with the same config produce bit-identical histories.
 from __future__ import annotations
 
 import json
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import numerics as nm
 from .attention import AttentionMlp, aggregate_attention, attention_forward, weight_phenotypes
-from .dataio import PopulationDataset, config_hash, write_csv, write_json
+from .dataio import PopulationDataset, check_integers, config_hash, write_csv, write_json
 from .gcn import (
     GcnModel,
     cross_entropy_loss,
@@ -45,6 +44,7 @@ from .graphgen import (
 from .numerics import Tensor
 
 __all__ = [
+    "DISTANCE_METRICS",
     "TrainConfig",
     "TrainResult",
     "TrainingError",
@@ -68,6 +68,9 @@ __all__ = [
 ]
 
 RUN_FORMAT_VERSION = 2
+
+# a run's graph: a Gumbel-Top-k draw under a block distance, or uniform edges
+DISTANCE_METRICS = (*nm.BLOCK_METRICS, "random")
 
 # tags of the random streams a run derives from its master seed (stream_rng)
 INFERENCE_STREAM = 0x5EED0001
@@ -104,7 +107,7 @@ class TrainConfig:
     epochs: int = 300
     patience: int = 30            # 0 disables early stopping
     k: int = 5
-    distance_metric: str = "euclidean"   # euclidean | cosine | hyperbolic | random
+    distance_metric: str = "euclidean"   # one of DISTANCE_METRICS
     inference_samples: int = 8
     seed: int = 0
     n_classes: int = 4
@@ -115,19 +118,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.task not in ("regression", "classification"):
             raise ValueError(f"unknown task {self.task!r}")
-        for name in ("epochs", "patience", "k", "inference_samples", "seed",
-                     "n_classes", "gcn_hidden1", "gcn_hidden2"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_integers(self, {"epochs": 1, "patience": 0, "k": 1, "inference_samples": 1,
+                              "seed": 0, "n_classes": 2, "gcn_hidden1": 1,
+                              "gcn_hidden2": 1})
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        for name, least in (("epochs", 1), ("patience", 0), ("k", 1),
-                            ("inference_samples", 1), ("n_classes", 2),
-                            ("gcn_hidden1", 1), ("gcn_hidden2", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}")
-        if self.distance_metric not in ("euclidean", "cosine", "hyperbolic", "random"):
+        if self.distance_metric not in DISTANCE_METRICS:
             raise ValueError(f"unknown distance_metric {self.distance_metric!r}")
         if self.attention_mode not in ("learned", "ones"):
             raise ValueError(f"unknown attention_mode {self.attention_mode!r}")
@@ -219,8 +215,10 @@ def _draw_graph(result: TrainResult, phenotypes: np.ndarray, rng: np.random.Gene
     so its A_hat is symmetrized once per run. Under ``distance_metric=
     "random"`` each node gets k fresh uniform out-edges. Any other run takes
     one Gumbel-Top-k draw over phenotypes weighted by the attention vector (or
-    by ones); only that draw carries ``log_probs``, first-pick
-    log-probabilities with ``normalize`` (see ``gumbel_topk_sample``).
+    by ones). Only the training draw passes ``normalize``, so only it is
+    scored: its ``log_probs`` are first-pick log-probabilities (see
+    ``gumbel_topk_sample``). Inference, homophily and export draws select
+    edges and score none.
     """
     config = result.config
     n = phenotypes.shape[0]
@@ -582,12 +580,18 @@ def run_experiment(dataset: PopulationDataset, config: TrainConfig,
     or static, so results stay comparable. Sub-streams for inference and the
     homophily sample are derived from the config seed, making the whole
     record a pure function of (dataset, config). Returns
-    (TrainResult, MetricsRecord).
+    (TrainResult, MetricsRecord). A last step that diverged (no forward
+    sees it before inference) is a TrainingError at the last epoch.
     """
     started = time.perf_counter()
     result = train(dataset, config, fixed_edges=fixed_edges)
-    out = infer(result, dataset, config.inference_samples,
-                stream_rng(config.seed, INFERENCE_STREAM))
+    try:
+        out = infer(result, dataset, config.inference_samples,
+                    stream_rng(config.seed, INFERENCE_STREAM))
+    except nm.NonFiniteError as exc:
+        epoch = result.history[-1]["epoch"]
+        raise TrainingError(f"training aborted at epoch {epoch}: inference at the "
+                            f"trained parameters failed: {exc}", epoch=epoch) from exc
 
     record = MetricsRecord(task=config.task, seed=config.seed,
                            config_hash=config_hash(config.to_dict()),

@@ -140,9 +140,12 @@ def blp_mae_floor(shapes, signs, noise_std, age_range):
 # ---------------------------------------------------------------------------
 
 
-def dense_distances(v: np.ndarray, metric: str) -> np.ndarray:
+def dense_distances(v: np.ndarray, metric: str, rescale: bool = True) -> np.ndarray:
     """All-pairs distances of the rows of v, zero diagonal; hyperbolic
-    rescales so the largest row norm is 1 - 1e-3 first."""
+    rescales so the largest row norm is 1 - 1e-3 first, as
+    ``pairwise_distance`` does, unless ``rescale`` is False (rows inside the
+    unit ball taken as they are, as ``numerics.kernel_edge_scores`` takes
+    them)."""
     v = np.asarray(v, dtype=float)
     r = np.sum(v * v, axis=1)
     if metric == "euclidean":
@@ -153,7 +156,7 @@ def dense_distances(v: np.ndarray, metric: str) -> np.ndarray:
         d = 1.0 - u @ u.T
     elif metric == "hyperbolic":
         top = np.sqrt(r).max()
-        if top > 0.0:
+        if rescale and top > 0.0:
             v = v * ((1.0 - 1e-3) / top)
             r = np.sum(v * v, axis=1)
         a = np.maximum(r[:, None] + r[None, :] - 2.0 * (v @ v.T), 0.0)
@@ -164,8 +167,18 @@ def dense_distances(v: np.ndarray, metric: str) -> np.ndarray:
     return d
 
 
+def dense_edge_forward(v: np.ndarray, t: float, metric: str, edges: np.ndarray):
+    """(raw, row_lse) that a sampler's block pass hands
+    ``numerics.kernel_edge_scores``: each edge's log p = -t d^2 and each
+    row's logsumexp over every column but its own, from the dense distances
+    of the rows as they are."""
+    log_p = -float(t) * dense_distances(v, metric, rescale=False) ** 2
+    np.fill_diagonal(log_p, -np.inf)
+    return log_p[edges[:, 0], edges[:, 1]], logsumexp(log_p, axis=1)
+
+
 def dense_kernel_edge_grads(v: np.ndarray, t: float, metric: str, edges: np.ndarray,
-                            normalize: bool, g: np.ndarray, block_rows: int):
+                            g: np.ndarray, block_rows: int):
     """(d/dv, d/dt) of sum_e g_e * kernel_edge_scores(v, t, metric, edges)_e,
     the backward as first written: every source row's block is recomputed,
     whether or not any of its edges carries gradient, in consecutive blocks
@@ -185,10 +198,9 @@ def dense_kernel_edge_grads(v: np.ndarray, t: float, metric: str, edges: np.ndar
         sel = (src >= r0) & (src < r1)
         g_s = np.bincount((src[sel] - r0) * n + dst[sel], weights=g[sel],
                           minlength=(r1 - r0) * n).reshape(r1 - r0, n)
-        if normalize:
-            scores = -t * sq
-            scores[rows - r0, rows] = -np.inf
-            g_s -= g_rows[r0:r1, None] * np.exp(scores - logsumexp(scores, axis=1)[:, None])
+        scores = -t * sq
+        scores[rows - r0, rows] = -np.inf
+        g_s -= g_rows[r0:r1, None] * np.exp(scores - logsumexp(scores, axis=1)[:, None])
         g_t -= np.sum(g_s * sq)
         dist.pullback(rows, saved, g_s, -t, acc)
     return dist.finish(acc), g_t

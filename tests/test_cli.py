@@ -100,6 +100,7 @@ def test_config_validation_errors(tmp_path):
     for mutate, pattern in [
         (lambda d: d.update(seeds=[]), "seeds"),
         (lambda d: d.update(seeds=[1, 1]), "duplicate"),
+        (lambda d: d.update(seeds=[0, -1]), "seed must be at least 0"),
         (lambda d: d.update(task="survival"), "task"),
         (lambda d: d.update(workers=0), "workers"),
         (lambda d: d["dataset"].update(source="csv"), "csv_path"),
@@ -559,6 +560,24 @@ def test_main_rejects_bad_train_block_before_writing(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "bad train block" in err and train_key in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_subjects", "800"), ("n_subjects", 60.5), ("age_range", [81, "x"]),
+    ("noise_std", float("nan")), ("noise_std", -1)],
+    ids=["count-string", "count-float", "age-range-string", "noise-nan", "noise-negative"])
+def test_main_rejects_bad_synthetic_block_before_writing(tmp_path, capsys, key, value):
+    """A bad synthetic value fails when the config loads, naming the field:
+    not a TypeError traceback, a non-finite tensor in every seed or numpy's
+    ``scale < 0``, and before any run or dataset directory is written."""
+    payload = experiment_dict(tmp_path / "run")
+    payload["dataset"]["synthetic"][key] = value
+    path = write_config(tmp_path, payload)
+    for command in ("train", "ablate", "generate"):
+        assert main([command, "--config", str(path)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err, (command, err)
+        assert not (tmp_path / "run").exists(), command
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])

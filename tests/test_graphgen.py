@@ -78,13 +78,14 @@ def test_unknown_metric():
 @pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
 def test_distance_gradients_match_fd(metric):
     # k = n - 1 draws every off-diagonal pair, so the weighted sum of the
-    # drawn scores -d^2 reaches every distance
+    # drawn first-pick scores reaches every distance
     f = Tensor(RNG.uniform(0.1, 1.0, size=(5, 3)), requires_grad=True)
     w = Tensor(RNG.normal(size=20))
 
     def loss():
         lp = edge_probabilities(pairwise_distance(f, metric), 1.0)
-        return (gumbel_topk_sample(lp, 4, noise=np.zeros((5, 5))).log_probs * w).sum()
+        graph = gumbel_topk_sample(lp, 4, noise=np.zeros((5, 5)), normalize=True)
+        return (graph.log_probs * w).sum()
 
     report = grad_check(loss, [f])
     assert report.passed, f"{metric}: {report.summary()}"
@@ -273,6 +274,7 @@ def test_blocked_draw_matches_dense_reference(metric, rows_per_block, monkeypatc
     assert np.array_equal(g.a_hat.toarray(), a_hat)
     drawn = gumbel_topk_sample(lp, k, rng=np.random.default_rng(8))
     assert np.array_equal(drawn.edges, edges)
+    assert drawn.log_probs is None
 
 
 def test_draw_holds_no_n_by_n_array():

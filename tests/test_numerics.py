@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (GradCheckReport, concat, dense_kernel_edge_grads, grad_check,
-                     tape_size)
+from oracles import (GradCheckReport, concat, dense_edge_forward, dense_kernel_edge_grads,
+                     grad_check, tape_size)
 from popgraph import numerics as nm
 from popgraph.numerics import (
     NonFiniteError,
@@ -152,8 +152,8 @@ def test_offdiag_logsumexp_rows_values_and_fd(block_rows, monkeypatch):
     f = Tensor(RNG.normal(size=(7, 3)), requires_grad=True)
     t = Tensor(0.8, requires_grad=True)
     edges = _all_pairs(7)
-    scores = nm.kernel_edge_scores(f, t, "euclidean", edges, True).values
-    raw = nm.kernel_edge_scores(f, t, "euclidean", edges, False).values
+    raw, row_lse = dense_edge_forward(f.values, t.values, "euclidean", edges)
+    scores = nm.kernel_edge_scores(f, t, "euclidean", edges, raw, row_lse).values
     assert np.allclose(np.exp(scores).reshape(7, 6).sum(axis=1), 1.0, atol=1e-12)
     dense = np.zeros((7, 7))
     dense[edges[:, 0], edges[:, 1]] = raw
@@ -161,37 +161,54 @@ def test_offdiag_logsumexp_rows_values_and_fd(block_rows, monkeypatch):
     assert np.allclose(scores, raw - _brute_offdiag_logsumexp(dense)[edges[:, 0]],
                        atol=1e-12)
     weights = Tensor(RNG.normal(size=len(edges)))
-    _check(lambda: (nm.kernel_edge_scores(f, t, "euclidean", edges, True)
-                    * weights).sum(), [f, t])
+    _check(lambda: (_edge_scores(f, t, "euclidean", edges) * weights).sum(), [f, t])
 
 
 def test_offdiag_logsumexp_rows_rejects_bad_operands():
     edges = np.array([[0, 1]])
+    forward = (np.zeros(1), np.zeros(3))
     with pytest.raises(ShapeError, match="2-D"):
-        nm.kernel_edge_scores(Tensor(np.zeros(3)), Tensor(1.0), "euclidean", edges, True)
+        nm.kernel_edge_scores(Tensor(np.zeros(3)), Tensor(1.0), "euclidean", edges,
+                              *forward)
     with pytest.raises(ShapeError, match="at least 2"):
         nm.kernel_edge_scores(Tensor(np.zeros((1, 1))), Tensor(1.0), "euclidean",
-                              edges, True)
+                              edges, *forward)
     with pytest.raises(ValueError, match="self-edges"):
         nm.kernel_edge_scores(Tensor(np.zeros((3, 3))), Tensor(1.0), "euclidean",
-                              np.array([[1, 1]]), True)
+                              np.array([[1, 1]]), *forward)
     with pytest.raises(ValueError, match="metric"):
         nm.kernel_edge_scores(Tensor(np.zeros((3, 3))), Tensor(1.0), "manhattan",
-                              edges, True)
+                              edges, *forward)
+    with pytest.raises(ShapeError, match="per edge"):
+        nm.kernel_edge_scores(Tensor(np.zeros((3, 3))), Tensor(1.0), "euclidean",
+                              edges, np.zeros(2), np.zeros(3))
+    with pytest.raises(ShapeError, match="per row"):
+        nm.kernel_edge_scores(Tensor(np.zeros((3, 3))), Tensor(1.0), "euclidean",
+                              edges, np.zeros(1), np.zeros(2))
+
+
+def _edge_scores(f, t, metric, edges):
+    """kernel_edge_scores with the forward a sampler's block pass would hand
+    it, taken from the dense oracle at the current values of f and t."""
+    raw, row_lse = dense_edge_forward(f.values, t.values, metric, edges)
+    return nm.kernel_edge_scores(f, t, metric, edges, raw, row_lse)
 
 
 # source rows whose every edge gets zero weight, by id prefix
 DEAD_ROWS = {"": (), "dead-block-": (4, 5, 6, 7), "part-dead-": (1, 6)}
 
+# The kernel tests' ids carry "True-", the first-pick law they check, so each
+# case keeps the name under which its earlier results were recorded.
+METRICS = [pytest.param(metric, id=f"True-{metric}")
+           for metric in ("euclidean", "cosine", "hyperbolic")]
 
-@pytest.mark.parametrize("metric, block_rows, normalize, dead", [
-    pytest.param(metric, block_rows, normalize, dead,
-                 id=f"{prefix}{normalize}-{block_rows}-{metric}")
+
+@pytest.mark.parametrize("metric, block_rows, dead", [
+    pytest.param(metric, block_rows, dead, id=f"{prefix}True-{block_rows}-{metric}")
     for prefix, dead in DEAD_ROWS.items()
     for metric in ("euclidean", "cosine", "hyperbolic")
-    for block_rows in (1, 4, 10)
-    for normalize in (False, True)])
-def test_kernel_edge_scores_fd(metric, block_rows, normalize, dead, monkeypatch):
+    for block_rows in (1, 4, 10)])
+def test_kernel_edge_scores_fd(metric, block_rows, dead, monkeypatch):
     """Finite differences of the fused blocked primitive over 10 rows, in
     blocks of one row, of four (a ragged last block) and of all rows. Rows
     2 and 5 coincide (d = 0). Row 9 is zero; its cosine distances are 1 by
@@ -213,7 +230,7 @@ def test_kernel_edge_scores_fd(metric, block_rows, normalize, dead, monkeypatch)
 
     def loss():
         rows = concat([f, zero_row], axis=0)
-        return (nm.kernel_edge_scores(rows, t, metric, edges, normalize) * weights).sum()
+        return (_edge_scores(rows, t, metric, edges) * weights).sum()
 
     _check(loss, [f, t])
     reset_tape()
@@ -223,12 +240,13 @@ def test_kernel_edge_scores_fd(metric, block_rows, normalize, dead, monkeypatch)
         assert np.all(zero_row.grad == 0.0)
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
-@pytest.mark.parametrize("normalize", [False, True])
-def test_kernel_edge_scores_backward_skips_dead_rows(metric, normalize, monkeypatch):
-    """The backward hands the block kernel each source row that has an edge
-    with nonzero gradient exactly once, in blocks of at most rows_per_block
-    rows, and no other row; with no gradient at all it computes no block."""
+@pytest.mark.parametrize("metric", METRICS)
+def test_kernel_edge_scores_backward_skips_dead_rows(metric, monkeypatch):
+    """Building the scores hands the block kernel no block: the forward comes
+    from the sampler's pass. The backward hands it each source row that has
+    an edge with nonzero gradient exactly once, in blocks of at most
+    rows_per_block rows, and no other row; with no gradient at all it
+    computes no block."""
     monkeypatch.setattr(nm, "BLOCK_ENTRIES", 3 * 12)
     kernel = nm.BLOCK_METRICS[metric]
     forward = kernel.forward
@@ -246,26 +264,23 @@ def test_kernel_edge_scores_backward_skips_dead_rows(metric, normalize, monkeypa
     weights = np.where(np.isin(edges[:, 0], live), RNG.normal(size=len(edges)), 0.0)
     weights[np.flatnonzero(edges[:, 0] == 7)[:10]] = 0.0  # row 7 keeps one live edge
 
-    scores = nm.kernel_edge_scores(f, t, metric, edges, normalize)
-    assert np.array_equal(np.concatenate(handed), np.arange(12))
-    handed.clear()
+    scores = _edge_scores(f, t, metric, edges)
+    assert handed == []
     backward((scores * Tensor(weights)).sum())
     assert max(len(rows) for rows in handed) == 3
     assert np.array_equal(np.concatenate(handed), live)
 
     f.zero_grad()
     t.zero_grad()
-    scores = nm.kernel_edge_scores(f, t, metric, edges, normalize)
+    scores = _edge_scores(f, t, metric, edges)
     handed.clear()
     backward((scores * Tensor(np.zeros(len(edges)))).sum())
     assert handed == []
     assert np.all(f.grad == 0.0) and t.grad == 0.0
 
 
-@pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
-@pytest.mark.parametrize("normalize", [False, True])
-def test_kernel_edge_scores_backward_matches_dense_reference(metric, normalize,
-                                                            monkeypatch):
+@pytest.mark.parametrize("metric", METRICS)
+def test_kernel_edge_scores_backward_matches_dense_reference(metric, monkeypatch):
     """Against the backward as first written (oracles.dense_kernel_edge_grads:
     every row's block, a dense scatter) at N = 300 in blocks of 64 rows, with
     k = 5 edges per row and zero gradient on every edge out of about a
@@ -280,9 +295,8 @@ def test_kernel_edge_scores_backward_matches_dense_reference(metric, normalize,
     f = Tensor(v, requires_grad=True)
     t = Tensor(10.0, requires_grad=True)
 
-    backward((nm.kernel_edge_scores(f, t, metric, edges, normalize) * Tensor(g)).sum())
-    grad_f, grad_t = dense_kernel_edge_grads(v, 10.0, metric, edges, normalize, g,
-                                             block_rows)
+    backward((_edge_scores(f, t, metric, edges) * Tensor(g)).sum())
+    grad_f, grad_t = dense_kernel_edge_grads(v, 10.0, metric, edges, g, block_rows)
     assert np.max(np.abs(f.grad - grad_f)) <= 1e-12 * np.max(np.abs(grad_f))
     assert abs(t.grad - grad_t) <= 1e-12 * abs(grad_t)
 
@@ -342,9 +356,9 @@ def _dense(metric, v):
 
 
 def _pair_loss(f, metric, w):
-    """sum_e w_e * (-d_e^2) over every off-diagonal pair."""
-    return (nm.kernel_edge_scores(f, Tensor(1.0), metric, _all_pairs(f.shape[0]), False)
-            * Tensor(w)).sum()
+    """sum_e w_e * (first-pick log p_e at t = 1) over every off-diagonal pair,
+    which reaches every distance."""
+    return (_edge_scores(f, Tensor(1.0), metric, _all_pairs(f.shape[0])) * Tensor(w)).sum()
 
 
 def _brute_sqdist(v):

@@ -260,6 +260,32 @@ def test_train_draws_one_graph_per_epoch_with_grad(monkeypatch, regime):
     assert grad_enabled == [True] * 6
 
 
+def test_only_the_training_draw_is_scored(monkeypatch):
+    """run_experiment scores one draw per history row, always with grad: its
+    inference and homophily draws select edges and score none."""
+    real = nm.kernel_edge_scores
+    grad_enabled = []
+
+    def counted(*args, **kwargs):
+        grad_enabled.append(nm._grad_enabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nm, "kernel_edge_scores", counted)
+    result, _ = run_experiment(tiny_dataset(), tiny_config(epochs=7, inference_samples=5))
+    assert len(result.history) == 7
+    assert grad_enabled == [True] * 7
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_run_experiment_reports_a_diverged_last_step_with_its_epoch():
+    """With patience 0 no training forward sees the last step's parameters;
+    inference is the first to, and the failure names that epoch."""
+    with pytest.raises(TrainingError) as err:
+        run_experiment(tiny_dataset(), tiny_config(learning_rate=1e150, epochs=1))
+    assert err.value.epoch == 0
+    assert "epoch 0" in str(err.value)
+
+
 def test_train_restores_the_parameters_its_best_validation_measured():
     """Early stopping on a fixed graph: the restored model scores exactly the
     best validation metric, the one its history row holds."""
@@ -314,7 +340,7 @@ def build_frozen_loss(ds, mlp, tau, model, noise, k=3):
     f = weight_phenotypes(a, Tensor(phen))
     d = pairwise_distance(f, "euclidean")
     log_p = edge_probabilities(d, nm.exp(tau))
-    graph = gumbel_topk_sample(log_p, k, noise=noise)
+    graph = gumbel_topk_sample(log_p, k, noise=noise, normalize=True)
     preds = gcn_forward(graph.a_hat, ds.X, model)
     l_gcn = huber_loss(preds, ds.y, ds.masks.train)
     eps = null_epsilon(ds.y[ds.masks.train])
@@ -364,7 +390,7 @@ def test_one_small_step_descends_frozen_objective():
     f = weight_phenotypes(a, phen_t)
     d = pairwise_distance(f, "euclidean")
     log_p = edge_probabilities(d, nm.exp(tau))
-    graph = gumbel_topk_sample(log_p, 3, noise=noise)
+    graph = gumbel_topk_sample(log_p, 3, noise=noise, normalize=True)
     preds = gcn_forward(graph.a_hat, ds.X, model)
     l_gcn = huber_loss(preds, ds.y, ds.masks.train)
     l_graph = graph_loss(graph, rho0, ds.masks.train)
@@ -374,8 +400,10 @@ def test_one_small_step_descends_frozen_objective():
 
 
 def test_edge_normalizer_keeps_the_drawn_edges():
-    """The training draw's row normalizer shifts each edge's score by its
-    source row's off-diagonal logsumexp and leaves the chosen edges alone."""
+    """Scoring a draw leaves its edges alone: a draw without ``normalize``
+    scores nothing and picks the edges the scored draw picks from the same
+    noise, and the scored draw's values are each edge's log p less its source
+    row's off-diagonal logsumexp."""
     ds = tiny_dataset(n=24)
     rng = np.random.default_rng(7)
     phen = ds.phenotype_matrix()
@@ -386,19 +414,20 @@ def test_edge_normalizer_keeps_the_drawn_edges():
     a = aggregate_attention(attention_forward(phen, mlp))
     scores = edge_probabilities(pairwise_distance(weight_phenotypes(a, Tensor(phen)),
                                                   "euclidean"), nm.exp(tau))
-    raw = gumbel_topk_sample(scores, k, noise=noise)
-    normalized = gumbel_topk_sample(scores, k, noise=noise, normalize=True)
+    unscored = gumbel_topk_sample(scores, k, noise=noise)
+    scored = gumbel_topk_sample(scores, k, noise=noise, normalize=True)
     nm.reset_tape()
-    assert np.array_equal(raw.edges, normalized.edges)
+    assert unscored.log_probs is None
+    assert np.array_equal(unscored.edges, scored.edges)
 
     log_p = scores.rows(0, 24)
+    src, dst = scored.edges[:, 0], scored.edges[:, 1]
+    raw = log_p[src, dst]
     np.fill_diagonal(log_p, -np.inf)
     row_lse = np.log(np.exp(log_p).sum(axis=1))
-    src = raw.edges[:, 0]
-    assert np.allclose(normalized.log_probs.values,
-                       raw.log_probs.values - row_lse[src], atol=1e-12)
+    assert np.allclose(scored.log_probs.values, raw - row_lse[src], atol=1e-12)
     # first-pick probabilities of a row's k distinct picks sum below one
-    picked = np.exp(normalized.log_probs.values).reshape(24, k).sum(axis=1)
+    picked = np.exp(scored.log_probs.values).reshape(24, k).sum(axis=1)
     assert np.all(picked < 1.0)
 
 
@@ -469,10 +498,12 @@ def test_sample_trained_edges_shapes_and_paths():
     edges = sample_trained_edges(result, ds)
     assert edges.shape == (ds.n_subjects * 3, 2)
     assert np.array_equal(edges, sample_trained_edges(result, ds))
+    nm.reset_tape()
     with nm.no_grad():
         drawn = _draw_graph(result, ds.phenotype_matrix(),
                             stream_rng(result.config.seed, HOMOPHILY_STREAM))
     assert np.array_equal(edges, drawn.edges)
+    assert drawn.log_probs is None and not nm._ops()
 
     fixed = train(ds, tiny_config(), fixed_edges=edges)
     assert np.array_equal(sample_trained_edges(fixed, ds), edges)
