@@ -29,6 +29,7 @@ from .dataio import (
     CsvSchema,
     PopulationDataset,
     SyntheticConfig,
+    check_integer,
     config_hash,
     generate_synthetic,
     load_csv,
@@ -95,13 +96,39 @@ class CliError(Exception):
 
 
 def _from_dict(cls, payload: dict, where: str):
-    """``cls(**payload)``, refusing keys that are not fields of ``cls``.
-    Absent keys take the field defaults; ``cls.__post_init__`` coerces and
-    checks the values."""
+    """``cls(**payload)``, refusing a payload that is not a JSON object and
+    keys that are not fields of ``cls``. Absent keys take the field
+    defaults; ``cls.__post_init__`` checks and coerces the values."""
+    if not isinstance(payload, dict):
+        raise CliError(f"{where} must be a JSON object, got {payload!r}")
     unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise CliError(f"unknown {where} keys: {sorted(unknown)}")
     return cls(**payload)
+
+
+# JSON kinds of config fields: (accepted Python types, name in messages)
+_LIST = ((list, tuple), "list")
+_OBJECT = (dict, "object")
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    try:
+        check_integer(name, value, least)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _check_fields(owner, kinds: dict, least: dict) -> None:
+    """Raise CliError naming the first field of ``owner`` that is not of its
+    JSON kind in ``kinds`` or, of those in ``least``, not an integer of at
+    least its least value. Runs before anything coerces the fields."""
+    for name, (types, what) in kinds.items():
+        value = getattr(owner, name)
+        if not isinstance(value, types):
+            raise CliError(f"{name} must be a JSON {what}, got {value!r}")
+    for name, bound in least.items():
+        _check_integer(name, getattr(owner, name), bound)
 
 
 @dataclass
@@ -115,11 +142,12 @@ class DatasetBlock:
     kinds: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.seed = int(self.seed)
+        _check_fields(self, {"split_fractions": _LIST, "kinds": _OBJECT,
+                             "csv_path": ((str, type(None)), "string or null")}, {"seed": 0})
         self.split_fractions = tuple(self.split_fractions)
         if not isinstance(self.synthetic, SyntheticConfig):
             self.synthetic = _from_dict(SyntheticConfig, self.synthetic, "synthetic")
-        self.kinds = dict(self.kinds or {})
+        self.kinds = dict(self.kinds)
         if self.source not in ("synthetic", "csv"):
             raise CliError(f"unknown dataset source {self.source!r}")
         if self.source == "csv" and not self.csv_path:
@@ -137,6 +165,8 @@ class AblationBlock:
     methods: list = field(default_factory=lambda: ["adaptive"])
 
     def __post_init__(self) -> None:
+        _check_fields(self, {"phenotype_subsets": _LIST, "distance_metrics": _LIST,
+                             "methods": _LIST}, {})
         self.phenotype_subsets = list(self.phenotype_subsets)
         self.distance_metrics = list(self.distance_metrics)
         self.methods = list(self.methods)
@@ -169,9 +199,12 @@ class ExperimentConfig:
             self.dataset = _from_dict(DatasetBlock, self.dataset, "dataset")
         if not isinstance(self.ablation, AblationBlock):
             self.ablation = _from_dict(AblationBlock, self.ablation, "ablation")
+        _check_fields(self, {"train": _OBJECT, "seeds": _LIST, "out_dir": (str, "string")},
+                      {"workers": 1})
         self.train = dict(self.train)
-        self.seeds = [int(s) for s in self.seeds]
-        self.workers = int(self.workers)
+        self.seeds = list(self.seeds)
+        for seed in self.seeds:
+            _check_integer("each seed", seed, 0)
         if self.task not in ("regression", "classification"):
             raise CliError(f"unknown task {self.task!r}")
         if not self.out_dir:
@@ -180,8 +213,6 @@ class ExperimentConfig:
             raise CliError("seeds list is empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise CliError("duplicate seeds")
-        if self.workers < 1:
-            raise CliError("workers must be at least 1")
         unknown = set(self.train) - _TRAIN_KEYS
         if unknown:
             raise CliError(f"unknown train keys: {sorted(unknown)}")
@@ -357,12 +388,12 @@ def _run_pool(items, worker, n_workers: int):
 # ---------------------------------------------------------------------------
 
 
-def cmd_generate(config: ExperimentConfig, out_dir=None) -> Path:
+def cmd_generate(config: ExperimentConfig) -> Path:
     """Write dataset.csv plus metadata.json (seed, relevance flags, hash)."""
     block = config.dataset
     if block.source != "synthetic":
         raise CliError("generate only makes sense for synthetic dataset blocks")
-    out = Path(out_dir or config.out_dir)
+    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds = generate_synthetic(block.synthetic, seed=block.seed)
     try:

@@ -31,6 +31,7 @@ __all__ = [
     "CsvSchema",
     "PopulationDataset",
     "config_hash",
+    "check_integer",
     "check_integers",
     "write_json",
     "write_csv",
@@ -88,15 +89,19 @@ def _finite_number(value) -> bool:
             and math.isfinite(value))
 
 
+def check_integer(name: str, value, least: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer (a bool
+    is not one) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 def check_integers(owner, least: dict) -> None:
-    """Raise ValueError naming the first field of ``owner`` in ``least`` that
-    is not an integer (a bool is not one) or is below its least value."""
+    """``check_integer`` on each field of ``owner`` named in ``least``."""
     for name, bound in least.items():
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < bound:
-            raise ValueError(f"{name} must be at least {bound}")
+        check_integer(name, getattr(owner, name), bound)
 
 
 @dataclass
@@ -118,6 +123,8 @@ class SyntheticConfig:
     age_range: tuple = (47.0, 81.0)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.age_range, (list, tuple)):
+            raise ValueError(f"age_range must be a list of two numbers, got {self.age_range!r}")
         self.age_range = tuple(self.age_range)
 
     def to_dict(self) -> dict:

@@ -8,11 +8,12 @@ noise-free first-pick log-probability, so gradients reach the feature
 weighting and the temperature while the noise acts as a constant. Every
 other draw only selects edges.
 
-No N x N array is built. ``pairwise_distance`` and ``edge_probabilities``
-return row-block operators, and the sampler walks them a block of rows at a
-time: distances, kernel, Gumbel noise, the diagonal mask and a partial top-k.
-The normalized adjacency of a draw is a ``scipy.sparse`` CSR matrix, built
-on first use.
+No N x N array is built. ``pairwise_distance`` returns the metric's
+distance kernel (``numerics.BlockDistance``) and ``edge_probabilities`` an
+operator over it, and the sampler walks them a block of rows at a time:
+distances, kernel, Gumbel noise, the diagonal mask and a partial top-k. The
+training draw's scores back through that same kernel. The normalized
+adjacency of a draw is a ``scipy.sparse`` CSR matrix, built on first use.
 
 Static kNN and uniform-random graphs cover the non-adaptive baselines.
 """
@@ -30,7 +31,6 @@ from .dataio import write_json
 from .numerics import Tensor
 
 __all__ = [
-    "PairwiseDistances",
     "EdgeScores",
     "SampledGraph",
     "pairwise_distance",
@@ -48,66 +48,47 @@ __all__ = [
 _BALL_MARGIN = 1e-3
 
 
-class PairwiseDistances:
-    """The (N, N) distance matrix of the rows of ``features`` as a row-block
-    operator: ``rows(r0, r1)`` computes rows r0..r1-1 (zero on each row's own
-    column) without gradient. Gradients reach ``features`` through the
-    sampled edges' scores (``numerics.kernel_edge_scores``)."""
-
-    def __init__(self, features: Tensor, metric: str):
-        self.features = features
-        self.metric = metric
-        self.shape = (features.shape[0], features.shape[0])
-        self._kernel = nm.block_distance(metric, features.values)
-
-    def rows(self, r0: int, r1: int) -> np.ndarray:
-        return self._kernel.rows(np.arange(r0, r1))
-
-
 class EdgeScores:
-    """log p = -t * d^2 over a ``PairwiseDistances`` operator, by row blocks."""
+    """log p = -t * d^2 over a distance kernel, by row blocks."""
 
-    def __init__(self, distances: PairwiseDistances, t: Tensor):
-        self._kernel = distances._kernel
-        self.features = distances.features
-        self.metric = distances.metric
+    def __init__(self, kernel: nm.BlockDistance, t: Tensor):
+        self.kernel = kernel
         self.t = t
-        self.shape = distances.shape
+        self.shape = kernel.shape
 
     def rows(self, r0: int, r1: int) -> np.ndarray:
-        sq = self._kernel.forward(np.arange(r0, r1))[0]
+        sq = self.kernel.forward(np.arange(r0, r1))[0]
         return np.multiply(sq, -float(self.t.values), out=sq)
 
 
-def pairwise_distance(features, metric: str) -> PairwiseDistances:
-    """All-pairs distances of the rows of ``features``, as a row-block operator.
+def pairwise_distance(features, metric: str) -> nm.BlockDistance:
+    """All-pairs distances of the rows of ``features``: the metric's
+    ``numerics.block_distance`` kernel.
 
     euclidean and cosine apply directly; hyperbolic first rescales all rows
     radially so the largest norm reaches 1 - 1e-3 (on the tape, before any
     blocking), then measures Poincare distance inside the unit ball.
     """
     f = features if isinstance(features, Tensor) else Tensor(features)
-    if f.ndim != 2 or f.shape[0] < 2:
-        raise nm.ShapeError(f"pairwise_distance: need at least 2 rows, got {f.shape}")
     if metric == "hyperbolic":
         norms = nm.sqrt(nm.tsum(nm.square(f), axis=1))
         if float(norms.values.max()) > 0.0:
             top_t = nm.reshape(nm.gather_rows(norms, np.array([int(norms.values.argmax())])), ())
             f = f * ((1.0 - _BALL_MARGIN) / top_t)
-    return PairwiseDistances(f, metric)
+    return nm.block_distance(metric, f)
 
 
 def edge_probabilities(distances, t):
     """log p_ij = -t * d_ij^2. Callers keep t positive by passing t = exp(tau).
 
-    A ``PairwiseDistances`` operator gives an ``EdgeScores`` operator; a dense
+    A distance kernel gives an ``EdgeScores`` operator over it; a dense
     distance matrix gives the dense score Tensor. The zero diagonal of the
     distances makes log p_ii = 0 (p_ii = 1) until the sampler masks it out.
     """
     t = t if isinstance(t, Tensor) else Tensor(float(t))
     if t.shape != ():
         raise nm.ShapeError(f"edge_probabilities: t must be scalar, got {t.shape}")
-    if isinstance(distances, PairwiseDistances):
+    if isinstance(distances, nm.BlockDistance):
         return EdgeScores(distances, t)
     d = distances if isinstance(distances, Tensor) else Tensor(distances)
     return -(nm.square(d) * t)
@@ -212,8 +193,7 @@ def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
     log_probs = None if blocked else nm.gather_rows(nm.reshape(lp, (n * n,)),
                                                     edges[:, 0] * n + edges[:, 1])
     if normalize:
-        log_probs = nm.kernel_edge_scores(lp.features, lp.t, lp.metric, edges,
-                                          raw.reshape(-1), row_lse)
+        log_probs = nm.kernel_edge_scores(lp.kernel, lp.t, edges, raw.reshape(-1), row_lse)
     return SampledGraph(edges=edges, log_probs=log_probs, n_nodes=n, noise=noise)
 
 

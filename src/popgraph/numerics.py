@@ -36,6 +36,7 @@ __all__ = [
     "fill_block_diagonal",
     "gumbel_fill",
     "offdiag_logsumexp",
+    "BlockDistance",
     "block_distance",
     "kernel_edge_scores",
 ]
@@ -539,25 +540,31 @@ def _sqdist_pullback(v, rows, g, scale, acc) -> None:
     acc[rows] += (2.0 * scale) * (g.sum(axis=1)[:, None] * vi - g @ v)
 
 
-class _BlockDistance:
-    """Distances from a block of rows to every row under one metric.
+class BlockDistance:
+    """The distances between the rows of ``features`` under one metric, as a
+    row-block kernel: the one object a graph draw builds, walks and
+    differentiates. ``features`` is the tape parent its gradients reach and
+    ``shape`` is (N, N). ``rows(r0, r1)`` gives rows r0..r1-1 of the
+    distances, zero on each row's own column, without gradient.
 
     A block is a set of rows: an ascending array of distinct row indices.
-    The sampler and the kNN graph hand over contiguous ranges; the backward
-    of ``kernel_edge_scores`` hands over only the rows that carry gradient.
-    ``forward(rows)`` returns the (len(rows), N) block of squared distances,
-    zero on each row's own column, as a fresh array the caller may
-    overwrite, and what its pullback needs; ``pullback(rows, saved, g,
-    scale, acc)`` adds the block's vector-Jacobian product with scale * g
-    (zero on the own columns) through the squared distances into
-    ``accumulator()``, which ``finish`` turns into d/dv. A row in no block
-    adds exactly what a zero row of g would: nothing. ``pullback`` may
-    overwrite ``saved``. ``rows(rows)`` gives the distances themselves.
+    ``forward(rows)`` returns the block's (len(rows), N) squared distances,
+    zero on the own columns, as a fresh array the caller may overwrite, and
+    what its pullback needs; ``pullback(rows, saved, g, scale, acc)`` adds
+    the block's vector-Jacobian product with scale * g (zero on the own
+    columns) through the squared distances into ``accumulator()``, which
+    ``finish`` turns into d/d(features). A row in no block adds nothing.
+    ``pullback`` may overwrite ``saved``.
 
     This base serves metrics that compute d and then d^2: a subclass gives
     ``distances(rows)`` -> (d, saved) and ``distance_pullback``, the same
     product through d.
     """
+
+    def __init__(self, features: Tensor):
+        self.features = features
+        self.shape = (features.shape[0], features.shape[0])
+        self.v = features.values
 
     def forward(self, rows):
         d, saved = self.distances(rows)
@@ -569,8 +576,8 @@ class _BlockDistance:
         d *= 2.0 * scale
         self.distance_pullback(rows, inner, d, acc)
 
-    def rows(self, rows):
-        return self.distances(rows)[0]
+    def rows(self, r0, r1):
+        return self.distances(np.arange(r0, r1))[0]
 
     def accumulator(self):
         return np.zeros_like(self.v)
@@ -579,12 +586,12 @@ class _BlockDistance:
         return acc
 
 
-class _Euclidean(_BlockDistance):
+class _Euclidean(BlockDistance):
     """|v_i - v_j|, kept squared: no square root on the kernel's path."""
 
-    def __init__(self, v):
-        self.v = v
-        self.r = np.sum(v * v, axis=1)
+    def __init__(self, features):
+        super().__init__(features)
+        self.r = np.sum(self.v * self.v, axis=1)
 
     def forward(self, rows):
         s = _sqdist_block(self.v, self.r, rows)
@@ -594,15 +601,17 @@ class _Euclidean(_BlockDistance):
     def pullback(self, rows, saved, g, scale, acc):
         _sqdist_pullback(self.v, rows, g, scale, acc)
 
-    def rows(self, rows):
-        return np.sqrt(self.forward(rows)[0])
+    def rows(self, r0, r1):
+        return np.sqrt(self.forward(np.arange(r0, r1))[0])
 
 
-class _Cosine(_BlockDistance):
+class _Cosine(BlockDistance):
     """1 - cos(v_i, v_j); a zero row is at distance 1 from every other row
     and gets zero gradient."""
 
-    def __init__(self, v):
+    def __init__(self, features):
+        super().__init__(features)
+        v = self.v
         norms = np.sqrt(np.sum(v * v, axis=1))
         self.nonzero = norms > 0.0
         self.safe = np.where(self.nonzero, norms, 1.0)
@@ -626,13 +635,13 @@ class _Cosine(_BlockDistance):
         return gf
 
 
-class _Poincare(_BlockDistance):
+class _Poincare(BlockDistance):
     """arcosh(1 + 2|v_i - v_j|^2 / ((1 - |v_i|^2)(1 - |v_j|^2))) for rows
     strictly inside the unit ball; zero subgradient at coincident points."""
 
-    def __init__(self, v):
-        self.v = v
-        self.r = np.sum(v * v, axis=1)
+    def __init__(self, features):
+        super().__init__(features)
+        self.r = np.sum(self.v * self.v, axis=1)
         if np.any(self.r >= 1.0):
             raise NumericsError("poincare distance: rows must lie strictly inside "
                                 "the unit ball; rescale inputs first")
@@ -668,14 +677,17 @@ class _Poincare(_BlockDistance):
 BLOCK_METRICS = {"euclidean": _Euclidean, "cosine": _Cosine, "hyperbolic": _Poincare}
 
 
-def block_distance(metric: str, v: np.ndarray):
-    """Row-block distance kernel of one metric over the rows of v: ``rows(rows)``
-    gives the (len(rows), N) block of a set of rows, zero on each row's own
-    column."""
+def block_distance(metric: str, features) -> BlockDistance:
+    """The ``BlockDistance`` kernel of one metric over the rows of the 2-D
+    ``features`` (a Tensor; an array is taken as a constant)."""
+    f = _as_tensor(features)
+    if f.ndim != 2 or f.shape[0] < 2:
+        raise ShapeError(f"block_distance: features must be 2-D with at least 2 rows, "
+                         f"got {f.shape}")
     if metric not in BLOCK_METRICS:
         raise ValueError(f"unknown distance metric {metric!r}; expected one of "
                          f"{tuple(BLOCK_METRICS)}")
-    return BLOCK_METRICS[metric](v)
+    return BLOCK_METRICS[metric](f)
 
 
 def _edge_blocks(live: np.ndarray, src: np.ndarray, step: int):
@@ -691,26 +703,23 @@ def _edge_blocks(live: np.ndarray, src: np.ndarray, step: int):
         yield live[c0:c0 + step], sel, pos[sel] - c0
 
 
-def kernel_edge_scores(features, t, metric: str, edges, raw, row_lse) -> Tensor:
+def kernel_edge_scores(dist: BlockDistance, t, edges, raw, row_lse) -> Tensor:
     """Record each (src, dst) edge's first-pick log-probability under log p =
-    -t d(f_src, f_dst)^2: log p_e - logsumexp_{l != src} log p_src,l
-    (Plackett-Luce). The sampler's own pass over the blocks already has each
-    edge's ``raw`` log p and the (N,) off-diagonal ``row_lse`` of every row,
-    so the forward only subtracts.
+    -t d^2 over the kernel ``dist``: log p_e - logsumexp_{l != src} log
+    p_src,l (Plackett-Luce). The sampler's own pass over ``dist`` already has
+    each edge's ``raw`` log p and the (N,) off-diagonal ``row_lse`` of every
+    row, so the forward only subtracts.
 
-    The backward recomputes the distances block by block of source rows, so
-    no N x N array outlives a block, and only the source rows with at least
-    one edge of nonzero upstream gradient, in blocks that are sets of such
-    rows. Every other row's gradient block is exactly zero: its normalizer
-    weight, the sum of its edges' gradients, is zero and no edge gradient
-    lands in it. Each block's gradient is built in one pass, in place in one
-    (rows, N) buffer reused across blocks.
+    The backward recomputes blocks through ``dist`` itself, so gradients reach
+    ``dist.features`` and no N x N array outlives a block. It visits only the
+    source rows with at least one edge of nonzero upstream gradient, in
+    blocks that are sets of such rows. Every other row's gradient block is
+    exactly zero: its normalizer weight, the sum of its edges' gradients, is
+    zero and no edge gradient lands in it. Each block's gradient is built in
+    one pass, in place in one (rows, N) buffer reused across blocks.
     """
-    f, t = _as_tensor(features), _as_tensor(t)
-    if f.ndim != 2 or f.shape[0] < 2:
-        raise ShapeError(f"kernel_edge_scores: features must be 2-D with at least "
-                         f"2 rows, got {f.shape}")
-    n = f.shape[0]
+    t = _as_tensor(t)
+    n = dist.shape[0]
     if t.shape != ():
         raise ShapeError(f"kernel_edge_scores: t must be scalar, got {t.shape}")
     edges = np.asarray(edges, dtype=np.intp)
@@ -724,7 +733,6 @@ def kernel_edge_scores(features, t, metric: str, edges, raw, row_lse) -> Tensor:
         raise ShapeError("kernel_edge_scores: need one raw score per edge and one "
                          "row logsumexp per row")
     step = rows_per_block(n)
-    dist = block_distance(metric, f.values)
     tv = float(t.values)
 
     def bwd(g):
@@ -751,4 +759,4 @@ def kernel_edge_scores(features, t, metric: str, edges, raw, row_lse) -> Tensor:
             dist.pullback(rows, saved, g_s, -tv, acc)
         return dist.finish(acc), np.array(g_t)
 
-    return _apply("kernel_edge_scores", raw - row_lse[src], (f, t), bwd)
+    return _apply("kernel_edge_scores", raw - row_lse[src], (dist.features, t), bwd)

@@ -144,7 +144,7 @@ def dense_distances(v: np.ndarray, metric: str, rescale: bool = True) -> np.ndar
     """All-pairs distances of the rows of v, zero diagonal; hyperbolic
     rescales so the largest row norm is 1 - 1e-3 first, as
     ``pairwise_distance`` does, unless ``rescale`` is False (rows inside the
-    unit ball taken as they are, as ``numerics.kernel_edge_scores`` takes
+    unit ball taken as they are, as ``numerics.block_distance`` takes
     them)."""
     v = np.asarray(v, dtype=float)
     r = np.sum(v * v, axis=1)
@@ -179,12 +179,13 @@ def dense_edge_forward(v: np.ndarray, t: float, metric: str, edges: np.ndarray):
 
 def dense_kernel_edge_grads(v: np.ndarray, t: float, metric: str, edges: np.ndarray,
                             g: np.ndarray, block_rows: int):
-    """(d/dv, d/dt) of sum_e g_e * kernel_edge_scores(v, t, metric, edges)_e,
-    the backward as first written: every source row's block is recomputed,
-    whether or not any of its edges carries gradient, in consecutive blocks
-    of ``block_rows`` rows. A block's d/d(log p) is built densely: a bincount
-    scatter of the edge gradients, less each row's summed gradient times its
-    first-pick softmax (logsumexp taken here, not from the forward)."""
+    """(d/dv, d/dt) of sum_e g_e * kernel_edge_scores(block_distance(metric,
+    v), t, edges, ...)_e, the backward as first written: every source row's
+    block is recomputed, whether or not any of its edges carries gradient,
+    in consecutive blocks of ``block_rows`` rows. A block's d/d(log p) is
+    built densely: a bincount scatter of the edge gradients, less each row's
+    summed gradient times its first-pick softmax (logsumexp taken here, not
+    from the forward)."""
     n = v.shape[0]
     dist = nm.block_distance(metric, v)
     src, dst = edges[:, 0], edges[:, 1]

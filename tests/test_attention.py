@@ -106,7 +106,7 @@ def test_weight_phenotypes_identity_zero_and_mask():
     collapsed = weight_phenotypes(np.zeros(2), phen)
     assert np.all(collapsed.values == 0.0)
     # collapse mode: zero weights erase all geometry, every distance is zero
-    assert np.all(nm.block_distance("euclidean", collapsed.values).rows(np.arange(2)) == 0.0)
+    assert np.all(nm.block_distance("euclidean", collapsed).rows(0, 2) == 0.0)
 
     masked = weight_phenotypes(np.array([1.0, 0.0]), Tensor(np.array([[0.5, 0.9]])))
     assert np.allclose(masked.values, [[0.5, 0.0]])

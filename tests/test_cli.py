@@ -4,6 +4,7 @@ ablations, exports, and exit codes, all on miniature datasets.
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +97,11 @@ def test_config_rejects_unknown_keys(tmp_path):
         ExperimentConfig.from_dict(bad)
 
 
-def test_config_validation_errors(tmp_path):
+def test_config_validation_errors(tmp_path, capsys):
+    """Each bad value fails when the config loads, naming its field: a value
+    of the wrong JSON kind is checked before anything coerces it, and a
+    float or string count is not truncated or parsed. ``train`` exits 2 and
+    writes no run directory."""
     for mutate, pattern in [
         (lambda d: d.update(seeds=[]), "seeds"),
         (lambda d: d.update(seeds=[1, 1]), "duplicate"),
@@ -107,11 +112,30 @@ def test_config_validation_errors(tmp_path):
         (lambda d: d["ablation"].update(methods=["boosting"]), "method"),
         (lambda d: d["ablation"].update(distance_metrics=["manhattan"]), "metric"),
         (lambda d: d["ablation"].update(phenotype_subsets=["genes"]), "subset"),
+        (lambda d: d["dataset"].update(split_fractions=5), "split_fractions must be a JSON list"),
+        (lambda d: d["ablation"].update(methods=5), "methods must be a JSON list"),
+        (lambda d: d.update(seeds=5), "seeds must be a JSON list"),
+        (lambda d: d["dataset"].update(seed="abc"), "seed must be an integer, got 'abc'"),
+        (lambda d: d.update(seeds=["x"]), "each seed must be an integer, got 'x'"),
+        (lambda d: d.update(workers="two"), "workers must be an integer, got 'two'"),
+        (lambda d: d["dataset"].update(kinds=[1, 2]), "kinds must be a JSON object"),
+        (lambda d: d.update(train=[1]), "train must be a JSON object"),
+        (lambda d: d.update(seeds=[1.7]), "each seed must be an integer, got 1.7"),
+        (lambda d: d.update(workers=2.9), "workers must be an integer, got 2.9"),
+        (lambda d: d["dataset"].update(seed=3.9), "seed must be an integer, got 3.9"),
+        (lambda d: d.update(dataset=5), "dataset must be a JSON object"),
+        (lambda d: d.update(out_dir=5), "out_dir must be a JSON string"),
+        (lambda d: d["dataset"].update(source="csv", csv_path=5),
+         "csv_path must be a JSON string or null"),
     ]:
         payload = experiment_dict(tmp_path / "run")
         mutate(payload)
         with pytest.raises(CliError, match=pattern):
             ExperimentConfig.from_dict(payload)
+        path = write_config(tmp_path, payload)
+        assert main(["train", "--config", str(path)]) == 2, pattern
+        assert re.search(pattern, capsys.readouterr().err), pattern
+        assert not (tmp_path / "run").exists(), pattern
 
 
 def test_train_config_carries_overrides(tmp_path):
@@ -564,8 +588,9 @@ def test_main_rejects_bad_train_block_before_writing(tmp_path, capsys,
 
 @pytest.mark.parametrize("key, value", [
     ("n_subjects", "800"), ("n_subjects", 60.5), ("age_range", [81, "x"]),
-    ("noise_std", float("nan")), ("noise_std", -1)],
-    ids=["count-string", "count-float", "age-range-string", "noise-nan", "noise-negative"])
+    ("noise_std", float("nan")), ("noise_std", -1), ("age_range", 5)],
+    ids=["count-string", "count-float", "age-range-string", "noise-nan", "noise-negative",
+         "age-range-number"])
 def test_main_rejects_bad_synthetic_block_before_writing(tmp_path, capsys, key, value):
     """A bad synthetic value fails when the config loads, naming the field:
     not a TypeError traceback, a non-finite tensor in every seed or numpy's

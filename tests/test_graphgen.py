@@ -277,6 +277,38 @@ def test_blocked_draw_matches_dense_reference(metric, rows_per_block, monkeypatc
     assert drawn.log_probs is None
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
+def test_training_draw_backs_through_the_kernel_it_walked(metric, monkeypatch):
+    """The scored draw hands ``kernel_edge_scores`` the very kernel its
+    ``EdgeScores`` walked, and the backward recomputes its blocks through
+    that object: no second kernel is built for the gradient."""
+    f = Tensor(RNG.uniform(-0.4, 0.4, size=(12, 3)), requires_grad=True)
+    lp = edge_probabilities(pairwise_distance(f, metric), 1.5)
+    scored = []
+    real = nm.kernel_edge_scores
+
+    def captured(dist, *args):
+        scored.append(dist)
+        return real(dist, *args)
+
+    monkeypatch.setattr(nm, "kernel_edge_scores", captured)
+    g = gumbel_topk_sample(lp, 3, rng=np.random.default_rng(0), normalize=True)
+    assert scored == [lp.kernel] and scored[0] is lp.kernel
+
+    blocks = []
+    forward = lp.kernel.forward
+
+    def counted_forward(rows):
+        blocks.append(rows)
+        return forward(rows)
+
+    lp.kernel.forward = counted_forward
+    monkeypatch.setattr(nm, "block_distance", None)  # a second build would fail
+    nm.backward((g.log_probs * Tensor(RNG.normal(size=36))).sum())
+    assert np.array_equal(np.concatenate(blocks), np.arange(12))
+    assert np.all(np.isfinite(f.grad)) and np.any(f.grad != 0.0)
+
+
 def test_draw_holds_no_n_by_n_array():
     """At N = 3000 one N x N float64 array is 72 MB: neither a no-grad draw
     nor a training draw's forward and backward may allocate that much."""

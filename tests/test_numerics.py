@@ -153,7 +153,8 @@ def test_offdiag_logsumexp_rows_values_and_fd(block_rows, monkeypatch):
     t = Tensor(0.8, requires_grad=True)
     edges = _all_pairs(7)
     raw, row_lse = dense_edge_forward(f.values, t.values, "euclidean", edges)
-    scores = nm.kernel_edge_scores(f, t, "euclidean", edges, raw, row_lse).values
+    scores = nm.kernel_edge_scores(nm.block_distance("euclidean", f), t, edges, raw,
+                                   row_lse).values
     assert np.allclose(np.exp(scores).reshape(7, 6).sum(axis=1), 1.0, atol=1e-12)
     dense = np.zeros((7, 7))
     dense[edges[:, 0], edges[:, 1]] = raw
@@ -165,33 +166,28 @@ def test_offdiag_logsumexp_rows_values_and_fd(block_rows, monkeypatch):
 
 
 def test_offdiag_logsumexp_rows_rejects_bad_operands():
-    edges = np.array([[0, 1]])
-    forward = (np.zeros(1), np.zeros(3))
     with pytest.raises(ShapeError, match="2-D"):
-        nm.kernel_edge_scores(Tensor(np.zeros(3)), Tensor(1.0), "euclidean", edges,
-                              *forward)
+        nm.block_distance("euclidean", Tensor(np.zeros(3)))
     with pytest.raises(ShapeError, match="at least 2"):
-        nm.kernel_edge_scores(Tensor(np.zeros((1, 1))), Tensor(1.0), "euclidean",
-                              edges, *forward)
-    with pytest.raises(ValueError, match="self-edges"):
-        nm.kernel_edge_scores(Tensor(np.zeros((3, 3))), Tensor(1.0), "euclidean",
-                              np.array([[1, 1]]), *forward)
+        nm.block_distance("euclidean", Tensor(np.zeros((1, 1))))
     with pytest.raises(ValueError, match="metric"):
-        nm.kernel_edge_scores(Tensor(np.zeros((3, 3))), Tensor(1.0), "manhattan",
-                              edges, *forward)
+        nm.block_distance("manhattan", Tensor(np.zeros((3, 3))))
+    dist = nm.block_distance("euclidean", Tensor(np.zeros((3, 3))))
+    edges = np.array([[0, 1]])
+    with pytest.raises(ValueError, match="self-edges"):
+        nm.kernel_edge_scores(dist, Tensor(1.0), np.array([[1, 1]]), np.zeros(1),
+                              np.zeros(3))
     with pytest.raises(ShapeError, match="per edge"):
-        nm.kernel_edge_scores(Tensor(np.zeros((3, 3))), Tensor(1.0), "euclidean",
-                              edges, np.zeros(2), np.zeros(3))
+        nm.kernel_edge_scores(dist, Tensor(1.0), edges, np.zeros(2), np.zeros(3))
     with pytest.raises(ShapeError, match="per row"):
-        nm.kernel_edge_scores(Tensor(np.zeros((3, 3))), Tensor(1.0), "euclidean",
-                              edges, np.zeros(1), np.zeros(2))
+        nm.kernel_edge_scores(dist, Tensor(1.0), edges, np.zeros(1), np.zeros(2))
 
 
 def _edge_scores(f, t, metric, edges):
     """kernel_edge_scores with the forward a sampler's block pass would hand
     it, taken from the dense oracle at the current values of f and t."""
     raw, row_lse = dense_edge_forward(f.values, t.values, metric, edges)
-    return nm.kernel_edge_scores(f, t, metric, edges, raw, row_lse)
+    return nm.kernel_edge_scores(nm.block_distance(metric, f), t, edges, raw, row_lse)
 
 
 # source rows whose every edge gets zero weight, by id prefix
@@ -352,7 +348,7 @@ def test_gumbel_fill_redraws_zero_uniforms():
 
 
 def _dense(metric, v):
-    return nm.block_distance(metric, v).rows(np.arange(v.shape[0]))
+    return nm.block_distance(metric, v).rows(0, v.shape[0])
 
 
 def _pair_loss(f, metric, w):

@@ -276,6 +276,24 @@ def test_only_the_training_draw_is_scored(monkeypatch):
     assert grad_enabled == [True] * 7
 
 
+def test_run_experiment_builds_one_distance_kernel_per_draw(monkeypatch):
+    """One kernel per graph draw: each of E epochs builds one with grad,
+    which its scored draw both walks and differentiates, and each of S
+    inference draws and the homophily draw builds one without: E + S + 1."""
+    real = nm.block_distance
+    grad_enabled = []
+
+    def counted(*args, **kwargs):
+        grad_enabled.append(nm._grad_enabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nm, "block_distance", counted)
+    result, _ = run_experiment(tiny_dataset(), tiny_config(epochs=7, inference_samples=5))
+    assert len(result.history) == 7
+    assert len(grad_enabled) == 7 + 5 + 1
+    assert grad_enabled.count(True) == 7
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
 def test_run_experiment_reports_a_diverged_last_step_with_its_epoch():
     """With patience 0 no training forward sees the last step's parameters;
