@@ -29,13 +29,14 @@ from .dataio import (
     CsvSchema,
     PopulationDataset,
     SyntheticConfig,
-    check_integer,
+    check_fields,
     config_hash,
     generate_synthetic,
     load_csv,
     make_class_labels,
     normalize_minmax,
     save_csv,
+    spec,
     split,
     write_csv,
     write_json,
@@ -49,6 +50,7 @@ from .graphgen import (
 )
 from .trainer import (
     DISTANCE_METRICS,
+    TASKS,
     InferenceResult,
     MetricsRecord,
     TrainConfig,
@@ -107,78 +109,34 @@ def _from_dict(cls, payload: dict, where: str):
     return cls(**payload)
 
 
-# JSON kinds of config fields: (accepted Python types, name in messages)
-_LIST = ((list, tuple), "list")
-_OBJECT = (dict, "object")
-
-
-def _check_integer(name: str, value, least: int) -> None:
-    try:
-        check_integer(name, value, least)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _check_fields(owner, kinds: dict, least: dict) -> None:
-    """Raise CliError naming the first field of ``owner`` that is not of its
-    JSON kind in ``kinds`` or, of those in ``least``, not an integer of at
-    least its least value. Runs before anything coerces the fields."""
-    for name, (types, what) in kinds.items():
-        value = getattr(owner, name)
-        if not isinstance(value, types):
-            raise CliError(f"{name} must be a JSON {what}, got {value!r}")
-    for name, bound in least.items():
-        _check_integer(name, getattr(owner, name), bound)
-
-
 @dataclass
 class DatasetBlock:
-    source: str = "synthetic"            # synthetic | csv
-    seed: int = 0
-    split_fractions: tuple = (0.75, 0.05, 0.20)
+    source: str = spec(str, "synthetic", choices=("synthetic", "csv"))
+    seed: int = spec(int, 0, least=0)
+    split_fractions: tuple = spec(tuple, (0.75, 0.05, 0.20))
     synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
-    csv_path: str | None = None
-    label_column: str = "age"
-    kinds: dict = field(default_factory=dict)
+    csv_path: str | None = spec(str, None)
+    label_column: str = spec(str, "age")
+    kinds: dict = spec(dict, {})
 
     def __post_init__(self) -> None:
-        _check_fields(self, {"split_fractions": _LIST, "kinds": _OBJECT,
-                             "csv_path": ((str, type(None)), "string or null")}, {"seed": 0})
-        self.split_fractions = tuple(self.split_fractions)
+        check_fields(self, CliError)
         if not isinstance(self.synthetic, SyntheticConfig):
             self.synthetic = _from_dict(SyntheticConfig, self.synthetic, "synthetic")
-        self.kinds = dict(self.kinds)
-        if self.source not in ("synthetic", "csv"):
-            raise CliError(f"unknown dataset source {self.source!r}")
         if self.source == "csv" and not self.csv_path:
             raise CliError("csv dataset needs csv_path")
-        if self.source == "synthetic":
-            self.synthetic.validate()
         if len(self.split_fractions) != 3:
             raise CliError("split_fractions must have exactly 3 entries")
 
 
 @dataclass
 class AblationBlock:
-    phenotype_subsets: list = field(default_factory=lambda: ["both"])
-    distance_metrics: list = field(default_factory=lambda: ["euclidean"])
-    methods: list = field(default_factory=lambda: ["adaptive"])
+    phenotype_subsets: list = spec(list, ["both"], each=str, choices=PHENOTYPE_SUBSETS)
+    distance_metrics: list = spec(list, ["euclidean"], each=str, choices=DISTANCE_METRICS)
+    methods: list = spec(list, ["adaptive"], each=str, choices=ABLATION_METHODS)
 
     def __post_init__(self) -> None:
-        _check_fields(self, {"phenotype_subsets": _LIST, "distance_metrics": _LIST,
-                             "methods": _LIST}, {})
-        self.phenotype_subsets = list(self.phenotype_subsets)
-        self.distance_metrics = list(self.distance_metrics)
-        self.methods = list(self.methods)
-        for subset in self.phenotype_subsets:
-            if subset not in PHENOTYPE_SUBSETS:
-                raise CliError(f"unknown phenotype subset {subset!r}")
-        for metric in self.distance_metrics:
-            if metric not in DISTANCE_METRICS:
-                raise CliError(f"unknown ablation metric {metric!r}")
-        for method in self.methods:
-            if method not in ABLATION_METHODS:
-                raise CliError(f"unknown ablation method {method!r}")
+        check_fields(self, CliError)
 
 
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} - {"task", "seed"}
@@ -186,27 +144,20 @@ _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} - {"task", "seed
 
 @dataclass
 class ExperimentConfig:
-    task: str = "regression"
+    task: str = spec(str, "regression", choices=TASKS)
     dataset: DatasetBlock = field(default_factory=DatasetBlock)
-    train: dict = field(default_factory=dict)  # TrainConfig fields but task and seed
+    train: dict = spec(dict, {})  # TrainConfig fields but task and seed
     ablation: AblationBlock = field(default_factory=AblationBlock)
-    out_dir: str = "runs/experiment"
-    seeds: list = field(default_factory=lambda: [0])
-    workers: int = 1
+    out_dir: str = spec(str, "runs/experiment")
+    seeds: list = spec(list, [0], each=int, least=0)
+    workers: int = spec(int, 1, least=1)
 
     def __post_init__(self) -> None:
+        check_fields(self, CliError)
         if not isinstance(self.dataset, DatasetBlock):
             self.dataset = _from_dict(DatasetBlock, self.dataset, "dataset")
         if not isinstance(self.ablation, AblationBlock):
             self.ablation = _from_dict(AblationBlock, self.ablation, "ablation")
-        _check_fields(self, {"train": _OBJECT, "seeds": _LIST, "out_dir": (str, "string")},
-                      {"workers": 1})
-        self.train = dict(self.train)
-        self.seeds = list(self.seeds)
-        for seed in self.seeds:
-            _check_integer("each seed", seed, 0)
-        if self.task not in ("regression", "classification"):
-            raise CliError(f"unknown task {self.task!r}")
         if not self.out_dir:
             raise CliError("out_dir is empty")
         if not self.seeds:
@@ -230,10 +181,7 @@ class ExperimentConfig:
         return config_hash(self.to_dict())
 
     def train_config(self, seed: int, **overrides) -> TrainConfig:
-        merged = {**self.train, **overrides}
-        cfg = TrainConfig(task=self.task, seed=seed, **merged)
-        cfg.validate()
-        return cfg
+        return TrainConfig(task=self.task, seed=seed, **{**self.train, **overrides})
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":

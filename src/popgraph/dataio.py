@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,9 @@ __all__ = [
     "SyntheticConfig",
     "CsvSchema",
     "PopulationDataset",
+    "spec",
+    "check_fields",
     "config_hash",
-    "check_integer",
-    "check_integers",
     "write_json",
     "write_csv",
     "generate_synthetic",
@@ -47,6 +47,7 @@ __all__ = [
 KIND_NONIMAGING = "non-imaging"
 KIND_IMAGING = "imaging"
 KIND_FEATURE = "feature"  # node-feature-only column, not a phenotype
+COLUMN_KINDS = (KIND_NONIMAGING, KIND_IMAGING, KIND_FEATURE)
 
 
 def config_hash(mapping) -> str:
@@ -89,19 +90,57 @@ def _finite_number(value) -> bool:
             and math.isfinite(value))
 
 
-def check_integer(name: str, value, least: int) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an integer (a bool
-    is not one) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}")
+# the JSON kind each Python type stands for in ``spec``, as messages name it,
+# and the test a value of that kind passes (a bool is not a number)
+_KINDS = {
+    int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    float: ("a finite number", _finite_number),
+    str: ("a JSON string", lambda v: isinstance(v, str)),
+    list: ("a JSON list", lambda v: isinstance(v, (list, tuple))),
+    tuple: ("a JSON list", lambda v: isinstance(v, (list, tuple))),
+    dict: ("a JSON object", lambda v: isinstance(v, dict)),
+}
 
 
-def check_integers(owner, least: dict) -> None:
-    """``check_integer`` on each field of ``owner`` named in ``least``."""
-    for name, bound in least.items():
-        check_integer(name, getattr(owner, name), bound)
+def spec(kind: type, default, least=None, choices=None, each=None):
+    """A config dataclass field of the JSON kind of ``kind`` (a key of
+    ``_KINDS``), checked by ``check_fields``. ``least`` and ``choices`` bound
+    a scalar value, or each item of a list whose items are of kind ``each``.
+    A None default admits null as a value too."""
+    meta = {"kind": kind, "least": least, "choices": choices, "each": each}
+    if isinstance(default, (list, dict)):
+        return field(default_factory=lambda: kind(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def check_fields(obj, error=ValueError) -> None:
+    """Raise ``error`` naming the first field of the config dataclass ``obj``
+    (or list item, as ``name[i]``) that is off its ``spec``, and copy each
+    list, tuple and dict value into its kind. A field without a ``spec``
+    holds a nested config, which checks itself."""
+    def check(name, value, kind, least=None, choices=None, suffix=""):
+        what, test = _KINDS[kind]
+        if not test(value):
+            raise error(f"{name} must be {what}{suffix}, got {value!r}")
+        if least is not None and value < least:
+            raise error(f"{name} must be at least {least}")
+        if choices is not None and value not in choices:
+            raise error(f"{name} must be one of {list(choices)}, got {value!r}")
+
+    for f in fields(obj):
+        meta, value = f.metadata, getattr(obj, f.name)
+        if "kind" not in meta or (value is None and f.default is None):
+            continue
+        kind, each = meta["kind"], meta["each"]
+        if each is None:
+            check(f.name, value, kind, meta["least"], meta["choices"],
+                  " or null" if f.default is None else "")
+        else:
+            check(f.name, value, kind)
+            for i, item in enumerate(value):
+                check(f"{f.name}[{i}]", item, each, meta["least"], meta["choices"])
+        if kind in (list, tuple, dict):
+            setattr(obj, f.name, kind(value))
 
 
 @dataclass
@@ -113,33 +152,17 @@ class SyntheticConfig:
     n_node_features - S feature columns are pure noise.
     """
 
-    n_subjects: int = 800
-    n_nonimaging: int = 20
-    n_imaging: int = 20
-    n_node_features: int = 30
-    n_relevant_nonimaging: int = 10
-    n_relevant_imaging: int = 10
-    noise_std: float = 0.1
-    age_range: tuple = (47.0, 81.0)
+    n_subjects: int = spec(int, 800, least=20)
+    n_nonimaging: int = spec(int, 20, least=0)
+    n_imaging: int = spec(int, 20, least=0)
+    n_node_features: int = spec(int, 30, least=0)
+    n_relevant_nonimaging: int = spec(int, 10, least=0)
+    n_relevant_imaging: int = spec(int, 10, least=0)
+    noise_std: float = spec(float, 0.1, least=0)
+    age_range: tuple = spec(tuple, (47.0, 81.0), each=float)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.age_range, (list, tuple)):
-            raise ValueError(f"age_range must be a list of two numbers, got {self.age_range!r}")
-        self.age_range = tuple(self.age_range)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["age_range"] = list(self.age_range)
-        return d
-
-    def validate(self) -> None:
-        check_integers(self, {"n_subjects": 20, "n_nonimaging": 0, "n_imaging": 0,
-                              "n_node_features": 0, "n_relevant_nonimaging": 0,
-                              "n_relevant_imaging": 0})
-        if not _finite_number(self.noise_std) or self.noise_std < 0:
-            raise ValueError(f"noise_std must be a finite number >= 0, got {self.noise_std!r}")
-        if len(self.age_range) != 2 or not all(map(_finite_number, self.age_range)):
-            raise ValueError(f"age_range must be two finite numbers, got {list(self.age_range)!r}")
+        check_fields(self)
         if self.n_relevant_nonimaging > self.n_nonimaging:
             raise ValueError("n_relevant_nonimaging exceeds n_nonimaging")
         if self.n_relevant_imaging > self.n_imaging:
@@ -148,9 +171,14 @@ class SyntheticConfig:
             raise ValueError("no relevant columns: nothing carries signal")
         if self.n_node_features < self.n_imaging:
             raise ValueError("n_node_features must cover the imaging columns")
-        lo, hi = self.age_range
-        if not hi > lo:
-            raise ValueError("age_range must be increasing")
+        if len(self.age_range) != 2 or not self.age_range[1] > self.age_range[0]:
+            raise ValueError(f"age_range must be two increasing numbers, "
+                             f"got {list(self.age_range)!r}")
+
+    def to_dict(self) -> dict:
+        d = asdict(self)
+        d["age_range"] = list(self.age_range)
+        return d
 
 
 @dataclass
@@ -219,7 +247,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> PopulationDataset:
     saturating shapes) plus Gaussian noise; every other column is
     age-independent standard normal. Bit-identical for a fixed seed.
     """
-    config.validate()
     rng = np.random.default_rng(seed)
     n = config.n_subjects
     lo, hi = config.age_range
@@ -322,9 +349,12 @@ def load_csv(path, schema: CsvSchema) -> PopulationDataset:
         rows = list(reader)
 
     col_pos = {name: i for i, name in enumerate(header)}
-    for name in schema.kinds:
+    for name, kind in schema.kinds.items():
         if name not in col_pos:
             raise ValueError(f"kind map names unknown column {name!r}")
+        if kind not in COLUMN_KINDS:
+            raise ValueError(f"kind map gives column {name!r} unknown kind {kind!r}; "
+                             f"expected one of {list(COLUMN_KINDS)}")
     if schema.label_column not in col_pos:
         raise ValueError(f"label column {schema.label_column!r} not in header")
 

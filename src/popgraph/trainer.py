@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numerics as nm
 from .attention import AttentionMlp, aggregate_attention, attention_forward, weight_phenotypes
-from .dataio import PopulationDataset, check_integers, config_hash, write_csv, write_json
+from .dataio import PopulationDataset, check_fields, config_hash, spec, write_csv, write_json
 from .gcn import (
     GcnModel,
     cross_entropy_loss,
@@ -44,6 +44,7 @@ from .graphgen import (
 from .numerics import Tensor
 
 __all__ = [
+    "TASKS",
     "DISTANCE_METRICS",
     "TrainConfig",
     "TrainResult",
@@ -68,6 +69,8 @@ __all__ = [
 ]
 
 RUN_FORMAT_VERSION = 2
+
+TASKS = ("regression", "classification")
 
 # a run's graph: a Gumbel-Top-k draw under a block distance, or uniform edges
 DISTANCE_METRICS = (*nm.BLOCK_METRICS, "random")
@@ -102,31 +105,23 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    task: str = "regression"
-    learning_rate: float = 0.005
-    epochs: int = 300
-    patience: int = 30            # 0 disables early stopping
-    k: int = 5
-    distance_metric: str = "euclidean"   # one of DISTANCE_METRICS
-    inference_samples: int = 8
-    seed: int = 0
-    n_classes: int = 4
-    gcn_hidden1: int = 512
-    gcn_hidden2: int = 128
-    attention_mode: str = "learned"      # learned | ones
+    task: str = spec(str, "regression", choices=TASKS)
+    learning_rate: float = spec(float, 0.005)
+    epochs: int = spec(int, 300, least=1)
+    patience: int = spec(int, 30, least=0)  # 0 disables early stopping
+    k: int = spec(int, 5, least=1)
+    distance_metric: str = spec(str, "euclidean", choices=DISTANCE_METRICS)
+    inference_samples: int = spec(int, 8, least=1)
+    seed: int = spec(int, 0, least=0)
+    n_classes: int = spec(int, 4, least=2)
+    gcn_hidden1: int = spec(int, 512, least=1)
+    gcn_hidden2: int = spec(int, 128, least=1)
+    attention_mode: str = spec(str, "learned", choices=("learned", "ones"))
 
-    def validate(self) -> None:
-        if self.task not in ("regression", "classification"):
-            raise ValueError(f"unknown task {self.task!r}")
-        check_integers(self, {"epochs": 1, "patience": 0, "k": 1, "inference_samples": 1,
-                              "seed": 0, "n_classes": 2, "gcn_hidden1": 1,
-                              "gcn_hidden2": 1})
+    def __post_init__(self) -> None:
+        check_fields(self)
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.distance_metric not in DISTANCE_METRICS:
-            raise ValueError(f"unknown distance_metric {self.distance_metric!r}")
-        if self.attention_mode not in ("learned", "ones"):
-            raise ValueError(f"unknown attention_mode {self.attention_mode!r}")
+            raise ValueError(f"learning_rate must be above 0, got {self.learning_rate!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -288,7 +283,6 @@ def train(dataset: PopulationDataset, config: TrainConfig,
     ``fixed_edges`` freezes the graph to a precomputed edge set: no sampling,
     no edge loss, identical wiring otherwise (the static-graph baseline).
     """
-    config.validate()
     masks = dataset.require_masks()
     targets = _targets(dataset, config.task)
     train_mask, val_mask = masks.train, masks.val

@@ -2,6 +2,7 @@
 ablations, exports, and exit codes, all on miniature datasets.
 """
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 from popgraph.cli import (
+    AblationBlock,
     CliError,
+    DatasetBlock,
     ExperimentConfig,
     build_dataset,
     cmd_ablate,
@@ -22,7 +25,8 @@ from popgraph.cli import (
     main,
     restrict_phenotypes,
 )
-from popgraph.dataio import CsvSchema, load_csv
+from popgraph.dataio import CsvSchema, SyntheticConfig, config_hash, load_csv
+from popgraph.trainer import TrainConfig
 
 
 def experiment_dict(out_dir, **overrides):
@@ -105,8 +109,9 @@ def test_config_validation_errors(tmp_path, capsys):
     for mutate, pattern in [
         (lambda d: d.update(seeds=[]), "seeds"),
         (lambda d: d.update(seeds=[1, 1]), "duplicate"),
-        (lambda d: d.update(seeds=[0, -1]), "seed must be at least 0"),
+        (lambda d: d.update(seeds=[0, -1]), r"seeds\[1\] must be at least 0"),
         (lambda d: d.update(task="survival"), "task"),
+        (lambda d: d.update(task=5), "task must be a JSON string, got 5"),
         (lambda d: d.update(workers=0), "workers"),
         (lambda d: d["dataset"].update(source="csv"), "csv_path"),
         (lambda d: d["ablation"].update(methods=["boosting"]), "method"),
@@ -116,17 +121,18 @@ def test_config_validation_errors(tmp_path, capsys):
         (lambda d: d["ablation"].update(methods=5), "methods must be a JSON list"),
         (lambda d: d.update(seeds=5), "seeds must be a JSON list"),
         (lambda d: d["dataset"].update(seed="abc"), "seed must be an integer, got 'abc'"),
-        (lambda d: d.update(seeds=["x"]), "each seed must be an integer, got 'x'"),
+        (lambda d: d.update(seeds=["x"]), r"seeds\[0\] must be an integer, got 'x'"),
         (lambda d: d.update(workers="two"), "workers must be an integer, got 'two'"),
         (lambda d: d["dataset"].update(kinds=[1, 2]), "kinds must be a JSON object"),
         (lambda d: d.update(train=[1]), "train must be a JSON object"),
-        (lambda d: d.update(seeds=[1.7]), "each seed must be an integer, got 1.7"),
+        (lambda d: d.update(seeds=[1.7]), r"seeds\[0\] must be an integer, got 1.7"),
         (lambda d: d.update(workers=2.9), "workers must be an integer, got 2.9"),
         (lambda d: d["dataset"].update(seed=3.9), "seed must be an integer, got 3.9"),
         (lambda d: d.update(dataset=5), "dataset must be a JSON object"),
         (lambda d: d.update(out_dir=5), "out_dir must be a JSON string"),
         (lambda d: d["dataset"].update(source="csv", csv_path=5),
          "csv_path must be a JSON string or null"),
+        (lambda d: d["dataset"].update(label_column=5), "label_column must be a JSON string"),
     ]:
         payload = experiment_dict(tmp_path / "run")
         mutate(payload)
@@ -136,6 +142,29 @@ def test_config_validation_errors(tmp_path, capsys):
         assert main(["train", "--config", str(path)]) == 2, pattern
         assert re.search(pattern, capsys.readouterr().err), pattern
         assert not (tmp_path / "run").exists(), pattern
+
+
+CONFIG_CLASSES = (TrainConfig, SyntheticConfig, DatasetBlock, AblationBlock, ExperimentConfig)
+
+
+def test_every_config_field_declares_its_kind():
+    """Each field is checked at load: it declares its JSON kind through
+    ``dataio.spec``, or it holds a nested config that checks its own."""
+    for cls in CONFIG_CLASSES:
+        for f in dataclasses.fields(cls):
+            nested = f.default_factory in CONFIG_CLASSES
+            assert "kind" in f.metadata or nested, f"{cls.__name__}.{f.name}"
+
+
+def test_default_config_hashes_are_pinned():
+    """Run directories and checkpoints stamped by earlier versions stay
+    comparable: the default configs hash as they always have."""
+    assert ExperimentConfig().experiment_hash == (
+        "97852b72d676e01820105750608443a83950801df5bf8686d54249f1f27e2a2e")
+    assert config_hash(TrainConfig().to_dict()) == (
+        "b04370d650980fbe311c0bc49772c524a197dcda3133f4d4a2de25c79bc15174")
+    assert config_hash(SyntheticConfig().to_dict()) == (
+        "d4c025b4953bc711a18b83b4441766a195463647e02c7eaaf9f301071aabc590")
 
 
 def test_train_config_carries_overrides(tmp_path):
@@ -570,13 +599,16 @@ def test_main_reports_config_errors(tmp_path, capsys):
 @pytest.mark.parametrize("train_key, value", [
     ("k", 0), ("epochs", 0), ("distance_metric", "manhattan"),
     ("gcn_hidden1", 0), ("gcn_hidden2", 0), ("patience", -1), ("n_classes", 1),
-    ("inference_samples", 1.5), ("epochs", 3.0), ("k", True)])
+    ("inference_samples", 1.5), ("epochs", 3.0), ("k", True), ("learning_rate", "x"),
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("learning_rate", True), ("learning_rate", None)])
 def test_main_rejects_bad_train_block_before_writing(tmp_path, capsys,
                                                       train_key, value):
     """A bad train value fails when the config loads, naming the key, not
     once per seed after the run directory is written. Widths below 1,
     negative patience, fewer than 2 classes and non-integer counts are bad
-    values too, not a degenerate model or a TypeError in every seed."""
+    values too, not a degenerate model or a TypeError in every seed, and a
+    learning rate must be a finite number, not NaN, infinity or a bool."""
     payload = experiment_dict(tmp_path / "run")
     payload["train"][train_key] = value
     path = write_config(tmp_path, payload)
@@ -607,7 +639,7 @@ def test_main_rejects_bad_synthetic_block_before_writing(tmp_path, capsys, key, 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
 @pytest.mark.parametrize("broken", ["one_class", "missing_csv", "negative_fraction",
-                                    "nonfinite_csv"])
+                                    "nonfinite_csv", "bad_kind"])
 def test_main_dataset_failure_leaves_no_run_directory(tmp_path, capsys,
                                                       command, broken):
     payload = experiment_dict(tmp_path / "run")
@@ -619,18 +651,21 @@ def test_main_dataset_failure_leaves_no_run_directory(tmp_path, capsys,
     elif broken == "negative_fraction":
         payload["dataset"]["split_fractions"] = [1.2, -0.1, -0.1]
     else:
-        # enough rows to split; the one nan cell is the only fault
+        # enough rows to split; the one nan cell or the misspelled kind is
+        # the only fault
         rows = [f"{i / 40},{50 + i}" for i in range(40)]
-        rows[7] = "nan,57"
-        csv_path = tmp_path / "nan.csv"
+        if broken == "nonfinite_csv":
+            rows[7] = "nan,57"
+        csv_path = tmp_path / "pop.csv"
         csv_path.write_text("\n".join(["a,age"] + rows) + "\n", encoding="utf-8")
-        payload["dataset"].update(source="csv", csv_path=str(csv_path),
-                                  kinds={"a": "non-imaging"})
+        kind = "imagin" if broken == "bad_kind" else "non-imaging"
+        payload["dataset"].update(source="csv", csv_path=str(csv_path), kinds={"a": kind})
     path = write_config(tmp_path, payload)
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    cause = {"negative_fraction": "val fraction -0.1", "nonfinite_csv": "row 9, column 'a'"}
+    cause = {"negative_fraction": "val fraction -0.1", "nonfinite_csv": "row 9, column 'a'",
+             "bad_kind": "column 'a' unknown kind 'imagin'"}
     assert cause.get(broken, "") in err
     assert not (tmp_path / "run").exists()
 

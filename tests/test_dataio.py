@@ -71,15 +71,19 @@ def test_noiseless_linear_column_is_monotone_in_age():
 
 
 def test_generator_rejects_bad_configs():
-    with pytest.raises(ValueError):
-        generate_synthetic(small_config(n_subjects=10), seed=0)
-    with pytest.raises(ValueError):
-        generate_synthetic(small_config(n_relevant_nonimaging=99), seed=0)
-    with pytest.raises(ValueError):
-        generate_synthetic(
-            small_config(n_relevant_nonimaging=0, n_relevant_imaging=0), seed=0)
-    with pytest.raises(ValueError):
-        generate_synthetic(small_config(n_node_features=2), seed=0)
+    """A bad shape fails when the config is built, naming its field."""
+    for overrides, pattern in [
+        ({"n_subjects": 10}, "n_subjects must be at least 20"),
+        ({"n_relevant_nonimaging": 99}, "n_relevant_nonimaging exceeds"),
+        ({"n_relevant_nonimaging": 0, "n_relevant_imaging": 0}, "no relevant columns"),
+        ({"n_node_features": 2}, "n_node_features"),
+        ({"noise_std": -0.5}, "noise_std must be at least 0"),
+        ({"age_range": (81.0, 47.0)}, "age_range must be two increasing numbers"),
+        ({"age_range": (47.0, 60.0, 81.0)}, "age_range must be two increasing numbers"),
+        ({"age_range": (47.0, "x")}, r"age_range\[1\] must be a finite number"),
+    ]:
+        with pytest.raises(ValueError, match=pattern):
+            small_config(**overrides)
 
 
 def test_relevance_correlation_separation():
@@ -179,6 +183,8 @@ def test_csv_unknown_kind_map_column(tmp_path):
     path = _write(tmp_path / "t.csv", "id,a,age\n1,0.1,50\n")
     with pytest.raises(ValueError, match="unknown column"):
         load_csv(path, CsvSchema("age", {"nope": KIND_NONIMAGING}))
+    with pytest.raises(ValueError, match="column 'a' unknown kind 'imagin'"):
+        load_csv(path, CsvSchema("age", {"a": "imagin"}))
 
 
 def test_csv_zero_usable_rows(tmp_path):

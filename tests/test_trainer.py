@@ -338,13 +338,18 @@ def test_train_classification_requires_class_labels():
 
 def test_train_config_validation():
     with pytest.raises(ValueError, match="task"):
-        TrainConfig(task="ranking").validate()
+        TrainConfig(task="ranking")
     with pytest.raises(ValueError, match="distance_metric"):
-        TrainConfig(distance_metric="manhattan").validate()
+        TrainConfig(distance_metric="manhattan")
     with pytest.raises(ValueError, match="attention_mode"):
-        TrainConfig(attention_mode="softmax").validate()
+        TrainConfig(attention_mode="softmax")
     with pytest.raises(ValueError, match="epochs"):
-        TrainConfig(epochs=0).validate()
+        TrainConfig(epochs=0)
+    for rate in ("x", float("nan"), float("inf"), True, None):
+        with pytest.raises(ValueError, match="learning_rate must be a finite number"):
+            TrainConfig(learning_rate=rate)
+    with pytest.raises(ValueError, match="learning_rate must be above 0"):
+        TrainConfig(learning_rate=0.0)
 
 
 # ---------------------------------------------------------------------------
