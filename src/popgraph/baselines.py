@@ -1,5 +1,6 @@
 """Reference models to beat: ridge / multinomial-logistic fits on raw
-features, and the GCN on a fixed cosine kNN graph (no graph learning).
+features, and the GCN on a fixed graph (no graph learning): a kNN graph or
+seeded uniform random edges.
 """
 
 from __future__ import annotations
@@ -9,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphgen import knn_static_graph
-from .trainer import TrainConfig, run_experiment, softmax_rows
+from .graphgen import knn_static_graph, random_graph
+from .trainer import STATIC_RANDOM_STREAM, TrainConfig, run_experiment, softmax_rows, stream_rng
 
 __all__ = [
     "LinearModel",
@@ -162,10 +163,13 @@ def linear_fit(x_train, y_train, ridge: float = 1e-3, task: str = "regression",
 
 def static_gcn_experiment(dataset, feature_source: str, config: TrainConfig,
                           k: int = 5, metric: str = "cosine"):
-    """GCN on a kNN graph built once from raw features or phenotypes.
+    """GCN on a graph built once: the kNN graph of raw features or phenotypes
+    under ``metric``, or, for ``metric="random"``, k uniform out-edges per
+    node from the run's ``STATIC_RANDOM_STREAM``.
 
-    Same training loop and evaluation as the adaptive pipeline, with the
-    sampler replaced by the fixed graph and the edge loss switched off.
+    Every fixed-graph run goes through here. Same training loop and
+    evaluation as the adaptive pipeline, with the sampler replaced by the
+    fixed graph and the edge loss switched off.
     Returns (TrainResult, MetricsRecord).
     """
     if feature_source == "node_features":
@@ -175,8 +179,11 @@ def static_gcn_experiment(dataset, feature_source: str, config: TrainConfig,
     else:
         raise ValueError(f"unknown feature_source {feature_source!r}; "
                          f"expected one of {FEATURE_SOURCES}")
-    edges = knn_static_graph(source, k, metric=metric)
-    return run_experiment(dataset, config, fixed_edges=edges,
-                          extra={"experiment": "static",
-                                 "feature_source": feature_source,
-                                 "graph_metric": metric, "graph_k": k})
+    if metric == "random":
+        edges = random_graph(len(source), k, stream_rng(config.seed, STATIC_RANDOM_STREAM))
+    else:
+        edges = knn_static_graph(source, k, metric=metric)
+    result, record = run_experiment(dataset, config, fixed_edges=edges)
+    record.extra.update(experiment="static", feature_source=feature_source,
+                        graph_metric=metric, graph_k=k)
+    return result, record

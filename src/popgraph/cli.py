@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import rank_phenotypes
-from .baselines import linear_fit
+from .baselines import linear_fit, static_gcn_experiment
 from .dataio import (
     KIND_IMAGING,
     KIND_NONIMAGING,
@@ -35,19 +34,14 @@ from .dataio import (
     load_csv,
     make_class_labels,
     normalize_minmax,
+    read_json,
     save_csv,
     spec,
     split,
     write_csv,
     write_json,
 )
-from .graphgen import (
-    GRAPH_FORMATS,
-    export_graph,
-    homophily_score,
-    knn_static_graph,
-    random_graph,
-)
+from .graphgen import GRAPH_FORMATS, export_graph, homophily_score, knn_static_graph
 from .trainer import (
     DISTANCE_METRICS,
     TASKS,
@@ -62,7 +56,6 @@ from .trainer import (
     save_metrics_json,
     save_run,
     score_test_split,
-    stream_rng,
 )
 
 __all__ = [
@@ -87,10 +80,6 @@ ABLATION_METHODS = ("adaptive", "static", "random", "linear")
 # always trains with distance_metric="random"
 METRIC_FREE_METHODS = ("random", "linear")
 EXPORT_TARGETS = ("attention", "graph-static", "graph-learned")
-
-# stream tag (trainer.stream_rng) for the fixed random graph of a
-# static+random ablation cell
-STATIC_RANDOM_STREAM = 0x5EED0003
 
 
 class CliError(Exception):
@@ -190,12 +179,11 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = read_json(path)
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise CliError(f"bad config: {exc}") from exc
     try:
         return ExperimentConfig.from_dict(payload)
     except (TypeError, ValueError) as exc:
@@ -211,8 +199,7 @@ def _load_run_dir_config(run_dir: Path) -> ExperimentConfig:
     path = run_dir / "config.json"
     if not path.exists():
         raise CliError(f"{run_dir} has no config.json; not a run directory?")
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     experiment = payload.get("experiment") if isinstance(payload, dict) else None
     if not isinstance(experiment, dict):
         raise CliError(f"{path} holds no experiment block; not a run directory?")
@@ -240,9 +227,7 @@ def build_dataset(config: ExperimentConfig) -> PopulationDataset:
     normalize_minmax(ds)
     if config.task == "classification":
         n_classes = config.train_config(config.seeds[0]).n_classes
-        classes, edges = make_class_labels(ds.y, ds.masks.train, n_classes)
-        ds.class_labels = classes
-        ds.meta["class_edges"] = [float(e) for e in edges]
+        ds.class_labels, _ = make_class_labels(ds.y, ds.masks.train, n_classes)
     return ds
 
 
@@ -265,8 +250,6 @@ def restrict_phenotypes(dataset: PopulationDataset, subset: str) -> PopulationDa
             relevant=None if rel is None else rel[q:])
     if out.n_phenotypes == 0:
         raise ValueError(f"subset {subset!r} leaves no phenotype columns")
-    out.meta = dict(dataset.meta)
-    out.meta["phenotype_subset"] = subset
     return out
 
 
@@ -454,12 +437,7 @@ def _ablate_cell(datasets: dict, config: ExperimentConfig, cell) -> MetricsRecor
         return run_experiment(dataset, cfg)[1]
     if method == "static":
         cfg = config.train_config(seed)
-        if metric == "random":
-            edges = random_graph(dataset.n_subjects, cfg.k,
-                                 stream_rng(seed, STATIC_RANDOM_STREAM))
-        else:
-            edges = knn_static_graph(dataset.phenotype_matrix(), cfg.k, metric=metric)
-        return run_experiment(dataset, cfg, fixed_edges=edges)[1]
+        return static_gcn_experiment(dataset, "phenotypes", cfg, k=cfg.k, metric=metric)[1]
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "spec",
     "check_fields",
     "config_hash",
+    "read_json",
     "write_json",
     "write_csv",
     "generate_synthetic",
@@ -54,6 +55,15 @@ def config_hash(mapping) -> str:
     """sha256 of the canonical JSON form of a config mapping."""
     canonical = json.dumps(mapping, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def read_json(path):
+    """The JSON value held in ``path``; invalid JSON is a ValueError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def write_json(path, payload) -> None:
@@ -435,7 +445,6 @@ def normalize_minmax(dataset: PopulationDataset) -> PopulationDataset:
 
     norm_inplace(dataset.nonimaging)
     norm_inplace(dataset.X)
-    dataset.meta["normalized"] = True
     return dataset
 
 

@@ -14,7 +14,6 @@ with the same config produce bit-identical histories.
 from __future__ import annotations
 
 import json
-import time
 import warnings
 from dataclasses import dataclass, field, asdict
 
@@ -22,7 +21,8 @@ import numpy as np
 
 from . import numerics as nm
 from .attention import AttentionMlp, aggregate_attention, attention_forward, weight_phenotypes
-from .dataio import PopulationDataset, check_fields, config_hash, spec, write_csv, write_json
+from .dataio import (PopulationDataset, check_fields, config_hash, read_json, spec,
+                     write_csv, write_json)
 from .gcn import (
     GcnModel,
     cross_entropy_loss,
@@ -78,6 +78,7 @@ DISTANCE_METRICS = (*nm.BLOCK_METRICS, "random")
 # tags of the random streams a run derives from its master seed (stream_rng)
 INFERENCE_STREAM = 0x5EED0001
 HOMOPHILY_STREAM = 0x5EED0002
+STATIC_RANDOM_STREAM = 0x5EED0003  # the edges of baselines' static random graph
 
 # log of the kernel temperature t at the first epoch. At t = 1 the kernel over
 # hundreds of candidates is nearly flat and a draw is little better than random
@@ -397,21 +398,20 @@ def softmax_rows(values: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def infer(result: TrainResult, dataset: PopulationDataset, n_samples: int,
-          rng: np.random.Generator) -> InferenceResult:
-    """Average predictions over independently sampled graphs.
+def infer(result: TrainResult, dataset: PopulationDataset) -> InferenceResult:
+    """Average predictions over the run's ``inference_samples`` graphs, drawn
+    from its ``INFERENCE_STREAM``, so every call for a run predicts the same.
 
     Regression averages raw outputs; classification averages per-class
     probabilities and then takes the argmax. A fixed graph is one draw, so
-    it gets one forward whatever ``n_samples`` says.
+    it gets one forward whatever ``inference_samples`` says.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
     config = result.config
     phenotypes = dataset.phenotype_matrix()
+    rng = stream_rng(config.seed, INFERENCE_STREAM)
     acc, graph, drawn = None, None, 0
     with nm.no_grad():
-        for _ in range(n_samples):
+        for _ in range(config.inference_samples):
             previous, graph = graph, _draw_graph(result, phenotypes, rng)
             if graph is previous:
                 break  # a fixed run's one graph: another forward would repeat
@@ -519,8 +519,8 @@ def evaluate_classification(probabilities, classes, mask) -> dict:
 
 @dataclass
 class MetricsRecord:
-    """Everything one run reports. Wall-clock time is kept out of the JSON
-    export so identical configs yield byte-identical files."""
+    """Everything one run reports, all of it a pure function of (dataset,
+    config), so identical configs yield byte-identical files."""
 
     task: str
     seed: int
@@ -534,7 +534,6 @@ class MetricsRecord:
     best_epoch: int | None = None
     epsilon: float | None = None
     extra: dict = field(default_factory=dict)
-    wall_clock_seconds: float | None = None
 
     def validate(self) -> None:
         if self.mae is not None and self.mae < 0:
@@ -547,9 +546,7 @@ class MetricsRecord:
                 raise ValueError(f"{name} out of [0, 1]")
 
     def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d.pop("wall_clock_seconds")
-        return d
+        return asdict(self)
 
 
 def score_test_split(record: MetricsRecord, out: InferenceResult,
@@ -566,8 +563,7 @@ def score_test_split(record: MetricsRecord, out: InferenceResult,
 
 
 def run_experiment(dataset: PopulationDataset, config: TrainConfig,
-                   fixed_edges: np.ndarray | None = None,
-                   extra: dict | None = None):
+                   fixed_edges: np.ndarray | None = None):
     """Train, run averaged inference, and score the test split.
 
     This is the one evaluation path every experiment goes through, adaptive
@@ -577,11 +573,9 @@ def run_experiment(dataset: PopulationDataset, config: TrainConfig,
     (TrainResult, MetricsRecord). A last step that diverged (no forward
     sees it before inference) is a TrainingError at the last epoch.
     """
-    started = time.perf_counter()
     result = train(dataset, config, fixed_edges=fixed_edges)
     try:
-        out = infer(result, dataset, config.inference_samples,
-                    stream_rng(config.seed, INFERENCE_STREAM))
+        out = infer(result, dataset)
     except nm.NonFiniteError as exc:
         epoch = result.history[-1]["epoch"]
         raise TrainingError(f"training aborted at epoch {epoch}: inference at the "
@@ -589,13 +583,11 @@ def run_experiment(dataset: PopulationDataset, config: TrainConfig,
 
     record = MetricsRecord(task=config.task, seed=config.seed,
                            config_hash=config_hash(config.to_dict()),
-                           best_epoch=result.best_epoch, epsilon=result.epsilon,
-                           extra=dict(extra or {}))
+                           best_epoch=result.best_epoch, epsilon=result.epsilon)
     score_test_split(record, out, dataset)
     record.homophily = homophily_score(sample_trained_edges(result, dataset),
                                        _targets(dataset, config.task), mode=config.task)
     record.extra["n_epochs_run"] = len(result.history)
-    record.wall_clock_seconds = time.perf_counter() - started
     record.validate()
     return result, record
 
@@ -664,23 +656,32 @@ def load_run(path) -> TrainResult:
     """Rebuild a TrainResult from a checkpoint. The training history is not
     stored (it lives in the history CSV); the loaded result carries an empty
     one. The aggregated attention vector is dataset-dependent, so it comes
-    back None and callers recompute it when needed."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    back None and callers recompute it when needed. A damaged checkpoint is a
+    ValueError naming the file."""
+    where = f"run checkpoint {path}"
+    payload = read_json(path)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where} must hold a JSON object")
     version = payload.get("format_version")
     if version != RUN_FORMAT_VERSION:
-        raise ValueError(f"run checkpoint {path}: unsupported format version "
-                         f"{version!r}")
-    config = TrainConfig(**payload["config"])
+        raise ValueError(f"{where}: unsupported format version {version!r}")
+    for key in ("config", "epsilon", "best_epoch", "best_val", "gcn", "attention",
+                "log_temperature", "fixed_edges"):
+        if key not in payload:
+            raise ValueError(f"{where}: missing key {key!r}")
+    try:
+        config = TrainConfig(**payload["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: bad config: {exc}") from exc
     h1, h2 = config.gcn_hidden1, config.gcn_hidden2
     n_out = config.n_classes if config.task == "classification" else 1
-    model = GcnModel(**_unpack(payload["gcn"], f"run checkpoint {path}: gcn", lambda m: {
+    model = GcnModel(**_unpack(payload["gcn"], f"{where}: gcn", lambda m: {
         "w1": (m, h1), "w2": (h1, h2), "b2": (h2,), "w3": (h2, n_out), "b3": (n_out,)}),
         task=config.task)
     attention = None
     if payload["attention"] is not None:
         attention = AttentionMlp(**_unpack(
-            payload["attention"], f"run checkpoint {path}: attention", lambda p: {
+            payload["attention"], f"{where}: attention", lambda p: {
                 "w1": (p, 2 * p), "b1": (2 * p,), "w2": (2 * p, p), "b2": (p,)}))
     tau = None
     if payload["log_temperature"] is not None:

@@ -18,8 +18,8 @@ from popgraph.dataio import (
     normalize_minmax,
     split,
 )
-from popgraph.graphgen import knn_static_graph
-from popgraph.trainer import TrainConfig, run_experiment
+from popgraph.graphgen import knn_static_graph, random_graph
+from popgraph.trainer import STATIC_RANDOM_STREAM, TrainConfig, run_experiment, stream_rng
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +224,24 @@ def test_static_experiment_matches_trainer_on_same_graph():
     assert rec_a.pearson_r == rec_b.pearson_r
     assert rec_a.homophily == rec_b.homophily
     assert rec_a.config_hash == rec_b.config_hash
+
+
+def test_static_random_graph_is_the_seeds_uniform_draw():
+    """``metric="random"`` trains on k uniform out-edges per node from the
+    run's own static random stream, whatever the feature source."""
+    ds = static_dataset(seed=4)
+    cfg = static_config()
+    result_a, rec_a = static_gcn_experiment(ds, "phenotypes", cfg, k=3, metric="random")
+    edges = random_graph(ds.n_subjects, 3, stream_rng(cfg.seed, STATIC_RANDOM_STREAM))
+    result_b, rec_b = run_experiment(ds, cfg, fixed_edges=edges)
+    assert np.array_equal(result_a.fixed_edges, edges)
+    assert result_a.history == result_b.history
+    assert (rec_a.mae, rec_a.homophily) == (rec_b.mae, rec_b.homophily)
+    assert rec_a.extra == {**rec_b.extra, "experiment": "static",
+                           "feature_source": "phenotypes", "graph_metric": "random",
+                           "graph_k": 3}
+    result_x, _ = static_gcn_experiment(ds, "node_features", cfg, k=3, metric="random")
+    assert np.array_equal(result_x.fixed_edges, edges)
 
 
 def test_static_feature_sources_build_different_graphs():

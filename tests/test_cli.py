@@ -323,10 +323,10 @@ def test_cmd_train_partial_failure_keeps_other_seeds(tmp_path, monkeypatch):
     import popgraph.cli as cli_module
     real = cli_module.run_experiment
 
-    def sabotaged(dataset, cfg, fixed_edges=None, extra=None):
+    def sabotaged(dataset, cfg, fixed_edges=None):
         if cfg.seed == 1:
             raise RuntimeError("sabotaged seed")
-        return real(dataset, cfg, fixed_edges=fixed_edges, extra=extra)
+        return real(dataset, cfg, fixed_edges=fixed_edges)
 
     monkeypatch.setattr(cli_module, "run_experiment", sabotaged)
     payload = experiment_dict(tmp_path / "run", seeds=[0, 1])
@@ -396,18 +396,24 @@ METRIC_FREE_GRID = {"phenotype_subsets": ["both", "imaging"],
 def test_cmd_ablate_runs_metric_free_cells_once(tmp_path, monkeypatch):
     import popgraph.cli as cli_module
     real_fit, real_run = cli_module.linear_fit, cli_module.run_experiment
+    real_static = cli_module.static_gcn_experiment
     calls = {"linear": 0, "random": 0, "static": 0}
 
     def counted_fit(*args, **kwargs):
         calls["linear"] += 1
         return real_fit(*args, **kwargs)
 
-    def counted_run(dataset, cfg, fixed_edges=None, extra=None):
-        calls["static" if fixed_edges is not None else cfg.distance_metric] += 1
-        return real_run(dataset, cfg, fixed_edges=fixed_edges, extra=extra)
+    def counted_run(dataset, cfg):
+        calls[cfg.distance_metric] += 1
+        return real_run(dataset, cfg)
+
+    def counted_static(*args, **kwargs):
+        calls["static"] += 1
+        return real_static(*args, **kwargs)
 
     monkeypatch.setattr(cli_module, "linear_fit", counted_fit)
     monkeypatch.setattr(cli_module, "run_experiment", counted_run)
+    monkeypatch.setattr(cli_module, "static_gcn_experiment", counted_static)
     payload = experiment_dict(tmp_path / "ablate", seeds=[0, 1],
                               ablation=METRIC_FREE_GRID)
     assert cmd_ablate(ExperimentConfig.from_dict(payload)) == 0
@@ -427,14 +433,20 @@ def test_cmd_ablate_runs_random_metric_cells_once(tmp_path, monkeypatch):
     """Under the random metric an adaptive cell is the random method's run,
     and a static cell's graph ignores the phenotype subset."""
     import popgraph.cli as cli_module
-    real_run = cli_module.run_experiment
+    real_run, real_static = cli_module.run_experiment, cli_module.static_gcn_experiment
     calls = {"random": 0, "static": 0}
 
-    def counted_run(dataset, cfg, fixed_edges=None, extra=None):
-        calls["static" if fixed_edges is not None else cfg.distance_metric] += 1
-        return real_run(dataset, cfg, fixed_edges=fixed_edges, extra=extra)
+    def counted_run(dataset, cfg):
+        calls[cfg.distance_metric] += 1
+        return real_run(dataset, cfg)
+
+    def counted_static(dataset, feature_source, cfg, k, metric):
+        assert (feature_source, k, metric) == ("phenotypes", cfg.k, "random")
+        calls["static"] += 1
+        return real_static(dataset, feature_source, cfg, k=k, metric=metric)
 
     monkeypatch.setattr(cli_module, "run_experiment", counted_run)
+    monkeypatch.setattr(cli_module, "static_gcn_experiment", counted_static)
     payload = experiment_dict(
         tmp_path / "ablate",
         ablation={"phenotype_subsets": ["non-imaging", "imaging"],
@@ -691,6 +703,44 @@ def test_main_export_rejects_checkpoint_entries_off_the_config(tmp_path, capsys,
     assert main(["export", "--run", str(run_dir), "--what", "attention"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+def _truncate(path):
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[:len(text) // 2], encoding="utf-8")
+
+
+def _rewriting(edit):
+    """A damage that replaces a JSON file's payload with ``edit(payload)``."""
+    def damage(path):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(edit(payload)), encoding="utf-8")
+    return damage
+
+
+def _with_config(**changes):
+    return _rewriting(lambda run: {**run, "config": {**run["config"], **changes}})
+
+
+CHECKPOINT = "seed_0/checkpoint.json"
+
+
+@pytest.mark.parametrize("where, damage, named", [
+    (CHECKPOINT, _rewriting(lambda run: {"format_version": 2}), "missing key 'config'"),
+    (CHECKPOINT, _rewriting(lambda run: [run]), "must hold a JSON object"),
+    (CHECKPOINT, _truncate, "not valid JSON"),
+    ("config.json", _truncate, "not valid JSON"),
+    (CHECKPOINT, _with_config(lam=1.0), "unexpected keyword argument 'lam'"),
+    (CHECKPOINT, _with_config(k=0), "k must be at least 1"),
+], ids=["no-config", "not-object", "truncated-checkpoint", "truncated-config",
+        "unknown-config-key", "bad-config-value"])
+def test_main_export_names_a_damaged_run_file(tmp_path, capsys, where, damage, named):
+    run_dir = trained_run(tmp_path)
+    damage(run_dir / where)
+    assert main(["export", "--run", str(run_dir), "--what", "graph-learned"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert str(run_dir / where) in err
 
 
 @pytest.mark.parametrize("payload", [{"config_hash": "0"}, []])

@@ -2,6 +2,7 @@
 stopping, split isolation), stochastic inference, and the evaluation metrics.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,6 @@ import popgraph
 import popgraph.numerics as nm
 from oracles import rank_auc
 from popgraph.attention import AttentionMlp, aggregate_attention, attention_forward, weight_phenotypes
-from popgraph.cli import STATIC_RANDOM_STREAM
 from popgraph.dataio import SyntheticConfig, generate_synthetic, make_class_labels, normalize_minmax, split
 from popgraph.gcn import GcnModel, gcn_forward, graph_loss, huber_loss, null_epsilon, reward, total_loss
 from popgraph.graphgen import edge_probabilities, gumbel_topk_sample, pairwise_distance
@@ -28,6 +28,7 @@ from popgraph.trainer import (
     ADAM_EPS,
     HOMOPHILY_STREAM,
     INFERENCE_STREAM,
+    STATIC_RANDOM_STREAM,
     WEIGHT_DECAY,
     AdamW,
     MetricsRecord,
@@ -345,6 +346,8 @@ def test_train_config_validation():
         TrainConfig(attention_mode="softmax")
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=0)
+    with pytest.raises(ValueError, match="inference_samples must be at least 1"):
+        TrainConfig(inference_samples=0)
     for rate in ("x", float("nan"), float("inf"), True, None):
         with pytest.raises(ValueError, match="learning_rate must be a finite number"):
             TrainConfig(learning_rate=rate)
@@ -459,13 +462,19 @@ def test_edge_normalizer_keeps_the_drawn_edges():
 # ---------------------------------------------------------------------------
 
 
+def with_config(result, **changes):
+    """``result`` with its config's ``changes`` and no cached fixed graph."""
+    return dataclasses.replace(result, config=dataclasses.replace(result.config, **changes))
+
+
 def test_infer_deterministic_given_rng_seed():
     ds = tiny_dataset()
-    result = train(ds, tiny_config())
-    a = infer(result, ds, 4, np.random.default_rng(42))
-    b = infer(result, ds, 4, np.random.default_rng(42))
+    result = train(ds, tiny_config(inference_samples=4))
+    a = infer(result, ds)
+    b = infer(result, ds)
     assert np.array_equal(a.predictions, b.predictions)
-    c = infer(result, ds, 4, np.random.default_rng(43))
+    # another seed's config draws its graphs from another inference stream
+    c = infer(with_config(result, seed=4), ds)
     assert not np.array_equal(a.predictions, c.predictions)
 
 
@@ -473,10 +482,10 @@ def test_infer_fixed_graph_ignores_sample_count():
     ds = tiny_dataset()
     from popgraph.graphgen import knn_static_graph
     edges = knn_static_graph(ds.phenotype_matrix(), 3)
-    result = train(ds, tiny_config(), fixed_edges=edges)
-    one = infer(result, ds, 1, np.random.default_rng(0))
+    result = train(ds, tiny_config(inference_samples=1), fixed_edges=edges)
+    one = infer(result, ds)
     # the mean of 8 copies of one forward rounds away from that forward
-    many = infer(result, ds, 8, np.random.default_rng(1))
+    many = infer(with_config(result, inference_samples=8), ds)
     assert np.array_equal(one.predictions, many.predictions)
 
 
@@ -501,8 +510,9 @@ def test_fixed_graph_run_symmetrizes_once(monkeypatch):
 
 def test_infer_classification_outputs_probabilities():
     ds = tiny_dataset(task="classification")
-    result = train(ds, tiny_config(task="classification", n_classes=3))
-    out = infer(result, ds, 3, np.random.default_rng(0))
+    result = train(ds, tiny_config(task="classification", n_classes=3,
+                                   inference_samples=3))
+    out = infer(result, ds)
     assert out.probabilities.shape == (ds.n_subjects, 3)
     assert np.allclose(out.probabilities.sum(axis=1), 1.0)
     assert np.array_equal(out.predictions, out.probabilities.argmax(axis=1))
@@ -511,8 +521,9 @@ def test_infer_classification_outputs_probabilities():
 def test_infer_rejects_nonpositive_sample_count():
     ds = tiny_dataset()
     result = train(ds, tiny_config())
-    with pytest.raises(ValueError):
-        infer(result, ds, 0, np.random.default_rng(0))
+    # infer reads its sample count from the run's config, which refuses 0
+    with pytest.raises(ValueError, match="inference_samples must be at least 1"):
+        infer(with_config(result, inference_samples=0), ds)
 
 
 def test_sample_trained_edges_shapes_and_paths():
@@ -680,17 +691,16 @@ def test_history_csv_round_trip(tmp_path):
 
 def test_metrics_json_is_byte_identical_and_excludes_timing(tmp_path):
     a = MetricsRecord(task="regression", seed=1, config_hash="ff00", mae=2.5,
-                      pearson_r=0.9, best_epoch=12, epsilon=8.4,
-                      wall_clock_seconds=120.0)
+                      pearson_r=0.9, best_epoch=12, epsilon=8.4)
     b = MetricsRecord(task="regression", seed=1, config_hash="ff00", mae=2.5,
-                      pearson_r=0.9, best_epoch=12, epsilon=8.4,
-                      wall_clock_seconds=999.9)
+                      pearson_r=0.9, best_epoch=12, epsilon=8.4)
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     save_metrics_json(a, pa)
     save_metrics_json(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
     payload = json.loads(pa.read_text(encoding="utf-8"))
-    assert "wall_clock_seconds" not in payload
+    # the record's fields and nothing else: no wall-clock time
+    assert set(payload) == {f.name for f in dataclasses.fields(MetricsRecord)}
     assert payload["config_hash"] == "ff00"
 
 
@@ -720,8 +730,8 @@ def test_run_checkpoint_round_trip(tmp_path, task):
         assert np.array_equal(a.values, b.values)
     assert loaded.tau.values == result.tau.values
     # identical stochastic predictions through the restored parameters
-    a = infer(result, ds, 3, np.random.default_rng(5))
-    b = infer(loaded, ds, 3, np.random.default_rng(5))
+    a = infer(result, ds)
+    b = infer(loaded, ds)
     assert np.array_equal(a.predictions, b.predictions)
     if task == "classification":
         assert np.array_equal(a.probabilities, b.probabilities)
@@ -774,7 +784,6 @@ def test_run_experiment_fills_record():
     assert record.mae is not None and record.mae >= 0
     assert record.homophily is not None and record.homophily > 0
     assert record.extra["n_epochs_run"] == len(result.history)
-    assert record.wall_clock_seconds > 0
     assert len(record.config_hash) == 64
 
     # pure function of (dataset, config): records agree exactly
