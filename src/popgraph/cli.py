@@ -48,7 +48,6 @@ from .trainer import (
     InferenceResult,
     MetricsRecord,
     TrainConfig,
-    attention_weights,
     load_run,
     run_experiment,
     sample_trained_edges,
@@ -203,7 +202,10 @@ def _load_run_dir_config(run_dir: Path) -> ExperimentConfig:
     experiment = payload.get("experiment") if isinstance(payload, dict) else None
     if not isinstance(experiment, dict):
         raise CliError(f"{path} holds no experiment block; not a run directory?")
-    return ExperimentConfig.from_dict(experiment)
+    try:
+        return ExperimentConfig.from_dict(experiment)
+    except (CliError, TypeError, ValueError) as exc:
+        raise CliError(f"bad config {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -552,18 +554,17 @@ def cmd_export(run_dir, what: str, seed: int | None = None) -> Path:
     checkpoint = seed_dir / "checkpoint.json"
     if not checkpoint.exists():
         raise CliError(f"missing checkpoint {checkpoint}")
-    result = load_run(checkpoint)
     dataset = build_dataset(config)
+    result = load_run(checkpoint, dataset)
     stamp = config.experiment_hash
     export_dir = seed_dir / "export"
     export_dir.mkdir(parents=True, exist_ok=True)
 
     if what == "attention":
-        if result.attention is None:
+        if result.attention_vector is None:
             raise CliError("this run has no attention scorer (static, random, "
                            "or ones-mode graph)")
-        weights = attention_weights(result.attention, dataset.phenotype_matrix())
-        _attention_files(weights, dataset, export_dir, stamp)
+        _attention_files(result.attention_vector, dataset, export_dir, stamp)
         return export_dir
 
     mode = config.task

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import numerics as nm
 from .attention import AttentionMlp, aggregate_attention, attention_forward, weight_phenotypes
-from .dataio import (PopulationDataset, check_fields, config_hash, read_json, spec,
-                     write_csv, write_json)
+from .dataio import (PopulationDataset, _finite_number, check_fields, config_hash,
+                     read_json, spec, write_csv, write_json)
 from .gcn import (
     GcnModel,
     cross_entropy_loss,
@@ -68,7 +68,7 @@ __all__ = [
     "load_run",
 ]
 
-RUN_FORMAT_VERSION = 2
+RUN_FORMAT_VERSION = 3
 
 TASKS = ("regression", "classification")
 
@@ -258,6 +258,33 @@ def _improved(candidate: float, best: float, task: str) -> bool:
     return candidate > best if task == "classification" else candidate < best
 
 
+def _init_params(dataset: PopulationDataset, config: TrainConfig, fixed_edges,
+                 rng: np.random.Generator, head_bias: float = 0.0):
+    """A run's trained tensors, drawn from ``rng``: (GCN, attention scorer or
+    None, log temperature or None). Only a sampled graph has a temperature,
+    and only learned attention a scorer. The scorer is drawn before the GCN,
+    so its starting values do not depend on the GCN widths."""
+    mlp = tau = None
+    if fixed_edges is None and config.distance_metric != "random":
+        if config.attention_mode == "learned":
+            mlp = AttentionMlp.init(dataset.n_phenotypes, rng)
+        tau = Tensor(INITIAL_LOG_TEMPERATURE, requires_grad=True)
+    model = GcnModel.init(
+        dataset.X.shape[1], rng, hidden1=config.gcn_hidden1, hidden2=config.gcn_hidden2,
+        n_out=config.n_classes if config.task == "classification" else 1,
+        task=config.task, head_bias=head_bias)
+    return model, mlp, tau
+
+
+def _named_tensors(model: GcnModel, mlp: AttentionMlp | None, tau: Tensor | None) -> dict:
+    """Each trained tensor by its checkpoint name, in optimizer order:
+    ``gcn.w1`` ... ``gcn.b3``, ``attention.w1`` ... ``attention.b2``,
+    ``log_temperature``."""
+    named = {f"{prefix}.{name}": p for prefix, part in (("gcn", model), ("attention", mlp))
+             if part is not None for name, p in vars(part).items() if isinstance(p, Tensor)}
+    return named if tau is None else {**named, "log_temperature": tau}
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -289,28 +316,11 @@ def train(dataset: PopulationDataset, config: TrainConfig,
     train_mask, val_mask = masks.train, masks.val
     rng = np.random.default_rng(config.seed)
     phenotypes = dataset.phenotype_matrix()
-    n_out = config.n_classes if config.task == "classification" else 1
-
-    adaptive = fixed_edges is None and config.distance_metric != "random"
-    mlp = None
-    tau = None
-    extra_params = []
-    if adaptive:
-        if config.attention_mode == "learned":
-            mlp = AttentionMlp.init(phenotypes.shape[1], rng)
-            extra_params.extend(mlp.params())
-        tau = Tensor(INITIAL_LOG_TEMPERATURE, requires_grad=True)
-        extra_params.append(tau)
-
     head_bias = float(targets[train_mask].mean()) if config.task == "regression" else 0.0
-    model = GcnModel.init(
-        dataset.X.shape[1], rng,
-        hidden1=config.gcn_hidden1, hidden2=config.gcn_hidden2,
-        n_out=n_out, task=config.task, head_bias=head_bias)
-
+    model, mlp, tau = _init_params(dataset, config, fixed_edges, rng, head_bias)
     epsilon = null_epsilon(targets[train_mask], task=config.task,
                            n_classes=config.n_classes)
-    optimizer = AdamW(model.params() + extra_params, lr=config.learning_rate)
+    optimizer = AdamW(_named_tensors(model, mlp, tau).values(), lr=config.learning_rate)
     result = TrainResult(
         model=model, attention=mlp, tau=tau, attention_vector=None, history=[],
         best_epoch=-1, best_val=np.inf if config.task == "regression" else -np.inf,
@@ -409,18 +419,16 @@ def infer(result: TrainResult, dataset: PopulationDataset) -> InferenceResult:
     config = result.config
     phenotypes = dataset.phenotype_matrix()
     rng = stream_rng(config.seed, INFERENCE_STREAM)
-    acc, graph, drawn = None, None, 0
+    draws = 1 if result.fixed_edges is not None else config.inference_samples
+    acc = None
     with nm.no_grad():
-        for _ in range(config.inference_samples):
-            previous, graph = graph, _draw_graph(result, phenotypes, rng)
-            if graph is previous:
-                break  # a fixed run's one graph: another forward would repeat
+        for _ in range(draws):
+            graph = _draw_graph(result, phenotypes, rng)
             out = gcn_forward(graph.a_hat, dataset.X, result.model).values
             if config.task == "classification":
                 out = softmax_rows(out)
             acc = out if acc is None else acc + out
-            drawn += 1
-    mean = acc / drawn
+    mean = acc / draws
     if config.task == "classification":
         return InferenceResult(predictions=mean.argmax(axis=1), probabilities=mean)
     return InferenceResult(predictions=mean)
@@ -603,37 +611,10 @@ def save_metrics_json(record: MetricsRecord, path) -> None:
     write_json(path, record.to_json_dict())
 
 
-def _pack(model) -> dict:
-    """Each Tensor field of a model, by field name, as {shape, values}."""
-    return {name: {"shape": list(p.shape), "values": p.values.reshape(-1).tolist()}
-            for name, p in vars(model).items() if isinstance(p, Tensor)}
-
-
-def _unpack(packed: dict, where: str, shapes) -> dict:
-    """The keyword arguments that rebuild the Tensor fields ``_pack`` wrote.
-
-    ``shapes(n_in)`` maps each field to its shape, n_in being the input
-    width the stored ``w1`` declares. A missing, unknown or misshapen entry
-    raises ValueError naming it, e.g. ``gcn.w2 shape [4, 8], expected [8, 4]``.
-    """
-    for name in sorted(shapes(0).keys() ^ packed.keys()):
-        raise ValueError(f"{where}.{name} {'unknown' if name in packed else 'missing'}")
-    n_in = packed["w1"]["shape"][0] if packed["w1"]["shape"] else None
-    kwargs = {}
-    for name, shape in shapes(n_in).items():
-        entry, shape = packed[name], list(shape)
-        if entry["shape"] != shape:
-            raise ValueError(f"{where}.{name} shape {entry['shape']}, expected {shape}")
-        values = np.array(entry["values"], dtype=np.float64)
-        if values.size != np.prod(shape):
-            raise ValueError(f"{where}.{name} holds {values.size} values, shape {shape}")
-        kwargs[name] = Tensor(values.reshape(shape), requires_grad=True)
-    return kwargs
-
-
 def save_run(result: TrainResult, path) -> None:
-    """Checkpoint a whole trained run: predictor, scorer, temperature, config,
-    and the frozen edge list if there was one."""
+    """Checkpoint a whole trained run: its config, each trained tensor by
+    name (``_named_tensors``) as {shape, values}, and the frozen edge list
+    if there was one."""
     payload = {
         "format_version": RUN_FORMAT_VERSION,
         "config": result.config.to_dict(),
@@ -641,9 +622,9 @@ def save_run(result: TrainResult, path) -> None:
         "epsilon": result.epsilon,
         "best_epoch": result.best_epoch,
         "best_val": result.best_val,
-        "gcn": _pack(result.model),
-        "attention": None if result.attention is None else _pack(result.attention),
-        "log_temperature": None if result.tau is None else float(result.tau.values),
+        "tensors": {name: {"shape": list(p.shape), "values": p.values.reshape(-1).tolist()}
+                    for name, p in _named_tensors(result.model, result.attention,
+                                                  result.tau).items()},
         "fixed_edges": None if result.fixed_edges is None
         else result.fixed_edges.tolist(),
     }
@@ -652,12 +633,14 @@ def save_run(result: TrainResult, path) -> None:
         fh.write("\n")
 
 
-def load_run(path) -> TrainResult:
-    """Rebuild a TrainResult from a checkpoint. The training history is not
-    stored (it lives in the history CSV); the loaded result carries an empty
-    one. The aggregated attention vector is dataset-dependent, so it comes
-    back None and callers recompute it when needed. A damaged checkpoint is a
-    ValueError naming the file."""
+def load_run(path, dataset: PopulationDataset) -> TrainResult:
+    """Rebuild a TrainResult from a checkpoint, read against ``dataset``: the
+    tensors its config and fixed edges call for are built as ``train`` builds
+    them (``_init_params``) and take the stored values. A name missing or
+    unknown, a shape off the built one (``gcn.w2 shape [8, 4], expected [8,
+    5]``), values that are not that many finite numbers, or fixed edges that
+    are not [src, dst] pairs of distinct nodes is a ValueError naming the file
+    and the entry. The history is not stored (it lives in the history CSV)."""
     where = f"run checkpoint {path}"
     payload = read_json(path)
     if not isinstance(payload, dict):
@@ -665,31 +648,39 @@ def load_run(path) -> TrainResult:
     version = payload.get("format_version")
     if version != RUN_FORMAT_VERSION:
         raise ValueError(f"{where}: unsupported format version {version!r}")
-    for key in ("config", "epsilon", "best_epoch", "best_val", "gcn", "attention",
-                "log_temperature", "fixed_edges"):
+    for key in ("config", "epsilon", "best_epoch", "best_val", "tensors", "fixed_edges"):
         if key not in payload:
             raise ValueError(f"{where}: missing key {key!r}")
     try:
         config = TrainConfig(**payload["config"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: bad config: {exc}") from exc
-    h1, h2 = config.gcn_hidden1, config.gcn_hidden2
-    n_out = config.n_classes if config.task == "classification" else 1
-    model = GcnModel(**_unpack(payload["gcn"], f"{where}: gcn", lambda m: {
-        "w1": (m, h1), "w2": (h1, h2), "b2": (h2,), "w3": (h2, n_out), "b3": (n_out,)}),
-        task=config.task)
-    attention = None
-    if payload["attention"] is not None:
-        attention = AttentionMlp(**_unpack(
-            payload["attention"], f"{where}: attention", lambda p: {
-                "w1": (p, 2 * p), "b1": (2 * p,), "w2": (2 * p, p), "b2": (p,)}))
-    tau = None
-    if payload["log_temperature"] is not None:
-        tau = Tensor(float(payload["log_temperature"]), requires_grad=True)
-    fixed_edges = None
-    if payload["fixed_edges"] is not None:
-        fixed_edges = np.array(payload["fixed_edges"], dtype=np.intp)
+    fixed_edges, n = payload["fixed_edges"], dataset.n_subjects
+    if fixed_edges is not None:
+        if not (isinstance(fixed_edges, list) and all(
+                isinstance(e, list) and len(e) == 2 and e[0] != e[1]
+                and all(type(v) is int and 0 <= v < n for v in e) for e in fixed_edges)):
+            raise ValueError(f"{where}: fixed_edges must be [src, dst] pairs of "
+                             f"distinct nodes below {n}")
+        fixed_edges = np.array(fixed_edges, dtype=np.intp).reshape(-1, 2)
+    model, mlp, tau = _init_params(dataset, config, fixed_edges, np.random.default_rng(0))
+    named = _named_tensors(model, mlp, tau)
+    stored = payload["tensors"] if isinstance(payload["tensors"], dict) else {}
+    for name in [*named, *stored]:
+        if (name in named) != (name in stored):
+            raise ValueError(f"{where}: {name} {'unknown' if name in stored else 'missing'}")
+    for name, p in named.items():
+        entry = stored[name] if isinstance(stored[name], dict) else {}
+        if entry.get("shape") != list(p.shape):
+            raise ValueError(f"{where}: {name} shape {entry.get('shape')}, "
+                             f"expected {list(p.shape)}")
+        values = entry.get("values")
+        if not (isinstance(values, list) and len(values) == p.values.size
+                and all(map(_finite_number, values))):
+            raise ValueError(f"{where}: {name} must hold {p.values.size} finite values")
+        p.values = np.array(values, dtype=np.float64).reshape(p.shape)
     return TrainResult(
-        model=model, attention=attention, tau=tau, attention_vector=None,
+        model=model, attention=mlp, tau=tau, attention_vector=None if mlp is None
+        else attention_weights(mlp, dataset.phenotype_matrix()),
         history=[], best_epoch=payload["best_epoch"], best_val=payload["best_val"],
         epsilon=payload["epsilon"], config=config, fixed_edges=fixed_edges)

@@ -26,7 +26,7 @@ from popgraph.cli import (
     restrict_phenotypes,
 )
 from popgraph.dataio import CsvSchema, SyntheticConfig, config_hash, load_csv
-from popgraph.trainer import TrainConfig
+from popgraph.trainer import RUN_FORMAT_VERSION, TrainConfig
 
 
 def experiment_dict(out_dir, **overrides):
@@ -682,19 +682,65 @@ def test_main_dataset_failure_leaves_no_run_directory(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+def _tensors(edit):
+    """A checkpoint edit that applies ``edit`` to its ``tensors`` object."""
+    return lambda run: edit(run["tensors"])
+
+
+def _drop_attention(tensors):
+    for name in [n for n in tensors if n.startswith("attention.")]:
+        del tensors[name]
+
+
+def _narrow_attention(tensors, p=5):
+    """Replace the scorer with one of p inputs: the test run has 8 phenotypes."""
+    for name, shape in (("w1", [p, 2 * p]), ("b1", [2 * p]), ("w2", [2 * p, p]), ("b2", [p])):
+        tensors[f"attention.{name}"] = {"shape": shape,
+                                        "values": [0.1] * int(np.prod(shape))}
+
+
 @pytest.mark.parametrize("edit, named", [
-    (lambda run: run["gcn"].pop("b3"), "gcn.b3 missing"),
-    (lambda run: run["gcn"].update(extra=run["gcn"]["b3"]), "gcn.extra unknown"),
-    (lambda run: run["gcn"]["w2"].update(shape=[4, 8]), "gcn.w2 shape [4, 8], expected [8, 4]"),
-    (lambda run: run["gcn"]["b2"]["values"].pop(), "gcn.b2 holds 3 values, shape [4]"),
+    (_tensors(lambda t: t.pop("gcn.b3")), "gcn.b3 missing"),
+    (_tensors(lambda t: t.update({"gcn.extra": t["gcn.b3"]})), "gcn.extra unknown"),
+    (_tensors(lambda t: t["gcn.w2"].update(shape=[4, 8])),
+     "gcn.w2 shape [4, 8], expected [8, 4]"),
+    (_tensors(lambda t: t["gcn.b2"]["values"].pop()), "gcn.b2 must hold 4 finite values"),
     (lambda run: run["config"].update(gcn_hidden2=5), "gcn.w2 shape [8, 4], expected [8, 5]"),
-    (lambda run: run["attention"].pop("w1"), "attention.w1 missing"),
-    (lambda run: run["attention"]["b1"].update(shape=[15]),
+    (_tensors(lambda t: t.pop("attention.w1")), "attention.w1 missing"),
+    (_tensors(lambda t: t["attention.b1"].update(shape=[15])),
      "attention.b1 shape [15], expected [16]"),
+    (_tensors(_drop_attention), "attention.w1 missing"),
+    (_tensors(lambda t: t.update(log_temperature=None)),
+     "log_temperature shape None, expected []"),
+    (_tensors(lambda t: t["log_temperature"].update(values=[float("nan")])),
+     "log_temperature must hold 1 finite values"),
+    (lambda run: run.update(tensors=5), "gcn.w1 missing"),
+    (_tensors(lambda t: t.update({"gcn.w1": 5})), "gcn.w1 shape None, expected [6, 8]"),
+    (_tensors(lambda t: t["gcn.w1"].pop("shape")), "gcn.w1 shape None, expected [6, 8]"),
+    (_tensors(lambda t: t["gcn.w1"]["values"].__setitem__(3, float("nan"))),
+     "gcn.w1 must hold 48 finite values"),
+    (_tensors(lambda t: t["gcn.w1"].update(shape=[7, 8], values=[0.1] * 56)),
+     "gcn.w1 shape [7, 8], expected [6, 8]"),
+    (_tensors(_narrow_attention), "attention.w1 shape [5, 10], expected [8, 16]"),
+    (_tensors(lambda t: t["gcn.b3"].update(values=["0.5"])),
+     "gcn.b3 must hold 1 finite values"),
+    (lambda run: run.update(fixed_edges=[[0, 99999]]),
+     "fixed_edges must be [src, dst] pairs of distinct nodes below 40"),
+    (lambda run: run.update(fixed_edges=[[0, 0]]),
+     "fixed_edges must be [src, dst] pairs of distinct nodes below 40"),
+    (lambda run: run.update(fixed_edges=[[0, 1.0]]),
+     "fixed_edges must be [src, dst] pairs of distinct nodes below 40"),
+    (lambda run: run.update(fixed_edges=[[0, 1]]), "attention.b1 unknown"),
 ], ids=["missing", "unknown", "shape", "values", "config-width", "attention-missing",
-        "attention-shape"])
+        "attention-shape", "attention-null", "temperature-null", "temperature-nan",
+        "tensors-not-object", "entry-not-object", "entry-without-shape", "nan-value",
+        "wider-features", "narrower-attention", "string-value", "edge-off-population",
+        "self-edge", "float-node", "edges-on-adaptive-run"])
 def test_main_export_rejects_checkpoint_entries_off_the_config(tmp_path, capsys,
                                                                 edit, named):
+    """Every tensor is read against the layout the run's config and dataset
+    call for, and fixed edges against the population: a damaged entry exits
+    2 naming the file and the entry, before anything is exported."""
     run_dir = trained_run(tmp_path)
     path = run_dir / "seed_0" / "checkpoint.json"
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -702,7 +748,8 @@ def test_main_export_rejects_checkpoint_entries_off_the_config(tmp_path, capsys,
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert main(["export", "--run", str(run_dir), "--what", "attention"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and named in err
+    assert err.startswith("error:") and named in err and str(path) in err
+    assert not (run_dir / "seed_0" / "export").exists()
 
 
 def _truncate(path):
@@ -722,18 +769,29 @@ def _with_config(**changes):
     return _rewriting(lambda run: {**run, "config": {**run["config"], **changes}})
 
 
+def _with_experiment(edit):
+    """A run ``config.json`` damage that replaces its experiment block."""
+    return _rewriting(lambda run: {**run, "experiment": edit(run["experiment"])})
+
+
 CHECKPOINT = "seed_0/checkpoint.json"
 
 
 @pytest.mark.parametrize("where, damage, named", [
-    (CHECKPOINT, _rewriting(lambda run: {"format_version": 2}), "missing key 'config'"),
+    (CHECKPOINT, _rewriting(lambda run: {"format_version": RUN_FORMAT_VERSION}),
+     "missing key 'config'"),
     (CHECKPOINT, _rewriting(lambda run: [run]), "must hold a JSON object"),
     (CHECKPOINT, _truncate, "not valid JSON"),
     ("config.json", _truncate, "not valid JSON"),
     (CHECKPOINT, _with_config(lam=1.0), "unexpected keyword argument 'lam'"),
     (CHECKPOINT, _with_config(k=0), "k must be at least 1"),
+    ("config.json", _with_experiment(lambda e: {**e, "train": {**e["train"], "k": 0}}),
+     "k must be at least 1"),
+    ("config.json", _with_experiment(lambda e: {**e, "extra": 1}),
+     "unknown config keys: ['extra']"),
 ], ids=["no-config", "not-object", "truncated-checkpoint", "truncated-config",
-        "unknown-config-key", "bad-config-value"])
+        "unknown-config-key", "bad-config-value", "run-config-bad-value",
+        "run-config-unknown-key"])
 def test_main_export_names_a_damaged_run_file(tmp_path, capsys, where, damage, named):
     run_dir = trained_run(tmp_path)
     damage(run_dir / where)

@@ -46,7 +46,7 @@ from popgraph.trainer import (
     stream_rng,
     train,
 )
-from popgraph.trainer import _auc_one_vs_rest, _draw_graph
+from popgraph.trainer import _auc_one_vs_rest, _draw_graph, _named_tensors
 
 
 def tiny_dataset(seed=0, n=48, task="regression"):
@@ -713,22 +713,40 @@ def test_metrics_record_validation():
         MetricsRecord(task="classification", seed=0, config_hash="", accuracy=1.2).validate()
 
 
-@pytest.mark.parametrize("task", ["regression", "classification"])
-def test_run_checkpoint_round_trip(tmp_path, task):
+GCN_TENSORS = ["gcn.w1", "gcn.w2", "gcn.b2", "gcn.w3", "gcn.b3"]
+ATTENTION_TENSORS = ["attention.w1", "attention.b1", "attention.w2", "attention.b2"]
+
+
+@pytest.mark.parametrize("task, overrides, fixed, names", [
+    ("regression", {}, False, GCN_TENSORS + ATTENTION_TENSORS + ["log_temperature"]),
+    ("classification", {}, False, GCN_TENSORS + ATTENTION_TENSORS + ["log_temperature"]),
+    ("regression", {"attention_mode": "ones"}, False, GCN_TENSORS + ["log_temperature"]),
+    ("regression", {"distance_metric": "random"}, False, GCN_TENSORS),
+    ("regression", {}, True, GCN_TENSORS),
+], ids=["regression", "classification", "ones", "random", "fixed"])
+def test_run_checkpoint_round_trip(tmp_path, task, overrides, fixed, names):
+    """Each run kind saves exactly the tensors it trains, by name, and the
+    loaded run predicts what the trained one does."""
     ds = tiny_dataset(task=task)
-    result = train(ds, tiny_config(task=task, n_classes=3))
+    from popgraph.graphgen import knn_static_graph
+    edges = knn_static_graph(ds.phenotype_matrix(), 3) if fixed else None
+    result = train(ds, tiny_config(task=task, n_classes=3, **overrides), fixed_edges=edges)
     path = tmp_path / "run.json"
     save_run(result, path)
-    loaded = load_run(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["format_version"] == 3
+    assert list(payload["tensors"]) == sorted(names)
+    loaded = load_run(path, ds)
     assert loaded.model.task == task
     assert loaded.config == result.config
     assert loaded.epsilon == result.epsilon
     assert loaded.best_epoch == result.best_epoch
-    for a, b in zip(loaded.model.params(), result.model.params()):
+    for a, b in zip(_named_tensors(loaded.model, loaded.attention, loaded.tau).values(),
+                    _named_tensors(result.model, result.attention, result.tau).values(),
+                    strict=True):
         assert np.array_equal(a.values, b.values)
-    for a, b in zip(loaded.attention.params(), result.attention.params()):
-        assert np.array_equal(a.values, b.values)
-    assert loaded.tau.values == result.tau.values
+    if result.attention_vector is not None:
+        assert np.array_equal(loaded.attention_vector, result.attention_vector)
     # identical stochastic predictions through the restored parameters
     a = infer(result, ds)
     b = infer(loaded, ds)
@@ -744,7 +762,7 @@ def test_run_checkpoint_keeps_fixed_edges(tmp_path):
     result = train(ds, tiny_config(), fixed_edges=edges)
     path = tmp_path / "run.json"
     save_run(result, path)
-    loaded = load_run(path)
+    loaded = load_run(path, ds)
     assert np.array_equal(loaded.fixed_edges, edges)
     assert loaded.attention is None and loaded.tau is None
 
@@ -758,23 +776,26 @@ def test_run_checkpoint_rejects_unknown_version(tmp_path):
     payload["format_version"] = 99
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError, match="version"):
-        load_run(path)
+        load_run(path, ds)
 
 
-def test_run_checkpoint_rejects_version_1(tmp_path):
-    """A version-1 checkpoint stores TrainConfig knobs that no longer exist;
-    it fails on its version, not on the stale keys."""
+def test_run_checkpoint_rejects_version_2(tmp_path):
+    """A version-2 checkpoint stores its tensors under ``gcn``, ``attention``
+    and ``log_temperature``; it fails on its version, not on those keys."""
     ds = tiny_dataset()
     result = train(ds, tiny_config(epochs=2))
     path = tmp_path / "run.json"
     save_run(result, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["format_version"] = 1
-    payload["config"].update(lam=1.0, beta1=0.9, beta2=0.999, eps_opt=1e-8,
-                             weight_decay=0.01, huber_delta=1.0)
+    payload["format_version"] = 2
+    tensors = payload.pop("tensors")
+    for part in ("gcn", "attention"):
+        payload[part] = {name.split(".")[1]: entry for name, entry in tensors.items()
+                         if name.startswith(part + ".")}
+    payload["log_temperature"] = tensors["log_temperature"]["values"][0]
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValueError, match="unsupported format version 1"):
-        load_run(path)
+    with pytest.raises(ValueError, match="unsupported format version 2"):
+        load_run(path, ds)
 
 
 def test_run_experiment_fills_record():
