@@ -185,7 +185,7 @@ def load_config(path) -> ExperimentConfig:
         raise CliError(f"bad config: {exc}") from exc
     try:
         return ExperimentConfig.from_dict(payload)
-    except (TypeError, ValueError) as exc:
+    except (CliError, TypeError, ValueError) as exc:
         raise CliError(f"bad config {path}: {exc}") from exc
 
 

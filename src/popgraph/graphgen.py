@@ -137,7 +137,8 @@ def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
     ``log_p`` is an ``EdgeScores`` operator, walked a block of rows at a
     time, or a dense score matrix, taken as one block. Noise comes from
     ``rng`` through ``numerics.gumbel_fill``, one block of rows after
-    another into one reused buffer: the uniforms of one (N, N)
+    another into a reused buffer, or into two while a ``numerics.BlockHelper``
+    draws the next block's ahead: the uniforms of one (N, N)
     ``Generator.gumbel`` draw, transformed with the vectorised log, so
     within a few ULP of it. Pass ``noise`` to replay a draw (``gumbel_fill``
     of an (N, N) array gives the generator's), or zeros to degenerate to
@@ -172,21 +173,35 @@ def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
     if normalize:
         raw, row_lse = np.empty((n, k)), np.empty(n)
     step = nm.rows_per_block(n) if blocked else n
-    buffer = np.empty((min(step, n), n))
-    for r0, r1 in nm.row_blocks(n, step):
-        rows = np.arange(r0, r1)
-        scores = lp.rows(r0, r1) if blocked else lp.values
-        perturbed = buffer[:r1 - r0]
-        if noise is None:
-            nm.gumbel_fill(rng, perturbed)
-        else:
-            perturbed[:] = noise[r0:r1]
-        perturbed += scores
-        nm.fill_block_diagonal(perturbed, rows, -np.inf)
-        targets[r0:r1] = topk_desc(perturbed, k)
-        if normalize:
-            raw[r0:r1] = scores[np.arange(r1 - r0)[:, None], targets[r0:r1]]
-            row_lse[r0:r1] = nm.offdiag_logsumexp(scores, rows)
+    blocks = list(nm.row_blocks(n, step))
+    with nm.BlockHelper(len(blocks) if noise is None else 0) as helper:
+        # with the helper, block b + 1's noise is drawn while block b is scored
+        buffers = [np.empty((min(step, n), n)) for _ in range(1 + helper.lag)]
+
+        def block_noise(b):
+            r0, r1 = blocks[b]
+            out = buffers[b % len(buffers)][:r1 - r0]
+            if noise is None:
+                return nm.gumbel_fill(rng, out)
+            out[:] = noise[r0:r1]
+            return out
+
+        def block_lse(scores, rows):
+            row_lse[rows] = nm.offdiag_logsumexp(scores, rows)
+
+        fills = [helper.submit(block_noise, b) for b in range(helper.lag)]
+        for b, (r0, r1) in enumerate(blocks):
+            if b + helper.lag < len(blocks):
+                fills.append(helper.submit(block_noise, b + helper.lag))
+            rows = np.arange(r0, r1)
+            scores = lp.rows(r0, r1) if blocked else lp.values
+            perturbed = fills[b].result()
+            perturbed += scores
+            nm.fill_block_diagonal(perturbed, rows, -np.inf)
+            targets[r0:r1] = topk_desc(perturbed, k)
+            if normalize:
+                raw[r0:r1] = scores[np.arange(r1 - r0)[:, None], targets[r0:r1]]
+                helper.submit(block_lse, scores, rows)
     sources = np.repeat(np.arange(n), k)
     edges = np.column_stack([sources, targets.reshape(-1)])
 

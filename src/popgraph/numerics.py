@@ -12,6 +12,7 @@ may execute on separate threads without sharing state.
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,6 +32,8 @@ __all__ = [
     "log_softmax_rows",
     "take_per_row",
     "BLOCK_ENTRIES",
+    "HELPER_MIN_BLOCKS",
+    "BlockHelper",
     "rows_per_block",
     "row_blocks",
     "fill_block_diagonal",
@@ -474,6 +477,64 @@ def log_softmax_rows(logits) -> Tensor:
 BLOCK_ENTRIES = 1 << 18
 
 
+# a pass over at least this many blocks hands part of each block to the
+# helper thread; on a 2-block pass (N = 600) the hand-offs measured slower
+HELPER_MIN_BLOCKS = 3
+
+# the helper: one thread, started on first use, shared by every pass
+_HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="popgraph-helper")
+
+
+class _Done:
+    """A job already run on the calling thread, read like its Future."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def result(self):
+        return self.value
+
+
+class BlockHelper:
+    """The helper-thread jobs of one pass over ``n_blocks`` row blocks.
+
+    ``submit(fn, *args)`` runs fn(*args) and returns a handle whose
+    ``result()`` is fn's value. On a pass of at least ``HELPER_MIN_BLOCKS``
+    blocks it runs on the module's one helper thread, one job at a time in
+    submission order, while the caller goes on with its own part of the
+    pass; ``lag`` is 1. On a shorter pass it runs at once on the calling
+    thread and ``lag`` is 0. A job works in place on
+    arrays the caller allocated and does not allocate block-sized arrays: a
+    thread's own malloc arena would keep those resident. Leaving the ``with``
+    block waits for every job, so none outlives the pass, whether it returns
+    or raises; on a normal exit a job's exception is raised there.
+    """
+
+    def __init__(self, n_blocks: int):
+        self.lag = int(n_blocks >= HELPER_MIN_BLOCKS)
+        self._jobs = []
+
+    def submit(self, fn, *args):
+        if not self.lag:
+            return _Done(fn(*args))
+        job = _HELPER.submit(fn, *args)
+        self._jobs.append(job)
+        return job
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        if self._jobs:
+            wait(self._jobs)
+            if exc_type is None:
+                for job in self._jobs:
+                    job.result()
+        return False
+
+
 def rows_per_block(n: int) -> int:
     """Rows per block for blocks that span all N columns."""
     return max(1, BLOCK_ENTRIES // n)
@@ -517,17 +578,23 @@ def gumbel_fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 
 def offdiag_logsumexp(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Each row's logsumexp over all columns but its own, for the block of
-    ``rows``; masks the own column of ``scores`` to -inf in place."""
+    ``rows``. Works in place: ``scores`` is left holding exp(score - row max),
+    zero on the own columns."""
     fill_block_diagonal(scores, rows, -np.inf)
     top = scores.max(axis=1)
-    return top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
+    scores -= top[:, None]
+    np.exp(scores, out=scores)
+    return top + np.log(scores.sum(axis=1))
 
 
 def _sqdist_block(v, r, rows) -> np.ndarray:
     """max(|v_i|^2 + |v_j|^2 - 2 v_i.v_j, 0) for the block's rows i, from v
     and the squared row norms r."""
     s = (-2.0 * v[rows]) @ v.T
-    s += r[rows, None] + r
+    # r_i + r_j is rounded before it is added, as one (rows, N) sum would be,
+    # but 16 rows at a time, so the temporary stays small
+    for c0 in range(0, len(rows), 16):
+        s[c0:c0 + 16] += r[rows[c0:c0 + 16], None] + r
     return np.maximum(s, 0.0, out=s)
 
 
@@ -716,7 +783,11 @@ def kernel_edge_scores(dist: BlockDistance, t, edges, raw, row_lse) -> Tensor:
     blocks that are sets of such rows. Every other row's gradient block is
     exactly zero: its normalizer weight, the sum of its edges' gradients, is
     zero and no edge gradient lands in it. Each block's gradient is built in
-    one pass, in place in one (rows, N) buffer reused across blocks.
+    one pass, in place in a (rows, N) buffer reused across blocks. On a pass
+    of enough blocks a ``BlockHelper`` builds it, and its product with the
+    squared distances, on the helper thread, into one of two buffers, while
+    the caller computes the next block's distances and pulls the previous
+    block back; the caller adds every block's share in block order.
     """
     t = _as_tensor(t)
     n = dist.shape[0]
@@ -741,22 +812,37 @@ def kernel_edge_scores(dist: BlockDistance, t, edges, raw, row_lse) -> Tensor:
         live = np.unique(src[live_edges])
         acc = dist.accumulator()
         g_t = 0.0
-        buffer = np.empty((min(step, len(live)), n))
-        for rows, sel, pos in _edge_blocks(live, src[live_edges], step):
-            sel = live_edges[sel]
-            sq, saved = dist.forward(rows)
+
+        def block_grad(g_s, sq, rows, sel, pos):
             # d(loss)/d(log p) of the block: -g_rows times the first-pick
-            # softmax, plus each edge's own gradient
-            g_s = buffer[:len(rows)]
+            # softmax, plus each edge's own gradient; returns its dot with sq
             np.multiply(sq, -tv, out=g_s)
             g_s -= row_lse[rows, None]
             fill_block_diagonal(g_s, rows, -np.inf)
             np.exp(g_s, out=g_s)
             g_s *= -g_rows[rows, None]
             np.add.at(g_s.reshape(-1), pos * n + dst[sel], g[sel])
-            g_t -= np.dot(g_s.reshape(-1), sq.reshape(-1))
-            sq = None  # free the block before the pullback's temporaries
+            return np.dot(g_s.reshape(-1), sq.reshape(-1))
+
+        def pull_back(rows, saved, g_s, job):
+            dot = job.result()  # g_s is complete once its job is
             dist.pullback(rows, saved, g_s, -tv, acc)
+            return dot
+
+        blocks = list(_edge_blocks(live, src[live_edges], step))
+        pending = []
+        with BlockHelper(len(blocks)) as helper:
+            buffers = [np.empty((min(step, len(live)), n)) for _ in range(1 + helper.lag)]
+            for b, (rows, sel, pos) in enumerate(blocks):
+                sq, saved = dist.forward(rows)
+                g_s = buffers[b % len(buffers)][:len(rows)]
+                job = helper.submit(block_grad, g_s, sq, rows, live_edges[sel], pos)
+                sq = None  # free the block before the pullback's temporaries
+                pending.append((rows, saved, g_s, job))
+                if len(pending) > helper.lag:
+                    g_t -= pull_back(*pending.pop(0))
+            for block in pending:
+                g_t -= pull_back(*block)
         return dist.finish(acc), np.array(g_t)
 
     return _apply("kernel_edge_scores", raw - row_lse[src], (dist.features, t), bwd)

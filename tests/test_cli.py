@@ -630,6 +630,17 @@ def test_main_rejects_bad_train_block_before_writing(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+def test_main_field_error_names_the_config_file(tmp_path, capsys):
+    """A field error in a config file names that file as well as the field."""
+    payload = experiment_dict(tmp_path / "run")
+    payload["train"]["k"] = 0
+    path = write_config(tmp_path, payload, name="k0.json")
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "k0.json" in err and "k must be" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("n_subjects", "800"), ("n_subjects", 60.5), ("age_range", [81, "x"]),
     ("noise_std", float("nan")), ("noise_std", -1), ("age_range", 5)],

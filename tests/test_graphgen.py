@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -307,6 +310,119 @@ def test_training_draw_backs_through_the_kernel_it_walked(metric, monkeypatch):
     nm.backward((g.log_probs * Tensor(RNG.normal(size=36))).sum())
     assert np.array_equal(np.concatenate(blocks), np.arange(12))
     assert np.all(np.isfinite(f.grad)) and np.any(f.grad != 0.0)
+
+
+def _training_draw(metric, n=37, seed=5):
+    """A scored draw from a generator and its backward: edges, scores, the
+    feature and temperature gradients and the generator's end state."""
+    rng = np.random.default_rng(seed)
+    f = Tensor(np.random.default_rng(1).uniform(-0.4, 0.4, size=(n, 6)), requires_grad=True)
+    tau = Tensor(np.log(2.5), requires_grad=True)
+    lp = edge_probabilities(pairwise_distance(f, metric), nm.exp(tau))
+    g = gumbel_topk_sample(lp, 5, rng=rng, normalize=True)
+    weights = np.random.default_rng(2).normal(size=n * 5)
+    weights[g.edges[:, 0] % 3 == 0] = 0.0  # rows the backward skips
+    nm.backward((g.log_probs * Tensor(weights)).sum())
+    return g.edges, g.log_probs.values, f.grad, tau.grad, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
+@pytest.mark.parametrize("rows_per_block", [1, 4])
+def test_helper_thread_changes_no_bit(metric, rows_per_block, monkeypatch):
+    """The same training draw and backward with the helper thread and with
+    the helper off (every pass below the block-count threshold): equal to the
+    last bit, and the generator ends in the same state."""
+    monkeypatch.setattr(nm, "BLOCK_ENTRIES", rows_per_block * 37)
+    threaded = _training_draw(metric)
+    monkeypatch.setattr(nm, "HELPER_MIN_BLOCKS", 10**9)
+    inline = _training_draw(metric)
+    for a, b in zip(threaded[:4], inline[:4]):
+        assert np.array_equal(a, b)
+    assert threaded[4] == inline[4]
+
+
+def test_concurrent_draws_share_the_helper(monkeypatch):
+    """Four threads draw and back-propagate at once through the one helper
+    thread, with a short switch interval: each gets exactly the result of
+    the same draw run alone with the helper off."""
+    monkeypatch.setattr(nm, "BLOCK_ENTRIES", 4 * 37)
+    metrics = ["euclidean", "cosine", "hyperbolic", "euclidean"]
+    results = [None] * len(metrics)
+
+    def worker(i):
+        results[i] = [_training_draw(metrics[i], seed=i) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(metrics))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    monkeypatch.setattr(nm, "HELPER_MIN_BLOCKS", 10**9)
+    for i, metric in enumerate(metrics):
+        alone = _training_draw(metric, seed=i)
+        for repeat in results[i]:
+            assert all(np.array_equal(a, b) for a, b in zip(repeat[:4], alone[:4]))
+            assert repeat[4] == alone[4]
+
+
+def _count_helper_jobs(monkeypatch):
+    jobs = []
+    submit = nm._HELPER.submit
+
+    def counted(*args):
+        jobs.append(submit(*args))
+        return jobs[-1]
+
+    monkeypatch.setattr(nm._HELPER, "submit", counted)
+    return jobs
+
+
+def test_short_pass_runs_on_the_calling_thread(monkeypatch):
+    """A 2-block draw and backward hand the helper nothing; a 3-block one
+    does."""
+    jobs = _count_helper_jobs(monkeypatch)
+    monkeypatch.setattr(nm, "BLOCK_ENTRIES", 19 * 37)
+    _training_draw("euclidean")
+    assert jobs == []
+    monkeypatch.setattr(nm, "BLOCK_ENTRIES", 13 * 37)
+    _training_draw("euclidean")
+    assert len(jobs) > 0
+
+
+def test_draw_that_raises_leaves_no_helper_job(monkeypatch):
+    """topk_desc fails on the second block while the helper is still drawing
+    (slowly) the third block's noise: the draw waits for that job before it
+    raises, so nothing touches the generator after the call."""
+    import popgraph.graphgen as graphgen
+
+    jobs = _count_helper_jobs(monkeypatch)
+    monkeypatch.setattr(nm, "BLOCK_ENTRIES", 4 * 37)
+    fill = nm.gumbel_fill
+
+    def slow_fill(rng, out):
+        time.sleep(0.05)
+        return fill(rng, out)
+
+    calls = []
+
+    def failing_topk(values, k):
+        calls.append(k)
+        if len(calls) == 2:
+            raise RuntimeError("second block")
+        return topk_desc(values, k)
+
+    monkeypatch.setattr(nm, "gumbel_fill", slow_fill)
+    monkeypatch.setattr(graphgen, "topk_desc", failing_topk)
+    lp = edge_probabilities(pairwise_distance(RNG.normal(size=(37, 4)), "euclidean"), 1.0)
+    with pytest.raises(RuntimeError, match="second block"):
+        gumbel_topk_sample(lp, 3, rng=np.random.default_rng(0), normalize=True)
+    assert len(jobs) >= 3 and all(job.done() for job in jobs)
 
 
 def test_draw_holds_no_n_by_n_array():

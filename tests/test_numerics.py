@@ -377,6 +377,17 @@ def test_pairwise_sqdist_values_and_grad():
     _check(lambda: _pair_loss(f, "euclidean", w), [f])
 
 
+def test_sqdist_block_rounds_like_one_norm_sum():
+    """The squared norms are added 16 rows at a time, with the same two
+    roundings per entry as adding the whole (rows, N) sum r_i + r_j: equal
+    to the last bit over ragged chunks and an unsorted row set."""
+    v = RNG.normal(size=(50, 7))
+    r = np.sum(v * v, axis=1)
+    rows = np.concatenate([np.arange(3, 40), [45, 41, 49]])
+    expected = np.maximum((-2.0 * v[rows]) @ v.T + (r[rows, None] + r), 0.0)
+    assert np.array_equal(nm._sqdist_block(v, r, rows), expected)
+
+
 def test_pairwise_cosine_values_and_grad():
     v = RNG.normal(size=(5, 3))
     f = Tensor(v, requires_grad=True)
