@@ -20,7 +20,14 @@ Per N the row gives:
 - ``peak_rss_mb``: ``ru_maxrss`` of that process, population included.
 - ``split_ms``: median time per call, from the spans. ``backward`` is the
   whole tape backward of an epoch, ``sampler`` one Gumbel-Top-k draw,
-  ``gcn_forward`` one GCN forward.
+  ``gcn_forward`` one GCN forward, ``attention`` the attention scorer,
+  its aggregation and the phenotype weighting, and ``optimizer`` one AdamW
+  step. A draw computes its distance GEMMs and kernel multiplies inside the
+  sampler's block pass, so ``distance`` (``pairwise_distance``) and
+  ``kernel`` (``edge_probabilities``) time only the building of the kernel
+  object and its operator; the work itself is in ``sampler`` and, for the
+  training draw's recompute, ``backward``. Rows measured before these four
+  columns existed lack them.
 
 Each row also names the commit and a hash of ``src/popgraph``, so a row
 measured on an uncommitted tree still identifies its code, plus nproc and the
@@ -49,7 +56,9 @@ CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
              "MKL_NUM_THREADS": "1", "PYTHONHASHSEED": "0",
              "PYTHONDONTWRITEBYTECODE": "1"}
 SPLIT = {"backward": "numerics.backward_ms", "sampler": "graphgen.sampler_ms",
-         "gcn_forward": "gcn.forward_ms"}
+         "gcn_forward": "gcn.forward_ms", "attention": "attention.ms",
+         "distance": "graphgen.distance_ms", "kernel": "graphgen.kernel_ms",
+         "optimizer": "trainer.optimizer_ms"}
 
 
 def measure(root: Path, n: int) -> dict:

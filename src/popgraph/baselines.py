@@ -22,6 +22,12 @@ __all__ = [
 
 FEATURE_SOURCES = ("node_features", "phenotypes")
 
+# the ridge penalty of the regression fit, and the gradient-norm tolerance
+# and Newton-step cap of the logistic fit
+RIDGE = 1e-3
+LOGISTIC_TOL = 1e-6
+LOGISTIC_MAX_ITER = 100
+
 
 @dataclass
 class LinearModel:
@@ -52,24 +58,19 @@ class LinearModel:
         return softmax_rows(self._check(x) @ self.weights + self.bias)
 
 
-def _ridge_fit(x: np.ndarray, y: np.ndarray, ridge: float) -> LinearModel:
+def _ridge_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
     # center so the intercept stays unpenalized; lam -> inf then collapses
     # predictions onto the train mean
     x_mean = x.mean(axis=0)
     y_mean = y.mean()
     xc = x - x_mean
     yc = y - y_mean
-    gram = xc.T @ xc + ridge * np.eye(x.shape[1])
+    gram = xc.T @ xc + RIDGE * np.eye(x.shape[1])
     try:
         w = np.linalg.solve(gram, xc.T @ yc)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("singular normal equations; use ridge > 0") from exc
-    if ridge == 0.0:
-        # solve() tolerates some numerically singular systems; catch those too
-        residual = gram @ w - xc.T @ yc
-        scale = max(float(np.linalg.norm(xc.T @ yc)), 1.0)
-        if float(np.linalg.norm(residual)) > 1e-6 * scale:
-            raise ValueError("singular normal equations; use ridge > 0")
+        raise ValueError(f"ridge fit: the normal equations are singular even with "
+                         f"ridge {RIDGE}") from exc
     bias = np.asarray(y_mean - x_mean @ w)
     return LinearModel(weights=w, bias=bias, task="regression")
 
@@ -85,8 +86,7 @@ def _softmax_loss(design: np.ndarray, wb: np.ndarray, onehot: np.ndarray):
     return -float(np.sum(onehot * log_p)) / len(design), np.exp(log_p)
 
 
-def _logistic_fit(x: np.ndarray, classes: np.ndarray, n_classes: int,
-                  tol: float, max_iter: int) -> LinearModel:
+def _logistic_fit(x: np.ndarray, classes: np.ndarray, n_classes: int) -> LinearModel:
     n, m = x.shape
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), classes] = 1.0
@@ -97,7 +97,7 @@ def _logistic_fit(x: np.ndarray, classes: np.ndarray, n_classes: int,
     loss, probs = _softmax_loss(design, wb, onehot)
     grad = design.T @ (probs - onehot) / n
     steps = 0
-    while steps < max_iter and np.linalg.norm(grad) > tol:
+    while steps < LOGISTIC_MAX_ITER and np.linalg.norm(grad) > LOGISTIC_TOL:
         # Hessian in the row-major order of wb, the mean over rows of
         # x x^T (x) (diag p - p p^T), as two GEMMs with z = x (x) p
         z = (design[:, :, None] * probs[:, None, :]).reshape(n, wb.size)
@@ -120,24 +120,23 @@ def _logistic_fit(x: np.ndarray, classes: np.ndarray, n_classes: int,
         grad = design.T @ (probs - onehot) / n
         steps += 1
     grad_norm = float(np.linalg.norm(grad))
-    if grad_norm > tol:
+    if grad_norm > LOGISTIC_TOL:
         warnings.warn(f"logistic fit stopped after {steps} Newton iterations "
-                      f"at gradient norm {grad_norm:.3g} above tolerance {tol}",
+                      f"at gradient norm {grad_norm:.3g} above tolerance {LOGISTIC_TOL}",
                       stacklevel=2)
     return LinearModel(weights=wb[:-1], bias=wb[-1], task="logistic")
 
 
-def linear_fit(x_train, y_train, ridge: float = 1e-3, task: str = "regression",
-               n_classes: int | None = None, tol: float = 1e-6,
-               max_iter: int = 100) -> LinearModel:
-    """Closed-form ridge regression, or unregularized multinomial logistic
-    regression by damped Newton (IRLS) steps.
+def linear_fit(x_train, y_train, task: str = "regression",
+               n_classes: int | None = None) -> LinearModel:
+    """Closed-form ridge regression with penalty ``RIDGE``, or unregularized
+    multinomial logistic regression by damped Newton (IRLS) steps.
 
     Each logistic step solves the softmax Hessian system by least squares
     and halves the step until the mean cross-entropy falls. The fit stops
-    once the gradient norm is at most ``tol``; ``max_iter`` counts Newton
-    steps, and running out of them warns. The intercept is never penalized.
-    ``ridge`` only applies to regression.
+    once the gradient norm is at most ``LOGISTIC_TOL``; running out of
+    ``LOGISTIC_MAX_ITER`` Newton steps first warns. The intercept is never
+    penalized.
     """
     x = np.asarray(x_train, dtype=float)
     y = np.asarray(y_train)
@@ -147,17 +146,15 @@ def linear_fit(x_train, y_train, ridge: float = 1e-3, task: str = "regression",
         raise ValueError("need at least 2 training rows")
     if x.shape[0] != len(y):
         raise ValueError("features and labels disagree on row count")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
     if task == "regression":
-        return _ridge_fit(x, y.astype(float), ridge)
+        return _ridge_fit(x, y.astype(float))
     if task == "logistic":
         classes = y.astype(np.intp)
         if n_classes is None:
             n_classes = int(classes.max()) + 1
         if classes.min() < 0 or classes.max() >= n_classes:
             raise ValueError("class labels out of range")
-        return _logistic_fit(x, classes, n_classes, tol, max_iter)
+        return _logistic_fit(x, classes, n_classes)
     raise ValueError(f"unknown task {task!r}")
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -288,9 +287,7 @@ def aggregate_records(records: list) -> dict:
     """Per-metric mean/std/median over seeds, ignoring missing values."""
     out = {}
     for name in _METRIC_FIELDS:
-        values = [getattr(r, name) for r in records]
-        values = [v for v in values
-                  if v is not None and not (isinstance(v, float) and math.isnan(v))]
+        values = [v for v in (getattr(r, name) for r in records) if v is not None]
         if values:
             out[name] = {
                 "mean": float(np.mean(values)),

@@ -67,9 +67,10 @@ def read_json(path):
 
 
 def write_json(path, payload) -> None:
-    """Write ``payload`` as indented, key-sorted JSON with a final newline."""
+    """Write ``payload`` as indented, key-sorted JSON with a final newline.
+    A NaN or infinity, which JSON cannot hold, is a ValueError."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -348,7 +349,8 @@ def csv_schema_for(dataset: PopulationDataset) -> CsvSchema:
 def load_csv(path, schema: CsvSchema) -> PopulationDataset:
     """Load a phenotype table. Rows missing any mapped cell or the label are
     dropped (count recorded in meta['n_dropped']); non-numeric and non-finite
-    cells (nan, inf) are an error naming the row and column."""
+    cells (nan, inf) are an error naming the row and column. A header that
+    repeats a column the schema reads is an error naming that column."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -359,6 +361,9 @@ def load_csv(path, schema: CsvSchema) -> PopulationDataset:
         rows = list(reader)
 
     col_pos = {name: i for i, name in enumerate(header)}
+    for name in [*schema.kinds, schema.label_column]:
+        if header.count(name) > 1:
+            raise ValueError(f"{path}: header repeats column {name!r}")
     for name, kind in schema.kinds.items():
         if name not in col_pos:
             raise ValueError(f"kind map names unknown column {name!r}")

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import numerics as nm
 from .graphgen import SampledGraph
@@ -84,13 +83,11 @@ class GcnModel:
 def gcn_forward(a_hat, x, model: GcnModel) -> Tensor:
     """ReLU(Â X W1) -> ReLU(· W2 + b2) -> · W3 + b3.
 
-    Â is a ``scipy.sparse`` matrix (the CSR that ``graphgen.symmetrize``
-    builds) or a dense array; X is a plain array. Neither is trained, so the
-    product Â X is folded before touching the tape. Regression output is
-    squeezed to shape (N,).
+    Â is the CSR matrix that ``graphgen.symmetrize`` builds (a graph's
+    ``a_hat``); X is a plain array. Neither is trained, so the product Â X
+    is folded before touching the tape. Regression output is squeezed to
+    shape (N,).
     """
-    if not sp.issparse(a_hat):
-        a_hat = np.asarray(a_hat, dtype=float)
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if a_hat.shape != (n, n):
@@ -117,7 +114,7 @@ def huber_loss(pred: Tensor, y, mask) -> Tensor:
     if not mask.any():
         raise ValueError("huber_loss: empty mask")
     y = np.asarray(y, dtype=float)
-    err = nm.masked_select(pred, mask) - Tensor(y[mask])
+    err = nm.gather_rows(pred, np.flatnonzero(mask)) - Tensor(y[mask])
     small = np.abs(err.values) <= HUBER_DELTA
     quad = nm.square(err) * 0.5
     lin = (nm.absolute(err) - 0.5 * HUBER_DELTA) * HUBER_DELTA
@@ -130,7 +127,7 @@ def cross_entropy_loss(logits: Tensor, classes, mask) -> Tensor:
     if not mask.any():
         raise ValueError("cross_entropy_loss: empty mask")
     classes = np.asarray(classes, dtype=np.intp)
-    log_probs = nm.log_softmax_rows(nm.masked_select(logits, mask))
+    log_probs = nm.log_softmax_rows(nm.gather_rows(logits, np.flatnonzero(mask)))
     picked = nm.take_per_row(log_probs, classes[mask])
     return -picked.mean()
 

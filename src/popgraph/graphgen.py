@@ -10,10 +10,11 @@ other draw only selects edges.
 
 No N x N array is built. ``pairwise_distance`` returns the metric's
 distance kernel (``numerics.BlockDistance``) and ``edge_probabilities`` an
-operator over it, and the sampler walks them a block of rows at a time:
-distances, kernel, Gumbel noise, the diagonal mask and a partial top-k. The
-training draw's scores back through that same kernel. The normalized
-adjacency of a draw is a ``scipy.sparse`` CSR matrix, built on first use.
+``EdgeScores`` operator over it, the sampler's only input; every draw walks
+them a block of rows at a time: distances, kernel, Gumbel noise, the
+diagonal mask and a partial top-k. The training draw's scores back through
+that same kernel. The normalized adjacency of a draw is a ``scipy.sparse``
+CSR matrix, built on first use.
 
 Static kNN and uniform-random graphs cover the non-adaptive baselines.
 """
@@ -78,20 +79,16 @@ def pairwise_distance(features, metric: str) -> nm.BlockDistance:
     return nm.block_distance(metric, f)
 
 
-def edge_probabilities(distances, t):
-    """log p_ij = -t * d_ij^2. Callers keep t positive by passing t = exp(tau).
-
-    A distance kernel gives an ``EdgeScores`` operator over it; a dense
-    distance matrix gives the dense score Tensor. The zero diagonal of the
-    distances makes log p_ii = 0 (p_ii = 1) until the sampler masks it out.
+def edge_probabilities(distances: nm.BlockDistance, t) -> EdgeScores:
+    """log p_ij = -t * d_ij^2 over a distance kernel, as an ``EdgeScores``
+    operator. Callers keep t positive by passing t = exp(tau). The zero
+    diagonal of the distances makes log p_ii = 0 (p_ii = 1) until the
+    sampler masks it out.
     """
     t = t if isinstance(t, Tensor) else Tensor(float(t))
     if t.shape != ():
         raise nm.ShapeError(f"edge_probabilities: t must be scalar, got {t.shape}")
-    if isinstance(distances, nm.BlockDistance):
-        return EdgeScores(distances, t)
-    d = distances if isinstance(distances, Tensor) else Tensor(distances)
-    return -(nm.square(d) * t)
+    return EdgeScores(distances, t)
 
 
 def topk_desc(values: np.ndarray, k: int) -> np.ndarray:
@@ -129,38 +126,30 @@ class SampledGraph:
         return symmetrize(self.edges, self.n_nodes)
 
 
-def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
+def gumbel_topk_sample(log_p: EdgeScores, k: int, rng: np.random.Generator | None = None,
                        noise: np.ndarray | None = None,
                        normalize: bool = False) -> SampledGraph:
     """Draw k out-edges per node from the scores.
 
     ``log_p`` is an ``EdgeScores`` operator, walked a block of rows at a
-    time, or a dense score matrix, taken as one block. Noise comes from
-    ``rng`` through ``numerics.gumbel_fill``, one block of rows after
-    another into a reused buffer, or into two while a ``numerics.BlockHelper``
-    draws the next block's ahead: the uniforms of one (N, N)
-    ``Generator.gumbel`` draw, transformed with the vectorised log, so
-    within a few ULP of it. Pass ``noise`` to replay a draw (``gumbel_fill``
-    of an (N, N) array gives the generator's), or zeros to degenerate to
-    deterministic top-k. The diagonal is masked, so self-edges never occur
-    and every node ends with exactly k out-edges.
+    time. Noise comes from ``rng`` through ``numerics.gumbel_fill``, one
+    block of rows after another into a reused buffer, or into two while a
+    ``numerics.BlockHelper`` draws the next block's ahead: the uniforms of
+    one (N, N) ``Generator.gumbel`` draw, transformed with the vectorised
+    log, so within a few ULP of it. Pass ``noise`` to replay a draw
+    (``gumbel_fill`` of an (N, N) array gives the generator's), or zeros to
+    degenerate to deterministic top-k. The diagonal is masked, so
+    self-edges never occur and every node ends with exactly k out-edges.
 
-    A dense score matrix's draw carries each edge's raw log p, gathered on
-    the tape. An operator's draw is scored only with ``normalize``: each
-    edge's first-pick log-probability, log p_ij - logsumexp_{l != i} log
-    p_il, from ``numerics.kernel_edge_scores``. Without it the draw only
-    selects edges and its ``log_probs`` is None. Gumbel-Top-k ignores a
-    per-row constant, so the same noise picks the same edges either way.
+    With ``normalize`` the draw is scored: each edge's first-pick
+    log-probability, log p_ij - logsumexp_{l != i} log p_il, from
+    ``numerics.kernel_edge_scores``. Without it the draw only selects edges
+    and its ``log_probs`` is None. Gumbel-Top-k ignores a per-row constant,
+    so the same noise picks the same edges either way.
     """
-    blocked = isinstance(log_p, EdgeScores)
-    lp = log_p if blocked or isinstance(log_p, Tensor) else Tensor(log_p)
-    n = lp.shape[0]
-    if len(lp.shape) != 2 or lp.shape[1] != n:
-        raise nm.ShapeError(f"gumbel_topk_sample: score matrix must be square, got {lp.shape}")
+    n = log_p.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k={k} out-edges per node impossible with {n} nodes")
-    if normalize and not blocked:
-        raise ValueError("gumbel_topk_sample: normalize needs an EdgeScores operator")
     if noise is None:
         if rng is None:
             raise ValueError("provide an rng (or explicit noise) to sample")
@@ -172,7 +161,7 @@ def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
     targets = np.empty((n, k), dtype=np.intp)
     if normalize:
         raw, row_lse = np.empty((n, k)), np.empty(n)
-    step = nm.rows_per_block(n) if blocked else n
+    step = nm.rows_per_block(n)
     blocks = list(nm.row_blocks(n, step))
     with nm.BlockHelper(len(blocks) if noise is None else 0) as helper:
         # with the helper, block b + 1's noise is drawn while block b is scored
@@ -194,7 +183,7 @@ def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
             if b + helper.lag < len(blocks):
                 fills.append(helper.submit(block_noise, b + helper.lag))
             rows = np.arange(r0, r1)
-            scores = lp.rows(r0, r1) if blocked else lp.values
+            scores = log_p.rows(r0, r1)
             perturbed = fills[b].result()
             perturbed += scores
             nm.fill_block_diagonal(perturbed, rows, -np.inf)
@@ -204,11 +193,10 @@ def gumbel_topk_sample(log_p, k: int, rng: np.random.Generator | None = None,
                 helper.submit(block_lse, scores, rows)
     sources = np.repeat(np.arange(n), k)
     edges = np.column_stack([sources, targets.reshape(-1)])
-
-    log_probs = None if blocked else nm.gather_rows(nm.reshape(lp, (n * n,)),
-                                                    edges[:, 0] * n + edges[:, 1])
+    log_probs = None
     if normalize:
-        log_probs = nm.kernel_edge_scores(lp.kernel, lp.t, edges, raw.reshape(-1), row_lse)
+        log_probs = nm.kernel_edge_scores(log_p.kernel, log_p.t, edges, raw.reshape(-1),
+                                          row_lse)
     return SampledGraph(edges=edges, log_probs=log_probs, n_nodes=n, noise=noise)
 
 

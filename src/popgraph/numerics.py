@@ -26,7 +26,6 @@ __all__ = [
     "backward",
     "reset_tape",
     "gather_rows",
-    "masked_select",
     "add_rowvec",
     "mul_rowvec",
     "log_softmax_rows",
@@ -381,22 +380,6 @@ def gather_rows(a, indices) -> Tensor:
         return (z,)
 
     return _apply("gather_rows", a.values[idx], (a,), bwd)
-
-
-def masked_select(a, mask) -> Tensor:
-    """Keep rows (2-D) or elements (1-D) where mask is True."""
-    a = _as_tensor(a)
-    m = np.asarray(mask, dtype=bool)
-    if a.ndim not in (1, 2) or m.shape != (a.shape[0],):
-        raise ShapeError(f"masked_select: mask shape {m.shape} does not match operand {a.shape}")
-    shape = a.shape
-
-    def bwd(g):
-        z = np.zeros(shape)
-        z[m] = g
-        return (z,)
-
-    return _apply("masked_select", a.values[m], (a,), bwd)
 
 
 def take_per_row(matrix, cols) -> Tensor:

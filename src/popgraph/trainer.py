@@ -483,7 +483,8 @@ def evaluate_classification(probabilities, classes, mask) -> dict:
 
     A class absent from the mask is skipped in the AUC average (with a
     warning) but still drags the F1 average down as a zero, so both follow
-    their usual conventions.
+    their usual conventions. The AUC is None (undefined) when no class in
+    the mask has both positives and negatives.
     """
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
@@ -506,7 +507,7 @@ def evaluate_classification(probabilities, classes, mask) -> dict:
                           stacklevel=2)
             continue
         aucs.append(_auc_one_vs_rest(probs[:, c], positive))
-    macro_auc = float(np.mean(aucs)) if aucs else float("nan")
+    macro_auc = float(np.mean(aucs)) if aucs else None
 
     f1_total = 0.0
     for c in range(n_classes):
@@ -550,7 +551,7 @@ class MetricsRecord:
             raise ValueError("Pearson r out of range")
         for name in ("accuracy", "macro_auc", "macro_f1"):
             v = getattr(self, name)
-            if v is not None and not (np.isnan(v) or 0.0 <= v <= 1.0):
+            if v is not None and not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} out of [0, 1]")
 
     def to_json_dict(self) -> dict:

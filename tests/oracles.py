@@ -207,6 +207,24 @@ def dense_kernel_edge_grads(v: np.ndarray, t: float, metric: str, edges: np.ndar
     return dist.finish(acc), g_t
 
 
+class FixedKernel(nm.BlockDistance):
+    """A fixed (N, N) matrix M read as a distance kernel's squared
+    distances: ``forward(rows)`` gives M's rows, and the pullback adds
+    nothing, so a scored draw over it back-propagates to the temperature
+    only. ``edge_probabilities(FixedKernel(-S), 1.0)`` scores exactly the
+    matrix S: the sampler then draws from S as it would from a distance
+    kernel's scores."""
+
+    def __init__(self, matrix):
+        super().__init__(nm.Tensor(matrix))
+
+    def forward(self, rows):
+        return self.v[rows], None
+
+    def pullback(self, rows, saved, g, scale, acc):
+        pass
+
+
 def dense_symmetrize(edges: np.ndarray, n: int) -> np.ndarray:
     """D^(-1/2) (A + I) D^(-1/2) of the undirected union of the edges."""
     a = np.zeros((n, n))

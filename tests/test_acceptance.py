@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import plackett_luce_set_probs, softmax, total_variation
+from oracles import FixedKernel, plackett_luce_set_probs, softmax, total_variation
 from popgraph import numerics as nm
 from popgraph.attention import (
     AttentionMlp,
@@ -42,6 +42,7 @@ from popgraph.gcn import (
     total_loss,
 )
 from popgraph.graphgen import (
+    SampledGraph,
     edge_probabilities,
     gumbel_topk_sample,
     homophily_score,
@@ -97,7 +98,7 @@ def ordering_suite(planted_population):
         _, rec_random = run_experiment(ds, replace(cfg, distance_metric="random"))
         random_.append(rec_random.mae)
     train, test = ds.masks.train, ds.masks.test
-    model = linear_fit(ds.X[train], ds.y[train], ridge=1e-3)
+    model = linear_fit(ds.X[train], ds.y[train])
     linear_mae = float(np.mean(np.abs(model.predict(ds.X[test]) - ds.y[test])))
     phenotypes = ds.phenotype_matrix()
     static_graph = knn_static_graph(phenotypes, 5, "cosine")
@@ -257,9 +258,10 @@ def test_single_edge_selection_follows_softmax():
     t0 = time.monotonic()
     rng = np.random.default_rng(42)
     n_draws = 200_000
+    scores = edge_probabilities(FixedKernel(-SCORE_MATRIX), 1.0)
     counts = np.zeros(4)
     for _ in range(n_draws):
-        graph = gumbel_topk_sample(SCORE_MATRIX, 1, rng=rng)
+        graph = gumbel_topk_sample(scores, 1, rng=rng)
         counts[graph.edges[0, 1]] += 1
     freqs = {frozenset([j]): counts[j] / n_draws for j in (1, 2, 3)}
     probs = softmax(SCORE_MATRIX[0, [1, 2, 3]])
@@ -271,9 +273,10 @@ def test_single_edge_selection_follows_softmax():
 def test_paired_edge_selection_follows_sequential_sampling():
     rng = np.random.default_rng(43)
     n_draws = 200_000
+    scores = edge_probabilities(FixedKernel(-SCORE_MATRIX), 1.0)
     counts = {}
     for _ in range(n_draws):
-        graph = gumbel_topk_sample(SCORE_MATRIX, 2, rng=rng)
+        graph = gumbel_topk_sample(scores, 2, rng=rng)
         pair = frozenset(int(dst) for dst in graph.edges[:2, 1])
         counts[pair] = counts.get(pair, 0) + 1
     freqs = {key: c / n_draws for key, c in counts.items()}
@@ -290,15 +293,15 @@ def test_paired_edge_selection_follows_sequential_sampling():
 
 def test_kernel_reward_and_loss_identities():
     # unit probability at zero distance
-    lp = edge_probabilities(Tensor(np.zeros((3, 3))), Tensor(1.7))
+    lp = Tensor(edge_probabilities(FixedKernel(np.zeros((3, 3))), Tensor(1.7)).rows(0, 3))
     assert np.all(np.exp(lp.values) == 1.0)
 
     # doubling the temperature squares every edge probability
-    dist = Tensor(np.array([[0.0, 0.7, 1.3],
-                            [0.7, 0.0, 0.4],
-                            [1.3, 0.4, 0.0]]))
-    p_t = np.exp(edge_probabilities(dist, Tensor(0.9)).values)
-    p_2t = np.exp(edge_probabilities(dist, Tensor(1.8)).values)
+    dist = FixedKernel(np.array([[0.0, 0.7, 1.3],
+                                 [0.7, 0.0, 0.4],
+                                 [1.3, 0.4, 0.0]]) ** 2)
+    p_t = np.exp(edge_probabilities(dist, Tensor(0.9)).rows(0, 3))
+    p_2t = np.exp(edge_probabilities(dist, Tensor(1.8)).rows(0, 3))
     assert float(np.max(np.abs(p_2t - p_t ** 2))) <= 1e-12
 
     # reward crosses zero exactly where the error equals the threshold
@@ -309,7 +312,10 @@ def test_kernel_reward_and_loss_identities():
     # source node's reward, exactly, and zero everywhere else
     rng = np.random.default_rng(5)
     lp_leaf = Tensor(rng.normal(0.0, 1.0, (6, 6)), requires_grad=True)
-    graph = gumbel_topk_sample(lp_leaf, 2, noise=rng.gumbel(0.0, 1.0, (6, 6)))
+    edges = gumbel_topk_sample(edge_probabilities(FixedKernel(-lp_leaf.values), 1.0), 2,
+                               noise=rng.gumbel(0.0, 1.0, (6, 6))).edges
+    graph = SampledGraph(edges, nm.gather_rows(nm.reshape(lp_leaf, (36,)),
+                                               edges[:, 0] * 6 + edges[:, 1]), 6)
     rho = rng.normal(0.0, 3.0, 6)
     train_mask = np.array([True, True, True, True, False, False])
     nm.backward(graph_loss(graph, rho, train_mask))

@@ -10,6 +10,7 @@ import pytest
 from scipy.special import softmax
 
 from oracles import blp_mae_floor, logistic_optimum
+from popgraph import baselines
 from popgraph.baselines import LinearModel, linear_fit, static_gcn_experiment
 from popgraph.dataio import (
     SyntheticConfig,
@@ -27,31 +28,21 @@ from popgraph.trainer import STATIC_RANDOM_STREAM, TrainConfig, run_experiment, 
 # ---------------------------------------------------------------------------
 
 
-def test_exact_linear_data_recovered_without_ridge():
-    x = np.linspace(-1, 3, 20).reshape(-1, 1)
-    y = 2.0 * x[:, 0]
-    model = linear_fit(x, y, ridge=0.0)
-    assert abs(model.weights[0] - 2.0) < 1e-8
-    assert abs(float(model.bias)) < 1e-8
-    assert np.allclose(model.predict(x), y, atol=1e-8)
-
-
-def test_huge_ridge_collapses_to_train_mean():
+def test_huge_ridge_collapses_to_train_mean(monkeypatch):
+    monkeypatch.setattr(baselines, "RIDGE", 1e12)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(50, 3))
     y = rng.normal(size=50) + 5.0
-    model = linear_fit(x, y, ridge=1e12)
+    model = linear_fit(x, y)
     assert np.all(np.abs(model.weights) < 1e-9)
     assert np.allclose(model.predict(x), y.mean(), atol=1e-6)
 
 
-def test_singular_system_suggests_ridge():
+def test_rank_deficient_features_fit():
     x = np.ones((10, 2))
     x[:, 1] = x[:, 0]  # rank 1
     y = np.arange(10.0)
-    with pytest.raises(ValueError, match="ridge"):
-        linear_fit(x, y, ridge=0.0)
-    model = linear_fit(x, y, ridge=1e-3)  # regularized solve goes through
+    model = linear_fit(x, y)  # the ridge makes the solve go through
     assert np.all(np.isfinite(model.weights))
 
 
@@ -59,12 +50,11 @@ def test_normal_equations_residual_is_tiny():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(200, 8))
     y = x @ rng.normal(size=8) + rng.normal(scale=0.5, size=200)
-    ridge = 1e-3
-    model = linear_fit(x, y, ridge=ridge)
+    model = linear_fit(x, y)
     xc = x - x.mean(axis=0)
     yc = y - y.mean()
     rhs = xc.T @ yc
-    residual = (xc.T @ xc + ridge * np.eye(8)) @ model.weights - rhs
+    residual = (xc.T @ xc + baselines.RIDGE * np.eye(8)) @ model.weights - rhs
     assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
 
 
@@ -106,21 +96,23 @@ def test_logistic_separates_gaussian_blobs():
     assert np.allclose(probs.sum(axis=1), 1.0)
 
 
-def test_logistic_stationarity_matches_class_frequencies():
+def test_logistic_stationarity_matches_class_frequencies(monkeypatch):
     # at a zero gradient the intercept rows force mean predicted probability
     # per class to equal its empirical frequency
+    monkeypatch.setattr(baselines, "LOGISTIC_TOL", 1e-8)
     x, y = blob_data(seed=3, n_per=40)
-    model = linear_fit(x, y, task="logistic", n_classes=3, tol=1e-8)
+    model = linear_fit(x, y, task="logistic", n_classes=3)
     probs = model.predict_proba(x)
     freq = np.bincount(y, minlength=3) / len(y)
     assert np.allclose(probs.mean(axis=0), freq, atol=1e-7)
 
 
-def test_logistic_warns_without_convergence():
+def test_logistic_warns_without_convergence(monkeypatch):
+    monkeypatch.setattr(baselines, "LOGISTIC_MAX_ITER", 2)
     x, y = blob_data(seed=1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        linear_fit(x, y, task="logistic", n_classes=3, max_iter=2)
+        linear_fit(x, y, task="logistic", n_classes=3)
     assert any("iterations" in str(w.message) for w in caught)
 
 
@@ -149,20 +141,22 @@ def test_logistic_newton_reaches_tolerance_within_step_cap(seed):
 
 
 @pytest.mark.parametrize("seed", [1, 4])
-def test_logistic_probabilities_match_lbfgs_optimum(seed):
+def test_logistic_probabilities_match_lbfgs_optimum(seed, monkeypatch):
     # at tol 1e-6 the probabilities can still sit 1e-4 off the optimum along
     # the flattest direction, so fit tighter for an exact comparison
+    monkeypatch.setattr(baselines, "LOGISTIC_TOL", 1e-8)
     x, y = four_class_train_split(seed)
     weights, bias = logistic_optimum(x, y, 4)
-    model = linear_fit(x, y, task="logistic", n_classes=4, tol=1e-8)
+    model = linear_fit(x, y, task="logistic", n_classes=4)
     expected = softmax(x @ weights + bias, axis=1)
     assert np.abs(model.predict_proba(x) - expected).max() <= 1e-6
 
 
-def test_logistic_single_newton_step_warns():
+def test_logistic_single_newton_step_warns(monkeypatch):
+    monkeypatch.setattr(baselines, "LOGISTIC_MAX_ITER", 1)
     x, y = four_class_train_split(1)
     with pytest.warns(UserWarning, match="logistic fit stopped after 1 Newton"):
-        linear_fit(x, y, task="logistic", n_classes=4, max_iter=1)
+        linear_fit(x, y, task="logistic", n_classes=4)
 
 
 def test_linear_fit_input_validation():
@@ -174,8 +168,6 @@ def test_linear_fit_input_validation():
         linear_fit(np.ones((4, 2)), np.ones(4), task="poisson")
     with pytest.raises(ValueError, match="out of range"):
         linear_fit(np.ones((4, 2)), np.array([0, 1, 2, 5]), task="logistic", n_classes=3)
-    with pytest.raises(ValueError, match="ridge"):
-        linear_fit(np.ones((4, 2)), np.ones(4), ridge=-1.0)
 
 
 def test_predict_checks_feature_width():

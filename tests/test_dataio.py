@@ -187,6 +187,18 @@ def test_csv_unknown_kind_map_column(tmp_path):
         load_csv(path, CsvSchema("age", {"a": "imagin"}))
 
 
+def test_csv_repeated_schema_column(tmp_path):
+    path = _write(tmp_path / "t.csv", "id,q00,q00,s00,age\n1,0.1,0.2,0.3,50\n")
+    with pytest.raises(ValueError, match=r"t\.csv: header repeats column 'q00'"):
+        load_csv(path, CsvSchema("age", {"q00": KIND_NONIMAGING, "s00": KIND_IMAGING}))
+    path = _write(tmp_path / "t.csv", "id,a,age,age\n1,0.1,50,51\n")
+    with pytest.raises(ValueError, match="repeats column 'age'"):
+        load_csv(path, CsvSchema("age", {"a": KIND_NONIMAGING}))
+    # a repeated column the schema does not read is left alone
+    path = _write(tmp_path / "t.csv", "id,id,a,age\n1,1,0.1,50\n2,2,0.2,51\n")
+    assert load_csv(path, CsvSchema("age", {"a": KIND_NONIMAGING})).n_subjects == 2
+
+
 def test_csv_zero_usable_rows(tmp_path):
     path = _write(tmp_path / "t.csv", "id,a,age\n1,,50\n2,,51\n")
     with pytest.raises(ValueError, match="no usable rows"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import grad_check
+from oracles import FixedKernel, grad_check
 from popgraph import numerics as nm
 from popgraph.gcn import (
     GcnModel,
@@ -16,6 +16,7 @@ from popgraph.gcn import (
     total_loss,
 )
 from popgraph.graphgen import (
+    SampledGraph,
     edge_probabilities,
     gumbel_topk_sample,
     random_graph,
@@ -206,11 +207,12 @@ def test_classification_reward_and_chance_level():
 
 
 def sample_tiny_graph(n=5, k=2, seed=0, tau_value=0.0):
+    """A scored draw over fixed squared distances, and its log-temperature."""
     tau = Tensor(tau_value, requires_grad=True)
-    d = Tensor(RNG.uniform(0.2, 1.5, size=(n, n)))
-    d.values[np.diag_indices(n)] = 0.0
-    lp = edge_probabilities(d, nm.exp(tau))
-    graph = gumbel_topk_sample(lp, k=k, rng=np.random.default_rng(seed))
+    d = RNG.uniform(0.2, 1.5, size=(n, n))
+    d[np.diag_indices(n)] = 0.0
+    lp = edge_probabilities(FixedKernel(d * d), nm.exp(tau))
+    graph = gumbel_topk_sample(lp, k=k, rng=np.random.default_rng(seed), normalize=True)
     return graph, tau
 
 
@@ -223,34 +225,37 @@ def test_graph_loss_zero_rewards_kill_gradient():
 
 
 def test_graph_loss_single_edge_signs():
-    lp = Tensor(np.full((2, 2), -2.0), requires_grad=True)
-    graph = gumbel_topk_sample(lp, k=1, noise=np.zeros((2, 2)))
+    edges = np.array([[0, 1], [1, 0]])
+    lp = Tensor(np.full(2, -2.0), requires_grad=True)
+    graph = SampledGraph(edges, lp, 2)
     loss = graph_loss(graph, np.array([-1.0, 0.0]), np.array([True, False]))
     assert float(loss.values) == 2.0
     backward(loss)
     # d(loss)/d(logp_01) = rho_0 = -1: raising p lowers the loss
-    assert lp.grad[0, 1] == -1.0
+    assert lp.grad[0] == -1.0
 
-    lp2 = Tensor(np.full((2, 2), -2.0), requires_grad=True)
-    graph2 = gumbel_topk_sample(lp2, k=1, noise=np.zeros((2, 2)))
+    lp2 = Tensor(np.full(2, -2.0), requires_grad=True)
+    graph2 = SampledGraph(edges, lp2, 2)
     loss2 = graph_loss(graph2, np.array([1.0, 0.0]), np.array([True, False]))
     assert float(loss2.values) == -2.0
     backward(loss2)
-    assert lp2.grad[0, 1] == 1.0
+    assert lp2.grad[0] == 1.0
 
 
 def test_graph_loss_gradient_is_reward_per_edge():
     n, k = 6, 2
-    lp = Tensor(RNG.normal(size=(n, n)) - 1.0, requires_grad=True)
-    graph = gumbel_topk_sample(lp, k=k, rng=np.random.default_rng(9))
+    fixed = edge_probabilities(FixedKernel(-RNG.normal(size=(n, n))), 1.0)
+    edges = gumbel_topk_sample(fixed, k=k, rng=np.random.default_rng(9)).edges
+    lp = Tensor(RNG.normal(size=n * k) - 1.0, requires_grad=True)
+    graph = SampledGraph(edges, lp, n)
     rho = RNG.normal(size=n)
     train = np.array([True, True, False, True, False, True])
 
     backward(graph_loss(graph, rho, train))
-    expected = np.zeros((n, n))
-    for i, j in graph.edges:
+    expected = np.zeros(n * k)
+    for e, (i, _) in enumerate(graph.edges):
         if train[i]:
-            expected[i, j] += rho[i]
+            expected[e] = rho[i]
     assert np.allclose(lp.grad, expected, atol=1e-15)
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    FixedKernel,
     dense_draw,
     dense_symmetrize,
     edge_set,
@@ -108,35 +109,40 @@ def test_distances_symmetric_zero_diagonal(metric):
 
 
 def test_kernel_zero_distance_gives_certain_edge():
-    lp = edge_probabilities(np.zeros((2, 2)), 3.7)
-    assert np.all(lp.values == 0.0)  # p = 1
+    lp = dense(edge_probabilities(FixedKernel(np.zeros((2, 2))), 3.7))
+    assert np.all(lp == 0.0)  # p = 1
 
 
 def test_kernel_unit_values():
-    lp = edge_probabilities(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
-    assert abs(np.exp(lp.values[0, 1]) - math.exp(-1.0)) < 1e-12
+    lp = dense(edge_probabilities(FixedKernel(np.array([[0.0, 1.0], [1.0, 0.0]])), 1.0))
+    assert abs(np.exp(lp[0, 1]) - math.exp(-1.0)) < 1e-12
 
 
 def test_kernel_doubling_t_squares_p():
-    d = RNG.uniform(0.0, 2.0, size=(4, 4))
-    p1 = np.exp(edge_probabilities(d, 0.8).values)
-    p2 = np.exp(edge_probabilities(d, 1.6).values)
+    d = FixedKernel(RNG.uniform(0.0, 2.0, size=(4, 4)) ** 2)
+    p1 = np.exp(dense(edge_probabilities(d, 0.8)))
+    p2 = np.exp(dense(edge_probabilities(d, 1.6)))
     assert np.allclose(p2, p1 ** 2, atol=1e-12)
 
 
 def test_kernel_monotone_in_distance():
-    d = np.array([[0.0, 0.5, 1.0, 2.0]])
-    p = np.exp(edge_probabilities(d, 1.3).values[0])
+    d = pairwise_distance(np.array([[0.0], [0.5], [1.0], [2.0]]), "euclidean")
+    p = np.exp(dense(edge_probabilities(d, 1.3))[0])
     assert np.all(np.diff(p) < 0.0)
     assert p[0] == 1.0
 
 
 def test_kernel_gradient_through_temperature():
+    # k = n - 1 draws every off-diagonal pair, so the weighted sum of the
+    # drawn first-pick scores reaches every kernel entry
     tau = Tensor(0.4, requires_grad=True)
-    d = Tensor(RNG.uniform(0.1, 1.5, size=(4, 4)))
+    d = FixedKernel(RNG.uniform(0.1, 1.5, size=(4, 4)) ** 2)
+    w = Tensor(RNG.normal(size=12))
 
     def loss():
-        return edge_probabilities(d, nm.exp(tau)).sum()
+        lp = edge_probabilities(d, nm.exp(tau))
+        return (gumbel_topk_sample(lp, 3, noise=np.zeros((4, 4)), normalize=True).log_probs
+                * w).sum()
 
     report = grad_check(loss, [tau])
     assert report.passed, report.summary()
@@ -153,22 +159,33 @@ def test_kernel_nonpositive_log():
 # ---------------------------------------------------------------------------
 
 
+def fixed_scores(matrix):
+    """The operator that scores exactly ``matrix``."""
+    return edge_probabilities(FixedKernel(-matrix), 1.0)
+
+
 def test_sampler_forced_exhaustion():
-    lp = Tensor(RNG.normal(size=(3, 3)))
+    lp = fixed_scores(RNG.normal(size=(3, 3)))
     g = gumbel_topk_sample(lp, k=2, rng=np.random.default_rng(0))
     assert edge_set(g) == {(i, j) for i in range(3) for j in range(3) if i != j}
 
 
 def test_sampler_retains_noise_free_scores():
-    lp = Tensor(RNG.normal(size=(6, 6)) - 1.0)
-    g = gumbel_topk_sample(lp, k=2, rng=np.random.default_rng(1))
-    expected = lp.values[g.edges[:, 0], g.edges[:, 1]]
-    assert np.array_equal(g.log_probs.values, expected)
+    # each edge scores its first-pick log-probability under the scores
+    # alone: the noise that picked it does not enter
+    s = RNG.normal(size=(6, 6)) - 1.0
+    g = gumbel_topk_sample(fixed_scores(s), k=2, rng=np.random.default_rng(1),
+                           normalize=True)
+    masked = s.copy()
+    np.fill_diagonal(masked, -np.inf)
+    row_lse = np.log(np.exp(masked).sum(axis=1))
+    expected = s[g.edges[:, 0], g.edges[:, 1]] - row_lse[g.edges[:, 0]]
+    assert np.max(np.abs(g.log_probs.values - expected)) <= 1e-12
 
 
 def test_sampler_replay_with_frozen_noise():
     # the generator's noise, drawn again as one (N, N) array, replays the draw
-    lp = Tensor(RNG.normal(size=(7, 7)))
+    lp = fixed_scores(RNG.normal(size=(7, 7)))
     g1 = gumbel_topk_sample(lp, k=3, rng=np.random.default_rng(5))
     g2 = gumbel_topk_sample(lp, k=3, noise=nm.gumbel_fill(np.random.default_rng(5),
                                                           np.empty((7, 7))))
@@ -185,7 +202,7 @@ def test_sampler_zero_noise_recovers_knn():
 
 
 def test_sampler_rejects_bad_k():
-    lp = Tensor(np.zeros((4, 4)))
+    lp = fixed_scores(np.zeros((4, 4)))
     with pytest.raises(ValueError):
         gumbel_topk_sample(lp, k=4, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -197,7 +214,7 @@ def test_sampler_rejects_bad_k():
 def test_sampler_out_degree_always_k(n, seed):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, n))
-    lp = Tensor(rng.normal(size=(n, n)))
+    lp = fixed_scores(rng.normal(size=(n, n)))
     g = gumbel_topk_sample(lp, k=k, rng=rng)
     counts = np.bincount(g.edges[:, 0], minlength=n)
     assert np.all(counts == k)

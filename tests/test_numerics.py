@@ -110,12 +110,9 @@ def test_gather_rows_fd():
     _check(lambda: nm.square(nm.gather_rows(a, idx)).sum(), [a])
 
 
-def test_masked_select_and_take_per_row_fd():
+def test_take_per_row_fd():
     a = Tensor(RNG.normal(size=(5, 3)), requires_grad=True)
-    mask = np.array([True, False, True, True, False])
     cols = np.array([2, 0, 1, 1, 0])
-
-    _check(lambda: nm.square(nm.masked_select(a, mask)).sum(), [a])
     _check(lambda: nm.square(nm.take_per_row(a, cols)).sum(), [a])
 
 

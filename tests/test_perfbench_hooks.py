@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -78,6 +79,33 @@ def test_harness_call_forms_bind():
         assert list(inspect.signature(fn).parameters)[1] == "k", fn.__name__
         assert _bound(fn, first, 3, **rest)["k"] == 3
         assert _bound(fn, first, k=3, **rest)["k"] == 3
+
+
+def test_linear_cells_pass_the_task_as_the_harness_reads_it(tmp_path, monkeypatch):
+    """tracing.py reads ``linear_fit``'s task as ``kwargs["task"]`` or
+    ``args[3]``, and ``args[3]`` is not the task, so ``_linear_cell`` must
+    pass the task by keyword: the harness's own reader must see each linear
+    cell's fit as logistic exactly when the run classifies."""
+    tracer, calls = _load_tracing().Tracer(), []
+    real = cli.linear_fit
+
+    def hooked(*args, **kwargs):
+        span = SimpleNamespace(info={})
+        tracer._fit_start(span, args, kwargs)
+        calls.append(span.info["logistic"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "linear_fit", hooked)
+    for task in ("regression", "classification"):
+        config = cli.ExperimentConfig.from_dict({
+            "task": task,
+            "dataset": {"synthetic": {"n_subjects": 40, "n_nonimaging": 4, "n_imaging": 4,
+                                      "n_node_features": 6, "n_relevant_nonimaging": 2,
+                                      "n_relevant_imaging": 2}},
+            "out_dir": str(tmp_path / task)})
+        cli._linear_cell(cli.build_dataset(config), config, 0)
+    assert calls == [False, True]
+    assert list(inspect.signature(baselines.linear_fit).parameters)[2] == "task"
 
 
 def test_ablation_cells_reach_the_traced_hook_positionally(tmp_path, monkeypatch):

@@ -663,6 +663,29 @@ def test_evaluate_classification_absent_class():
     assert abs(out["macro_f1"] - (1.0 + 1.0 + 0.0) / 3.0) < 1e-12
 
 
+def test_one_class_mask_writes_null_auc_as_strict_json(tmp_path):
+    """No class in the mask has both positives and negatives: the AUC is
+    undefined, None, and metrics.json stays valid JSON (no bare NaN)."""
+    probs = np.array([[0.6, 0.4], [0.2, 0.8], [0.7, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = evaluate_classification(probs, np.array([1, 1, 1]), np.ones(3, bool))
+    assert out["macro_auc"] is None
+    record = MetricsRecord(task="classification", seed=0, config_hash="ff00", **out)
+    path = tmp_path / "metrics.json"
+    save_metrics_json(record, path)
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    payload = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+    assert payload["macro_auc"] is None and payload["accuracy"] == 1.0 / 3.0
+    # any NaN that still reached the writer is refused, not written
+    record.extra["probe"] = float("nan")
+    with pytest.raises(ValueError, match="JSON compliant"):
+        save_metrics_json(record, tmp_path / "nan.json")
+
+
 def test_evaluate_classification_rejects_unnormalized_rows():
     for probs in (np.array([[0.5, 0.6], [0.5, 0.5]]),
                   np.array([[np.nan, np.nan], [0.5, 0.5]])):
