@@ -17,6 +17,13 @@ Per N the row gives:
   trainer's once-per-epoch ``numerics.reset_tape`` call and the return of
   ``train``. The first epoch's edge loss is zero (its reward baseline starts
   at its own rewards), so with 4 epochs the median rests on the other three.
+- ``cpu_s``: the user plus system seconds that the process spent, on all
+  its threads, during the ``train`` call (``getrusage(RUSAGE_SELF)``). A
+  draw and its backward hand work to a helper thread, so one epoch can use
+  two cores; on a shared virtual machine, time stolen from either core
+  lengthens ``epoch_ms`` though the work is unchanged. Read beside
+  ``epoch_ms``, it shows whether a row's wall time moved with its work.
+  Rows measured before this column existed lack it.
 - ``peak_rss_mb``: ``ru_maxrss`` of that process, population included.
 - ``split_ms``: median time per call, from the spans. ``backward`` is the
   whole tape backward of an epoch, ``sampler`` one Gumbel-Top-k draw,
@@ -87,17 +94,26 @@ def measure(root: Path, n: int) -> dict:
         reset_tape()
 
     tracing.replace_everywhere(reset_tape, stamped_reset_tape)
+    cpu = _cpu_s()
     started = time.perf_counter()
     pg.trainer.train(dataset, config)
     stamps.append(time.perf_counter())
+    cpu = _cpu_s() - cpu
     train_s = stamps[-1] - started
 
     layers = tracing.layer_metrics(tracer, [train_s], 0.0, 0.0, 1)
     epochs = [b - a for a, b in zip(stamps, stamps[1:])]
     return {"n": n, "epoch_ms": round(1000.0 * statistics.median(epochs), 1),
+            "cpu_s": round(cpu, 2),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                                  / 1024.0, 1),
             "split_ms": {name: round(layers[key][0], 1) for name, key in SPLIT.items()}}
+
+
+def _cpu_s() -> float:
+    """User plus system seconds of this process so far, all threads."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
 
 
 def _git(root: Path, *args) -> str:

@@ -31,9 +31,8 @@ LOGISTIC_MAX_ITER = 100
 
 @dataclass
 class LinearModel:
-    weights: np.ndarray  # (M,) for regression, (M, C) for logistic
+    weights: np.ndarray  # (M,) for the ridge fit, (M, C) for the logistic fit
     bias: np.ndarray     # () or (C,)
-    task: str = "regression"
 
     @property
     def n_features(self) -> int:
@@ -48,13 +47,13 @@ class LinearModel:
     def predict(self, x) -> np.ndarray:
         """Ages for regression, class indices for logistic."""
         x = self._check(x)
-        if self.task == "regression":
+        if self.weights.ndim == 1:
             return x @ self.weights + self.bias
         return self.predict_proba(x).argmax(axis=1)
 
     def predict_proba(self, x) -> np.ndarray:
-        if self.task != "logistic":
-            raise ValueError("probabilities only exist for the logistic task")
+        if self.weights.ndim == 1:
+            raise ValueError("probabilities only exist for the logistic fit")
         return softmax_rows(self._check(x) @ self.weights + self.bias)
 
 
@@ -72,7 +71,7 @@ def _ridge_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
         raise ValueError(f"ridge fit: the normal equations are singular even with "
                          f"ridge {RIDGE}") from exc
     bias = np.asarray(y_mean - x_mean @ w)
-    return LinearModel(weights=w, bias=bias, task="regression")
+    return LinearModel(weights=w, bias=bias)
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -124,7 +123,7 @@ def _logistic_fit(x: np.ndarray, classes: np.ndarray, n_classes: int) -> LinearM
         warnings.warn(f"logistic fit stopped after {steps} Newton iterations "
                       f"at gradient norm {grad_norm:.3g} above tolerance {LOGISTIC_TOL}",
                       stacklevel=2)
-    return LinearModel(weights=wb[:-1], bias=wb[-1], task="logistic")
+    return LinearModel(weights=wb[:-1], bias=wb[-1])
 
 
 def linear_fit(x_train, y_train, task: str = "regression",

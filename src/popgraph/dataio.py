@@ -349,8 +349,9 @@ def csv_schema_for(dataset: PopulationDataset) -> CsvSchema:
 def load_csv(path, schema: CsvSchema) -> PopulationDataset:
     """Load a phenotype table. Rows missing any mapped cell or the label are
     dropped (count recorded in meta['n_dropped']); non-numeric and non-finite
-    cells (nan, inf) are an error naming the row and column. A header that
-    repeats a column the schema reads is an error naming that column."""
+    cells (nan, inf) are an error naming the row and column. Every header
+    error names the file: a repeated or missing schema column, or a kind
+    given to the label column."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -366,12 +367,15 @@ def load_csv(path, schema: CsvSchema) -> PopulationDataset:
             raise ValueError(f"{path}: header repeats column {name!r}")
     for name, kind in schema.kinds.items():
         if name not in col_pos:
-            raise ValueError(f"kind map names unknown column {name!r}")
+            raise ValueError(f"{path}: kind map names unknown column {name!r}")
+        if name == schema.label_column:
+            raise ValueError(f"{path}: kind map gives the label column {name!r} a kind; "
+                             "the label cannot be an input")
         if kind not in COLUMN_KINDS:
-            raise ValueError(f"kind map gives column {name!r} unknown kind {kind!r}; "
+            raise ValueError(f"{path}: kind map gives column {name!r} unknown kind {kind!r}; "
                              f"expected one of {list(COLUMN_KINDS)}")
     if schema.label_column not in col_pos:
-        raise ValueError(f"label column {schema.label_column!r} not in header")
+        raise ValueError(f"{path}: label column {schema.label_column!r} not in header")
 
     nonimaging_names = [n for n in header if schema.kinds.get(n) == KIND_NONIMAGING]
     imaging_names = [n for n in header if schema.kinds.get(n) == KIND_IMAGING]

@@ -51,15 +51,12 @@ class GcnModel:
     w2: Tensor  # (hidden1, hidden2)
     b2: Tensor  # (hidden2,)
     w3: Tensor  # (hidden2, n_out)
-    b3: Tensor  # (n_out,)
-    task: str = "regression"
+    b3: Tensor  # (n_out,): one output for regression, one per class otherwise
 
     @classmethod
     def init(cls, n_features: int, rng: np.random.Generator,
              hidden1: int = 512, hidden2: int = 128, n_out: int = 1,
-             task: str = "regression", head_bias: float = 0.0) -> "GcnModel":
-        if task not in ("regression", "classification"):
-            raise ValueError(f"unknown task {task!r}")
+             head_bias: float = 0.0) -> "GcnModel":
         w1 = rng.uniform(-1.0, 1.0, (n_features, hidden1)) / np.sqrt(n_features)
         w2 = rng.uniform(-1.0, 1.0, (hidden1, hidden2)) / np.sqrt(hidden1)
         w3 = rng.uniform(-1.0, 1.0, (hidden2, n_out)) / np.sqrt(hidden2)
@@ -69,7 +66,6 @@ class GcnModel:
             b2=Tensor(np.zeros(hidden2), requires_grad=True),
             w3=Tensor(w3, requires_grad=True),
             b3=Tensor(np.full(n_out, head_bias, dtype=np.float64), requires_grad=True),
-            task=task,
         )
 
     @property
@@ -85,7 +81,8 @@ def gcn_forward(a_hat, x, model: GcnModel) -> Tensor:
 
     Â is the CSR matrix that ``graphgen.symmetrize`` builds (a graph's
     ``a_hat``); X is a plain array. Neither is trained, so the product Â X
-    is folded before touching the tape. Regression output is squeezed to
+    is folded before touching the tape. A one-output head is regression's
+    (a classifier has at least two classes), and its output is squeezed to
     shape (N,).
     """
     x = np.asarray(x, dtype=float)
@@ -100,7 +97,7 @@ def gcn_forward(a_hat, x, model: GcnModel) -> Tensor:
     h1 = nm.relu(propagated @ model.w1)
     h2 = nm.relu(nm.add_rowvec(h1 @ model.w2, model.b2))
     out = nm.add_rowvec(h2 @ model.w3, model.b3)
-    if model.task == "regression":
+    if model.b3.shape == (1,):
         return nm.reshape(out, (n,))
     return out
 

@@ -127,8 +127,7 @@ class SampledGraph:
 
 
 def gumbel_topk_sample(log_p: EdgeScores, k: int, rng: np.random.Generator | None = None,
-                       noise: np.ndarray | None = None,
-                       normalize: bool = False) -> SampledGraph:
+                       noise: np.ndarray | None = None) -> SampledGraph:
     """Draw k out-edges per node from the scores.
 
     ``log_p`` is an ``EdgeScores`` operator, walked a block of rows at a
@@ -138,14 +137,16 @@ def gumbel_topk_sample(log_p: EdgeScores, k: int, rng: np.random.Generator | Non
     one (N, N) ``Generator.gumbel`` draw, transformed with the vectorised
     log, so within a few ULP of it. Pass ``noise`` to replay a draw
     (``gumbel_fill`` of an (N, N) array gives the generator's), or zeros to
-    degenerate to deterministic top-k. The diagonal is masked, so
-    self-edges never occur and every node ends with exactly k out-edges.
+    degenerate to deterministic top-k; its rows are copied into the same
+    buffers on the same schedule. The diagonal is masked, so self-edges
+    never occur and every node ends with exactly k out-edges.
 
-    With ``normalize`` the draw is scored: each edge's first-pick
-    log-probability, log p_ij - logsumexp_{l != i} log p_il, from
-    ``numerics.kernel_edge_scores``. Without it the draw only selects edges
-    and its ``log_probs`` is None. Gumbel-Top-k ignores a per-row constant,
-    so the same noise picks the same edges either way.
+    A draw is scored exactly when the tape would record it
+    (``numerics.records`` of the kernel's features and t): each edge's
+    first-pick log-probability, log p_ij - logsumexp_{l != i} log p_il, from
+    ``numerics.kernel_edge_scores``. Any other draw only selects edges and
+    its ``log_probs`` is None. Gumbel-Top-k ignores a per-row constant, so
+    the same noise picks the same edges either way.
     """
     n = log_p.shape[0]
     if not 1 <= k < n:
@@ -159,11 +160,12 @@ def gumbel_topk_sample(log_p: EdgeScores, k: int, rng: np.random.Generator | Non
             raise nm.ShapeError(f"noise shape {noise.shape} does not match ({n}, {n})")
 
     targets = np.empty((n, k), dtype=np.intp)
-    if normalize:
+    scored = nm.records(log_p.kernel.features, log_p.t)
+    if scored:
         raw, row_lse = np.empty((n, k)), np.empty(n)
     step = nm.rows_per_block(n)
     blocks = list(nm.row_blocks(n, step))
-    with nm.BlockHelper(len(blocks) if noise is None else 0) as helper:
+    with nm.BlockHelper(len(blocks)) as helper:
         # with the helper, block b + 1's noise is drawn while block b is scored
         buffers = [np.empty((min(step, n), n)) for _ in range(1 + helper.lag)]
 
@@ -188,21 +190,22 @@ def gumbel_topk_sample(log_p: EdgeScores, k: int, rng: np.random.Generator | Non
             perturbed += scores
             nm.fill_block_diagonal(perturbed, rows, -np.inf)
             targets[r0:r1] = topk_desc(perturbed, k)
-            if normalize:
+            if scored:
                 raw[r0:r1] = scores[np.arange(r1 - r0)[:, None], targets[r0:r1]]
                 helper.submit(block_lse, scores, rows)
     sources = np.repeat(np.arange(n), k)
     edges = np.column_stack([sources, targets.reshape(-1)])
     log_probs = None
-    if normalize:
+    if scored:
         log_probs = nm.kernel_edge_scores(log_p.kernel, log_p.t, edges, raw.reshape(-1),
                                           row_lse)
     return SampledGraph(edges=edges, log_probs=log_probs, n_nodes=n, noise=noise)
 
 
 def knn_static_graph(features, k: int, metric: str = "cosine") -> np.ndarray:
-    """Deterministic k-nearest-neighbor edges (ascending distance, ties to
-    the lower index). Returns an (N*k, 2) directed edge array."""
+    """Deterministic k-nearest-neighbor edges: the top-k of the negated
+    squared-distance blocks the sampler scores at t = 1, ties to the lower
+    index. Returns an (N*k, 2) directed edge array."""
     f = features if isinstance(features, Tensor) else Tensor(features)
     n = f.shape[0]
     if not 1 <= k < n:
@@ -211,9 +214,10 @@ def knn_static_graph(features, k: int, metric: str = "cosine") -> np.ndarray:
         d = pairwise_distance(f, metric)
     targets = np.empty((n, k), dtype=np.intp)
     for r0, r1 in nm.row_blocks(n, nm.rows_per_block(n)):
-        block = d.rows(r0, r1)
-        nm.fill_block_diagonal(block, np.arange(r0, r1), np.inf)
-        targets[r0:r1] = topk_desc(-block, k)
+        rows = np.arange(r0, r1)
+        block = -d.forward(rows)[0]
+        nm.fill_block_diagonal(block, rows, -np.inf)
+        targets[r0:r1] = topk_desc(block, k)
     sources = np.repeat(np.arange(n), k)
     return np.column_stack([sources, targets.reshape(-1)])
 

@@ -23,6 +23,7 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "no_grad",
+    "records",
     "backward",
     "reset_tape",
     "gather_rows",
@@ -85,6 +86,12 @@ class no_grad:
     def __exit__(self, *exc):
         _TLS.grad_enabled = self._prev
         return False
+
+
+def records(*tensors: Tensor) -> bool:
+    """Whether an op over ``tensors`` goes on the tape, and so whether a
+    graph draw over them is scored: gradients on and one requires grad."""
+    return _grad_enabled() and any(t.requires_grad for t in tensors)
 
 
 def reset_tape() -> None:
@@ -184,7 +191,7 @@ def _apply(name: str, out_values: np.ndarray, parents: Sequence[Tensor],
         raise NonFiniteError(f"{name}: result contains non-finite values")
     out = Tensor.__new__(Tensor)
     out.values = out_values
-    track = _grad_enabled() and any(p.requires_grad for p in parents)
+    track = records(*parents)
     out.requires_grad = track
     out.grad = None
     out._from_op = track
@@ -591,43 +598,27 @@ def _sqdist_pullback(v, rows, g, scale, acc) -> None:
 
 
 class BlockDistance:
-    """The distances between the rows of ``features`` under one metric, as a
-    row-block kernel: the one object a graph draw builds, walks and
-    differentiates. ``features`` is the tape parent its gradients reach and
-    ``shape`` is (N, N). ``rows(r0, r1)`` gives rows r0..r1-1 of the
-    distances, zero on each row's own column, without gradient.
+    """The squared distances between the rows of ``features`` under one
+    metric, as a row-block kernel: the one object a graph draw builds, walks
+    and differentiates. ``features`` is the tape parent its gradients reach
+    and ``shape`` is (N, N).
 
     A block is a set of rows: an ascending array of distinct row indices.
-    ``forward(rows)`` returns the block's (len(rows), N) squared distances,
-    zero on the own columns, as a fresh array the caller may overwrite, and
-    what its pullback needs; ``pullback(rows, saved, g, scale, acc)`` adds
-    the block's vector-Jacobian product with scale * g (zero on the own
-    columns) through the squared distances into ``accumulator()``, which
-    ``finish`` turns into d/d(features). A row in no block adds nothing.
-    ``pullback`` may overwrite ``saved``.
-
-    This base serves metrics that compute d and then d^2: a subclass gives
-    ``distances(rows)`` -> (d, saved) and ``distance_pullback``, the same
-    product through d.
+    Each metric gives ``forward(rows)``, the block's (len(rows), N) squared
+    distances, zero on the own columns, as a fresh array the caller may
+    overwrite, and what its pullback needs; and ``pullback(rows, saved, g,
+    scale, acc)``, which adds the block's vector-Jacobian product with
+    scale * g (zero on the own columns) through the squared distances into
+    ``accumulator()``, which ``finish`` turns into d/d(features). A row in no
+    block adds nothing. ``pullback`` may overwrite ``saved``. Here the
+    accumulator is d/d(features) itself; a metric that needs another
+    overrides ``accumulator`` and ``finish``.
     """
 
     def __init__(self, features: Tensor):
         self.features = features
         self.shape = (features.shape[0], features.shape[0])
         self.v = features.values
-
-    def forward(self, rows):
-        d, saved = self.distances(rows)
-        return d * d, (d, saved)
-
-    def pullback(self, rows, saved, g, scale, acc):
-        d, inner = saved
-        d *= g
-        d *= 2.0 * scale
-        self.distance_pullback(rows, inner, d, acc)
-
-    def rows(self, r0, r1):
-        return self.distances(np.arange(r0, r1))[0]
 
     def accumulator(self):
         return np.zeros_like(self.v)
@@ -637,7 +628,7 @@ class BlockDistance:
 
 
 class _Euclidean(BlockDistance):
-    """|v_i - v_j|, kept squared: no square root on the kernel's path."""
+    """|v_i - v_j|^2: no square root on the kernel's path."""
 
     def __init__(self, features):
         super().__init__(features)
@@ -651,13 +642,10 @@ class _Euclidean(BlockDistance):
     def pullback(self, rows, saved, g, scale, acc):
         _sqdist_pullback(self.v, rows, g, scale, acc)
 
-    def rows(self, r0, r1):
-        return np.sqrt(self.forward(np.arange(r0, r1))[0])
-
 
 class _Cosine(BlockDistance):
-    """1 - cos(v_i, v_j); a zero row is at distance 1 from every other row
-    and gets zero gradient."""
+    """(1 - cos(v_i, v_j))^2; a zero row is at distance 1 from every other
+    row and gets zero gradient."""
 
     def __init__(self, features):
         super().__init__(features)
@@ -667,16 +655,18 @@ class _Cosine(BlockDistance):
         self.safe = np.where(self.nonzero, norms, 1.0)
         self.v = self.u = v / self.safe[:, None]
 
-    def distances(self, rows):
+    def forward(self, rows):
         d = 1.0 - self.u[rows] @ self.u.T
         fill_block_diagonal(d, rows, 0.0)
-        return d, None
+        return d * d, d
 
-    def distance_pullback(self, rows, saved, g, acc):
-        # acc collects d(loss)/du
+    def pullback(self, rows, d, g, scale, acc):
+        # through d^2, then d; acc collects d(loss)/du
+        d *= g
+        d *= 2.0 * scale
         u = self.u
-        acc -= g.T @ u[rows]
-        acc[rows] -= g @ u
+        acc -= d.T @ u[rows]
+        acc[rows] -= d @ u
 
     def finish(self, acc):
         u = self.u
@@ -686,7 +676,7 @@ class _Cosine(BlockDistance):
 
 
 class _Poincare(BlockDistance):
-    """arcosh(1 + 2|v_i - v_j|^2 / ((1 - |v_i|^2)(1 - |v_j|^2))) for rows
+    """arcosh(1 + 2|v_i - v_j|^2 / ((1 - |v_i|^2)(1 - |v_j|^2)))^2 for rows
     strictly inside the unit ball; zero subgradient at coincident points."""
 
     def __init__(self, features):
@@ -697,23 +687,25 @@ class _Poincare(BlockDistance):
                                 "the unit ball; rescale inputs first")
         self.b = 1.0 - self.r
 
-    def distances(self, rows):
+    def forward(self, rows):
         a = _sqdist_block(self.v, self.r, rows)
         b = np.outer(self.b[rows], self.b)
         z = 1.0 + 2.0 * a / b
         d = np.arccosh(np.maximum(z, 1.0))
         fill_block_diagonal(d, rows, 0.0)
-        return d, (a, b, z)
+        return d * d, (d, a, b, z)
 
     def accumulator(self):
         # d(loss)/dv through |v_i - v_j|^2, and d(loss)/d(1 - |v_i|^2)
         return np.zeros_like(self.v), np.zeros_like(self.b)
 
-    def distance_pullback(self, rows, saved, g, acc):
-        a, b, z = saved
+    def pullback(self, rows, saved, g, scale, acc):
+        d, a, b, z = saved
+        d *= g
+        d *= 2.0 * scale
         gv, db = acc
         zsq = np.maximum(z * z - 1.0, 0.0)
-        w = np.where(zsq > 1e-24, g / np.sqrt(np.where(zsq > 0, zsq, 1.0)), 0.0)
+        w = np.where(zsq > 1e-24, d / np.sqrt(np.where(zsq > 0, zsq, 1.0)), 0.0)
         gb = w * (-2.0 * a / (b * b))
         _sqdist_pullback(self.v, rows, w * (2.0 / b), 1.0, gv)
         db += gb.T @ self.b[rows]

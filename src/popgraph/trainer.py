@@ -203,18 +203,18 @@ def attention_weights(mlp: AttentionMlp, phenotypes) -> np.ndarray:
         return aggregate_attention(attention_forward(phenotypes, mlp)).values
 
 
-def _draw_graph(result: TrainResult, phenotypes: np.ndarray, rng: np.random.Generator,
-                normalize: bool = False) -> SampledGraph:
+def _draw_graph(result: TrainResult, phenotypes: np.ndarray,
+                rng: np.random.Generator) -> SampledGraph:
     """One draw of the graph a run trains and predicts on.
 
     A fixed run's draw is the same graph every time, built on the first draw,
     so its A_hat is symmetrized once per run. Under ``distance_metric=
     "random"`` each node gets k fresh uniform out-edges. Any other run takes
     one Gumbel-Top-k draw over phenotypes weighted by the attention vector (or
-    by ones). Only the training draw passes ``normalize``, so only it is
+    by ones). Only the training draw runs with gradients on, so only it is
     scored: its ``log_probs`` are first-pick log-probabilities (see
-    ``gumbel_topk_sample``). Inference, homophily and export draws select
-    edges and score none.
+    ``gumbel_topk_sample``). Inference, homophily and export draws run under
+    ``no_grad``, select edges and score none.
     """
     config = result.config
     n = phenotypes.shape[0]
@@ -229,8 +229,7 @@ def _draw_graph(result: TrainResult, phenotypes: np.ndarray, rng: np.random.Gene
     else:
         a = aggregate_attention(attention_forward(phenotypes, result.attention))
     d = pairwise_distance(weight_phenotypes(a, Tensor(phenotypes)), config.distance_metric)
-    return gumbel_topk_sample(edge_probabilities(d, nm.exp(result.tau)), config.k,
-                              rng=rng, normalize=normalize)
+    return gumbel_topk_sample(edge_probabilities(d, nm.exp(result.tau)), config.k, rng=rng)
 
 
 def _targets(dataset: PopulationDataset, task: str):
@@ -272,7 +271,7 @@ def _init_params(dataset: PopulationDataset, config: TrainConfig, fixed_edges,
     model = GcnModel.init(
         dataset.X.shape[1], rng, hidden1=config.gcn_hidden1, hidden2=config.gcn_hidden2,
         n_out=config.n_classes if config.task == "classification" else 1,
-        task=config.task, head_bias=head_bias)
+        head_bias=head_bias)
     return model, mlp, tau
 
 
@@ -335,7 +334,7 @@ def train(dataset: PopulationDataset, config: TrainConfig,
         try:
             nm.reset_tape()
             optimizer.zero_grad()
-            graph = _draw_graph(result, phenotypes, rng, normalize=True)
+            graph = _draw_graph(result, phenotypes, rng)
             preds = gcn_forward(graph.a_hat, dataset.X, model)
             val_metric = _val_metric(preds.values, targets, val_mask, config.task)
             if config.task == "regression":

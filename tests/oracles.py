@@ -167,6 +167,12 @@ def dense_distances(v: np.ndarray, metric: str, rescale: bool = True) -> np.ndar
     return d
 
 
+def kernel_distances(kernel: nm.BlockDistance) -> np.ndarray:
+    """All rows of a distance kernel's plain distances: the square root of
+    its squared-distance ``forward`` over every row."""
+    return np.sqrt(kernel.forward(np.arange(kernel.shape[0]))[0])
+
+
 def dense_edge_forward(v: np.ndarray, t: float, metric: str, edges: np.ndarray):
     """(raw, row_lse) that a sampler's block pass hands
     ``numerics.kernel_edge_scores``: each edge's log p = -t d^2 and each
@@ -340,8 +346,10 @@ def grad_check(build_loss: Callable[[], nm.Tensor], params: Sequence[nm.Tensor],
 
     ``build_loss`` must rebuild the loss from scratch on each call and be
     deterministic given the current parameter values (freeze any sampling
-    before checking). Relative error uses a floor tied to the largest
-    gradient magnitude so that dead units with ~0 gradient are judged
+    before checking). Each difference quotient's losses are built with the
+    tape on, as the analytic one is, so a graph draw inside is scored alike;
+    what they record is dropped. Relative error uses a floor tied to the
+    largest gradient magnitude so that dead units with ~0 gradient are judged
     against finite-difference noise, not against zero.
     """
     nm.reset_tape()
@@ -352,20 +360,24 @@ def grad_check(build_loss: Callable[[], nm.Tensor], params: Sequence[nm.Tensor],
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.values)
                 for p in params]
 
+    def value() -> float:
+        out = float(build_loss().values)
+        nm.reset_tape()
+        return out
+
     numeric = []
-    with nm.no_grad():
-        for p in params:
-            flat = p.values.reshape(-1)
-            fd = np.zeros_like(flat)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                hi = float(build_loss().values)
-                flat[i] = orig - h
-                lo = float(build_loss().values)
-                flat[i] = orig
-                fd[i] = (hi - lo) / (2.0 * h)
-            numeric.append(fd.reshape(p.values.shape))
+    for p in params:
+        flat = p.values.reshape(-1)
+        fd = np.zeros_like(flat)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            hi = value()
+            flat[i] = orig - h
+            lo = value()
+            flat[i] = orig
+            fd[i] = (hi - lo) / (2.0 * h)
+        numeric.append(fd.reshape(p.values.shape))
 
     scale = max(max((np.max(np.abs(a)) for a in analytic), default=0.0),
                 max((np.max(np.abs(n)) for n in numeric), default=0.0))

@@ -179,7 +179,7 @@ def _frozen_objective(ds, mlp, model, tau, noise, rho0=None):
     f = weight_phenotypes(a, Tensor(phen))
     d = pairwise_distance(f, "euclidean")
     log_p = edge_probabilities(d, nm.exp(tau))
-    graph = gumbel_topk_sample(log_p, 2, noise=noise, normalize=True)
+    graph = gumbel_topk_sample(log_p, 2, noise=noise)
     preds = gcn_forward(graph.a_hat, ds.X, model)
     l_gcn = huber_loss(preds, ds.y, ds.masks.train)
     if rho0 is None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grad_check
+from oracles import grad_check, kernel_distances
 from popgraph import numerics as nm
 from popgraph.attention import (
     AttentionMlp,
@@ -106,7 +106,7 @@ def test_weight_phenotypes_identity_zero_and_mask():
     collapsed = weight_phenotypes(np.zeros(2), phen)
     assert np.all(collapsed.values == 0.0)
     # collapse mode: zero weights erase all geometry, every distance is zero
-    assert np.all(nm.block_distance("euclidean", collapsed).rows(0, 2) == 0.0)
+    assert np.all(kernel_distances(nm.block_distance("euclidean", collapsed)) == 0.0)
 
     masked = weight_phenotypes(np.array([1.0, 0.0]), Tensor(np.array([[0.5, 0.9]])))
     assert np.allclose(masked.values, [[0.5, 0.0]])

@@ -662,7 +662,8 @@ def test_main_rejects_bad_synthetic_block_before_writing(tmp_path, capsys, key, 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
 @pytest.mark.parametrize("broken", ["one_class", "missing_csv", "negative_fraction",
-                                    "nonfinite_csv", "bad_kind", "repeated_column"])
+                                    "nonfinite_csv", "bad_kind", "repeated_column",
+                                    "label_kind"])
 def test_main_dataset_failure_leaves_no_run_directory(tmp_path, capsys,
                                                       command, broken):
     payload = experiment_dict(tmp_path / "run")
@@ -674,8 +675,8 @@ def test_main_dataset_failure_leaves_no_run_directory(tmp_path, capsys,
     elif broken == "negative_fraction":
         payload["dataset"]["split_fractions"] = [1.2, -0.1, -0.1]
     else:
-        # enough rows to split; the one nan cell, the misspelled kind or the
-        # repeated header column is the only fault
+        # enough rows to split; the one nan cell, the misspelled kind, the
+        # repeated header column or the label given a kind is the only fault
         rows = [f"{i / 40},{50 + i}" for i in range(40)]
         if broken == "nonfinite_csv":
             rows[7] = "nan,57"
@@ -686,14 +687,16 @@ def test_main_dataset_failure_leaves_no_run_directory(tmp_path, capsys,
         csv_path = tmp_path / "pop.csv"
         csv_path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
         kind = "imagin" if broken == "bad_kind" else "non-imaging"
-        payload["dataset"].update(source="csv", csv_path=str(csv_path), kinds={"a": kind})
+        kinds = {"a": kind, "age": "imaging"} if broken == "label_kind" else {"a": kind}
+        payload["dataset"].update(source="csv", csv_path=str(csv_path), kinds=kinds)
     path = write_config(tmp_path, payload)
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     cause = {"negative_fraction": "val fraction -0.1", "nonfinite_csv": "row 9, column 'a'",
              "bad_kind": "column 'a' unknown kind 'imagin'",
-             "repeated_column": "pop.csv: header repeats column 'a'"}
+             "repeated_column": "pop.csv: header repeats column 'a'",
+             "label_kind": "pop.csv: kind map gives the label column 'age' a kind"}
     assert cause.get(broken, "") in err
     assert not (tmp_path / "run").exists()
 

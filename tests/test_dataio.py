@@ -181,8 +181,14 @@ def test_csv_non_numeric_cell_names_location(tmp_path):
 
 def test_csv_unknown_kind_map_column(tmp_path):
     path = _write(tmp_path / "t.csv", "id,a,age\n1,0.1,50\n")
-    with pytest.raises(ValueError, match="unknown column"):
+    with pytest.raises(ValueError, match=r"t\.csv: kind map names unknown column 'nope'"):
         load_csv(path, CsvSchema("age", {"nope": KIND_NONIMAGING}))
+    with pytest.raises(ValueError, match=r"t\.csv: label column 'years' not in header"):
+        load_csv(path, CsvSchema("years", {"a": KIND_NONIMAGING}))
+    # the label is never an input, whatever kind the map gives it
+    for kind in (KIND_IMAGING, KIND_NONIMAGING, "imagin"):
+        with pytest.raises(ValueError, match=r"t\.csv: kind map gives the label column 'age'"):
+            load_csv(path, CsvSchema("age", {"a": KIND_NONIMAGING, "age": kind}))
     with pytest.raises(ValueError, match="column 'a' unknown kind 'imagin'"):
         load_csv(path, CsvSchema("age", {"a": "imagin"}))
 

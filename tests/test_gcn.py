@@ -27,10 +27,9 @@ from popgraph.numerics import Tensor, backward
 RNG = np.random.default_rng(31)
 
 
-def tiny_model(n_features=4, n_out=1, task="regression", seed=0, head_bias=0.0):
+def tiny_model(n_features=4, n_out=1, seed=0, head_bias=0.0):
     return GcnModel.init(n_features, np.random.default_rng(seed),
-                         hidden1=8, hidden2=5, n_out=n_out, task=task,
-                         head_bias=head_bias)
+                         hidden1=8, hidden2=5, n_out=n_out, head_bias=head_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +72,7 @@ def test_permutation_equivariance():
 
 
 def test_forward_shapes_and_errors():
-    model = tiny_model(n_out=4, task="classification")
+    model = tiny_model(n_out=4)
     with nm.no_grad():
         out = gcn_forward(np.eye(3), RNG.uniform(size=(3, 4)), model)
     assert out.shape == (3, 4)
@@ -212,7 +211,7 @@ def sample_tiny_graph(n=5, k=2, seed=0, tau_value=0.0):
     d = RNG.uniform(0.2, 1.5, size=(n, n))
     d[np.diag_indices(n)] = 0.0
     lp = edge_probabilities(FixedKernel(d * d), nm.exp(tau))
-    graph = gumbel_topk_sample(lp, k=k, rng=np.random.default_rng(seed), normalize=True)
+    graph = gumbel_topk_sample(lp, k=k, rng=np.random.default_rng(seed))
     return graph, tau
 
 

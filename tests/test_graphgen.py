@@ -17,8 +17,10 @@ from oracles import (
     edge_set,
     empirical_topk_sets,
     grad_check,
+    kernel_distances,
     plackett_luce_set_probs,
     softmax,
+    tape_size,
     total_variation,
 )
 from popgraph import numerics as nm
@@ -39,9 +41,9 @@ from popgraph.numerics import Tensor
 RNG = np.random.default_rng(2024)
 
 
-def dense(operator) -> np.ndarray:
-    """All rows of a row-block operator as one array."""
-    return operator.rows(0, operator.shape[0])
+def dense(scores) -> np.ndarray:
+    """All rows of an ``EdgeScores`` operator as one array."""
+    return scores.rows(0, scores.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -50,26 +52,28 @@ def dense(operator) -> np.ndarray:
 
 
 def test_euclidean_3_4_5():
-    d = dense(pairwise_distance(np.array([[0.0, 0.0], [3.0, 4.0]]), "euclidean"))
+    d = kernel_distances(pairwise_distance(np.array([[0.0, 0.0], [3.0, 4.0]]), "euclidean"))
     assert abs(d[0, 1] - 5.0) < 1e-12
     assert d[0, 0] == 0.0
 
 
 def test_cosine_orthogonal_and_identical():
-    d = dense(pairwise_distance(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]), "cosine"))
+    f = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+    d = kernel_distances(pairwise_distance(f, "cosine"))
     assert abs(d[0, 1] - 1.0) < 1e-12
     assert abs(d[0, 2]) < 1e-12  # same direction, different length
 
 
 def test_hyperbolic_coincident_rows():
-    d = dense(pairwise_distance(np.array([[0.3, 0.1], [0.3, 0.1], [0.0, 0.5]]), "hyperbolic"))
+    f = np.array([[0.3, 0.1], [0.3, 0.1], [0.0, 0.5]])
+    d = kernel_distances(pairwise_distance(f, "hyperbolic"))
     assert d[0, 1] == 0.0
     assert d[0, 2] > 0.0
 
 
 def test_hyperbolic_rescales_large_inputs():
     f = np.array([[10.0, 0.0], [0.0, 10.0], [5.0, 5.0]])
-    d = dense(pairwise_distance(f, "hyperbolic"))
+    d = kernel_distances(pairwise_distance(f, "hyperbolic"))
     assert np.all(np.isfinite(d))
     assert np.all(d >= 0.0)
 
@@ -88,7 +92,7 @@ def test_distance_gradients_match_fd(metric):
 
     def loss():
         lp = edge_probabilities(pairwise_distance(f, metric), 1.0)
-        graph = gumbel_topk_sample(lp, 4, noise=np.zeros((5, 5)), normalize=True)
+        graph = gumbel_topk_sample(lp, 4, noise=np.zeros((5, 5)))
         return (graph.log_probs * w).sum()
 
     report = grad_check(loss, [f])
@@ -97,7 +101,7 @@ def test_distance_gradients_match_fd(metric):
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
 def test_distances_symmetric_zero_diagonal(metric):
-    d = dense(pairwise_distance(RNG.uniform(size=(6, 4)), metric))
+    d = kernel_distances(pairwise_distance(RNG.uniform(size=(6, 4)), metric))
     assert np.allclose(d, d.T, atol=1e-12)
     assert np.allclose(np.diag(d), 0.0)
     assert np.all(np.isfinite(d))
@@ -141,7 +145,7 @@ def test_kernel_gradient_through_temperature():
 
     def loss():
         lp = edge_probabilities(d, nm.exp(tau))
-        return (gumbel_topk_sample(lp, 3, noise=np.zeros((4, 4)), normalize=True).log_probs
+        return (gumbel_topk_sample(lp, 3, noise=np.zeros((4, 4))).log_probs
                 * w).sum()
 
     report = grad_check(loss, [tau])
@@ -174,8 +178,8 @@ def test_sampler_retains_noise_free_scores():
     # each edge scores its first-pick log-probability under the scores
     # alone: the noise that picked it does not enter
     s = RNG.normal(size=(6, 6)) - 1.0
-    g = gumbel_topk_sample(fixed_scores(s), k=2, rng=np.random.default_rng(1),
-                           normalize=True)
+    lp = edge_probabilities(FixedKernel(-s), Tensor(1.0, requires_grad=True))
+    g = gumbel_topk_sample(lp, k=2, rng=np.random.default_rng(1))
     masked = s.copy()
     np.fill_diagonal(masked, -np.inf)
     row_lse = np.log(np.exp(masked).sum(axis=1))
@@ -193,12 +197,46 @@ def test_sampler_replay_with_frozen_noise():
 
 
 def test_sampler_zero_noise_recovers_knn():
-    f = RNG.uniform(size=(9, 4))
-    d = pairwise_distance(f, "euclidean")
-    lp = edge_probabilities(d, 1.0)
-    g = gumbel_topk_sample(lp, k=3, noise=np.zeros((9, 9)))
-    knn = knn_static_graph(f, k=3, metric="euclidean")
-    assert edge_set(g) == {(int(i), int(j)) for i, j in knn}
+    """At t = 1 with zero noise the sampler picks the kNN graph's edges in
+    its order, ties included, for every metric: both rank the same negated
+    squared-distance blocks. Rows 2 and 6 coincide; for cosine, row 4 is
+    zero, at distance 1 from every other row."""
+    for metric in ("euclidean", "cosine", "hyperbolic"):
+        f = RNG.uniform(size=(9, 4))
+        f[6] = f[2]
+        if metric == "cosine":
+            f[4] = 0.0
+        lp = edge_probabilities(pairwise_distance(f, metric), 1.0)
+        g = gumbel_topk_sample(lp, k=3, noise=np.zeros((9, 9)))
+        knn = knn_static_graph(f, k=3, metric=metric)
+        assert np.array_equal(g.edges, knn), metric
+
+
+def test_draw_is_scored_exactly_when_the_tape_records_it():
+    """The same draw is scored, on the tape, with gradients on and t or the
+    features trainable. Under ``no_grad``, or with constant features and t,
+    it picks the same edges, scores none and leaves the tape empty."""
+    f = RNG.uniform(size=(8, 3))
+    noise = RNG.gumbel(size=(8, 8))
+    tau = Tensor(0.3, requires_grad=True)
+
+    def draw(features, t):
+        lp = edge_probabilities(pairwise_distance(features, "euclidean"), t)
+        return gumbel_topk_sample(lp, 2, noise=noise)
+
+    nm.reset_tape()
+    scored = draw(f, nm.exp(tau))
+    assert scored.log_probs.requires_grad
+    assert tape_size() == 2  # exp(tau) and the edge scores
+    assert draw(Tensor(f, requires_grad=True), 1.0).log_probs.requires_grad
+    nm.reset_tape()
+    with nm.no_grad():
+        quiet = draw(f, nm.exp(tau))
+    constant = draw(f, Tensor(float(np.exp(0.3))))
+    for g in (quiet, constant):
+        assert g.log_probs is None
+        assert np.array_equal(g.edges, scored.edges)
+    assert tape_size() == 0
 
 
 def test_sampler_rejects_bad_k():
@@ -277,7 +315,9 @@ def test_blocked_draw_matches_dense_reference(metric, rows_per_block, monkeypatc
     """Blocks of 1 row, of 4 rows (the last one ragged) and one block: the
     same noise picks the same edges as a dense draw with a full stable sort,
     with the same first-pick log p and the same normalized adjacency; the
-    generator's block-by-block noise is one (N, N) ``gumbel_fill``."""
+    generator's block-by-block noise is one (N, N) ``gumbel_fill``. A replay
+    of three or more blocks copies its noise rows on the helper thread."""
+    jobs = _count_helper_jobs(monkeypatch)
     n, k, t = 37, 5, 2.5
     v = RNG.normal(size=(n, 6))
     v[7] = v[3]  # coincident points, d = 0
@@ -287,12 +327,15 @@ def test_blocked_draw_matches_dense_reference(metric, rows_per_block, monkeypatc
     noise = nm.gumbel_fill(np.random.default_rng(8), np.empty((n, n)))
     edges, first_pick, a_hat = dense_draw(v, t, metric, k, noise)
 
-    lp = edge_probabilities(pairwise_distance(v, metric), t)
-    g = gumbel_topk_sample(lp, k, noise=noise, normalize=True)
+    lp = edge_probabilities(pairwise_distance(v, metric), Tensor(t, requires_grad=True))
+    g = gumbel_topk_sample(lp, k, noise=noise)
+    assert bool(jobs) == (rows_per_block < n)
     assert np.array_equal(g.edges, edges)
     assert np.max(np.abs(g.log_probs.values - first_pick)) <= 1e-12
     assert np.array_equal(g.a_hat.toarray(), a_hat)
-    drawn = gumbel_topk_sample(lp, k, rng=np.random.default_rng(8))
+    nm.reset_tape()
+    with nm.no_grad():
+        drawn = gumbel_topk_sample(lp, k, rng=np.random.default_rng(8))
     assert np.array_equal(drawn.edges, edges)
     assert drawn.log_probs is None
 
@@ -312,7 +355,7 @@ def test_training_draw_backs_through_the_kernel_it_walked(metric, monkeypatch):
         return real(dist, *args)
 
     monkeypatch.setattr(nm, "kernel_edge_scores", captured)
-    g = gumbel_topk_sample(lp, 3, rng=np.random.default_rng(0), normalize=True)
+    g = gumbel_topk_sample(lp, 3, rng=np.random.default_rng(0))
     assert scored == [lp.kernel] and scored[0] is lp.kernel
 
     blocks = []
@@ -336,7 +379,7 @@ def _training_draw(metric, n=37, seed=5):
     f = Tensor(np.random.default_rng(1).uniform(-0.4, 0.4, size=(n, 6)), requires_grad=True)
     tau = Tensor(np.log(2.5), requires_grad=True)
     lp = edge_probabilities(pairwise_distance(f, metric), nm.exp(tau))
-    g = gumbel_topk_sample(lp, 5, rng=rng, normalize=True)
+    g = gumbel_topk_sample(lp, 5, rng=rng)
     weights = np.random.default_rng(2).normal(size=n * 5)
     weights[g.edges[:, 0] % 3 == 0] = 0.0  # rows the backward skips
     nm.backward((g.log_probs * Tensor(weights)).sum())
@@ -436,9 +479,10 @@ def test_draw_that_raises_leaves_no_helper_job(monkeypatch):
 
     monkeypatch.setattr(nm, "gumbel_fill", slow_fill)
     monkeypatch.setattr(graphgen, "topk_desc", failing_topk)
-    lp = edge_probabilities(pairwise_distance(RNG.normal(size=(37, 4)), "euclidean"), 1.0)
+    lp = edge_probabilities(pairwise_distance(RNG.normal(size=(37, 4)), "euclidean"),
+                            Tensor(1.0, requires_grad=True))
     with pytest.raises(RuntimeError, match="second block"):
-        gumbel_topk_sample(lp, 3, rng=np.random.default_rng(0), normalize=True)
+        gumbel_topk_sample(lp, 3, rng=np.random.default_rng(0))
     assert len(jobs) >= 3 and all(job.done() for job in jobs)
 
 
@@ -459,7 +503,7 @@ def test_draw_holds_no_n_by_n_array():
         f = Tensor(phen, requires_grad=True)
         tau = Tensor(np.log(10.0), requires_grad=True)
         lp = edge_probabilities(pairwise_distance(f, "euclidean"), nm.exp(tau))
-        g = gumbel_topk_sample(lp, 5, rng=np.random.default_rng(1), normalize=True)
+        g = gumbel_topk_sample(lp, 5, rng=np.random.default_rng(1))
         nm.backward((g.log_probs * Tensor(RNG.normal(size=n * 5))).sum())
         _, train_peak = tracemalloc.get_traced_memory()
     finally:

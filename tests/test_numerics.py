@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (GradCheckReport, concat, dense_edge_forward, dense_kernel_edge_grads,
-                     grad_check, tape_size)
+                     grad_check, kernel_distances, tape_size)
 from popgraph import numerics as nm
 from popgraph.numerics import (
     NonFiniteError,
@@ -345,7 +345,7 @@ def test_gumbel_fill_redraws_zero_uniforms():
 
 
 def _dense(metric, v):
-    return nm.block_distance(metric, v).rows(0, v.shape[0])
+    return kernel_distances(nm.block_distance(metric, v))
 
 
 def _pair_loss(f, metric, w):
