@@ -24,6 +24,11 @@ Per N the row gives:
   lengthens ``epoch_ms`` though the work is unchanged. Read beside
   ``epoch_ms``, it shows whether a row's wall time moved with its work.
   Rows measured before this column existed lack it.
+- ``minflt_per_epoch``: the minor page faults (``ru_minflt``) of the process
+  during the ``train`` call, divided by its epochs. A large array that the
+  allocator maps afresh faults in each page it touches, so this shows how
+  much memory an epoch takes new from the kernel. Rows measured before this
+  column existed lack it.
 - ``peak_rss_mb``: ``ru_maxrss`` of that process, population included.
 - ``split_ms``: median time per call, from the spans. ``backward`` is the
   whole tape backward of an epoch, ``sampler`` one Gumbel-Top-k draw,
@@ -94,26 +99,21 @@ def measure(root: Path, n: int) -> dict:
         reset_tape()
 
     tracing.replace_everywhere(reset_tape, stamped_reset_tape)
-    cpu = _cpu_s()
+    before = resource.getrusage(resource.RUSAGE_SELF)
     started = time.perf_counter()
     pg.trainer.train(dataset, config)
     stamps.append(time.perf_counter())
-    cpu = _cpu_s() - cpu
+    after = resource.getrusage(resource.RUSAGE_SELF)
     train_s = stamps[-1] - started
 
     layers = tracing.layer_metrics(tracer, [train_s], 0.0, 0.0, 1)
     epochs = [b - a for a, b in zip(stamps, stamps[1:])]
     return {"n": n, "epoch_ms": round(1000.0 * statistics.median(epochs), 1),
-            "cpu_s": round(cpu, 2),
-            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                                 / 1024.0, 1),
+            "cpu_s": round(after.ru_utime + after.ru_stime
+                           - before.ru_utime - before.ru_stime, 2),
+            "minflt_per_epoch": round((after.ru_minflt - before.ru_minflt) / len(epochs)),
+            "peak_rss_mb": round(after.ru_maxrss / 1024.0, 1),
             "split_ms": {name: round(layers[key][0], 1) for name, key in SPLIT.items()}}
-
-
-def _cpu_s() -> float:
-    """User plus system seconds of this process so far, all threads."""
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    return usage.ru_utime + usage.ru_stime
 
 
 def _git(root: Path, *args) -> str:

@@ -64,8 +64,8 @@ def attention_forward(phenotypes, mlp: AttentionMlp) -> Tensor:
         raise nm.ShapeError(
             f"attention_forward: phenotype matrix {phenotypes.shape} does not match "
             f"scorer input width {mlp.n_phenotypes}")
-    h = nm.relu(nm.add_rowvec(phenotypes @ mlp.w1, mlp.b1))
-    return nm.sigmoid(nm.add_rowvec(h @ mlp.w2, mlp.b2))
+    h = nm.dense(phenotypes, mlp.w1, mlp.b1, relu=True)
+    return nm.sigmoid(nm.dense(h, mlp.w2, mlp.b2))
 
 
 def aggregate_attention(scores: Tensor) -> Tensor:

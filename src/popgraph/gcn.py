@@ -93,10 +93,9 @@ def gcn_forward(a_hat, x, model: GcnModel) -> Tensor:
     if x.shape[1] != model.n_features:
         raise nm.ShapeError(f"gcn_forward: features {x.shape} do not match model "
                             f"input width {model.n_features}")
-    propagated = Tensor(a_hat @ x)
-    h1 = nm.relu(propagated @ model.w1)
-    h2 = nm.relu(nm.add_rowvec(h1 @ model.w2, model.b2))
-    out = nm.add_rowvec(h2 @ model.w3, model.b3)
+    h1 = nm.dense(a_hat @ x, model.w1, relu=True)
+    h2 = nm.dense(h1, model.w2, model.b2, relu=True)
+    out = nm.dense(h2, model.w3, model.b3)
     if model.b3.shape == (1,):
         return nm.reshape(out, (n,))
     return out

@@ -27,7 +27,7 @@ __all__ = [
     "backward",
     "reset_tape",
     "gather_rows",
-    "add_rowvec",
+    "dense",
     "mul_rowvec",
     "log_softmax_rows",
     "take_per_row",
@@ -163,9 +163,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def mean(self, axis=None):
         return mean(self, axis=axis)
 
@@ -207,6 +204,13 @@ def backward(loss: Tensor) -> None:
     Walks the thread-local tape in exact reverse order of the forward pass,
     then consumes it. Contributions add, so a tensor used twice receives the
     sum of both paths.
+
+    Each tensor owns its ``grad``, so an op's backward may overwrite its
+    upstream ``g`` in place. A first contribution that is fresh (a float64
+    ndarray of the parent's shape that owns its data and is not ``g``)
+    becomes the parent's gradient as it is; any other, such as ``add``'s
+    ``g`` or ``reshape``'s view of it, is copied. So no backward may return
+    an array that it also keeps.
     """
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -224,11 +228,14 @@ def backward(loss: Tensor) -> None:
         for parent, contribution in zip(parents, contributions):
             if contribution is None or not parent.requires_grad:
                 continue
-            if parent.grad is None:
-                # a copy: ``add`` hands the same array to both parents
-                parent.grad = np.array(contribution, dtype=np.float64)
-            else:
+            if parent.grad is not None:
                 parent.grad += contribution
+            elif (isinstance(contribution, np.ndarray) and contribution is not g
+                  and contribution.dtype == np.float64 and contribution.flags.owndata
+                  and contribution.shape == parent.shape):
+                parent.grad = contribution
+            else:
+                parent.grad = np.array(contribution, dtype=np.float64)
     ops.clear()
     _TLS.epoch = _tape_epoch() + 1
 
@@ -289,23 +296,33 @@ def div(a, b) -> Tensor:
                              _reduce_to(-g * av / (bv * bv), b.shape)))
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    av, bv = a.values, b.values
-    return _apply("matmul", av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
+def dense(x, w, b=None, relu: bool = False) -> Tensor:
+    """One layer as one op: x (n, m) @ w (m, h), plus b (h,) on every row if
+    given, then ReLU if ``relu``, in one (n, h) array. The pre-activation is
+    checked for non-finite values before the ReLU overwrites it in place. The
+    backward masks its ``g`` in place and returns d/dx only when ``x``
+    requires grad, so a constant input costs no (n, m) product."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    parents = (x, w) if b is None else (x, w, _as_tensor(b))
+    if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
+            or b is not None and parents[2].shape != (w.shape[1],)):
+        raise ShapeError("dense: shapes " + ", ".join(str(p.shape) for p in parents)
+                         + " do not conform to x (n, m), w (m, h), b (h,)")
+    xv, wv = x.values, w.values
+    out = xv @ wv
+    if b is not None:
+        out += parents[2].values
 
+    def bwd(g):
+        if relu:
+            np.multiply(g, out > 0.0, out=g)
+        grads = (g @ wv.T if x.requires_grad else None, xv.T @ g)
+        return grads if b is None else grads + (g.sum(axis=0),)
 
-def add_rowvec(matrix, vec) -> Tensor:
-    """matrix (n, m) + vec (m,) broadcast over rows (bias add)."""
-    matrix, vec = _as_tensor(matrix), _as_tensor(vec)
-    if matrix.ndim != 2 or vec.ndim != 1 or matrix.shape[1] != vec.shape[0]:
-        raise ShapeError(f"add_rowvec: shapes {matrix.shape} and {vec.shape} do not conform")
-    return _apply("add_rowvec", matrix.values + vec.values[None, :], (matrix, vec),
-                  lambda g: (g, g.sum(axis=0)))
+    result = _apply("dense", out, parents, bwd)
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return result
 
 
 def mul_rowvec(matrix, vec) -> Tensor:
@@ -316,12 +333,6 @@ def mul_rowvec(matrix, vec) -> Tensor:
     mv, vv = matrix.values, vec.values
     return _apply("mul_rowvec", mv * vv[None, :], (matrix, vec),
                   lambda g: (g * vv[None, :], (g * mv).sum(axis=0)))
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    av = a.values
-    return _apply("relu", np.maximum(av, 0.0), (a,), lambda g: (g * (av > 0),))
 
 
 def sigmoid(a) -> Tensor:

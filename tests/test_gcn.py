@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,27 @@ def test_forward_gradients_match_fd():
 
     report = grad_check(loss, model.params())
     assert report.passed, report.summary()
+
+
+def test_training_step_holds_few_layer_arrays():
+    """At N = 2000 with widths 512/128 one (N, 512) float64 layer array is
+    7.8 MiB: a forward, its Huber loss and the backward must peak below 3.5
+    of them."""
+    n, rng = 2000, np.random.default_rng(8)
+    a_hat = symmetrize(random_graph(n, 5, rng), n)
+    x = rng.uniform(size=(n, 30))
+    y = rng.uniform(47, 81, n)
+    model = GcnModel.init(30, rng, hidden1=512, hidden2=128)
+    bound = 3.5 * n * 512 * 8
+    nm.reset_tape()
+    tracemalloc.start()
+    try:
+        backward(huber_loss(gcn_forward(a_hat, x, model), y, np.arange(n) % 2 == 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peaked at {peak / (n * 512 * 8):.2f} (N, 512) arrays"
+    assert all(np.all(np.isfinite(p.grad)) for p in model.params())
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,15 @@ def test_matmul_grads():
     a = Tensor(RNG.normal(size=(3, 5)), requires_grad=True)
     b = Tensor(RNG.normal(size=(5, 2)), requires_grad=True)
 
-    _check(lambda: nm.square(a @ b).sum(), [a, b])
+    _check(lambda: nm.square(nm.dense(a, b)).sum(), [a, b])
 
 
 def test_rowvec_grads():
     m = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
     v = Tensor(RNG.normal(size=(3,)), requires_grad=True)
 
-    _check(lambda: nm.square(nm.add_rowvec(m, v)).sum(), [m, v])
+    _check(lambda: nm.square(nm.dense(m, w, v)).sum(), [m, w, v])
     _check(lambda: nm.square(nm.mul_rowvec(m, v)).sum(), [m, v])
 
 
@@ -69,8 +70,10 @@ def test_unary_grads():
     # keep values away from kinks of relu/abs and the sqrt origin
     a = Tensor(RNG.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)
     b = Tensor(RNG.uniform(-2.0, -0.5, size=(3, 3)), requires_grad=True)
+    eye = np.eye(3)
 
-    _check(lambda: nm.relu(a).sum() + nm.relu(b).sum(), [a, b])
+    _check(lambda: nm.dense(a, eye, relu=True).sum() + nm.dense(b, eye, relu=True).sum(),
+           [a, b])
     _check(lambda: nm.sigmoid(a).sum() + nm.sigmoid(b).sum(), [a, b])
     _check(lambda: nm.exp(a).mean() + nm.exp(b).mean(), [a, b])
     _check(lambda: nm.sqrt(a).sum(), [a])
@@ -119,6 +122,69 @@ def test_take_per_row_fd():
 def test_log_softmax_rows_fd():
     a = Tensor(RNG.normal(size=(4, 6)), requires_grad=True)
     _check(lambda: nm.take_per_row(nm.log_softmax_rows(a), np.array([0, 5, 2, 2])).sum(), [a])
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("relu", [True, False])
+@pytest.mark.parametrize("x_records", [True, False])
+def test_dense_grads_fd(bias, relu, x_records):
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=x_records)
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True) if bias else None
+    pre = x.values @ w.values + (b.values if bias else 0.0)
+    assert np.min(np.abs(pre)) > 0.05 and np.any(pre < 0.0)  # off the ReLU kink
+    params = [p for p in (x, w, b) if p is not None and p.requires_grad]
+
+    _check(lambda: nm.square(nm.dense(x, w, b, relu=relu) - 0.5).sum(), params)
+    if not x_records:
+        assert x.grad is None
+
+
+def test_dense_checks_the_preactivation():
+    """x @ w = -inf must raise, though the ReLU would have made it 0."""
+    x = Tensor(np.array([[1e308, 1e308]]))
+    w = Tensor(np.array([[-10.0], [-10.0]]), requires_grad=True)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="dense"):
+        nm.dense(x, w, relu=True)
+    reset_tape()
+
+
+def test_backward_gives_each_tensor_its_own_grad():
+    """Gradients that ``add`` hands to two parents, that ``sub`` passes
+    through, that ``reshape`` views, and that two ``dense`` ops receiving one
+    ``g`` then mask in place: none may share memory with another tensor's,
+    and all must match finite differences."""
+    rng = np.random.default_rng(11)
+    x, y = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2))
+    w1, w2 = (Tensor(rng.normal(size=(4, 5)), requires_grad=True) for _ in range(2))
+    b = Tensor(rng.normal(size=5), requires_grad=True)
+    w3 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+    params = [x, y, w1, w2, b, w3]
+    inner = []
+
+    def loss():
+        twice = nm.add(x, x)
+        diff = twice - y
+        flat = nm.reshape(diff, (4, 3))
+        back = nm.reshape(flat, (3, 4))
+        p = nm.dense(back, w1, b, relu=True)
+        q = nm.dense(back, w2, relu=True)
+        shared = p + q
+        out = nm.dense(shared, w3)
+        inner[:] = [twice, diff, flat, back, p, q, shared, out]
+        return nm.square(out).sum()
+
+    _check(loss, params)
+    reset_tape()
+    for p in params:
+        p.zero_grad()
+    backward(loss())
+    grads = [t.grad for t in inner + params]
+    assert all(g is not None for g in grads)
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
 
 
 def _brute_offdiag_logsumexp(v):
@@ -469,7 +535,7 @@ def test_no_grad_records_nothing():
     reset_tape()
     x = Tensor(np.ones((3, 3)), requires_grad=True)
     with no_grad():
-        y = nm.relu(x @ x).sum()
+        y = nm.dense(x, x, relu=True).sum()
     assert tape_size() == 0
     assert not y.requires_grad
     reset_tape()
@@ -498,12 +564,12 @@ def test_shape_errors_name_the_problem():
     b = Tensor(np.ones((3, 2)))
     with pytest.raises(ShapeError, match="add"):
         a + b
-    with pytest.raises(ShapeError, match="matmul"):
-        b @ b
-    with pytest.raises(ShapeError, match="matmul"):
-        a @ Tensor(np.ones(3))
-    with pytest.raises(ShapeError, match="add_rowvec"):
-        nm.add_rowvec(a, Tensor(np.ones(2)))
+    with pytest.raises(ShapeError, match="dense"):
+        nm.dense(b, b)
+    with pytest.raises(ShapeError, match="dense"):
+        nm.dense(a, Tensor(np.ones(3)))
+    with pytest.raises(ShapeError, match="dense"):
+        nm.dense(a, b, Tensor(np.ones(3)))
 
 
 def test_grad_check_report_fields():
@@ -518,8 +584,8 @@ def test_grad_check_report_fields():
 
 def test_grad_check_flags_kink():
     """relu at zero: central differences see slope 1/2, the subgradient says 0."""
-    a = Tensor(np.zeros(3), requires_grad=True)
-    report = grad_check(lambda: nm.relu(a).sum(), [a], h=1e-5)
+    a = Tensor(np.zeros((1, 3)), requires_grad=True)
+    report = grad_check(lambda: nm.dense(a, np.eye(3), relu=True).sum(), [a], h=1e-5)
     assert not report.passed
     assert report.suspected_nondifferentiable
 
