@@ -30,6 +30,10 @@ Per N the row gives:
   much memory an epoch takes new from the kernel. Rows measured before this
   column existed lack it.
 - ``peak_rss_mb``: ``ru_maxrss`` of that process, population included.
+- ``tape_ops``: the ops on the tape when an epoch's backward starts,
+  averaged over the epochs (perfbench's ``numerics.tape_ops``): how many
+  recorded primitives and loss terms one training step walks back. Rows
+  measured before this column existed lack it.
 - ``split_ms``: median time per call, from the spans. ``backward`` is the
   whole tape backward of an epoch, ``sampler`` one Gumbel-Top-k draw,
   ``gcn_forward`` one GCN forward, ``attention`` the attention scorer,
@@ -113,6 +117,7 @@ def measure(root: Path, n: int) -> dict:
                            - before.ru_utime - before.ru_stime, 2),
             "minflt_per_epoch": round((after.ru_minflt - before.ru_minflt) / len(epochs)),
             "peak_rss_mb": round(after.ru_maxrss / 1024.0, 1),
+            "tape_ops": round(layers["numerics.tape_ops"][0], 1),
             "split_ms": {name: round(layers[key][0], 1) for name, key in SPLIT.items()}}
 
 

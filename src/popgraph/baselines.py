@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphgen import knn_static_graph, random_graph
+from .numerics import log_softmax_rows
 from .trainer import STATIC_RANDOM_STREAM, TrainConfig, run_experiment, softmax_rows, stream_rng
 
 __all__ = [
@@ -74,14 +75,9 @@ def _ridge_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
     return LinearModel(weights=w, bias=bias)
 
 
-def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def _softmax_loss(design: np.ndarray, wb: np.ndarray, onehot: np.ndarray):
     """Mean cross-entropy of the scores ``design @ wb``, and the probabilities."""
-    log_p = _log_softmax(design @ wb)
+    log_p = log_softmax_rows(design @ wb)
     return -float(np.sum(onehot * log_p)) / len(design), np.exp(log_p)
 
 

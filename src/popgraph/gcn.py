@@ -102,30 +102,57 @@ def gcn_forward(a_hat, x, model: GcnModel) -> Tensor:
 
 
 def huber_loss(pred: Tensor, y, mask) -> Tensor:
-    """Mean Huber loss over masked nodes: quadratic inside |e| <=
-    ``HUBER_DELTA``, linear outside. The branch indicator is fixed from the
-    current values; both branches meet with equal value and slope at the
-    boundary."""
+    """Mean Huber loss over masked nodes, as one tape op: quadratic inside
+    |e| <= ``HUBER_DELTA``, linear outside. The backward takes each node's
+    branch as the forward found it: e inside, ``HUBER_DELTA`` sign(e)
+    outside, over the masked count, and zero on unmasked rows. Both branches
+    meet with equal value and slope at the boundary."""
     mask = np.asarray(mask, dtype=bool)
+    y = np.asarray(y, dtype=float)
+    if pred.ndim != 1 or y.shape != pred.shape or mask.shape != pred.shape:
+        raise nm.ShapeError(f"huber_loss: predictions {pred.shape}, targets {y.shape} "
+                            f"and mask {mask.shape} must be one (N,) shape")
     if not mask.any():
         raise ValueError("huber_loss: empty mask")
-    y = np.asarray(y, dtype=float)
-    err = nm.gather_rows(pred, np.flatnonzero(mask)) - Tensor(y[mask])
-    small = np.abs(err.values) <= HUBER_DELTA
-    quad = nm.square(err) * 0.5
-    lin = (nm.absolute(err) - 0.5 * HUBER_DELTA) * HUBER_DELTA
-    return (quad * small.astype(float) + lin * (~small).astype(float)).mean()
+    rows = np.flatnonzero(mask)
+    err = pred.values[rows] - y[rows]
+    small = np.abs(err) <= HUBER_DELTA
+    loss = np.where(small, err * err * 0.5, (np.abs(err) - 0.5 * HUBER_DELTA) * HUBER_DELTA)
+
+    def bwd(g):
+        g = g / len(rows)
+        grad = np.zeros(pred.shape)
+        grad[rows] = np.where(small, 2.0 * err * (g * 0.5), (g * HUBER_DELTA) * np.sign(err))
+        return (grad,)
+
+    return nm.record_op("huber_loss", np.mean(loss), (pred,), bwd)
 
 
 def cross_entropy_loss(logits: Tensor, classes, mask) -> Tensor:
-    """Mean negative log-probability of the true class over masked nodes."""
+    """Mean negative log-probability of the true class over masked nodes, as
+    one tape op. The backward is (softmax - onehot) over the masked count on
+    the masked rows, and zero elsewhere."""
     mask = np.asarray(mask, dtype=bool)
+    classes = np.asarray(classes, dtype=np.intp)
+    if logits.ndim != 2 or classes.shape != mask.shape or mask.shape != logits.shape[:1]:
+        raise nm.ShapeError(f"cross_entropy_loss: logits {logits.shape}, classes "
+                            f"{classes.shape} and mask {mask.shape} do not conform")
     if not mask.any():
         raise ValueError("cross_entropy_loss: empty mask")
-    classes = np.asarray(classes, dtype=np.intp)
-    log_probs = nm.log_softmax_rows(nm.gather_rows(logits, np.flatnonzero(mask)))
-    picked = nm.take_per_row(log_probs, classes[mask])
-    return -picked.mean()
+    rows = np.flatnonzero(mask)
+    picks = (np.arange(len(rows)), classes[rows])
+    log_probs = nm.log_softmax_rows(logits.values[rows])
+
+    def bwd(g):
+        g = -g / len(rows)
+        grad_rows = np.zeros(log_probs.shape)
+        grad_rows[picks] = g
+        grad_rows -= np.exp(log_probs) * g
+        grad = np.zeros(logits.shape)
+        grad[rows] = grad_rows
+        return (grad,)
+
+    return nm.record_op("cross_entropy_loss", -np.mean(log_probs[picks]), (logits,), bwd)
 
 
 def null_epsilon(train_labels, task: str = "regression", n_classes: int = 4) -> float:
@@ -160,14 +187,14 @@ def reward(y, pred, epsilon: float, task: str = "regression") -> np.ndarray:
 
 def graph_loss(graph: SampledGraph, rewards, train_mask) -> Tensor:
     """Sum of ρ_source * log p over sampled edges whose source node is in the
-    training split. A summed (not averaged) objective: its gradient w.r.t.
-    each retained log p_ij is exactly ρ_i."""
+    training split, as one tape op. A summed (not averaged) objective: its
+    gradient w.r.t. each retained log p_ij is exactly ρ_i."""
     rewards = np.asarray(rewards, dtype=float)
     train_mask = np.asarray(train_mask, dtype=bool)
     src = graph.edges[:, 0]
-    keep = train_mask[src]
-    coeff = Tensor(rewards[src] * keep)
-    return (graph.log_probs * coeff).sum()
+    coeff = rewards[src] * train_mask[src]
+    return nm.record_op("graph_loss", np.sum(graph.log_probs.values * coeff),
+                        (graph.log_probs,), lambda g: (g * coeff,))
 
 
 @dataclass

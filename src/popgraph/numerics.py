@@ -1,9 +1,14 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Covers exactly what the pipeline needs: affine layers, graph convolutions,
-row-blocked pairwise-distance kernels, and scalar losses. Broadcasting is
-limited to scalar-vs-tensor so shape mistakes fail loudly. Every primitive
-checks its output for NaN/Inf and raises instead of propagating garbage.
+Covers exactly what the pipeline needs: affine layers, graph convolutions
+and row-blocked pairwise-distance kernels. Broadcasting is limited to
+scalar-vs-tensor so shape mistakes fail loudly. Every primitive checks its
+output for NaN/Inf and raises instead of propagating garbage.
+
+``record_op`` is the one way onto the tape. Each primitive here records
+through it, and so does each loss term in ``gcn``: its forward and its
+closed-form backward as one op. ``log_softmax_rows`` is plain numpy, off
+the tape, for the cross-entropy loss and the logistic baseline.
 
 The tape is thread-local: one training run owns one tape. Independent runs
 may execute on separate threads without sharing state.
@@ -29,8 +34,8 @@ __all__ = [
     "gather_rows",
     "dense",
     "mul_rowvec",
+    "record_op",
     "log_softmax_rows",
-    "take_per_row",
     "BLOCK_ENTRIES",
     "HELPER_MIN_BLOCKS",
     "BlockHelper",
@@ -160,9 +165,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def mean(self, axis=None):
         return mean(self, axis=axis)
 
@@ -176,8 +178,8 @@ def _as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _apply(name: str, out_values: np.ndarray, parents: Sequence[Tensor],
-           backward_fn: Callable) -> Tensor:
+def record_op(name: str, out_values: np.ndarray, parents: Sequence[Tensor],
+              backward_fn: Callable) -> Tensor:
     """Record one primitive on the tape and return its output tensor.
 
     ``backward_fn(g)`` must return one gradient array (or None) per parent,
@@ -261,28 +263,23 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes("add", a, b)
-    return _apply("add", a.values + b.values, (a, b),
-                  lambda g: (_reduce_to(g, a.shape), _reduce_to(g, b.shape)))
+    return record_op("add", a.values + b.values, (a, b),
+                     lambda g: (_reduce_to(g, a.shape), _reduce_to(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes("sub", a, b)
-    return _apply("sub", a.values - b.values, (a, b),
-                  lambda g: (_reduce_to(g, a.shape), _reduce_to(-g, b.shape)))
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return _apply("neg", -a.values, (a,), lambda g: (-g,))
+    return record_op("sub", a.values - b.values, (a, b),
+                     lambda g: (_reduce_to(g, a.shape), _reduce_to(-g, b.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes("mul", a, b)
     av, bv = a.values, b.values
-    return _apply("mul", av * bv, (a, b),
-                  lambda g: (_reduce_to(g * bv, a.shape), _reduce_to(g * av, b.shape)))
+    return record_op("mul", av * bv, (a, b),
+                     lambda g: (_reduce_to(g * bv, a.shape), _reduce_to(g * av, b.shape)))
 
 
 def div(a, b) -> Tensor:
@@ -291,9 +288,9 @@ def div(a, b) -> Tensor:
     av, bv = a.values, b.values
     with np.errstate(divide="ignore", invalid="ignore"):
         out = av / bv
-    return _apply("div", out, (a, b),
-                  lambda g: (_reduce_to(g / bv, a.shape),
-                             _reduce_to(-g * av / (bv * bv), b.shape)))
+    return record_op("div", out, (a, b),
+                     lambda g: (_reduce_to(g / bv, a.shape),
+                                _reduce_to(-g * av / (bv * bv), b.shape)))
 
 
 def dense(x, w, b=None, relu: bool = False) -> Tensor:
@@ -319,7 +316,7 @@ def dense(x, w, b=None, relu: bool = False) -> Tensor:
         grads = (g @ wv.T if x.requires_grad else None, xv.T @ g)
         return grads if b is None else grads + (g.sum(axis=0),)
 
-    result = _apply("dense", out, parents, bwd)
+    result = record_op("dense", out, parents, bwd)
     if relu:
         np.maximum(out, 0.0, out=out)
     return result
@@ -331,28 +328,28 @@ def mul_rowvec(matrix, vec) -> Tensor:
     if matrix.ndim != 2 or vec.ndim != 1 or matrix.shape[1] != vec.shape[0]:
         raise ShapeError(f"mul_rowvec: shapes {matrix.shape} and {vec.shape} do not conform")
     mv, vv = matrix.values, vec.values
-    return _apply("mul_rowvec", mv * vv[None, :], (matrix, vec),
-                  lambda g: (g * vv[None, :], (g * mv).sum(axis=0)))
+    return record_op("mul_rowvec", mv * vv[None, :], (matrix, vec),
+                     lambda g: (g * vv[None, :], (g * mv).sum(axis=0)))
 
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-a.values))
-    return _apply("sigmoid", s, (a,), lambda g: (g * s * (1.0 - s),))
+    return record_op("sigmoid", s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(over="ignore"):
         out = np.exp(a.values)
-    return _apply("exp", out, (a,), lambda g: (g * out,))
+    return record_op("exp", out, (a,), lambda g: (g * out,))
 
 
 def square(a) -> Tensor:
     a = _as_tensor(a)
     av = a.values
-    return _apply("square", av * av, (a,), lambda g: (2.0 * av * g,))
+    return record_op("square", av * av, (a,), lambda g: (2.0 * av * g,))
 
 
 def sqrt(a) -> Tensor:
@@ -360,14 +357,8 @@ def sqrt(a) -> Tensor:
     with np.errstate(invalid="ignore"):
         out = np.sqrt(a.values)
     # subgradient 0 at exactly zero; avoids Inf on zeroed diagonals
-    return _apply("sqrt", out, (a,),
-                  lambda g: (np.where(out > 0, g / (2.0 * np.where(out > 0, out, 1.0)), 0.0),))
-
-
-def absolute(a) -> Tensor:
-    a = _as_tensor(a)
-    av = a.values
-    return _apply("abs", np.abs(av), (a,), lambda g: (g * np.sign(av),))
+    return record_op("sqrt", out, (a,),
+                     lambda g: (np.where(out > 0, g / (2.0 * np.where(out > 0, out, 1.0)), 0.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +370,7 @@ def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     old = a.shape
     out = np.reshape(a.values, shape)
-    return _apply("reshape", out, (a,), lambda g: (g.reshape(old),))
+    return record_op("reshape", out, (a,), lambda g: (g.reshape(old),))
 
 
 def gather_rows(a, indices) -> Tensor:
@@ -397,24 +388,7 @@ def gather_rows(a, indices) -> Tensor:
         np.add.at(z, idx, g)
         return (z,)
 
-    return _apply("gather_rows", a.values[idx], (a,), bwd)
-
-
-def take_per_row(matrix, cols) -> Tensor:
-    """out[i] = matrix[i, cols[i]] (per-row element pick)."""
-    matrix = _as_tensor(matrix)
-    c = np.asarray(cols, dtype=np.intp)
-    if matrix.ndim != 2 or c.shape != (matrix.shape[0],):
-        raise ShapeError(f"take_per_row: shapes {matrix.shape} and {c.shape} do not conform")
-    n = matrix.shape[0]
-    shape = matrix.shape
-
-    def bwd(g):
-        z = np.zeros(shape)
-        np.add.at(z, (np.arange(n), c), g)
-        return (z,)
-
-    return _apply("take_per_row", matrix.values[np.arange(n), c], (matrix,), bwd)
+    return record_op("gather_rows", a.values[idx], (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +401,13 @@ def tsum(a, axis=None) -> Tensor:
     shape = a.shape
 
     if axis is None:
-        return _apply("sum", np.sum(a.values), (a,),
-                      lambda g: (np.broadcast_to(g, shape).copy(),))
+        return record_op("sum", np.sum(a.values), (a,),
+                         lambda g: (np.broadcast_to(g, shape).copy(),))
 
     def bwd(g):
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
-    return _apply("sum", np.sum(a.values, axis=axis), (a,), bwd)
+    return record_op("sum", np.sum(a.values, axis=axis), (a,), bwd)
 
 
 def mean(a, axis=None) -> Tensor:
@@ -442,31 +416,21 @@ def mean(a, axis=None) -> Tensor:
 
     if axis is None:
         n = a.size
-        return _apply("mean", np.mean(a.values), (a,),
-                      lambda g: (np.broadcast_to(g / n, shape).copy(),))
+        return record_op("mean", np.mean(a.values), (a,),
+                         lambda g: (np.broadcast_to(g / n, shape).copy(),))
 
     n = shape[axis]
 
     def bwd(g):
         return (np.broadcast_to(np.expand_dims(g / n, axis), shape).copy(),)
 
-    return _apply("mean", np.mean(a.values, axis=axis), (a,), bwd)
+    return record_op("mean", np.mean(a.values, axis=axis), (a,), bwd)
 
 
-def log_softmax_rows(logits) -> Tensor:
-    """Row-wise log-softmax of an (n, c) matrix."""
-    logits = _as_tensor(logits)
-    if logits.ndim != 2:
-        raise ShapeError(f"log_softmax_rows: operand must be 2-D, got {logits.shape}")
-    v = logits.values
-    shifted = v - v.max(axis=1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-    def bwd(g):
-        softmax = np.exp(out)
-        return (g - softmax * g.sum(axis=1, keepdims=True),)
-
-    return _apply("log_softmax_rows", out, (logits,), bwd)
+def log_softmax_rows(values: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of an (n, c) array, off the tape."""
+    shifted = values - values.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -831,4 +795,4 @@ def kernel_edge_scores(dist: BlockDistance, t, edges, raw, row_lse) -> Tensor:
                 g_t -= pull_back(*block)
         return dist.finish(acc), np.array(g_t)
 
-    return _apply("kernel_edge_scores", raw - row_lse[src], (dist.features, t), bwd)
+    return record_op("kernel_edge_scores", raw - row_lse[src], (dist.features, t), bwd)

@@ -143,6 +143,9 @@ class TrainResult:
     # the graph a fixed run draws every time, built on its first draw
     _fixed_graph: SampledGraph | None = field(default=None, init=False, repr=False,
                                               compare=False)
+    # the edges of the trained-graph draw, kept from sample_trained_edges' first call
+    _trained_edges: np.ndarray | None = field(default=None, init=False, repr=False,
+                                              compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +438,13 @@ def infer(result: TrainResult, dataset: PopulationDataset) -> InferenceResult:
 
 def sample_trained_edges(result: TrainResult, dataset: PopulationDataset):
     """One graph draw at the trained parameters (for homophily measurement
-    and export), from the run's ``HOMOPHILY_STREAM``, so every call for a run
-    gives the same edges."""
-    rng = stream_rng(result.config.seed, HOMOPHILY_STREAM)
-    with nm.no_grad():
-        return _draw_graph(result, dataset.phenotype_matrix(), rng).edges
+    and export), from the run's ``HOMOPHILY_STREAM``. The first call draws
+    it and ``result`` keeps its edges, so every later call returns them."""
+    if result._trained_edges is None:
+        rng = stream_rng(result.config.seed, HOMOPHILY_STREAM)
+        with nm.no_grad():
+            result._trained_edges = _draw_graph(result, dataset.phenotype_matrix(), rng).edges
+    return result._trained_edges
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +454,8 @@ def sample_trained_edges(result: TrainResult, dataset: PopulationDataset):
 
 def evaluate_regression(pred, y, mask) -> dict:
     """MAE and Pearson r over the masked nodes. r is None (undefined), not 0,
-    when either side has zero variance or the mask holds a single node."""
+    when either side has zero variance or the mask holds a single node, and
+    is clipped to [-1, 1], which rounding can pass by an ULP."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("evaluate_regression: empty mask")
@@ -462,7 +468,7 @@ def evaluate_regression(pred, y, mask) -> dict:
         st = t - t.mean()
         denom = np.sqrt(np.sum(sp * sp) * np.sum(st * st))
         if denom > 0.0:
-            r = float(np.sum(sp * st) / denom)
+            r = float(np.clip(np.sum(sp * st) / denom, -1.0, 1.0))
     return {"mae": mae, "pearson_r": r}
 
 
@@ -546,7 +552,7 @@ class MetricsRecord:
     def validate(self) -> None:
         if self.mae is not None and self.mae < 0:
             raise ValueError("MAE must be nonnegative")
-        if self.pearson_r is not None and not -1.0 <= self.pearson_r <= 1.0 + 1e-12:
+        if self.pearson_r is not None and not -1.0 <= self.pearson_r <= 1.0:
             raise ValueError("Pearson r out of range")
         for name in ("accuracy", "macro_auc", "macro_f1"):
             v = getattr(self, name)

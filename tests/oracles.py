@@ -316,8 +316,8 @@ def concat(tensors: Sequence, axis: int = 0) -> nm.Tensor:
         return tuple(np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
                      for i in range(len(parts)))
 
-    return nm._apply("concat", np.concatenate([p.values for p in parts], axis=axis),
-                     tuple(parts), bwd)
+    return nm.record_op("concat", np.concatenate([p.values for p in parts], axis=axis),
+                        tuple(parts), bwd)
 
 
 @dataclass

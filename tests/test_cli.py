@@ -506,6 +506,25 @@ def trained_run(tmp_path, **overrides):
     return tmp_path / "run"
 
 
+def test_cmd_train_draws_the_trained_graph_once(tmp_path, monkeypatch):
+    """One seed draws a graph per epoch, one per inference sample, and one
+    trained graph that gives both its homophily and its graph files; those
+    files match the graph that export draws afresh from the checkpoint."""
+    import popgraph.trainer as trainer_module
+    calls = []
+    draw = trainer_module.gumbel_topk_sample
+    monkeypatch.setattr(trainer_module, "gumbel_topk_sample",
+                        lambda *args, **kwargs: calls.append(1) or draw(*args, **kwargs))
+    run_dir = trained_run(tmp_path)
+    train_block = experiment_dict(tmp_path)["train"]
+    assert len(calls) == train_block["epochs"] + train_block["inference_samples"] + 1
+
+    cmd_export(run_dir, "graph-learned")
+    seed_dir = run_dir / "seed_0"
+    for name in ("graph_learned.dot", "graph_learned.json"):
+        assert (seed_dir / name).read_bytes() == (seed_dir / "export" / name).read_bytes()
+
+
 def test_cmd_export_attention(tmp_path):
     run_dir = trained_run(tmp_path)
     export_dir = cmd_export(run_dir, "attention")

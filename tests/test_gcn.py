@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import FixedKernel, grad_check
+from oracles import FixedKernel, grad_check, tape_size
 from popgraph import numerics as nm
 from popgraph.gcn import (
+    HUBER_DELTA,
     GcnModel,
     cross_entropy_loss,
     gcn_forward,
@@ -145,6 +146,21 @@ def test_huber_smooth_at_the_boundary():
         backward(huber_loss(p, y, mask))
         grads.append(p.grad[0])
     assert abs(grads[0] - grads[1]) < 1e-6
+
+
+def test_huber_gradient_matches_fd_on_both_branches():
+    """Masked errors on both sides of HUBER_DELTA, each at least 0.05 from
+    the kink; masked-out rows get exactly zero gradient."""
+    y = np.array([60.0, 50.0, 70.0, 55.0, 65.0, 58.0])
+    err = np.array([0.3, -0.8, 1.6, -2.5, 0.95, 7.0])
+    mask = np.array([True, True, True, True, False, False])
+    assert np.all(np.abs(np.abs(err) - HUBER_DELTA) >= 0.05)
+    assert np.any(np.abs(err[mask]) < HUBER_DELTA) and np.any(np.abs(err[mask]) > HUBER_DELTA)
+    pred = Tensor(y + err, requires_grad=True)
+
+    report = grad_check(lambda: huber_loss(pred, y, mask), [pred])
+    assert report.passed, report.summary()
+    assert np.all(pred.grad[~mask] == 0.0)
 
 
 def test_huber_empty_mask():
@@ -305,6 +321,19 @@ def test_graph_loss_excludes_gcn_parameters():
     backward(loss)
     assert tau.grad != 0.0
     assert all(p.grad is None or not p.grad.any() for p in model.params())
+
+
+def test_each_loss_term_is_one_tape_op():
+    mask = np.array([True, False, True, True, False])
+    pred = Tensor(RNG.normal(size=5), requires_grad=True)
+    logits = Tensor(RNG.normal(size=(5, 4)), requires_grad=True)
+    graph, _ = sample_tiny_graph()
+    for build in (lambda: huber_loss(pred, np.zeros(5), mask),
+                  lambda: cross_entropy_loss(logits, np.arange(5) % 4, mask),
+                  lambda: graph_loss(graph, RNG.normal(size=5), mask)):
+        before = tape_size()
+        build()
+        assert tape_size() == before + 1
 
 
 # ---------------------------------------------------------------------------

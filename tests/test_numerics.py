@@ -67,7 +67,7 @@ def test_rowvec_grads():
 
 
 def test_unary_grads():
-    # keep values away from kinks of relu/abs and the sqrt origin
+    # keep values away from kinks of relu and the sqrt origin
     a = Tensor(RNG.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)
     b = Tensor(RNG.uniform(-2.0, -0.5, size=(3, 3)), requires_grad=True)
     eye = np.eye(3)
@@ -77,8 +77,6 @@ def test_unary_grads():
     _check(lambda: nm.sigmoid(a).sum() + nm.sigmoid(b).sum(), [a, b])
     _check(lambda: nm.exp(a).mean() + nm.exp(b).mean(), [a, b])
     _check(lambda: nm.sqrt(a).sum(), [a])
-    _check(lambda: nm.absolute(a).sum() + nm.absolute(b).sum(), [a, b])
-    _check(lambda: (-a).sum(), [a])
 
 
 def test_reduction_grads():
@@ -111,17 +109,6 @@ def test_gather_rows_fd():
     a = Tensor(RNG.normal(size=(5, 3)), requires_grad=True)
     idx = np.array([4, 0, 0, 2])
     _check(lambda: nm.square(nm.gather_rows(a, idx)).sum(), [a])
-
-
-def test_take_per_row_fd():
-    a = Tensor(RNG.normal(size=(5, 3)), requires_grad=True)
-    cols = np.array([2, 0, 1, 1, 0])
-    _check(lambda: nm.square(nm.take_per_row(a, cols)).sum(), [a])
-
-
-def test_log_softmax_rows_fd():
-    a = Tensor(RNG.normal(size=(4, 6)), requires_grad=True)
-    _check(lambda: nm.take_per_row(nm.log_softmax_rows(a), np.array([0, 5, 2, 2])).sum(), [a])
 
 
 @pytest.mark.parametrize("bias", [True, False])
@@ -623,7 +610,7 @@ def test_cosine_range(n, m, seed):
 @given(n=finite_rows, seed=st.integers(0, 2**31 - 1))
 def test_log_softmax_normalizes(n, seed):
     v = np.random.default_rng(seed).normal(size=(n, 4)) * 5.0
-    out = nm.log_softmax_rows(Tensor(v)).values
+    out = nm.log_softmax_rows(v)
     assert np.allclose(np.exp(out).sum(axis=1), 1.0, atol=1e-12)
 
 

@@ -589,6 +589,18 @@ def test_evaluate_regression_null_model_ties_reward_threshold():
     assert abs(mae - eps) < 1e-9
 
 
+def test_evaluate_regression_exact_fits_give_r_of_exactly_one():
+    """An exactly affine prediction of these ages rounds r past +-1 unless
+    it is clipped; every exact fit must give +-1 and validate."""
+    y = np.array([77.7, 49.3, 69.9, 63.1, 70.0])
+    mask = np.ones(5, bool)
+    for pred, expected in ((y, 1.0), (-y, -1.0), (2.0 * y + 3.0, 1.0),
+                           (-(2.0 * y + 3.0), -1.0)):
+        r = evaluate_regression(pred, y, mask)["pearson_r"]
+        assert r == expected
+        MetricsRecord(task="regression", seed=0, config_hash="", pearson_r=r).validate()
+
+
 def test_evaluate_regression_empty_mask():
     with pytest.raises(ValueError):
         evaluate_regression(np.ones(3), np.ones(3), np.zeros(3, bool))
@@ -733,6 +745,9 @@ def test_metrics_record_validation():
         MetricsRecord(task="regression", seed=0, config_hash="", mae=-1.0).validate()
     with pytest.raises(ValueError, match="Pearson"):
         MetricsRecord(task="regression", seed=0, config_hash="", pearson_r=1.5).validate()
+    for r in (np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)):
+        with pytest.raises(ValueError, match="Pearson"):
+            MetricsRecord(task="regression", seed=0, config_hash="", pearson_r=r).validate()
     with pytest.raises(ValueError, match="accuracy"):
         MetricsRecord(task="classification", seed=0, config_hash="", accuracy=1.2).validate()
 
