@@ -32,8 +32,8 @@ Per N the row gives:
 - ``peak_rss_mb``: ``ru_maxrss`` of that process, population included.
 - ``tape_ops``: the ops on the tape when an epoch's backward starts,
   averaged over the epochs (perfbench's ``numerics.tape_ops``): how many
-  recorded primitives and loss terms one training step walks back. Rows
-  measured before this column existed lack it.
+  recorded ops one training step walks back. Rows measured before this
+  column existed lack it.
 - ``split_ms``: median time per call, from the spans. ``backward`` is the
   whole tape backward of an epoch, ``sampler`` one Gumbel-Top-k draw,
   ``gcn_forward`` one GCN forward, ``attention`` the attention scorer,

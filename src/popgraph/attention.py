@@ -59,7 +59,7 @@ class AttentionMlp:
 
 def attention_forward(phenotypes, mlp: AttentionMlp) -> Tensor:
     """Per-subject sigmoid scores, shape (N, n_phenotypes)."""
-    phenotypes = phenotypes if isinstance(phenotypes, Tensor) else Tensor(phenotypes)
+    phenotypes = nm.as_tensor(phenotypes)
     if phenotypes.ndim != 2 or phenotypes.shape[1] != mlp.n_phenotypes:
         raise nm.ShapeError(
             f"attention_forward: phenotype matrix {phenotypes.shape} does not match "
@@ -69,28 +69,38 @@ def attention_forward(phenotypes, mlp: AttentionMlp) -> Tensor:
 
 
 def aggregate_attention(scores: Tensor) -> Tensor:
-    """Column means of the score matrix, min-max rescaled to [0, 1].
+    """Column means of the score matrix, min-max rescaled to [0, 1], as one
+    tape op.
 
     If every column mean is identical the vector degenerates to all 0.5
     (constant, no gradient). Otherwise the rescale is differentiated exactly,
-    holding the argmin/argmax positions of the current iterate fixed.
+    holding the argmin/argmax positions of the current iterate fixed. The
+    backward chains through the quotient, its denominator hi - lo, its
+    numerator means - lo, then hi and lo into the means, then the mean.
     """
-    scores = scores if isinstance(scores, Tensor) else Tensor(scores)
+    scores = nm.as_tensor(scores)
     if scores.ndim != 2:
         raise nm.ShapeError(f"aggregate_attention: expected 2-D scores, got {scores.shape}")
-    means = nm.mean(scores, axis=0)
-    vals = means.values
-    if vals.max() == vals.min():
+    means = np.mean(scores.values, axis=0)
+    if means.max() == means.min():
         return Tensor(np.full(scores.shape[1], 0.5))
-    lo = nm.reshape(nm.gather_rows(means, np.array([int(vals.argmin())])), ())
-    hi = nm.reshape(nm.gather_rows(means, np.array([int(vals.argmax())])), ())
-    return (means - lo) / (hi - lo)
+    lo_at, hi_at = int(means.argmin()), int(means.argmax())
+    num = means - means[lo_at]
+    den = means[hi_at] - means[lo_at]
+
+    def bwd(g):
+        g_means = g / den
+        g_hi = np.sum(-g * num / (den * den))
+        g_lo = -g_hi + np.sum(-g_means)
+        g_means[hi_at] += g_hi
+        g_means[lo_at] += g_lo
+        return (np.broadcast_to(g_means / scores.shape[0], scores.shape).copy(),)
+
+    return nm.record_op("aggregate_attention", num / den, (scores,), bwd)
 
 
 def weight_phenotypes(a, phenotypes) -> Tensor:
     """Row i of the result is a ⊙ phenotypes[i] (columnwise gating)."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    phenotypes = phenotypes if isinstance(phenotypes, Tensor) else Tensor(phenotypes)
     return nm.mul_rowvec(phenotypes, a)
 
 

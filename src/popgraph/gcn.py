@@ -214,8 +214,10 @@ class LossBreakdown:
 
 
 def total_loss(l_gcn: Tensor, l_graph: Tensor, rewards=None) -> LossBreakdown:
-    """Combine the supervised and graph terms: total = L_GCN + L_graph."""
-    total = l_gcn + l_graph
+    """Combine the supervised and graph terms: total = L_GCN + L_graph, as
+    one tape op that passes its gradient to both."""
+    total = nm.record_op("total_loss", l_gcn.values + l_graph.values, (l_gcn, l_graph),
+                         lambda g: (g, g))
     stats = {}
     if rewards is not None:
         rewards = np.asarray(rewards, dtype=float)

@@ -67,16 +67,35 @@ def pairwise_distance(features, metric: str) -> nm.BlockDistance:
     ``numerics.block_distance`` kernel.
 
     euclidean and cosine apply directly; hyperbolic first rescales all rows
-    radially so the largest norm reaches 1 - 1e-3 (on the tape, before any
-    blocking), then measures Poincare distance inside the unit ball.
+    radially so the largest norm reaches 1 - 1e-3 (one op on the tape,
+    before any blocking; none if every row is zero), then measures Poincare
+    distance inside the unit ball.
     """
-    f = features if isinstance(features, Tensor) else Tensor(features)
+    f = nm.as_tensor(features)
     if metric == "hyperbolic":
-        norms = nm.sqrt(nm.tsum(nm.square(f), axis=1))
-        if float(norms.values.max()) > 0.0:
-            top_t = nm.reshape(nm.gather_rows(norms, np.array([int(norms.values.argmax())])), ())
-            f = f * ((1.0 - _BALL_MARGIN) / top_t)
+        f = _ball_rescale(f)
     return nm.block_distance(metric, f)
+
+
+def _ball_rescale(f: Tensor) -> Tensor:
+    """f * c with c = (1 - ``_BALL_MARGIN``) / (largest row norm), as one op.
+    Its backward is g * c plus, through c, the chain into the largest-norm
+    row alone: d(norm)/d(row) = row / norm, and that norm is positive."""
+    v = f.values
+    norms = np.sqrt(np.sum(v * v, axis=1))
+    at = int(norms.argmax())
+    top = norms[at]
+    if top == 0.0:
+        return f
+    c = (1.0 - _BALL_MARGIN) / top
+
+    def bwd(g):
+        g_top = -np.sum(g * v) * (1.0 - _BALL_MARGIN) / (top * top)
+        grad = g * c
+        grad[at] += 2.0 * v[at] * (g_top / (2.0 * top))
+        return (grad,)
+
+    return nm.record_op("ball_rescale", v * c, (f,), bwd)
 
 
 def edge_probabilities(distances: nm.BlockDistance, t) -> EdgeScores:
@@ -206,7 +225,7 @@ def knn_static_graph(features, k: int, metric: str = "cosine") -> np.ndarray:
     """Deterministic k-nearest-neighbor edges: the top-k of the negated
     squared-distance blocks the sampler scores at t = 1, ties to the lower
     index. Returns an (N*k, 2) directed edge array."""
-    f = features if isinstance(features, Tensor) else Tensor(features)
+    f = nm.as_tensor(features)
     n = f.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k={k} neighbors impossible with {n} nodes")

@@ -1,14 +1,16 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
-Covers exactly what the pipeline needs: affine layers, graph convolutions
-and row-blocked pairwise-distance kernels. Broadcasting is limited to
-scalar-vs-tensor so shape mistakes fail loudly. Every primitive checks its
-output for NaN/Inf and raises instead of propagating garbage.
+The tape holds the pipeline's stages, not their arithmetic: the attention
+scorer's and the GCN's layers (``dense``, ``sigmoid``), the phenotype
+gating (``mul_rowvec``), the temperature (``exp``), the row-blocked kernel
+edge scores, and one op per loss term. Every op checks its output for
+NaN/Inf and raises instead of propagating garbage.
 
 ``record_op`` is the one way onto the tape. Each primitive here records
-through it, and so does each loss term in ``gcn``: its forward and its
-closed-form backward as one op. ``log_softmax_rows`` is plain numpy, off
-the tape, for the cross-entropy loss and the logistic baseline.
+through it, and so does each op of another module (the attention min-max,
+the Poincare ball rescale, each loss term and their sum): its forward and
+its closed-form backward as one op. ``log_softmax_rows`` is plain numpy,
+off the tape, for the cross-entropy loss and the logistic baseline.
 
 The tape is thread-local: one training run owns one tape. Independent runs
 may execute on separate threads without sharing state.
@@ -24,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "as_tensor",
     "NumericsError",
     "ShapeError",
     "NonFiniteError",
@@ -128,10 +131,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.values.ndim
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
     def zero_grad(self) -> None:
         if self.requires_grad:
             self.grad = np.zeros_like(self.values)
@@ -140,39 +139,9 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # operators
-    def __add__(self, other):
-        return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def mean(self, axis=None):
-        return mean(self, axis=axis)
-
-    def sum(self, axis=None):
-        return tsum(self, axis=axis)
-
-
-def _as_tensor(x) -> Tensor:
+def as_tensor(x) -> Tensor:
+    """``x`` itself if it is a Tensor, else a constant Tensor of its values."""
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=np.float64))
@@ -210,8 +179,8 @@ def backward(loss: Tensor) -> None:
     Each tensor owns its ``grad``, so an op's backward may overwrite its
     upstream ``g`` in place. A first contribution that is fresh (a float64
     ndarray of the parent's shape that owns its data and is not ``g``)
-    becomes the parent's gradient as it is; any other, such as ``add``'s
-    ``g`` or ``reshape``'s view of it, is copied. So no backward may return
+    becomes the parent's gradient as it is; any other, such as
+    ``total_loss``'s ``g`` or ``reshape``'s view of it, is copied. So no backward may return
     an array that it also keeps.
     """
     if loss.shape != ():
@@ -243,54 +212,8 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise / arithmetic primitives
+# layers and elementwise primitives
 # ---------------------------------------------------------------------------
-
-
-def _binary_shapes(name: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not conform "
-                         "(equal shapes or scalar broadcast only)")
-
-
-def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    # reduce a full-shape gradient back to a scalar operand
-    if shape == () and g.shape != ():
-        return np.sum(g)
-    return g
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes("add", a, b)
-    return record_op("add", a.values + b.values, (a, b),
-                     lambda g: (_reduce_to(g, a.shape), _reduce_to(g, b.shape)))
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes("sub", a, b)
-    return record_op("sub", a.values - b.values, (a, b),
-                     lambda g: (_reduce_to(g, a.shape), _reduce_to(-g, b.shape)))
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes("mul", a, b)
-    av, bv = a.values, b.values
-    return record_op("mul", av * bv, (a, b),
-                     lambda g: (_reduce_to(g * bv, a.shape), _reduce_to(g * av, b.shape)))
-
-
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _binary_shapes("div", a, b)
-    av, bv = a.values, b.values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = av / bv
-    return record_op("div", out, (a, b),
-                     lambda g: (_reduce_to(g / bv, a.shape),
-                                _reduce_to(-g * av / (bv * bv), b.shape)))
 
 
 def dense(x, w, b=None, relu: bool = False) -> Tensor:
@@ -299,8 +222,8 @@ def dense(x, w, b=None, relu: bool = False) -> Tensor:
     checked for non-finite values before the ReLU overwrites it in place. The
     backward masks its ``g`` in place and returns d/dx only when ``x``
     requires grad, so a constant input costs no (n, m) product."""
-    x, w = _as_tensor(x), _as_tensor(w)
-    parents = (x, w) if b is None else (x, w, _as_tensor(b))
+    x, w = as_tensor(x), as_tensor(w)
+    parents = (x, w) if b is None else (x, w, as_tensor(b))
     if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]
             or b is not None and parents[2].shape != (w.shape[1],)):
         raise ShapeError("dense: shapes " + ", ".join(str(p.shape) for p in parents)
@@ -324,7 +247,7 @@ def dense(x, w, b=None, relu: bool = False) -> Tensor:
 
 def mul_rowvec(matrix, vec) -> Tensor:
     """matrix (n, m) * vec (m,) broadcast over rows (per-column scaling)."""
-    matrix, vec = _as_tensor(matrix), _as_tensor(vec)
+    matrix, vec = as_tensor(matrix), as_tensor(vec)
     if matrix.ndim != 2 or vec.ndim != 1 or matrix.shape[1] != vec.shape[0]:
         raise ShapeError(f"mul_rowvec: shapes {matrix.shape} and {vec.shape} do not conform")
     mv, vv = matrix.values, vec.values
@@ -333,32 +256,17 @@ def mul_rowvec(matrix, vec) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-a.values))
     return record_op("sigmoid", s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def exp(a) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     with np.errstate(over="ignore"):
         out = np.exp(a.values)
     return record_op("exp", out, (a,), lambda g: (g * out,))
-
-
-def square(a) -> Tensor:
-    a = _as_tensor(a)
-    av = a.values
-    return record_op("square", av * av, (a,), lambda g: (2.0 * av * g,))
-
-
-def sqrt(a) -> Tensor:
-    a = _as_tensor(a)
-    with np.errstate(invalid="ignore"):
-        out = np.sqrt(a.values)
-    # subgradient 0 at exactly zero; avoids Inf on zeroed diagonals
-    return record_op("sqrt", out, (a,),
-                     lambda g: (np.where(out > 0, g / (2.0 * np.where(out > 0, out, 1.0)), 0.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +275,7 @@ def sqrt(a) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
+    a = as_tensor(a)
     old = a.shape
     out = np.reshape(a.values, shape)
     return record_op("reshape", out, (a,), lambda g: (g.reshape(old),))
@@ -375,7 +283,7 @@ def reshape(a, shape) -> Tensor:
 
 def gather_rows(a, indices) -> Tensor:
     """Select rows (2-D) or elements (1-D) by integer index, with repeats."""
-    a = _as_tensor(a)
+    a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows: indices must be 1-D, got shape {idx.shape}")
@@ -389,42 +297,6 @@ def gather_rows(a, indices) -> Tensor:
         return (z,)
 
     return record_op("gather_rows", a.values[idx], (a,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-# ---------------------------------------------------------------------------
-
-
-def tsum(a, axis=None) -> Tensor:
-    a = _as_tensor(a)
-    shape = a.shape
-
-    if axis is None:
-        return record_op("sum", np.sum(a.values), (a,),
-                         lambda g: (np.broadcast_to(g, shape).copy(),))
-
-    def bwd(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return record_op("sum", np.sum(a.values, axis=axis), (a,), bwd)
-
-
-def mean(a, axis=None) -> Tensor:
-    a = _as_tensor(a)
-    shape = a.shape
-
-    if axis is None:
-        n = a.size
-        return record_op("mean", np.mean(a.values), (a,),
-                         lambda g: (np.broadcast_to(g / n, shape).copy(),))
-
-    n = shape[axis]
-
-    def bwd(g):
-        return (np.broadcast_to(np.expand_dims(g / n, axis), shape).copy(),)
-
-    return record_op("mean", np.mean(a.values, axis=axis), (a,), bwd)
 
 
 def log_softmax_rows(values: np.ndarray) -> np.ndarray:
@@ -697,7 +569,7 @@ BLOCK_METRICS = {"euclidean": _Euclidean, "cosine": _Cosine, "hyperbolic": _Poin
 def block_distance(metric: str, features) -> BlockDistance:
     """The ``BlockDistance`` kernel of one metric over the rows of the 2-D
     ``features`` (a Tensor; an array is taken as a constant)."""
-    f = _as_tensor(features)
+    f = as_tensor(features)
     if f.ndim != 2 or f.shape[0] < 2:
         raise ShapeError(f"block_distance: features must be 2-D with at least 2 rows, "
                          f"got {f.shape}")
@@ -739,7 +611,7 @@ def kernel_edge_scores(dist: BlockDistance, t, edges, raw, row_lse) -> Tensor:
     the caller computes the next block's distances and pulls the previous
     block back; the caller adds every block's share in block order.
     """
-    t = _as_tensor(t)
+    t = as_tensor(t)
     n = dist.shape[0]
     if t.shape != ():
         raise ShapeError(f"kernel_edge_scores: t must be scalar, got {t.shape}")

@@ -299,10 +299,18 @@ def tape_size() -> int:
     return len(nm._ops())
 
 
+def weighted_sum(x, w) -> nm.Tensor:
+    """sum(w * x) as one tape op, the scalar loss of a gradient check: its
+    backward is g * w. ``w`` is a constant broadcast to x's shape."""
+    x = nm.as_tensor(x)
+    w = np.broadcast_to(np.asarray(w, dtype=np.float64), x.shape)
+    return nm.record_op("weighted_sum", np.sum(x.values * w), (x,), lambda g: (g * w,))
+
+
 def concat(tensors: Sequence, axis: int = 0) -> nm.Tensor:
     """Tape-recorded concatenation, for building test inputs out of
     separately differentiated parts."""
-    parts = [nm._as_tensor(t) for t in tensors]
+    parts = [nm.as_tensor(t) for t in tensors]
     if not parts:
         raise nm.ShapeError("concat: no operands")
     nd = parts[0].ndim

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grad_check, kernel_distances
+from oracles import grad_check, kernel_distances, weighted_sum
 from popgraph import numerics as nm
 from popgraph.attention import (
     AttentionMlp,
@@ -51,7 +51,8 @@ def test_forward_rejects_width_mismatch():
 def test_mean_score_gradient_matches_fd():
     mlp = make_mlp(3, seed=2)
     phen = RNG.uniform(size=(6, 3))
-    report = grad_check(lambda: attention_forward(phen, mlp).mean(), mlp.params())
+    report = grad_check(lambda: weighted_sum(attention_forward(phen, mlp), 1.0 / phen.size),
+                        mlp.params())
     assert report.passed, report.summary()
 
 
@@ -77,23 +78,43 @@ def test_aggregate_gradient_matches_fd():
     """The min-max rescale differentiates exactly, including through the
     gathered extremes."""
     raw = Tensor(RNG.uniform(size=(4, 5)), requires_grad=True)
-    coeffs = Tensor(RNG.normal(size=5))
+    coeffs = RNG.normal(size=5)
 
     def loss():
-        return (aggregate_attention(nm.sigmoid(raw)) * coeffs).sum()
+        return weighted_sum(aggregate_attention(nm.sigmoid(raw)), coeffs)
 
     report = grad_check(loss, [raw])
+    assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("offsets, lo, hi", [
+    ((-2.0, 2.0, 0.0, 0.5, -0.5), 0, 1),
+    ((0.0, 0.5, 2.0, -2.0, -0.5), 3, 2),
+    ((2.0, 0.0, 0.5, -0.5, -2.0), 4, 0),
+], ids=["lo-first-hi-next", "hi-then-lo", "hi-first-lo-last"])
+def test_aggregate_gradient_through_placed_extremes(offsets, lo, hi):
+    """The chain through the fixed argmin and argmax columns, with them
+    adjacent (either order), the argmin column first, or the extremes at
+    both ends."""
+    rng = np.random.default_rng(6)
+    raw = Tensor(rng.uniform(size=(4, 5)) * 0.2 + np.array(offsets), requires_grad=True)
+    coeffs = rng.normal(size=5)
+    means = nm.sigmoid(raw).values.mean(axis=0)
+    assert (means.argmin(), means.argmax()) == (lo, hi)
+
+    report = grad_check(lambda: weighted_sum(aggregate_attention(nm.sigmoid(raw)), coeffs),
+                        [raw])
     assert report.passed, report.summary()
 
 
 def test_end_to_end_scorer_gradient_through_aggregation():
     mlp = make_mlp(4, seed=5)
     phen = RNG.uniform(size=(7, 4))
-    coeffs = Tensor(RNG.normal(size=4))
+    coeffs = RNG.normal(size=4)
 
     def loss():
         a = aggregate_attention(attention_forward(phen, mlp))
-        return (a * coeffs).sum()
+        return weighted_sum(a, coeffs)
 
     report = grad_check(loss, mlp.params())
     assert report.passed, report.summary()
@@ -177,6 +198,6 @@ def test_aggregation_stays_on_tape():
     mlp = make_mlp(4, seed=8)
     phen = RNG.uniform(size=(9, 4))
     a = aggregate_attention(attention_forward(phen, mlp))
-    loss = (a * Tensor(RNG.normal(size=4))).sum()
+    loss = weighted_sum(a, RNG.normal(size=4))
     backward(loss)
     assert max(float(np.abs(p.grad).max()) for p in mlp.params()) > 0.0

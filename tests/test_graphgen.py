@@ -22,6 +22,7 @@ from oracles import (
     softmax,
     tape_size,
     total_variation,
+    weighted_sum,
 )
 from popgraph import numerics as nm
 from popgraph.graphgen import (
@@ -88,12 +89,12 @@ def test_distance_gradients_match_fd(metric):
     # k = n - 1 draws every off-diagonal pair, so the weighted sum of the
     # drawn first-pick scores reaches every distance
     f = Tensor(RNG.uniform(0.1, 1.0, size=(5, 3)), requires_grad=True)
-    w = Tensor(RNG.normal(size=20))
+    w = RNG.normal(size=20)
 
     def loss():
         lp = edge_probabilities(pairwise_distance(f, metric), 1.0)
         graph = gumbel_topk_sample(lp, 4, noise=np.zeros((5, 5)))
-        return (graph.log_probs * w).sum()
+        return weighted_sum(graph.log_probs, w)
 
     report = grad_check(loss, [f])
     assert report.passed, f"{metric}: {report.summary()}"
@@ -141,12 +142,11 @@ def test_kernel_gradient_through_temperature():
     # drawn first-pick scores reaches every kernel entry
     tau = Tensor(0.4, requires_grad=True)
     d = FixedKernel(RNG.uniform(0.1, 1.5, size=(4, 4)) ** 2)
-    w = Tensor(RNG.normal(size=12))
+    w = RNG.normal(size=12)
 
     def loss():
         lp = edge_probabilities(d, nm.exp(tau))
-        return (gumbel_topk_sample(lp, 3, noise=np.zeros((4, 4))).log_probs
-                * w).sum()
+        return weighted_sum(gumbel_topk_sample(lp, 3, noise=np.zeros((4, 4))).log_probs, w)
 
     report = grad_check(loss, [tau])
     assert report.passed, report.summary()
@@ -367,22 +367,25 @@ def test_training_draw_backs_through_the_kernel_it_walked(metric, monkeypatch):
 
     lp.kernel.forward = counted_forward
     monkeypatch.setattr(nm, "block_distance", None)  # a second build would fail
-    nm.backward((g.log_probs * Tensor(RNG.normal(size=36))).sum())
+    nm.backward(weighted_sum(g.log_probs, RNG.normal(size=36)))
     assert np.array_equal(np.concatenate(blocks), np.arange(12))
     assert np.all(np.isfinite(f.grad)) and np.any(f.grad != 0.0)
 
 
-def _training_draw(metric, n=37, seed=5):
+def _training_draw(metric, n=37, seed=5, features=None):
     """A scored draw from a generator and its backward: edges, scores, the
-    feature and temperature gradients and the generator's end state."""
+    feature and temperature gradients and the generator's end state. The
+    features are uniform on [-0.4, 0.4] unless given."""
     rng = np.random.default_rng(seed)
-    f = Tensor(np.random.default_rng(1).uniform(-0.4, 0.4, size=(n, 6)), requires_grad=True)
+    if features is None:
+        features = np.random.default_rng(1).uniform(-0.4, 0.4, size=(n, 6))
+    f = Tensor(features, requires_grad=True)
     tau = Tensor(np.log(2.5), requires_grad=True)
     lp = edge_probabilities(pairwise_distance(f, metric), nm.exp(tau))
     g = gumbel_topk_sample(lp, 5, rng=rng)
     weights = np.random.default_rng(2).normal(size=n * 5)
     weights[g.edges[:, 0] % 3 == 0] = 0.0  # rows the backward skips
-    nm.backward((g.log_probs * Tensor(weights)).sum())
+    nm.backward(weighted_sum(g.log_probs, weights))
     return g.edges, g.log_probs.values, f.grad, tau.grad, rng.bit_generator.state
 
 
@@ -391,14 +394,18 @@ def _training_draw(metric, n=37, seed=5):
 def test_helper_thread_changes_no_bit(metric, rows_per_block, monkeypatch):
     """The same training draw and backward with the helper thread and with
     the helper off (every pass below the block-count threshold): equal to the
-    last bit, and the generator ends in the same state."""
+    last bit, and the generator ends in the same state. Hyperbolic also draws
+    from all-zero features, which the ball rescale leaves as they are: no
+    step of that draw or its backward may warn."""
     monkeypatch.setattr(nm, "BLOCK_ENTRIES", rows_per_block * 37)
-    threaded = _training_draw(metric)
+    inputs = [None] + ([np.zeros((37, 6))] if metric == "hyperbolic" else [])
+    threaded = [_training_draw(metric, features=f) for f in inputs]
     monkeypatch.setattr(nm, "HELPER_MIN_BLOCKS", 10**9)
-    inline = _training_draw(metric)
-    for a, b in zip(threaded[:4], inline[:4]):
-        assert np.array_equal(a, b)
-    assert threaded[4] == inline[4]
+    inline = [_training_draw(metric, features=f) for f in inputs]
+    for one, other in zip(threaded, inline):
+        for a, b in zip(one[:4], other[:4]):
+            assert np.array_equal(a, b)
+        assert one[4] == other[4]
 
 
 def test_concurrent_draws_share_the_helper(monkeypatch):
@@ -504,7 +511,7 @@ def test_draw_holds_no_n_by_n_array():
         tau = Tensor(np.log(10.0), requires_grad=True)
         lp = edge_probabilities(pairwise_distance(f, "euclidean"), nm.exp(tau))
         g = gumbel_topk_sample(lp, 5, rng=np.random.default_rng(1))
-        nm.backward((g.log_probs * Tensor(RNG.normal(size=n * 5))).sum())
+        nm.backward(weighted_sum(g.log_probs, RNG.normal(size=n * 5)))
         _, train_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -277,6 +277,50 @@ def test_only_the_training_draw_is_scored(monkeypatch):
     assert grad_enabled == [True] * 7
 
 
+# the ops an adaptive euclidean regression step records: the scorer's two
+# layers, the min-max, the gating, t = exp(tau), the edge scores, the GCN's
+# three layers and its squeeze, and the three loss ops
+ADAPTIVE_STEP_OPS = {"dense": 5, "sigmoid": 1, "aggregate_attention": 1, "mul_rowvec": 1,
+                     "exp": 1, "kernel_edge_scores": 1, "reshape": 1, "huber_loss": 1,
+                     "graph_loss": 1, "total_loss": 1}
+
+
+@pytest.mark.parametrize("regime, expected", [
+    ("euclidean", ADAPTIVE_STEP_OPS),
+    ("hyperbolic", {**ADAPTIVE_STEP_OPS, "ball_rescale": 1}),
+    ("static", {"dense": 3, "reshape": 1, "huber_loss": 1, "total_loss": 1}),
+])
+def test_a_training_step_records_one_op_per_stage(monkeypatch, regime, expected):
+    """The tape at a step's backward holds exactly these ops, by name: 14 for
+    adaptive euclidean regression, 15 for hyperbolic (one more, the ball
+    rescale) and 6 for a static graph."""
+    from collections import Counter
+    from popgraph.graphgen import knn_static_graph
+
+    names = {}
+    record = nm.record_op
+
+    def named(name, *args):
+        out = record(name, *args)
+        names[id(out)] = (name, out)  # holding out keeps its id unique
+        return out
+
+    on_tape = []
+    backward = nm.backward
+
+    def counted(loss):
+        on_tape.append(Counter(names[id(out)][0] for out, _, _ in nm._ops()))
+        return backward(loss)
+
+    monkeypatch.setattr(nm, "record_op", named)
+    monkeypatch.setattr(nm, "backward", counted)
+    ds = tiny_dataset()
+    fixed = knn_static_graph(ds.phenotype_matrix(), 3) if regime == "static" else None
+    metric = "euclidean" if regime == "static" else regime
+    train(ds, tiny_config(epochs=1, distance_metric=metric), fixed_edges=fixed)
+    assert on_tape == [Counter(expected)]
+
+
 def test_run_experiment_builds_one_distance_kernel_per_draw(monkeypatch):
     """One kernel per graph draw: each of E epochs builds one with grad,
     which its scored draw both walks and differentiates, and each of S
