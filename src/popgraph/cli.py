@@ -149,8 +149,6 @@ class ExperimentConfig:
             raise CliError("out_dir is empty")
         if not self.seeds:
             raise CliError("seeds list is empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise CliError("duplicate seeds")
         unknown = set(self.train) - _TRAIN_KEYS
         if unknown:
             raise CliError(f"unknown train keys: {sorted(unknown)}")

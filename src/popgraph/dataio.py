@@ -126,9 +126,10 @@ def spec(kind: type, default, least=None, choices=None, each=None):
 
 def check_fields(obj, error=ValueError) -> None:
     """Raise ``error`` naming the first field of the config dataclass ``obj``
-    (or list item, as ``name[i]``) that is off its ``spec``, and copy each
-    list, tuple and dict value into its kind. A field without a ``spec``
-    holds a nested config, which checks itself."""
+    (or list item, as ``name[i]``) that is off its ``spec``, or the first
+    repeated item of a list field, and copy each list, tuple and dict value
+    into its kind. A field without a ``spec`` holds a nested config, which
+    checks itself."""
     def check(name, value, kind, least=None, choices=None, suffix=""):
         what, test = _KINDS[kind]
         if not test(value):
@@ -150,6 +151,8 @@ def check_fields(obj, error=ValueError) -> None:
             check(f.name, value, kind)
             for i, item in enumerate(value):
                 check(f"{f.name}[{i}]", item, each, meta["least"], meta["choices"])
+                if kind is list and item in value[:i]:
+                    raise error(f"duplicate {f.name}: {item}")
         if kind in (list, tuple, dict):
             setattr(obj, f.name, kind(value))
 

@@ -8,15 +8,16 @@ noise-free first-pick log-probability, so gradients reach the feature
 weighting and the temperature while the noise acts as a constant. Every
 other draw only selects edges.
 
-No N x N array is built. ``pairwise_distance`` returns the metric's
-distance kernel (``numerics.BlockDistance``) and ``edge_probabilities`` an
-``EdgeScores`` operator over it, the sampler's only input; every draw walks
-them a block of rows at a time: distances, kernel, Gumbel noise, the
-diagonal mask and a partial top-k. The training draw's scores back through
-that same kernel. The normalized adjacency of a draw is a ``scipy.sparse``
-CSR matrix, built on first use.
+No N x N array is built. ``pairwise_distance``, the one constructor of a
+distance kernel, returns the metric's ``numerics.BlockDistance`` and
+``edge_probabilities`` an ``EdgeScores`` operator over it, the sampler's
+only input; every draw walks them a block of rows at a time: distances,
+kernel, Gumbel noise, the diagonal mask and a partial top-k. The training
+draw's scores back through that same kernel. The normalized adjacency of a
+draw is a ``scipy.sparse`` CSR matrix, built on first use.
 
-Static kNN and uniform-random graphs cover the non-adaptive baselines.
+Static kNN and uniform-random graphs cover the non-adaptive baselines. A kNN
+graph is a draw with no noise at t = 1, through the same block pass.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ __all__ = [
     "GRAPH_FORMATS",
 ]
 
-_BALL_MARGIN = 1e-3
-
 
 class EdgeScores:
     """log p = -t * d^2 over a distance kernel, by row blocks."""
@@ -63,39 +62,19 @@ class EdgeScores:
 
 
 def pairwise_distance(features, metric: str) -> nm.BlockDistance:
-    """All-pairs distances of the rows of ``features``: the metric's
-    ``numerics.block_distance`` kernel.
-
-    euclidean and cosine apply directly; hyperbolic first rescales all rows
-    radially so the largest norm reaches 1 - 1e-3 (one op on the tape,
-    before any blocking; none if every row is zero), then measures Poincare
-    distance inside the unit ball.
+    """All-pairs distances of the rows of the 2-D ``features`` (a Tensor; an
+    array is taken as a constant): the metric's ``numerics.BLOCK_METRICS``
+    kernel, the one constructor of a distance kernel. The hyperbolic kernel
+    puts the rows inside the unit ball itself (see ``numerics._Poincare``).
     """
     f = nm.as_tensor(features)
-    if metric == "hyperbolic":
-        f = _ball_rescale(f)
-    return nm.block_distance(metric, f)
-
-
-def _ball_rescale(f: Tensor) -> Tensor:
-    """f * c with c = (1 - ``_BALL_MARGIN``) / (largest row norm), as one op.
-    Its backward is g * c plus, through c, the chain into the largest-norm
-    row alone: d(norm)/d(row) = row / norm, and that norm is positive."""
-    v = f.values
-    norms = np.sqrt(np.sum(v * v, axis=1))
-    at = int(norms.argmax())
-    top = norms[at]
-    if top == 0.0:
-        return f
-    c = (1.0 - _BALL_MARGIN) / top
-
-    def bwd(g):
-        g_top = -np.sum(g * v) * (1.0 - _BALL_MARGIN) / (top * top)
-        grad = g * c
-        grad[at] += 2.0 * v[at] * (g_top / (2.0 * top))
-        return (grad,)
-
-    return nm.record_op("ball_rescale", v * c, (f,), bwd)
+    if f.ndim != 2 or f.shape[0] < 2:
+        raise nm.ShapeError(f"pairwise_distance: features must be 2-D with at least 2 "
+                            f"rows, got {f.shape}")
+    if metric not in nm.BLOCK_METRICS:
+        raise ValueError(f"unknown distance metric {metric!r}; expected one of "
+                         f"{tuple(nm.BLOCK_METRICS)}")
+    return nm.BLOCK_METRICS[metric](f)
 
 
 def edge_probabilities(distances: nm.BlockDistance, t) -> EdgeScores:
@@ -104,7 +83,7 @@ def edge_probabilities(distances: nm.BlockDistance, t) -> EdgeScores:
     diagonal of the distances makes log p_ii = 0 (p_ii = 1) until the
     sampler masks it out.
     """
-    t = t if isinstance(t, Tensor) else Tensor(float(t))
+    t = nm.as_tensor(t)
     if t.shape != ():
         raise nm.ShapeError(f"edge_probabilities: t must be scalar, got {t.shape}")
     return EdgeScores(distances, t)
@@ -155,10 +134,13 @@ def gumbel_topk_sample(log_p: EdgeScores, k: int, rng: np.random.Generator | Non
     ``numerics.BlockHelper`` draws the next block's ahead: the uniforms of
     one (N, N) ``Generator.gumbel`` draw, transformed with the vectorised
     log, so within a few ULP of it. Pass ``noise`` to replay a draw
-    (``gumbel_fill`` of an (N, N) array gives the generator's), or zeros to
-    degenerate to deterministic top-k; its rows are copied into the same
-    buffers on the same schedule. The diagonal is masked, so self-edges
-    never occur and every node ends with exactly k out-edges.
+    (``gumbel_fill`` of an (N, N) array gives the generator's); its rows are
+    copied into the same buffers on the same schedule. With neither, the
+    draw has no noise: each row's k best scores, ties to the lower index,
+    ranked in place in the score block, with no noise buffer and no helper
+    job. At t = 1 over a distance kernel that is the kNN graph. The diagonal
+    is masked, so self-edges never occur and every node ends with exactly k
+    out-edges.
 
     A draw is scored exactly when the tape would record it
     (``numerics.records`` of the kernel's features and t): each edge's
@@ -170,13 +152,11 @@ def gumbel_topk_sample(log_p: EdgeScores, k: int, rng: np.random.Generator | Non
     n = log_p.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k={k} out-edges per node impossible with {n} nodes")
-    if noise is None:
-        if rng is None:
-            raise ValueError("provide an rng (or explicit noise) to sample")
-    else:
+    if noise is not None:
         noise = np.asarray(noise, dtype=np.float64)
         if noise.shape != (n, n):
             raise nm.ShapeError(f"noise shape {noise.shape} does not match ({n}, {n})")
+    noise_free = rng is None and noise is None
 
     targets = np.empty((n, k), dtype=np.intp)
     scored = nm.records(log_p.kernel.features, log_p.t)
@@ -184,9 +164,10 @@ def gumbel_topk_sample(log_p: EdgeScores, k: int, rng: np.random.Generator | Non
         raw, row_lse = np.empty((n, k)), np.empty(n)
     step = nm.rows_per_block(n)
     blocks = list(nm.row_blocks(n, step))
-    with nm.BlockHelper(len(blocks)) as helper:
+    with nm.BlockHelper(0 if noise_free else len(blocks)) as helper:
         # with the helper, block b + 1's noise is drawn while block b is scored
-        buffers = [np.empty((min(step, n), n)) for _ in range(1 + helper.lag)]
+        buffers = [] if noise_free else [np.empty((min(step, n), n))
+                                         for _ in range(1 + helper.lag)]
 
         def block_noise(b):
             r0, r1 = blocks[b]
@@ -201,12 +182,17 @@ def gumbel_topk_sample(log_p: EdgeScores, k: int, rng: np.random.Generator | Non
 
         fills = [helper.submit(block_noise, b) for b in range(helper.lag)]
         for b, (r0, r1) in enumerate(blocks):
-            if b + helper.lag < len(blocks):
+            if not noise_free and b + helper.lag < len(blocks):
                 fills.append(helper.submit(block_noise, b + helper.lag))
             rows = np.arange(r0, r1)
             scores = log_p.rows(r0, r1)
-            perturbed = fills[b].result()
-            perturbed += scores
+            if noise_free:
+                # ranked in place: masking the diagonal moves no edge's score
+                # and offdiag_logsumexp masks it anyway
+                perturbed = scores
+            else:
+                perturbed = fills[b].result()
+                perturbed += scores
             nm.fill_block_diagonal(perturbed, rows, -np.inf)
             targets[r0:r1] = topk_desc(perturbed, k)
             if scored:
@@ -222,23 +208,12 @@ def gumbel_topk_sample(log_p: EdgeScores, k: int, rng: np.random.Generator | Non
 
 
 def knn_static_graph(features, k: int, metric: str = "cosine") -> np.ndarray:
-    """Deterministic k-nearest-neighbor edges: the top-k of the negated
-    squared-distance blocks the sampler scores at t = 1, ties to the lower
+    """Deterministic k-nearest-neighbor edges: a noise-free draw at t = 1,
+    which ranks each row's negated squared distances, ties to the lower
     index. Returns an (N*k, 2) directed edge array."""
-    f = nm.as_tensor(features)
-    n = f.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"k={k} neighbors impossible with {n} nodes")
     with nm.no_grad():
-        d = pairwise_distance(f, metric)
-    targets = np.empty((n, k), dtype=np.intp)
-    for r0, r1 in nm.row_blocks(n, nm.rows_per_block(n)):
-        rows = np.arange(r0, r1)
-        block = -d.forward(rows)[0]
-        nm.fill_block_diagonal(block, rows, -np.inf)
-        targets[r0:r1] = topk_desc(block, k)
-    sources = np.repeat(np.arange(n), k)
-    return np.column_stack([sources, targets.reshape(-1)])
+        return gumbel_topk_sample(edge_probabilities(pairwise_distance(features, metric), 1.0),
+                                  k).edges
 
 
 def random_graph(n: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -8,9 +8,15 @@ NaN/Inf and raises instead of propagating garbage.
 
 ``record_op`` is the one way onto the tape. Each primitive here records
 through it, and so does each op of another module (the attention min-max,
-the Poincare ball rescale, each loss term and their sum): its forward and
-its closed-form backward as one op. ``log_softmax_rows`` is plain numpy,
-off the tape, for the cross-entropy loss and the logistic baseline.
+each loss term and their sum): its forward and its closed-form backward as
+one op. ``log_softmax_rows`` is plain numpy, off the tape, for the
+cross-entropy loss and the logistic baseline.
+
+Each distance metric is one ``BlockDistance`` kernel (``BLOCK_METRICS``)
+that maps the raw features to squared distances a block of rows at a time
+and pulls gradients back to those features; the hyperbolic kernel puts the
+rows inside the unit ball itself. ``graphgen.pairwise_distance`` is the one
+constructor.
 
 The tape is thread-local: one training run owns one tape. Independent runs
 may execute on separate threads without sharing state.
@@ -47,8 +53,8 @@ __all__ = [
     "fill_block_diagonal",
     "gumbel_fill",
     "offdiag_logsumexp",
+    "BALL_MARGIN",
     "BlockDistance",
-    "block_distance",
     "kernel_edge_scores",
 ]
 
@@ -314,6 +320,9 @@ def log_softmax_rows(values: np.ndarray) -> np.ndarray:
 BLOCK_ENTRIES = 1 << 18
 
 
+# the hyperbolic kernel scales its rows so the largest norm is 1 - BALL_MARGIN
+BALL_MARGIN = 1e-3
+
 # a pass over at least this many blocks hands part of each block to the
 # helper thread; on a 2-block pass (N = 600) the hand-offs measured slower
 HELPER_MIN_BLOCKS = 3
@@ -523,15 +532,19 @@ class _Cosine(BlockDistance):
 
 
 class _Poincare(BlockDistance):
-    """arcosh(1 + 2|v_i - v_j|^2 / ((1 - |v_i|^2)(1 - |v_j|^2)))^2 for rows
-    strictly inside the unit ball; zero subgradient at coincident points."""
+    """arcosh(1 + 2|u_i - u_j|^2 / ((1 - |u_i|^2)(1 - |u_j|^2)))^2 over the
+    rows u = c v, put inside the unit ball: c = (1 - ``BALL_MARGIN``) / (the
+    largest row norm), and no rescale when every row is zero. Zero
+    subgradient at coincident points."""
 
     def __init__(self, features):
         super().__init__(features)
+        norms = np.sqrt(np.sum(self.v * self.v, axis=1))
+        self.at = int(norms.argmax())
+        self.top = norms[self.at]
+        if self.top > 0.0:
+            self.v = self.v * ((1.0 - BALL_MARGIN) / self.top)
         self.r = np.sum(self.v * self.v, axis=1)
-        if np.any(self.r >= 1.0):
-            raise NumericsError("poincare distance: rows must lie strictly inside "
-                                "the unit ball; rescale inputs first")
         self.b = 1.0 - self.r
 
     def forward(self, rows):
@@ -543,7 +556,7 @@ class _Poincare(BlockDistance):
         return d * d, (d, a, b, z)
 
     def accumulator(self):
-        # d(loss)/dv through |v_i - v_j|^2, and d(loss)/d(1 - |v_i|^2)
+        # d(loss)/du through |u_i - u_j|^2, and d(loss)/d(1 - |u_i|^2)
         return np.zeros_like(self.v), np.zeros_like(self.b)
 
     def pullback(self, rows, saved, g, scale, acc):
@@ -560,23 +573,19 @@ class _Poincare(BlockDistance):
 
     def finish(self, acc):
         gv, db = acc
-        return gv - 2.0 * db[:, None] * self.v
+        g = gv - 2.0 * db[:, None] * self.v
+        if self.top == 0.0:
+            return g
+        # back through u = c v: g c, plus the chain through c into the
+        # largest-norm row alone, d|v_at|/dv_at = v_at / |v_at|
+        v, at, top = self.features.values, self.at, self.top
+        g_top = -np.sum(g * v) * (1.0 - BALL_MARGIN) / (top * top)
+        grad = g * ((1.0 - BALL_MARGIN) / top)
+        grad[at] += 2.0 * v[at] * (g_top / (2.0 * top))
+        return grad
 
 
 BLOCK_METRICS = {"euclidean": _Euclidean, "cosine": _Cosine, "hyperbolic": _Poincare}
-
-
-def block_distance(metric: str, features) -> BlockDistance:
-    """The ``BlockDistance`` kernel of one metric over the rows of the 2-D
-    ``features`` (a Tensor; an array is taken as a constant)."""
-    f = as_tensor(features)
-    if f.ndim != 2 or f.shape[0] < 2:
-        raise ShapeError(f"block_distance: features must be 2-D with at least 2 rows, "
-                         f"got {f.shape}")
-    if metric not in BLOCK_METRICS:
-        raise ValueError(f"unknown distance metric {metric!r}; expected one of "
-                         f"{tuple(BLOCK_METRICS)}")
-    return BLOCK_METRICS[metric](f)
 
 
 def _edge_blocks(live: np.ndarray, src: np.ndarray, step: int):

@@ -14,6 +14,7 @@ from scipy.optimize import minimize
 from scipy.special import log_softmax, logsumexp
 
 from popgraph import numerics as nm
+from popgraph.graphgen import pairwise_distance
 
 
 def softmax(values: np.ndarray) -> np.ndarray:
@@ -140,12 +141,10 @@ def blp_mae_floor(shapes, signs, noise_std, age_range):
 # ---------------------------------------------------------------------------
 
 
-def dense_distances(v: np.ndarray, metric: str, rescale: bool = True) -> np.ndarray:
+def dense_distances(v: np.ndarray, metric: str) -> np.ndarray:
     """All-pairs distances of the rows of v, zero diagonal; hyperbolic
-    rescales so the largest row norm is 1 - 1e-3 first, as
-    ``pairwise_distance`` does, unless ``rescale`` is False (rows inside the
-    unit ball taken as they are, as ``numerics.block_distance`` takes
-    them)."""
+    rescales so the largest row norm is 1 - 1e-3 first, as the kernel
+    ``pairwise_distance`` builds does."""
     v = np.asarray(v, dtype=float)
     r = np.sum(v * v, axis=1)
     if metric == "euclidean":
@@ -156,7 +155,7 @@ def dense_distances(v: np.ndarray, metric: str, rescale: bool = True) -> np.ndar
         d = 1.0 - u @ u.T
     elif metric == "hyperbolic":
         top = np.sqrt(r).max()
-        if rescale and top > 0.0:
+        if top > 0.0:
             v = v * ((1.0 - 1e-3) / top)
             r = np.sum(v * v, axis=1)
         a = np.maximum(r[:, None] + r[None, :] - 2.0 * (v @ v.T), 0.0)
@@ -176,24 +175,23 @@ def kernel_distances(kernel: nm.BlockDistance) -> np.ndarray:
 def dense_edge_forward(v: np.ndarray, t: float, metric: str, edges: np.ndarray):
     """(raw, row_lse) that a sampler's block pass hands
     ``numerics.kernel_edge_scores``: each edge's log p = -t d^2 and each
-    row's logsumexp over every column but its own, from the dense distances
-    of the rows as they are."""
-    log_p = -float(t) * dense_distances(v, metric, rescale=False) ** 2
+    row's logsumexp over every column but its own, from the dense distances."""
+    log_p = -float(t) * dense_distances(v, metric) ** 2
     np.fill_diagonal(log_p, -np.inf)
     return log_p[edges[:, 0], edges[:, 1]], logsumexp(log_p, axis=1)
 
 
 def dense_kernel_edge_grads(v: np.ndarray, t: float, metric: str, edges: np.ndarray,
                             g: np.ndarray, block_rows: int):
-    """(d/dv, d/dt) of sum_e g_e * kernel_edge_scores(block_distance(metric,
-    v), t, edges, ...)_e, the backward as first written: every source row's
+    """(d/dv, d/dt) of sum_e g_e * kernel_edge_scores(pairwise_distance(v,
+    metric), t, edges, ...)_e, the backward as first written: every source row's
     block is recomputed, whether or not any of its edges carries gradient,
     in consecutive blocks of ``block_rows`` rows. A block's d/d(log p) is
     built densely: a bincount scatter of the edge gradients, less each row's
     summed gradient times its first-pick softmax (logsumexp taken here, not
     from the forward)."""
     n = v.shape[0]
-    dist = nm.block_distance(metric, v)
+    dist = pairwise_distance(v, metric)
     src, dst = edges[:, 0], edges[:, 1]
     g_rows = np.bincount(src, weights=g, minlength=n)
     acc = dist.accumulator()

@@ -16,9 +16,8 @@ from popgraph.attention import (
     weight_phenotypes,
 )
 from popgraph.cli import _attention_files
+from popgraph.graphgen import pairwise_distance
 from popgraph.numerics import Tensor, backward
-
-RNG = np.random.default_rng(99)
 
 
 def make_mlp(n_phen, seed=0):
@@ -33,12 +32,12 @@ def test_zero_parameters_give_half_scores():
     assert np.allclose(scores.values, 0.5)
 
 
-def test_large_bias_saturates_column():
+def test_large_bias_saturates_column(rng):
     mlp = make_mlp(5)
     for p in mlp.params():
         p.values[:] = 0.0
     mlp.b2.values[3] = 10.0
-    scores = attention_forward(RNG.uniform(size=(1, 5)), mlp)
+    scores = attention_forward(rng.uniform(size=(1, 5)), mlp)
     assert scores.values[0, 3] > 0.99
 
 
@@ -48,9 +47,9 @@ def test_forward_rejects_width_mismatch():
         attention_forward(np.zeros((3, 6)), mlp)
 
 
-def test_mean_score_gradient_matches_fd():
+def test_mean_score_gradient_matches_fd(rng):
     mlp = make_mlp(3, seed=2)
-    phen = RNG.uniform(size=(6, 3))
+    phen = rng.uniform(size=(6, 3))
     report = grad_check(lambda: weighted_sum(attention_forward(phen, mlp), 1.0 / phen.size),
                         mlp.params())
     assert report.passed, report.summary()
@@ -74,11 +73,11 @@ def test_aggregate_degenerate_all_equal():
     assert not a.requires_grad
 
 
-def test_aggregate_gradient_matches_fd():
+def test_aggregate_gradient_matches_fd(rng):
     """The min-max rescale differentiates exactly, including through the
     gathered extremes."""
-    raw = Tensor(RNG.uniform(size=(4, 5)), requires_grad=True)
-    coeffs = RNG.normal(size=5)
+    raw = Tensor(rng.uniform(size=(4, 5)), requires_grad=True)
+    coeffs = rng.normal(size=5)
 
     def loss():
         return weighted_sum(aggregate_attention(nm.sigmoid(raw)), coeffs)
@@ -107,10 +106,10 @@ def test_aggregate_gradient_through_placed_extremes(offsets, lo, hi):
     assert report.passed, report.summary()
 
 
-def test_end_to_end_scorer_gradient_through_aggregation():
+def test_end_to_end_scorer_gradient_through_aggregation(rng):
     mlp = make_mlp(4, seed=5)
-    phen = RNG.uniform(size=(7, 4))
-    coeffs = RNG.normal(size=4)
+    phen = rng.uniform(size=(7, 4))
+    coeffs = rng.normal(size=4)
 
     def loss():
         a = aggregate_attention(attention_forward(phen, mlp))
@@ -127,7 +126,7 @@ def test_weight_phenotypes_identity_zero_and_mask():
     collapsed = weight_phenotypes(np.zeros(2), phen)
     assert np.all(collapsed.values == 0.0)
     # collapse mode: zero weights erase all geometry, every distance is zero
-    assert np.all(kernel_distances(nm.block_distance("euclidean", collapsed)) == 0.0)
+    assert np.all(kernel_distances(pairwise_distance(collapsed, "euclidean")) == 0.0)
 
     masked = weight_phenotypes(np.array([1.0, 0.0]), Tensor(np.array([[0.5, 0.9]])))
     assert np.allclose(masked.values, [[0.5, 0.0]])
@@ -192,12 +191,12 @@ def test_vector_metadata_length_check():
         rank_phenotypes(np.ones(3), ["a"], ["imaging"])
 
 
-def test_aggregation_stays_on_tape():
+def test_aggregation_stays_on_tape(rng):
     """Scores feed the weight vector which feeds a loss; backward must reach
     the scorer parameters with nonzero gradient."""
     mlp = make_mlp(4, seed=8)
-    phen = RNG.uniform(size=(9, 4))
+    phen = rng.uniform(size=(9, 4))
     a = aggregate_attention(attention_forward(phen, mlp))
-    loss = weighted_sum(a, RNG.normal(size=4))
+    loss = weighted_sum(a, rng.normal(size=4))
     backward(loss)
     assert max(float(np.abs(p.grad).max()) for p in mlp.params()) > 0.0

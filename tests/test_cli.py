@@ -345,6 +345,23 @@ def test_cmd_train_partial_failure_keeps_other_seeds(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("field, items", [
+    ("phenotype_subsets", ["both", "imaging", "both"]),
+    ("distance_metrics", ["cosine", "cosine"]),
+    ("methods", ["static", "linear", "linear"]),
+])
+def test_ablate_rejects_a_repeated_list_entry(tmp_path, capsys, field, items):
+    """A repeated entry in an ablation list would run its cells twice and
+    count each seed twice in the table: ``ablate`` exits 2, naming the
+    field and the entry, before the output directory exists."""
+    payload = experiment_dict(tmp_path / "ablate", seeds=[0, 1])
+    payload["ablation"][field] = items
+    path = write_config(tmp_path, payload)
+    assert main(["ablate", "--config", str(path)]) == 2
+    assert f"duplicate {field}: {items[-1]}" in capsys.readouterr().err
+    assert not (tmp_path / "ablate").exists()
+
+
 def test_cmd_ablate_grid_and_table(tmp_path):
     payload = experiment_dict(
         tmp_path / "ablate",

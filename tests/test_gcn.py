@@ -26,8 +26,6 @@ from popgraph.graphgen import (
 )
 from popgraph.numerics import Tensor, backward
 
-RNG = np.random.default_rng(31)
-
 
 def tiny_model(n_features=4, n_out=1, seed=0, head_bias=0.0):
     return GcnModel.init(n_features, np.random.default_rng(seed),
@@ -39,9 +37,9 @@ def tiny_model(n_features=4, n_out=1, seed=0, head_bias=0.0):
 # ---------------------------------------------------------------------------
 
 
-def test_identity_adjacency_reduces_to_mlp():
+def test_identity_adjacency_reduces_to_mlp(rng):
     model = tiny_model()
-    x = RNG.uniform(size=(6, 4))
+    x = rng.uniform(size=(6, 4))
     with nm.no_grad():
         preds = gcn_forward(np.eye(6), x, model).values
 
@@ -51,19 +49,19 @@ def test_identity_adjacency_reduces_to_mlp():
     assert np.allclose(preds, manual, atol=1e-12)
 
 
-def test_zero_weights_yield_head_bias():
+def test_zero_weights_yield_head_bias(rng):
     model = tiny_model(head_bias=3.25)
     for p in (model.w1, model.w2, model.b2, model.w3):
         p.values[:] = 0.0
     with nm.no_grad():
-        preds = gcn_forward(np.eye(5), RNG.uniform(size=(5, 4)), model).values
+        preds = gcn_forward(np.eye(5), rng.uniform(size=(5, 4)), model).values
     assert np.allclose(preds, 3.25)
 
 
-def test_permutation_equivariance():
+def test_permutation_equivariance(rng):
     n = 8
     a_hat = symmetrize(random_graph(n, 2, np.random.default_rng(1)), n)
-    x = RNG.uniform(size=(n, 4))
+    x = rng.uniform(size=(n, 4))
     model = tiny_model(seed=3)
     perm = np.random.default_rng(2).permutation(n)
 
@@ -73,23 +71,23 @@ def test_permutation_equivariance():
     assert np.allclose(permuted, base[perm], atol=1e-12)
 
 
-def test_forward_shapes_and_errors():
+def test_forward_shapes_and_errors(rng):
     model = tiny_model(n_out=4)
     with nm.no_grad():
-        out = gcn_forward(np.eye(3), RNG.uniform(size=(3, 4)), model)
+        out = gcn_forward(np.eye(3), rng.uniform(size=(3, 4)), model)
     assert out.shape == (3, 4)
     with pytest.raises(nm.ShapeError):
-        gcn_forward(np.eye(4), RNG.uniform(size=(3, 4)), model)
+        gcn_forward(np.eye(4), rng.uniform(size=(3, 4)), model)
     with pytest.raises(nm.ShapeError):
-        gcn_forward(np.eye(3), RNG.uniform(size=(3, 9)), model)
+        gcn_forward(np.eye(3), rng.uniform(size=(3, 9)), model)
 
 
-def test_forward_gradients_match_fd():
+def test_forward_gradients_match_fd(rng):
     model = tiny_model(seed=7)
     n = 5
     a_hat = symmetrize(random_graph(n, 2, np.random.default_rng(4)), n)
-    x = RNG.uniform(size=(n, 4))
-    y = RNG.uniform(47, 81, n)
+    x = rng.uniform(size=(n, 4))
+    y = rng.uniform(47, 81, n)
     mask = np.array([True, True, False, True, False])
 
     def loss():
@@ -182,8 +180,8 @@ def test_cross_entropy_margin_beats_uniform():
     assert float(loss.values) < math.log(4.0)
 
 
-def test_cross_entropy_gradient_matches_fd():
-    logits = Tensor(RNG.normal(size=(5, 4)), requires_grad=True)
+def test_cross_entropy_gradient_matches_fd(rng):
+    logits = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     classes = np.array([3, 0, 1, 2, 2])
     mask = np.array([True, False, True, True, True])
 
@@ -245,11 +243,12 @@ def test_classification_reward_and_chance_level():
 
 def sample_tiny_graph(n=5, k=2, seed=0, tau_value=0.0):
     """A scored draw over fixed squared distances, and its log-temperature."""
+    rng = np.random.default_rng(seed)
     tau = Tensor(tau_value, requires_grad=True)
-    d = RNG.uniform(0.2, 1.5, size=(n, n))
+    d = rng.uniform(0.2, 1.5, size=(n, n))
     d[np.diag_indices(n)] = 0.0
     lp = edge_probabilities(FixedKernel(d * d), nm.exp(tau))
-    graph = gumbel_topk_sample(lp, k=k, rng=np.random.default_rng(seed))
+    graph = gumbel_topk_sample(lp, k=k, rng=rng)
     return graph, tau
 
 
@@ -279,13 +278,13 @@ def test_graph_loss_single_edge_signs():
     assert lp2.grad[0] == 1.0
 
 
-def test_graph_loss_gradient_is_reward_per_edge():
+def test_graph_loss_gradient_is_reward_per_edge(rng):
     n, k = 6, 2
-    fixed = edge_probabilities(FixedKernel(-RNG.normal(size=(n, n))), 1.0)
+    fixed = edge_probabilities(FixedKernel(-rng.normal(size=(n, n))), 1.0)
     edges = gumbel_topk_sample(fixed, k=k, rng=np.random.default_rng(9)).edges
-    lp = Tensor(RNG.normal(size=n * k) - 1.0, requires_grad=True)
+    lp = Tensor(rng.normal(size=n * k) - 1.0, requires_grad=True)
     graph = SampledGraph(edges, lp, n)
-    rho = RNG.normal(size=n)
+    rho = rng.normal(size=n)
     train = np.array([True, True, False, True, False, True])
 
     backward(graph_loss(graph, rho, train))
@@ -296,20 +295,20 @@ def test_graph_loss_gradient_is_reward_per_edge():
     assert np.allclose(lp.grad, expected, atol=1e-15)
 
 
-def test_graph_loss_ignores_non_train_sources():
+def test_graph_loss_ignores_non_train_sources(rng):
     graph, _ = sample_tiny_graph()
-    rho = RNG.normal(size=5)
+    rho = rng.normal(size=5)
     none_train = graph_loss(graph, rho, np.zeros(5, dtype=bool))
     assert float(none_train.values) == 0.0
 
 
-def test_graph_loss_excludes_gcn_parameters():
+def test_graph_loss_excludes_gcn_parameters(rng):
     """Rewards are constants: the graph term must not reach predictor weights."""
     model = tiny_model(seed=11)
     n = 5
     a_hat = symmetrize(random_graph(n, 2, np.random.default_rng(0)), n)
-    x = RNG.uniform(size=(n, 4))
-    y = RNG.uniform(47, 81, n)
+    x = rng.uniform(size=(n, 4))
+    y = rng.uniform(47, 81, n)
     train = np.ones(n, dtype=bool)
 
     with nm.no_grad():
@@ -323,14 +322,14 @@ def test_graph_loss_excludes_gcn_parameters():
     assert all(p.grad is None or not p.grad.any() for p in model.params())
 
 
-def test_each_loss_term_is_one_tape_op():
+def test_each_loss_term_is_one_tape_op(rng):
     mask = np.array([True, False, True, True, False])
-    pred = Tensor(RNG.normal(size=5), requires_grad=True)
-    logits = Tensor(RNG.normal(size=(5, 4)), requires_grad=True)
+    pred = Tensor(rng.normal(size=5), requires_grad=True)
+    logits = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     graph, _ = sample_tiny_graph()
     for build in (lambda: huber_loss(pred, np.zeros(5), mask),
                   lambda: cross_entropy_loss(logits, np.arange(5) % 4, mask),
-                  lambda: graph_loss(graph, RNG.normal(size=5), mask)):
+                  lambda: graph_loss(graph, rng.normal(size=5), mask)):
         before = tape_size()
         build()
         assert tape_size() == before + 1

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from oracles import (
     FixedKernel,
     dense_draw,
-    dense_symmetrize,
     edge_set,
     empirical_topk_sets,
     grad_check,
@@ -26,7 +25,6 @@ from oracles import (
 )
 from popgraph import numerics as nm
 from popgraph.graphgen import (
-    SampledGraph,
     edge_probabilities,
     export_graph,
     gumbel_topk_sample,
@@ -38,8 +36,6 @@ from popgraph.graphgen import (
     topk_desc,
 )
 from popgraph.numerics import Tensor
-
-RNG = np.random.default_rng(2024)
 
 
 def dense(scores) -> np.ndarray:
@@ -85,11 +81,11 @@ def test_unknown_metric():
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
-def test_distance_gradients_match_fd(metric):
+def test_distance_gradients_match_fd(metric, rng):
     # k = n - 1 draws every off-diagonal pair, so the weighted sum of the
     # drawn first-pick scores reaches every distance
-    f = Tensor(RNG.uniform(0.1, 1.0, size=(5, 3)), requires_grad=True)
-    w = RNG.normal(size=20)
+    f = Tensor(rng.uniform(0.1, 1.0, size=(5, 3)), requires_grad=True)
+    w = rng.normal(size=20)
 
     def loss():
         lp = edge_probabilities(pairwise_distance(f, metric), 1.0)
@@ -101,8 +97,8 @@ def test_distance_gradients_match_fd(metric):
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
-def test_distances_symmetric_zero_diagonal(metric):
-    d = kernel_distances(pairwise_distance(RNG.uniform(size=(6, 4)), metric))
+def test_distances_symmetric_zero_diagonal(metric, rng):
+    d = kernel_distances(pairwise_distance(rng.uniform(size=(6, 4)), metric))
     assert np.allclose(d, d.T, atol=1e-12)
     assert np.allclose(np.diag(d), 0.0)
     assert np.all(np.isfinite(d))
@@ -123,8 +119,8 @@ def test_kernel_unit_values():
     assert abs(np.exp(lp[0, 1]) - math.exp(-1.0)) < 1e-12
 
 
-def test_kernel_doubling_t_squares_p():
-    d = FixedKernel(RNG.uniform(0.0, 2.0, size=(4, 4)) ** 2)
+def test_kernel_doubling_t_squares_p(rng):
+    d = FixedKernel(rng.uniform(0.0, 2.0, size=(4, 4)) ** 2)
     p1 = np.exp(dense(edge_probabilities(d, 0.8)))
     p2 = np.exp(dense(edge_probabilities(d, 1.6)))
     assert np.allclose(p2, p1 ** 2, atol=1e-12)
@@ -137,12 +133,12 @@ def test_kernel_monotone_in_distance():
     assert p[0] == 1.0
 
 
-def test_kernel_gradient_through_temperature():
+def test_kernel_gradient_through_temperature(rng):
     # k = n - 1 draws every off-diagonal pair, so the weighted sum of the
     # drawn first-pick scores reaches every kernel entry
     tau = Tensor(0.4, requires_grad=True)
-    d = FixedKernel(RNG.uniform(0.1, 1.5, size=(4, 4)) ** 2)
-    w = RNG.normal(size=12)
+    d = FixedKernel(rng.uniform(0.1, 1.5, size=(4, 4)) ** 2)
+    w = rng.normal(size=12)
 
     def loss():
         lp = edge_probabilities(d, nm.exp(tau))
@@ -152,8 +148,8 @@ def test_kernel_gradient_through_temperature():
     assert report.passed, report.summary()
 
 
-def test_kernel_nonpositive_log():
-    d = pairwise_distance(RNG.uniform(size=(5, 3)), "euclidean")
+def test_kernel_nonpositive_log(rng):
+    d = pairwise_distance(rng.uniform(size=(5, 3)), "euclidean")
     lp = dense(edge_probabilities(d, math.exp(0.0)))
     assert np.all(lp <= 0.0)
 
@@ -168,16 +164,16 @@ def fixed_scores(matrix):
     return edge_probabilities(FixedKernel(-matrix), 1.0)
 
 
-def test_sampler_forced_exhaustion():
-    lp = fixed_scores(RNG.normal(size=(3, 3)))
+def test_sampler_forced_exhaustion(rng):
+    lp = fixed_scores(rng.normal(size=(3, 3)))
     g = gumbel_topk_sample(lp, k=2, rng=np.random.default_rng(0))
     assert edge_set(g) == {(i, j) for i in range(3) for j in range(3) if i != j}
 
 
-def test_sampler_retains_noise_free_scores():
+def test_sampler_retains_noise_free_scores(rng):
     # each edge scores its first-pick log-probability under the scores
     # alone: the noise that picked it does not enter
-    s = RNG.normal(size=(6, 6)) - 1.0
+    s = rng.normal(size=(6, 6)) - 1.0
     lp = edge_probabilities(FixedKernel(-s), Tensor(1.0, requires_grad=True))
     g = gumbel_topk_sample(lp, k=2, rng=np.random.default_rng(1))
     masked = s.copy()
@@ -187,22 +183,22 @@ def test_sampler_retains_noise_free_scores():
     assert np.max(np.abs(g.log_probs.values - expected)) <= 1e-12
 
 
-def test_sampler_replay_with_frozen_noise():
+def test_sampler_replay_with_frozen_noise(rng):
     # the generator's noise, drawn again as one (N, N) array, replays the draw
-    lp = fixed_scores(RNG.normal(size=(7, 7)))
+    lp = fixed_scores(rng.normal(size=(7, 7)))
     g1 = gumbel_topk_sample(lp, k=3, rng=np.random.default_rng(5))
     g2 = gumbel_topk_sample(lp, k=3, noise=nm.gumbel_fill(np.random.default_rng(5),
                                                           np.empty((7, 7))))
     assert np.array_equal(g1.edges, g2.edges)
 
 
-def test_sampler_zero_noise_recovers_knn():
+def test_sampler_zero_noise_recovers_knn(rng):
     """At t = 1 with zero noise the sampler picks the kNN graph's edges in
     its order, ties included, for every metric: both rank the same negated
     squared-distance blocks. Rows 2 and 6 coincide; for cosine, row 4 is
     zero, at distance 1 from every other row."""
     for metric in ("euclidean", "cosine", "hyperbolic"):
-        f = RNG.uniform(size=(9, 4))
+        f = rng.uniform(size=(9, 4))
         f[6] = f[2]
         if metric == "cosine":
             f[4] = 0.0
@@ -212,12 +208,63 @@ def test_sampler_zero_noise_recovers_knn():
         assert np.array_equal(g.edges, knn), metric
 
 
-def test_draw_is_scored_exactly_when_the_tape_records_it():
+@pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
+@pytest.mark.parametrize("rows_per_block", [4, 37])
+def test_noise_free_draw_is_a_zero_noise_replay(metric, rows_per_block, rng, monkeypatch):
+    """A draw with neither rng nor noise picks the edges of a replay of zero
+    noise, and scores them alike, in ten blocks and in one. Rows 3 and 7
+    coincide; for cosine, row 11 is zero, at distance 1 from every other
+    row: ties both break toward the lower index."""
+    monkeypatch.setattr(nm, "BLOCK_ENTRIES", rows_per_block * 37)
+    v = rng.normal(size=(37, 6))
+    v[7] = v[3]
+    if metric == "cosine":
+        v[11] = 0.0
+    lp = edge_probabilities(pairwise_distance(v, metric), Tensor(2.5, requires_grad=True))
+    replay = gumbel_topk_sample(lp, 5, noise=np.zeros((37, 37)))
+    free = gumbel_topk_sample(lp, 5)
+    assert np.array_equal(free.edges, replay.edges)
+    assert np.array_equal(free.log_probs.values, replay.log_probs.values)
+    assert free.noise is None
+    nm.reset_tape()
+
+
+def test_noise_free_draw_gives_no_helper_job_and_no_noise_buffer(rng, monkeypatch):
+    """At N = 2000 a pass has 16 blocks, enough for the helper, yet a
+    noise-free draw hands it nothing, scored or not, and neither does a kNN
+    graph. The draw ranks each score block in place: it peaks below three
+    blocks (the score block and topk_desc's indices), where a draw with
+    noise adds its two noise buffers."""
+    jobs = _count_helper_jobs(monkeypatch)
+    n = 2000
+    block = nm.rows_per_block(n) * n * 8
+    phen = rng.uniform(size=(n, 40))
+    with nm.no_grad():
+        lp = edge_probabilities(pairwise_distance(phen, "euclidean"), 1.0)
+        tracemalloc.start()
+        try:
+            free = gumbel_topk_sample(lp, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 3 * block, f"noise-free draw peaked at {peak / block:.2f} blocks"
+    assert np.array_equal(free.edges, knn_static_graph(phen, 5, "euclidean"))
+    scored = gumbel_topk_sample(edge_probabilities(pairwise_distance(phen, "euclidean"),
+                                                   Tensor(1.0, requires_grad=True)), 5)
+    assert scored.log_probs is not None and np.array_equal(scored.edges, free.edges)
+    nm.reset_tape()
+    assert jobs == []
+    with nm.no_grad():
+        gumbel_topk_sample(lp, 5, rng=np.random.default_rng(0))
+    assert len(jobs) > 0
+
+
+def test_draw_is_scored_exactly_when_the_tape_records_it(rng):
     """The same draw is scored, on the tape, with gradients on and t or the
     features trainable. Under ``no_grad``, or with constant features and t,
     it picks the same edges, scores none and leaves the tape empty."""
-    f = RNG.uniform(size=(8, 3))
-    noise = RNG.gumbel(size=(8, 8))
+    f = rng.uniform(size=(8, 3))
+    noise = rng.gumbel(size=(8, 8))
     tau = Tensor(0.3, requires_grad=True)
 
     def draw(features, t):
@@ -311,7 +358,7 @@ def test_topk_desc_breaks_ties_like_a_stable_sort(n):
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
 @pytest.mark.parametrize("rows_per_block", [1, 4, 37])
-def test_blocked_draw_matches_dense_reference(metric, rows_per_block, monkeypatch):
+def test_blocked_draw_matches_dense_reference(metric, rows_per_block, monkeypatch, rng):
     """Blocks of 1 row, of 4 rows (the last one ragged) and one block: the
     same noise picks the same edges as a dense draw with a full stable sort,
     with the same first-pick log p and the same normalized adjacency; the
@@ -319,7 +366,7 @@ def test_blocked_draw_matches_dense_reference(metric, rows_per_block, monkeypatc
     of three or more blocks copies its noise rows on the helper thread."""
     jobs = _count_helper_jobs(monkeypatch)
     n, k, t = 37, 5, 2.5
-    v = RNG.normal(size=(n, 6))
+    v = rng.normal(size=(n, 6))
     v[7] = v[3]  # coincident points, d = 0
     if metric == "cosine":
         v[11] = 0.0  # distance 1 to every other row
@@ -341,11 +388,11 @@ def test_blocked_draw_matches_dense_reference(metric, rows_per_block, monkeypatc
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
-def test_training_draw_backs_through_the_kernel_it_walked(metric, monkeypatch):
+def test_training_draw_backs_through_the_kernel_it_walked(metric, monkeypatch, rng):
     """The scored draw hands ``kernel_edge_scores`` the very kernel its
     ``EdgeScores`` walked, and the backward recomputes its blocks through
     that object: no second kernel is built for the gradient."""
-    f = Tensor(RNG.uniform(-0.4, 0.4, size=(12, 3)), requires_grad=True)
+    f = Tensor(rng.uniform(-0.4, 0.4, size=(12, 3)), requires_grad=True)
     lp = edge_probabilities(pairwise_distance(f, metric), 1.5)
     scored = []
     real = nm.kernel_edge_scores
@@ -366,8 +413,8 @@ def test_training_draw_backs_through_the_kernel_it_walked(metric, monkeypatch):
         return forward(rows)
 
     lp.kernel.forward = counted_forward
-    monkeypatch.setattr(nm, "block_distance", None)  # a second build would fail
-    nm.backward(weighted_sum(g.log_probs, RNG.normal(size=36)))
+    monkeypatch.setattr(nm, "BLOCK_METRICS", {})  # a second build would fail
+    nm.backward(weighted_sum(g.log_probs, rng.normal(size=36)))
     assert np.array_equal(np.concatenate(blocks), np.arange(12))
     assert np.all(np.isfinite(f.grad)) and np.any(f.grad != 0.0)
 
@@ -395,7 +442,7 @@ def test_helper_thread_changes_no_bit(metric, rows_per_block, monkeypatch):
     """The same training draw and backward with the helper thread and with
     the helper off (every pass below the block-count threshold): equal to the
     last bit, and the generator ends in the same state. Hyperbolic also draws
-    from all-zero features, which the ball rescale leaves as they are: no
+    from all-zero features, which its kernel leaves unscaled: no
     step of that draw or its backward may warn."""
     monkeypatch.setattr(nm, "BLOCK_ENTRIES", rows_per_block * 37)
     inputs = [None] + ([np.zeros((37, 6))] if metric == "hyperbolic" else [])
@@ -462,7 +509,7 @@ def test_short_pass_runs_on_the_calling_thread(monkeypatch):
     assert len(jobs) > 0
 
 
-def test_draw_that_raises_leaves_no_helper_job(monkeypatch):
+def test_draw_that_raises_leaves_no_helper_job(monkeypatch, rng):
     """topk_desc fails on the second block while the helper is still drawing
     (slowly) the third block's noise: the draw waits for that job before it
     raises, so nothing touches the generator after the call."""
@@ -486,19 +533,19 @@ def test_draw_that_raises_leaves_no_helper_job(monkeypatch):
 
     monkeypatch.setattr(nm, "gumbel_fill", slow_fill)
     monkeypatch.setattr(graphgen, "topk_desc", failing_topk)
-    lp = edge_probabilities(pairwise_distance(RNG.normal(size=(37, 4)), "euclidean"),
+    lp = edge_probabilities(pairwise_distance(rng.normal(size=(37, 4)), "euclidean"),
                             Tensor(1.0, requires_grad=True))
     with pytest.raises(RuntimeError, match="second block"):
         gumbel_topk_sample(lp, 3, rng=np.random.default_rng(0))
     assert len(jobs) >= 3 and all(job.done() for job in jobs)
 
 
-def test_draw_holds_no_n_by_n_array():
+def test_draw_holds_no_n_by_n_array(rng):
     """At N = 3000 one N x N float64 array is 72 MB: neither a no-grad draw
     nor a training draw's forward and backward may allocate that much."""
     n = 3000
     bound = n * n * 8
-    phen = RNG.uniform(size=(n, 40))
+    phen = rng.uniform(size=(n, 40))
     tracemalloc.start()
     try:
         with nm.no_grad():
@@ -511,7 +558,7 @@ def test_draw_holds_no_n_by_n_array():
         tau = Tensor(np.log(10.0), requires_grad=True)
         lp = edge_probabilities(pairwise_distance(f, "euclidean"), nm.exp(tau))
         g = gumbel_topk_sample(lp, 5, rng=np.random.default_rng(1))
-        nm.backward(weighted_sum(g.log_probs, RNG.normal(size=n * 5)))
+        nm.backward(weighted_sum(g.log_probs, rng.normal(size=n * 5)))
         _, train_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -533,8 +580,8 @@ def test_knn_collinear_and_midpoint_tie():
     assert (1, 0) in {tuple(e) for e in tie}  # exact midpoint, lower index wins
 
 
-def test_knn_complete_when_k_is_n_minus_1():
-    edges = knn_static_graph(RNG.uniform(size=(5, 2)), 4, "euclidean")
+def test_knn_complete_when_k_is_n_minus_1(rng):
+    edges = knn_static_graph(rng.uniform(size=(5, 2)), 4, "euclidean")
     assert {tuple(e) for e in edges} == {(i, j) for i in range(5)
                                          for j in range(5) if i != j}
 
@@ -636,9 +683,9 @@ def test_homophily_two_nodes():
                            "regression") == 10.0
 
 
-def test_homophily_ring_beats_random_on_sorted_ages():
+def test_homophily_ring_beats_random_on_sorted_ages(rng):
     n = 40
-    ages = np.sort(RNG.uniform(47, 81, n))
+    ages = np.sort(rng.uniform(47, 81, n))
     ring = np.array([(i, (i + 1) % n) for i in range(n)])
     rand = random_graph(n, 2, np.random.default_rng(8))
     assert (homophily_score(ring, ages, "regression")
@@ -673,10 +720,10 @@ def test_export_dot_statements(tmp_path):
     assert text.endswith("}\n// config_hash=ab12\n")
 
 
-def test_export_json_round_trip(tmp_path):
+def test_export_json_round_trip(tmp_path, rng):
     edges = random_graph(6, 2, np.random.default_rng(2))
     path = tmp_path / "g.json"
-    export_graph(edges, RNG.uniform(47, 81, 6), path, "ab12", "json")
+    export_graph(edges, rng.uniform(47, 81, 6), path, "ab12", "json")
     payload = json.loads(path.read_text())
     back = {(e["src"], e["dst"]) for e in payload["edges"]}
     assert back == {tuple(map(int, e)) for e in edges}

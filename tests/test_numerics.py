@@ -7,6 +7,7 @@ from oracles import (GradCheckReport, concat, dense_edge_forward, dense_kernel_e
                      grad_check, kernel_distances, tape_size, weighted_sum)
 from popgraph import numerics as nm
 from popgraph.gcn import total_loss
+from popgraph.graphgen import pairwise_distance
 from popgraph.numerics import (
     NonFiniteError,
     NumericsError,
@@ -17,12 +18,10 @@ from popgraph.numerics import (
     reset_tape,
 )
 
-RNG = np.random.default_rng(1234)
-
 
 def _weights(*shape):
     """Fixed weights of a weighted-sum loss, drawn from their own generator
-    so that they move no test's inputs drawn from RNG."""
+    so that they move none of the test's own inputs."""
     return np.random.default_rng(77).normal(size=shape)
 
 
@@ -37,26 +36,26 @@ def _check(build_loss, params, tol=1e-4):
 # ---------------------------------------------------------------------------
 
 
-def test_matmul_grads():
-    a = Tensor(RNG.normal(size=(3, 5)), requires_grad=True)
-    b = Tensor(RNG.normal(size=(5, 2)), requires_grad=True)
+def test_matmul_grads(rng):
+    a = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
 
     _check(lambda: weighted_sum(nm.dense(a, b), _weights(3, 2)), [a, b])
 
 
-def test_rowvec_grads():
-    m = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
-    w = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
-    v = Tensor(RNG.normal(size=(3,)), requires_grad=True)
+def test_rowvec_grads(rng):
+    m = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    v = Tensor(rng.normal(size=(3,)), requires_grad=True)
 
     _check(lambda: weighted_sum(nm.dense(m, w, v), _weights(4, 3)), [m, w, v])
     _check(lambda: weighted_sum(nm.mul_rowvec(m, v), _weights(4, 3)), [m, v])
 
 
-def test_unary_grads():
+def test_unary_grads(rng):
     # keep values away from the relu kink
-    a = Tensor(RNG.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)
-    b = Tensor(RNG.uniform(-2.0, -0.5, size=(3, 3)), requires_grad=True)
+    a = Tensor(rng.uniform(0.5, 2.0, size=(3, 3)), requires_grad=True)
+    b = Tensor(rng.uniform(-2.0, -0.5, size=(3, 3)), requires_grad=True)
     eye = np.eye(3)
     w = _weights(6, 3)
 
@@ -66,9 +65,9 @@ def test_unary_grads():
     _check(lambda: weighted_sum(concat([nm.exp(a), nm.exp(b)]), w), [a, b])
 
 
-def test_concat_reshape_grads():
-    a = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
-    b = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+def test_concat_reshape_grads(rng):
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
     def loss():
         return weighted_sum(nm.reshape(concat([a, b], axis=0), (3, 6)), _weights(3, 6))
@@ -84,8 +83,8 @@ def test_gather_rows_accumulates_repeats():
     assert np.allclose(a.grad, [[2.0, 2.0], [1.0, 1.0]])
 
 
-def test_gather_rows_fd():
-    a = Tensor(RNG.normal(size=(5, 3)), requires_grad=True)
+def test_gather_rows_fd(rng):
+    a = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     idx = np.array([4, 0, 0, 2])
     _check(lambda: weighted_sum(nm.gather_rows(a, idx), _weights(4, 3)), [a])
 
@@ -164,11 +163,11 @@ def _all_pairs(n):
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 7, 256])
-def test_offdiag_logsumexp_rows_values_and_fd(block_rows, monkeypatch):
+def test_offdiag_logsumexp_rows_values_and_fd(block_rows, monkeypatch, rng):
     """The first-pick normalizer: each row's logsumexp over every column but
     its own, in blocks of 1, 3 (a ragged last block), 7 and 256 rows of 7.
     The diagonal carries the row maximum, so leaking it in would show."""
-    v = RNG.normal(size=(7, 7))
+    v = rng.normal(size=(7, 7))
     np.fill_diagonal(v, 5.0)
     out = np.concatenate([nm.offdiag_logsumexp(v[r0:r1].copy(), np.arange(r0, r1))
                           for r0, r1 in nm.row_blocks(7, block_rows)])
@@ -177,11 +176,11 @@ def test_offdiag_logsumexp_rows_values_and_fd(block_rows, monkeypatch):
     # on the tape: the normalized scores of all n - 1 candidates of a row
     # are a log-softmax over them, and finite differences agree
     monkeypatch.setattr(nm, "BLOCK_ENTRIES", block_rows * 7)
-    f = Tensor(RNG.normal(size=(7, 3)), requires_grad=True)
+    f = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
     t = Tensor(0.8, requires_grad=True)
     edges = _all_pairs(7)
     raw, row_lse = dense_edge_forward(f.values, t.values, "euclidean", edges)
-    scores = nm.kernel_edge_scores(nm.block_distance("euclidean", f), t, edges, raw,
+    scores = nm.kernel_edge_scores(pairwise_distance(f, "euclidean"), t, edges, raw,
                                    row_lse).values
     assert np.allclose(np.exp(scores).reshape(7, 6).sum(axis=1), 1.0, atol=1e-12)
     dense = np.zeros((7, 7))
@@ -189,18 +188,18 @@ def test_offdiag_logsumexp_rows_values_and_fd(block_rows, monkeypatch):
     np.fill_diagonal(dense, 5.0)
     assert np.allclose(scores, raw - _brute_offdiag_logsumexp(dense)[edges[:, 0]],
                        atol=1e-12)
-    weights = RNG.normal(size=len(edges))
+    weights = rng.normal(size=len(edges))
     _check(lambda: weighted_sum(_edge_scores(f, t, "euclidean", edges), weights), [f, t])
 
 
 def test_offdiag_logsumexp_rows_rejects_bad_operands():
     with pytest.raises(ShapeError, match="2-D"):
-        nm.block_distance("euclidean", Tensor(np.zeros(3)))
+        pairwise_distance(Tensor(np.zeros(3)), "euclidean")
     with pytest.raises(ShapeError, match="at least 2"):
-        nm.block_distance("euclidean", Tensor(np.zeros((1, 1))))
+        pairwise_distance(Tensor(np.zeros((1, 1))), "euclidean")
     with pytest.raises(ValueError, match="metric"):
-        nm.block_distance("manhattan", Tensor(np.zeros((3, 3))))
-    dist = nm.block_distance("euclidean", Tensor(np.zeros((3, 3))))
+        pairwise_distance(Tensor(np.zeros((3, 3))), "manhattan")
+    dist = pairwise_distance(Tensor(np.zeros((3, 3))), "euclidean")
     edges = np.array([[0, 1]])
     with pytest.raises(ValueError, match="self-edges"):
         nm.kernel_edge_scores(dist, Tensor(1.0), np.array([[1, 1]]), np.zeros(1),
@@ -215,7 +214,7 @@ def _edge_scores(f, t, metric, edges):
     """kernel_edge_scores with the forward a sampler's block pass would hand
     it, taken from the dense oracle at the current values of f and t."""
     raw, row_lse = dense_edge_forward(f.values, t.values, metric, edges)
-    return nm.kernel_edge_scores(nm.block_distance(metric, f), t, edges, raw, row_lse)
+    return nm.kernel_edge_scores(pairwise_distance(f, metric), t, edges, raw, row_lse)
 
 
 # source rows whose every edge gets zero weight, by id prefix
@@ -232,23 +231,26 @@ METRICS = [pytest.param(metric, id=f"True-{metric}")
     for prefix, dead in DEAD_ROWS.items()
     for metric in ("euclidean", "cosine", "hyperbolic")
     for block_rows in (1, 4, 10)])
-def test_kernel_edge_scores_fd(metric, block_rows, dead, monkeypatch):
+def test_kernel_edge_scores_fd(metric, block_rows, dead, monkeypatch, rng):
     """Finite differences of the fused blocked primitive over 10 rows, in
     blocks of one row, of four (a ragged last block) and of all rows. Rows
-    2 and 5 coincide (d = 0). Row 9 is zero; its cosine distances are 1 by
+    2 and 5 coincide (d = 0). Row 8 has the one largest norm, the row the
+    hyperbolic kernel's rescale differentiates through: a tie at the
+    largest norm, as rows 2 and 5 would make, is a kink. Row 9 is zero; its cosine distances are 1 by
     convention, a kink that finite differences cannot see through, so it is
     held out of the check and must get exactly zero cosine gradient. Every
     edge out of a ``dead`` source row has zero weight, so the backward skips
     that row: rows 4-7 are the whole second block of four, and rows 1 and 6
     leave two blocks partly live."""
     monkeypatch.setattr(nm, "BLOCK_ENTRIES", block_rows * 10)
-    v = RNG.uniform(-0.4, 0.4, size=(9, 3))
+    v = rng.uniform(-0.4, 0.4, size=(9, 3))
     v[5] = v[2]
+    v[8] = 0.5
     f = Tensor(v, requires_grad=True)
     zero_row = Tensor(np.zeros((1, 3)), requires_grad=True)
     t = Tensor(1.7, requires_grad=True)
-    edges = _all_pairs(10)[RNG.permutation(90)[:50]]  # ungrouped, both directions
-    weights = RNG.normal(size=50)
+    edges = _all_pairs(10)[rng.permutation(90)[:50]]  # ungrouped, both directions
+    weights = rng.normal(size=50)
     weights[np.isin(edges[:, 0], dead)] = 0.0
 
     def loss():
@@ -264,7 +266,7 @@ def test_kernel_edge_scores_fd(metric, block_rows, dead, monkeypatch):
 
 
 @pytest.mark.parametrize("metric", METRICS)
-def test_kernel_edge_scores_backward_skips_dead_rows(metric, monkeypatch):
+def test_kernel_edge_scores_backward_skips_dead_rows(metric, monkeypatch, rng):
     """Building the scores hands the block kernel no block: the forward comes
     from the sampler's pass. The backward hands it each source row that has
     an edge with nonzero gradient exactly once, in blocks of at most
@@ -280,11 +282,11 @@ def test_kernel_edge_scores_backward_skips_dead_rows(metric, monkeypatch):
         return forward(self, rows)
 
     monkeypatch.setattr(kernel, "forward", counting_forward)
-    f = Tensor(RNG.uniform(-0.4, 0.4, size=(12, 3)), requires_grad=True)
+    f = Tensor(rng.uniform(-0.4, 0.4, size=(12, 3)), requires_grad=True)
     t = Tensor(1.3, requires_grad=True)
     edges = _all_pairs(12)
     live = np.array([0, 2, 3, 7, 8, 11])
-    weights = np.where(np.isin(edges[:, 0], live), RNG.normal(size=len(edges)), 0.0)
+    weights = np.where(np.isin(edges[:, 0], live), rng.normal(size=len(edges)), 0.0)
     weights[np.flatnonzero(edges[:, 0] == 7)[:10]] = 0.0  # row 7 keeps one live edge
 
     scores = _edge_scores(f, t, metric, edges)
@@ -375,7 +377,7 @@ def test_gumbel_fill_redraws_zero_uniforms():
 
 
 def _dense(metric, v):
-    return kernel_distances(nm.block_distance(metric, v))
+    return kernel_distances(pairwise_distance(v, metric))
 
 
 def _pair_loss(f, metric, w):
@@ -393,30 +395,30 @@ def _brute_sqdist(v):
     return out
 
 
-def test_pairwise_sqdist_values_and_grad():
-    v = RNG.normal(size=(6, 4))
+def test_pairwise_sqdist_values_and_grad(rng):
+    v = rng.normal(size=(6, 4))
     f = Tensor(v, requires_grad=True)
     d = _dense("euclidean", v)
     assert np.allclose(d * d, _brute_sqdist(v), atol=1e-12)
     assert np.allclose(np.diag(d), 0.0)
 
-    w = RNG.normal(size=30)
+    w = rng.normal(size=30)
     _check(lambda: _pair_loss(f, "euclidean", w), [f])
 
 
-def test_sqdist_block_rounds_like_one_norm_sum():
+def test_sqdist_block_rounds_like_one_norm_sum(rng):
     """The squared norms are added 16 rows at a time, with the same two
     roundings per entry as adding the whole (rows, N) sum r_i + r_j: equal
     to the last bit over ragged chunks and an unsorted row set."""
-    v = RNG.normal(size=(50, 7))
+    v = rng.normal(size=(50, 7))
     r = np.sum(v * v, axis=1)
     rows = np.concatenate([np.arange(3, 40), [45, 41, 49]])
     expected = np.maximum((-2.0 * v[rows]) @ v.T + (r[rows, None] + r), 0.0)
     assert np.array_equal(nm._sqdist_block(v, r, rows), expected)
 
 
-def test_pairwise_cosine_values_and_grad():
-    v = RNG.normal(size=(5, 3))
+def test_pairwise_cosine_values_and_grad(rng):
+    v = rng.normal(size=(5, 3))
     f = Tensor(v, requires_grad=True)
     d = _dense("cosine", v)
 
@@ -428,7 +430,7 @@ def test_pairwise_cosine_values_and_grad():
                 expect = 1.0 - v[i] @ v[j] / (np.linalg.norm(v[i]) * np.linalg.norm(v[j]))
                 assert abs(d[i, j] - expect) < 1e-12
 
-    w = RNG.normal(size=20)
+    w = rng.normal(size=20)
     _check(lambda: _pair_loss(f, "cosine", w), [f])
 
 
@@ -443,6 +445,9 @@ def test_pairwise_cosine_zero_row():
 
 
 def _brute_poincare(v):
+    """Poincare distances of the rows once scaled so the largest norm is
+    1 - BALL_MARGIN."""
+    v = v * ((1.0 - nm.BALL_MARGIN) / max(np.sqrt(np.sum(row ** 2)) for row in v))
     n = v.shape[0]
     out = np.zeros((n, n))
     for i in range(n):
@@ -455,18 +460,13 @@ def _brute_poincare(v):
     return out
 
 
-def test_pairwise_poincare_values_and_grad():
-    v = RNG.uniform(-0.4, 0.4, size=(5, 3))
+def test_pairwise_poincare_values_and_grad(rng):
+    v = rng.uniform(-0.4, 0.4, size=(5, 3))
     f = Tensor(v, requires_grad=True)
     assert np.allclose(_dense("hyperbolic", v), _brute_poincare(v), atol=1e-12)
 
-    w = RNG.normal(size=20)
+    w = rng.normal(size=20)
     _check(lambda: _pair_loss(f, "hyperbolic", w), [f])
-
-
-def test_pairwise_poincare_rejects_outside_ball():
-    with pytest.raises(NumericsError):
-        nm.block_distance("hyperbolic", np.array([[0.9, 0.9], [0.1, 0.1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +536,8 @@ def test_shape_errors_name_the_problem():
         nm.dense(a, b, Tensor(np.ones(3)))
 
 
-def test_grad_check_report_fields():
-    a = Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
+def test_grad_check_report_fields(rng):
+    a = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
     report = grad_check(lambda: weighted_sum(nm.exp(a), _weights(2, 2)), [a])
     assert isinstance(report, GradCheckReport)
     assert report.passed and report.max_rel_error <= report.tolerance

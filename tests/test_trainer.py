@@ -287,13 +287,13 @@ ADAPTIVE_STEP_OPS = {"dense": 5, "sigmoid": 1, "aggregate_attention": 1, "mul_ro
 
 @pytest.mark.parametrize("regime, expected", [
     ("euclidean", ADAPTIVE_STEP_OPS),
-    ("hyperbolic", {**ADAPTIVE_STEP_OPS, "ball_rescale": 1}),
+    ("hyperbolic", ADAPTIVE_STEP_OPS),
     ("static", {"dense": 3, "reshape": 1, "huber_loss": 1, "total_loss": 1}),
 ])
 def test_a_training_step_records_one_op_per_stage(monkeypatch, regime, expected):
     """The tape at a step's backward holds exactly these ops, by name: 14 for
-    adaptive euclidean regression, 15 for hyperbolic (one more, the ball
-    rescale) and 6 for a static graph."""
+    adaptive regression, hyperbolic too (its kernel rescales its rows within
+    the edge-score op), and 6 for a static graph."""
     from collections import Counter
     from popgraph.graphgen import knn_static_graph
 
@@ -325,14 +325,14 @@ def test_run_experiment_builds_one_distance_kernel_per_draw(monkeypatch):
     """One kernel per graph draw: each of E epochs builds one with grad,
     which its scored draw both walks and differentiates, and each of S
     inference draws and the homophily draw builds one without: E + S + 1."""
-    real = nm.block_distance
+    real = nm.BlockDistance.__init__
     grad_enabled = []
 
     def counted(*args, **kwargs):
         grad_enabled.append(nm._grad_enabled())
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(nm, "block_distance", counted)
+    monkeypatch.setattr(nm.BlockDistance, "__init__", counted)
     result, _ = run_experiment(tiny_dataset(), tiny_config(epochs=7, inference_samples=5))
     assert len(result.history) == 7
     assert len(grad_enabled) == 7 + 5 + 1
