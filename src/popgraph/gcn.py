@@ -13,7 +13,7 @@ predictor weights.
 trainer passes the training draw's scores, the only draw that is scored:
 row-normalized (each edge's log p minus its source row's off-diagonal
 logsumexp, so one edge gains only at its row-mates' expense;
-``numerics.kernel_edge_scores``), with rewards less each node's running
+``graphgen.kernel_edge_scores``), with rewards less each node's running
 mean reward.
 """
 

@@ -34,6 +34,7 @@ from .gcn import (
     total_loss,
 )
 from .graphgen import (
+    BLOCK_METRICS,
     SampledGraph,
     edge_probabilities,
     gumbel_topk_sample,
@@ -73,7 +74,7 @@ RUN_FORMAT_VERSION = 3
 TASKS = ("regression", "classification")
 
 # a run's graph: a Gumbel-Top-k draw under a block distance, or uniform edges
-DISTANCE_METRICS = (*nm.BLOCK_METRICS, "random")
+DISTANCE_METRICS = (*BLOCK_METRICS, "random")
 
 # tags of the random streams a run derives from its master seed (stream_rng)
 INFERENCE_STREAM = 0x5EED0001
@@ -607,9 +608,8 @@ def run_experiment(dataset: PopulationDataset, config: TrainConfig,
 
 
 def save_history_csv(history: list, path, stamp: str) -> None:
-    write_csv(path, stamp, ["epoch", "L_total", "L_gcn", "L_graph", "val_metric"],
-              [[row["epoch"], repr(row["L_total"]), repr(row["L_gcn"]),
-                repr(row["L_graph"]), repr(row["val_metric"])] for row in history])
+    write_csv(path, stamp, list(history[0]),
+              [[repr(value) for value in row.values()] for row in history])
 
 
 def save_metrics_json(record: MetricsRecord, path) -> None:

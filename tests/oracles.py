@@ -13,6 +13,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import log_softmax, logsumexp
 
+from popgraph import graphgen
 from popgraph import numerics as nm
 from popgraph.graphgen import pairwise_distance
 
@@ -166,7 +167,7 @@ def dense_distances(v: np.ndarray, metric: str) -> np.ndarray:
     return d
 
 
-def kernel_distances(kernel: nm.BlockDistance) -> np.ndarray:
+def kernel_distances(kernel: graphgen.BlockDistance) -> np.ndarray:
     """All rows of a distance kernel's plain distances: the square root of
     its squared-distance ``forward`` over every row."""
     return np.sqrt(kernel.forward(np.arange(kernel.shape[0]))[0])
@@ -174,7 +175,7 @@ def kernel_distances(kernel: nm.BlockDistance) -> np.ndarray:
 
 def dense_edge_forward(v: np.ndarray, t: float, metric: str, edges: np.ndarray):
     """(raw, row_lse) that a sampler's block pass hands
-    ``numerics.kernel_edge_scores``: each edge's log p = -t d^2 and each
+    ``graphgen.kernel_edge_scores``: each edge's log p = -t d^2 and each
     row's logsumexp over every column but its own, from the dense distances."""
     log_p = -float(t) * dense_distances(v, metric) ** 2
     np.fill_diagonal(log_p, -np.inf)
@@ -211,7 +212,7 @@ def dense_kernel_edge_grads(v: np.ndarray, t: float, metric: str, edges: np.ndar
     return dist.finish(acc), g_t
 
 
-class FixedKernel(nm.BlockDistance):
+class FixedKernel(graphgen.BlockDistance):
     """A fixed (N, N) matrix M read as a distance kernel's squared
     distances: ``forward(rows)`` gives M's rows, and the pullback adds
     nothing, so a scored draw over it back-propagates to the temperature

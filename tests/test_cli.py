@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from popgraph import graphgen
 from popgraph.cli import (
     AblationBlock,
     CliError,
@@ -317,6 +318,36 @@ def test_cmd_train_rerun_is_byte_identical(tmp_path):
     assert cmd_train(ExperimentConfig.from_dict(experiment_dict(tmp_path / "run"))) == 0
     after = [p.read_bytes() for p in watched]
     assert before == after
+
+
+def test_two_workers_share_the_helper_thread_safely(tmp_path, monkeypatch):
+    """At N = 800 every draw spans 3 row blocks, so both seeds' passes hand
+    jobs to the one helper thread; run at once by two workers, they write
+    the files one worker writes. Only the stamp lines differ: the
+    experiment hash covers ``workers`` and ``out_dir``."""
+    submitted = []
+    submit = graphgen._HELPER.submit
+
+    def counted(*args):
+        submitted.append(args[0])
+        return submit(*args)
+
+    monkeypatch.setattr(graphgen._HELPER, "submit", counted)
+    runs = [tmp_path / "run1", tmp_path / "run2"]
+    for workers, run in enumerate(runs, start=1):
+        payload = experiment_dict(run, seeds=[0, 1], workers=workers)
+        payload["dataset"]["synthetic"]["n_subjects"] = 800
+        payload["train"].update(gcn_hidden1=16, gcn_hidden2=8)
+        submitted.clear()
+        assert cmd_train(ExperimentConfig.from_dict(payload)) == 0
+        assert submitted
+    for seed in ("seed_0", "seed_1"):
+        one, two = (run / seed for run in runs)
+        for name in ("metrics.json", "checkpoint.json"):
+            assert (one / name).read_bytes() == (two / name).read_bytes(), (seed, name)
+        rows = [(run / "history.csv").read_text(encoding="utf-8").splitlines()[1:]
+                for run in (one, two)]
+        assert rows[0] == rows[1] and len(rows[0]) == 1 + 3
 
 
 def test_cmd_train_partial_failure_keeps_other_seeds(tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from oracles import (
     total_variation,
     weighted_sum,
 )
+from popgraph import graphgen
 from popgraph import numerics as nm
 from popgraph.graphgen import (
     edge_probabilities,
@@ -187,7 +188,7 @@ def test_sampler_replay_with_frozen_noise(rng):
     # the generator's noise, drawn again as one (N, N) array, replays the draw
     lp = fixed_scores(rng.normal(size=(7, 7)))
     g1 = gumbel_topk_sample(lp, k=3, rng=np.random.default_rng(5))
-    g2 = gumbel_topk_sample(lp, k=3, noise=nm.gumbel_fill(np.random.default_rng(5),
+    g2 = gumbel_topk_sample(lp, k=3, noise=graphgen.gumbel_fill(np.random.default_rng(5),
                                                           np.empty((7, 7))))
     assert np.array_equal(g1.edges, g2.edges)
 
@@ -215,7 +216,7 @@ def test_noise_free_draw_is_a_zero_noise_replay(metric, rows_per_block, rng, mon
     noise, and scores them alike, in ten blocks and in one. Rows 3 and 7
     coincide; for cosine, row 11 is zero, at distance 1 from every other
     row: ties both break toward the lower index."""
-    monkeypatch.setattr(nm, "BLOCK_ENTRIES", rows_per_block * 37)
+    monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", rows_per_block * 37)
     v = rng.normal(size=(37, 6))
     v[7] = v[3]
     if metric == "cosine":
@@ -237,7 +238,7 @@ def test_noise_free_draw_gives_no_helper_job_and_no_noise_buffer(rng, monkeypatc
     noise adds its two noise buffers."""
     jobs = _count_helper_jobs(monkeypatch)
     n = 2000
-    block = nm.rows_per_block(n) * n * 8
+    block = graphgen.rows_per_block(n) * n * 8
     phen = rng.uniform(size=(n, 40))
     with nm.no_grad():
         lp = edge_probabilities(pairwise_distance(phen, "euclidean"), 1.0)
@@ -370,8 +371,8 @@ def test_blocked_draw_matches_dense_reference(metric, rows_per_block, monkeypatc
     v[7] = v[3]  # coincident points, d = 0
     if metric == "cosine":
         v[11] = 0.0  # distance 1 to every other row
-    monkeypatch.setattr(nm, "BLOCK_ENTRIES", rows_per_block * n)
-    noise = nm.gumbel_fill(np.random.default_rng(8), np.empty((n, n)))
+    monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", rows_per_block * n)
+    noise = graphgen.gumbel_fill(np.random.default_rng(8), np.empty((n, n)))
     edges, first_pick, a_hat = dense_draw(v, t, metric, k, noise)
 
     lp = edge_probabilities(pairwise_distance(v, metric), Tensor(t, requires_grad=True))
@@ -395,13 +396,13 @@ def test_training_draw_backs_through_the_kernel_it_walked(metric, monkeypatch, r
     f = Tensor(rng.uniform(-0.4, 0.4, size=(12, 3)), requires_grad=True)
     lp = edge_probabilities(pairwise_distance(f, metric), 1.5)
     scored = []
-    real = nm.kernel_edge_scores
+    real = graphgen.kernel_edge_scores
 
     def captured(dist, *args):
         scored.append(dist)
         return real(dist, *args)
 
-    monkeypatch.setattr(nm, "kernel_edge_scores", captured)
+    monkeypatch.setattr(graphgen, "kernel_edge_scores", captured)
     g = gumbel_topk_sample(lp, 3, rng=np.random.default_rng(0))
     assert scored == [lp.kernel] and scored[0] is lp.kernel
 
@@ -413,7 +414,7 @@ def test_training_draw_backs_through_the_kernel_it_walked(metric, monkeypatch, r
         return forward(rows)
 
     lp.kernel.forward = counted_forward
-    monkeypatch.setattr(nm, "BLOCK_METRICS", {})  # a second build would fail
+    monkeypatch.setattr(graphgen, "BLOCK_METRICS", {})  # a second build would fail
     nm.backward(weighted_sum(g.log_probs, rng.normal(size=36)))
     assert np.array_equal(np.concatenate(blocks), np.arange(12))
     assert np.all(np.isfinite(f.grad)) and np.any(f.grad != 0.0)
@@ -444,10 +445,10 @@ def test_helper_thread_changes_no_bit(metric, rows_per_block, monkeypatch):
     last bit, and the generator ends in the same state. Hyperbolic also draws
     from all-zero features, which its kernel leaves unscaled: no
     step of that draw or its backward may warn."""
-    monkeypatch.setattr(nm, "BLOCK_ENTRIES", rows_per_block * 37)
+    monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", rows_per_block * 37)
     inputs = [None] + ([np.zeros((37, 6))] if metric == "hyperbolic" else [])
     threaded = [_training_draw(metric, features=f) for f in inputs]
-    monkeypatch.setattr(nm, "HELPER_MIN_BLOCKS", 10**9)
+    monkeypatch.setattr(graphgen, "HELPER_MIN_BLOCKS", 10**9)
     inline = [_training_draw(metric, features=f) for f in inputs]
     for one, other in zip(threaded, inline):
         for a, b in zip(one[:4], other[:4]):
@@ -459,7 +460,7 @@ def test_concurrent_draws_share_the_helper(monkeypatch):
     """Four threads draw and back-propagate at once through the one helper
     thread, with a short switch interval: each gets exactly the result of
     the same draw run alone with the helper off."""
-    monkeypatch.setattr(nm, "BLOCK_ENTRIES", 4 * 37)
+    monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", 4 * 37)
     metrics = ["euclidean", "cosine", "hyperbolic", "euclidean"]
     results = [None] * len(metrics)
 
@@ -477,7 +478,7 @@ def test_concurrent_draws_share_the_helper(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    monkeypatch.setattr(nm, "HELPER_MIN_BLOCKS", 10**9)
+    monkeypatch.setattr(graphgen, "HELPER_MIN_BLOCKS", 10**9)
     for i, metric in enumerate(metrics):
         alone = _training_draw(metric, seed=i)
         for repeat in results[i]:
@@ -487,13 +488,13 @@ def test_concurrent_draws_share_the_helper(monkeypatch):
 
 def _count_helper_jobs(monkeypatch):
     jobs = []
-    submit = nm._HELPER.submit
+    submit = graphgen._HELPER.submit
 
     def counted(*args):
         jobs.append(submit(*args))
         return jobs[-1]
 
-    monkeypatch.setattr(nm._HELPER, "submit", counted)
+    monkeypatch.setattr(graphgen._HELPER, "submit", counted)
     return jobs
 
 
@@ -501,10 +502,10 @@ def test_short_pass_runs_on_the_calling_thread(monkeypatch):
     """A 2-block draw and backward hand the helper nothing; a 3-block one
     does."""
     jobs = _count_helper_jobs(monkeypatch)
-    monkeypatch.setattr(nm, "BLOCK_ENTRIES", 19 * 37)
+    monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", 19 * 37)
     _training_draw("euclidean")
     assert jobs == []
-    monkeypatch.setattr(nm, "BLOCK_ENTRIES", 13 * 37)
+    monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", 13 * 37)
     _training_draw("euclidean")
     assert len(jobs) > 0
 
@@ -516,8 +517,8 @@ def test_draw_that_raises_leaves_no_helper_job(monkeypatch, rng):
     import popgraph.graphgen as graphgen
 
     jobs = _count_helper_jobs(monkeypatch)
-    monkeypatch.setattr(nm, "BLOCK_ENTRIES", 4 * 37)
-    fill = nm.gumbel_fill
+    monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", 4 * 37)
+    fill = graphgen.gumbel_fill
 
     def slow_fill(rng, out):
         time.sleep(0.05)
@@ -531,7 +532,7 @@ def test_draw_that_raises_leaves_no_helper_job(monkeypatch, rng):
             raise RuntimeError("second block")
         return topk_desc(values, k)
 
-    monkeypatch.setattr(nm, "gumbel_fill", slow_fill)
+    monkeypatch.setattr(graphgen, "gumbel_fill", slow_fill)
     monkeypatch.setattr(graphgen, "topk_desc", failing_topk)
     lp = edge_probabilities(pairwise_distance(rng.normal(size=(37, 4)), "euclidean"),
                             Tensor(1.0, requires_grad=True))

@@ -29,3 +29,17 @@ def test_no_module_imports_a_name_it_never_uses():
     paths = sorted([*(ROOT / "src" / "popgraph").glob("*.py"), *(ROOT / "tests").glob("*.py")])
     assert len(paths) > 10
     assert [unused for path in paths for unused in _unused_imports(path)] == []
+
+
+def test_numerics_imports_no_package_module_and_no_thread_pool():
+    """``numerics`` is the tape engine alone: the graph draw's kernels, its
+    block walk and its helper thread live in ``graphgen``, which builds on
+    the tape, never the other way round."""
+    tree = ast.parse((ROOT / "src" / "popgraph" / "numerics.py").read_text(encoding="utf-8"))
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            roots.add("popgraph" if node.level else node.module.split(".")[0])
+    assert roots.isdisjoint({"popgraph", "concurrent"}), sorted(roots)

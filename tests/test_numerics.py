@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import (GradCheckReport, concat, dense_edge_forward, dense_kernel_edge_grads,
                      grad_check, kernel_distances, tape_size, weighted_sum)
+from popgraph import graphgen
 from popgraph import numerics as nm
 from popgraph.gcn import total_loss
 from popgraph.graphgen import pairwise_distance
@@ -169,18 +170,18 @@ def test_offdiag_logsumexp_rows_values_and_fd(block_rows, monkeypatch, rng):
     The diagonal carries the row maximum, so leaking it in would show."""
     v = rng.normal(size=(7, 7))
     np.fill_diagonal(v, 5.0)
-    out = np.concatenate([nm.offdiag_logsumexp(v[r0:r1].copy(), np.arange(r0, r1))
-                          for r0, r1 in nm.row_blocks(7, block_rows)])
+    out = np.concatenate([graphgen.offdiag_logsumexp(v[r0:r1].copy(), np.arange(r0, r1))
+                          for r0, r1 in graphgen.row_blocks(7, block_rows)])
     assert np.allclose(out, _brute_offdiag_logsumexp(v), atol=1e-12)
 
     # on the tape: the normalized scores of all n - 1 candidates of a row
     # are a log-softmax over them, and finite differences agree
-    monkeypatch.setattr(nm, "BLOCK_ENTRIES", block_rows * 7)
+    monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", block_rows * 7)
     f = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
     t = Tensor(0.8, requires_grad=True)
     edges = _all_pairs(7)
     raw, row_lse = dense_edge_forward(f.values, t.values, "euclidean", edges)
-    scores = nm.kernel_edge_scores(pairwise_distance(f, "euclidean"), t, edges, raw,
+    scores = graphgen.kernel_edge_scores(pairwise_distance(f, "euclidean"), t, edges, raw,
                                    row_lse).values
     assert np.allclose(np.exp(scores).reshape(7, 6).sum(axis=1), 1.0, atol=1e-12)
     dense = np.zeros((7, 7))
@@ -202,19 +203,19 @@ def test_offdiag_logsumexp_rows_rejects_bad_operands():
     dist = pairwise_distance(Tensor(np.zeros((3, 3))), "euclidean")
     edges = np.array([[0, 1]])
     with pytest.raises(ValueError, match="self-edges"):
-        nm.kernel_edge_scores(dist, Tensor(1.0), np.array([[1, 1]]), np.zeros(1),
+        graphgen.kernel_edge_scores(dist, Tensor(1.0), np.array([[1, 1]]), np.zeros(1),
                               np.zeros(3))
     with pytest.raises(ShapeError, match="per edge"):
-        nm.kernel_edge_scores(dist, Tensor(1.0), edges, np.zeros(2), np.zeros(3))
+        graphgen.kernel_edge_scores(dist, Tensor(1.0), edges, np.zeros(2), np.zeros(3))
     with pytest.raises(ShapeError, match="per row"):
-        nm.kernel_edge_scores(dist, Tensor(1.0), edges, np.zeros(1), np.zeros(2))
+        graphgen.kernel_edge_scores(dist, Tensor(1.0), edges, np.zeros(1), np.zeros(2))
 
 
 def _edge_scores(f, t, metric, edges):
     """kernel_edge_scores with the forward a sampler's block pass would hand
     it, taken from the dense oracle at the current values of f and t."""
     raw, row_lse = dense_edge_forward(f.values, t.values, metric, edges)
-    return nm.kernel_edge_scores(pairwise_distance(f, metric), t, edges, raw, row_lse)
+    return graphgen.kernel_edge_scores(pairwise_distance(f, metric), t, edges, raw, row_lse)
 
 
 # source rows whose every edge gets zero weight, by id prefix
@@ -242,7 +243,7 @@ def test_kernel_edge_scores_fd(metric, block_rows, dead, monkeypatch, rng):
     edge out of a ``dead`` source row has zero weight, so the backward skips
     that row: rows 4-7 are the whole second block of four, and rows 1 and 6
     leave two blocks partly live."""
-    monkeypatch.setattr(nm, "BLOCK_ENTRIES", block_rows * 10)
+    monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", block_rows * 10)
     v = rng.uniform(-0.4, 0.4, size=(9, 3))
     v[5] = v[2]
     v[8] = 0.5
@@ -272,8 +273,8 @@ def test_kernel_edge_scores_backward_skips_dead_rows(metric, monkeypatch, rng):
     an edge with nonzero gradient exactly once, in blocks of at most
     rows_per_block rows, and no other row; with no gradient at all it
     computes no block."""
-    monkeypatch.setattr(nm, "BLOCK_ENTRIES", 3 * 12)
-    kernel = nm.BLOCK_METRICS[metric]
+    monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", 3 * 12)
+    kernel = graphgen.BLOCK_METRICS[metric]
     forward = kernel.forward
     handed = []
 
@@ -312,7 +313,7 @@ def test_kernel_edge_scores_backward_matches_dense_reference(metric, monkeypatch
     quarter of the rows, as graph_loss gives the non-training sources."""
     rng = np.random.default_rng(7)
     n, k, block_rows = 300, 5, 64
-    monkeypatch.setattr(nm, "BLOCK_ENTRIES", block_rows * n)
+    monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", block_rows * n)
     v = rng.uniform(-0.3, 0.3, size=(n, 8))
     targets = np.argsort(rng.random((n, n)) + 2.0 * np.eye(n), axis=1)[:, :k]
     edges = np.column_stack([np.repeat(np.arange(n), k), targets.reshape(-1)])
@@ -341,7 +342,7 @@ def test_gumbel_fill_matches_generator_gumbel(seed, shape):
     reference = np.random.default_rng(seed)
     expect = reference.gumbel(0.0, 1.0, shape)
     rng = np.random.default_rng(seed)
-    got = nm.gumbel_fill(rng, np.empty(shape))
+    got = graphgen.gumbel_fill(rng, np.empty(shape))
     assert np.all(np.abs(got - expect) <= 4 * np.spacing(np.maximum(np.abs(expect), 1.0)))
     assert rng.bit_generator.state == reference.bit_generator.state
 
@@ -366,7 +367,7 @@ class _ZeroUniforms:
 
 def test_gumbel_fill_redraws_zero_uniforms():
     rng = _ZeroUniforms()
-    noise = nm.gumbel_fill(rng, np.empty((4, 5)))
+    noise = graphgen.gumbel_fill(rng, np.empty((4, 5)))
     assert np.all(np.isfinite(noise))
     assert rng.calls == 3
 
@@ -414,7 +415,7 @@ def test_sqdist_block_rounds_like_one_norm_sum(rng):
     r = np.sum(v * v, axis=1)
     rows = np.concatenate([np.arange(3, 40), [45, 41, 49]])
     expected = np.maximum((-2.0 * v[rows]) @ v.T + (r[rows, None] + r), 0.0)
-    assert np.array_equal(nm._sqdist_block(v, r, rows), expected)
+    assert np.array_equal(graphgen._sqdist_block(v, r, rows), expected)
 
 
 def test_pairwise_cosine_values_and_grad(rng):
@@ -447,7 +448,7 @@ def test_pairwise_cosine_zero_row():
 def _brute_poincare(v):
     """Poincare distances of the rows once scaled so the largest norm is
     1 - BALL_MARGIN."""
-    v = v * ((1.0 - nm.BALL_MARGIN) / max(np.sqrt(np.sum(row ** 2)) for row in v))
+    v = v * ((1.0 - graphgen.BALL_MARGIN) / max(np.sqrt(np.sum(row ** 2)) for row in v))
     n = v.shape[0]
     out = np.zeros((n, n))
     for i in range(n):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import popgraph
+import popgraph.graphgen as graphgen
 import popgraph.numerics as nm
 from oracles import rank_auc
 from popgraph.attention import AttentionMlp, aggregate_attention, attention_forward, weight_phenotypes
@@ -264,14 +265,14 @@ def test_train_draws_one_graph_per_epoch_with_grad(monkeypatch, regime):
 def test_only_the_training_draw_is_scored(monkeypatch):
     """run_experiment scores one draw per history row, always with grad: its
     inference and homophily draws select edges and score none."""
-    real = nm.kernel_edge_scores
+    real = graphgen.kernel_edge_scores
     grad_enabled = []
 
     def counted(*args, **kwargs):
         grad_enabled.append(nm._grad_enabled())
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(nm, "kernel_edge_scores", counted)
+    monkeypatch.setattr(graphgen, "kernel_edge_scores", counted)
     result, _ = run_experiment(tiny_dataset(), tiny_config(epochs=7, inference_samples=5))
     assert len(result.history) == 7
     assert grad_enabled == [True] * 7
@@ -325,14 +326,14 @@ def test_run_experiment_builds_one_distance_kernel_per_draw(monkeypatch):
     """One kernel per graph draw: each of E epochs builds one with grad,
     which its scored draw both walks and differentiates, and each of S
     inference draws and the homophily draw builds one without: E + S + 1."""
-    real = nm.BlockDistance.__init__
+    real = graphgen.BlockDistance.__init__
     grad_enabled = []
 
     def counted(*args, **kwargs):
         grad_enabled.append(nm._grad_enabled())
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(nm.BlockDistance, "__init__", counted)
+    monkeypatch.setattr(graphgen.BlockDistance, "__init__", counted)
     result, _ = run_experiment(tiny_dataset(), tiny_config(epochs=7, inference_samples=5))
     assert len(result.history) == 7
     assert len(grad_enabled) == 7 + 5 + 1
