@@ -1,5 +1,5 @@
-"""Scale trajectory of adaptive training: ms/epoch, peak RSS and the phase
-split at N = 2000, 4000, 8000 and 20,000.
+"""Scale trajectory of adaptive training: ms/epoch, peak RSS, the phase
+split and one inference at N = 2000, 4000, 8000 and 20,000.
 
     python3 bench/scale.py                              # measure, print the row
     python3 bench/scale.py --append BENCH_scale.json    # and append it there
@@ -29,6 +29,12 @@ Per N the row gives:
   allocator maps afresh faults in each page it touches, so this shows how
   much memory an epoch takes new from the kernel. Rows measured before this
   column existed lack it.
+- ``infer_ms``: one ``trainer.infer`` call after training, at the trained
+  parameters: the run's ``inference_samples`` (8) graph draws and their GCN
+  forwards, as ``run_experiment`` makes them. The call runs after the
+  ``train`` call's counters and spans are read, so no other column
+  includes it; it runs with the span recorder installed, as training does.
+  Rows measured before this column existed lack it.
 - ``peak_rss_mb``: ``ru_maxrss`` of that process, population included.
 - ``tape_ops``: the ops on the tape when an epoch's backward starts,
   averaged over the epochs (perfbench's ``numerics.tape_ops``): how many
@@ -105,17 +111,21 @@ def measure(root: Path, n: int) -> dict:
     tracing.replace_everywhere(reset_tape, stamped_reset_tape)
     before = resource.getrusage(resource.RUSAGE_SELF)
     started = time.perf_counter()
-    pg.trainer.train(dataset, config)
+    result = pg.trainer.train(dataset, config)
     stamps.append(time.perf_counter())
     after = resource.getrusage(resource.RUSAGE_SELF)
     train_s = stamps[-1] - started
 
     layers = tracing.layer_metrics(tracer, [train_s], 0.0, 0.0, 1)
+    started = time.perf_counter()
+    pg.trainer.infer(result, dataset)
+    infer_ms = 1000.0 * (time.perf_counter() - started)
     epochs = [b - a for a, b in zip(stamps, stamps[1:])]
     return {"n": n, "epoch_ms": round(1000.0 * statistics.median(epochs), 1),
             "cpu_s": round(after.ru_utime + after.ru_stime
                            - before.ru_utime - before.ru_stime, 2),
             "minflt_per_epoch": round((after.ru_minflt - before.ru_minflt) / len(epochs)),
+            "infer_ms": round(infer_ms, 1),
             "peak_rss_mb": round(after.ru_maxrss / 1024.0, 1),
             "tape_ops": round(layers["numerics.tape_ops"][0], 1),
             "split_ms": {name: round(layers[key][0], 1) for name, key in SPLIT.items()}}

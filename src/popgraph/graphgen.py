@@ -16,11 +16,14 @@ hyperbolic kernel puts the rows inside the unit ball itself.
 metric's kernel and ``edge_probabilities`` an ``EdgeScores`` operator over
 it, the sampler's only input; every draw walks them a block of rows at a
 time: distances, kernel, Gumbel noise, the diagonal mask and a partial
-top-k. On a pass of enough blocks one helper thread, shared by every pass,
-takes part of each block's work (``BlockHelper``). The training draw's
-scores are one tape op, ``kernel_edge_scores``, whose backward walks that
-same kernel again. The normalized adjacency of a draw is a
-``scipy.sparse`` CSR matrix, built on first use.
+top-k. ``gumbel_topk_samples`` makes several draws in one such pass, each
+block's scores computed once and shared by every draw, draw s reading the
+generator's stream from offset s * N^2; ``gumbel_topk_sample`` is its
+one-draw case. On a pass of enough blocks one helper thread, shared by
+every pass, takes part of each block's work (``BlockHelper``). The
+training draw's scores are one tape op, ``kernel_edge_scores``, whose
+backward walks that same kernel again. The normalized adjacency of a draw
+is a ``scipy.sparse`` CSR matrix, built on first use.
 
 Static kNN and uniform-random graphs cover the non-adaptive baselines. A kNN
 graph is a draw with no noise at t = 1, through the same block pass.
@@ -28,6 +31,7 @@ graph is a draw with no noise at t = 1, through the same block pass.
 
 from __future__ import annotations
 
+import copy
 import functools
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -48,6 +52,7 @@ __all__ = [
     "edge_probabilities",
     "topk_desc",
     "gumbel_topk_sample",
+    "gumbel_topk_samples",
     "knn_static_graph",
     "random_graph",
     "symmetrize",
@@ -508,21 +513,13 @@ class SampledGraph:
 
 def gumbel_topk_sample(log_p: EdgeScores, k: int, rng: np.random.Generator | None = None,
                        noise: np.ndarray | None = None) -> SampledGraph:
-    """Draw k out-edges per node from the scores.
-
-    ``log_p`` is an ``EdgeScores`` operator, walked a block of rows at a
-    time. Noise comes from ``rng`` through ``gumbel_fill``, one block of
-    rows after another into a reused buffer, or into two while a
-    ``BlockHelper`` draws the next block's ahead: the uniforms of one (N, N)
-    ``Generator.gumbel`` draw, transformed with the vectorised log, so
-    within a few ULP of it. Pass ``noise`` to replay a draw
-    (``gumbel_fill`` of an (N, N) array gives the generator's); its rows are
-    copied into the same buffers on the same schedule. With neither, the
-    draw has no noise: each row's k best scores, ties to the lower index,
-    ranked in place in the score block, with no noise buffer and no helper
-    job. At t = 1 over a distance kernel that is the kNN graph. The diagonal
-    is masked, so self-edges never occur and every node ends with exactly k
-    out-edges.
+    """Draw k out-edges per node from the scores: the one-draw pass of
+    ``gumbel_topk_samples``, its noise drawn from ``rng`` itself or copied
+    from the replay ``noise`` (``gumbel_fill`` of an (N, N) array gives the
+    generator's), never both. With neither, the draw has no noise: each
+    row's k best scores, ties to the lower index, ranked in place in the
+    score block, with no noise buffer and no helper job. At t = 1 over a
+    distance kernel that is the kNN graph.
 
     A draw is scored exactly when the tape would record it
     (``numerics.records`` of the kernel's features and t): each edge's
@@ -531,62 +528,117 @@ def gumbel_topk_sample(log_p: EdgeScores, k: int, rng: np.random.Generator | Non
     ``log_probs`` is None. Gumbel-Top-k ignores a per-row constant, so the
     same noise picks the same edges either way.
     """
+    return gumbel_topk_samples(log_p, k, rng, 1, noise)[0]
+
+
+def gumbel_topk_samples(log_p: EdgeScores, k: int, rng: np.random.Generator | None,
+                        count: int, noise: np.ndarray | None = None) -> list[SampledGraph]:
+    """``count`` draws of k out-edges per node over one ``EdgeScores``, in
+    one pass over its row blocks, as a list of ``SampledGraph``.
+
+    Each block's scores are computed once and serve every draw: per draw the
+    block's Gumbel noise is filled, the scores added, the diagonal masked
+    and a partial top-k taken, so self-edges never occur and every node ends
+    with exactly k out-edges. Jobs run block-major, (block b, draw s). Noise
+    comes from ``gumbel_fill`` into a reused buffer, or into two while a
+    ``BlockHelper`` fills the next job's ahead (only on a pass of at least
+    ``HELPER_MIN_BLOCKS`` blocks); ``noise``, given for one draw, is copied
+    in on the same schedule. A draw given both ``rng`` and ``noise`` is a
+    ValueError.
+
+    Draw s reads ``rng``'s stream from offset s * N^2, each draw's blocks in
+    order: draw 0 from ``rng`` itself and draw s from a copy moved on by
+    ``advance``, so its uniforms are those of the s-th of ``count``
+    sequential one-draw calls, and each draw within a few ULP of one (N, N)
+    ``Generator.gumbel`` draw. More than one draw needs a PCG64 bit
+    generator, whose ``advance`` counts one step per float64 uniform; any
+    other is a TypeError. Afterwards ``rng`` is where the last draw's copy
+    ended, count * N^2 uniforms on. The one departure from sequential
+    calls: a uniform of exactly 0 (probability 2^-53 each) is redrawn from
+    its draw's own generator, so it shifts that draw's later blocks but not
+    the later draws.
+
+    Only a one-draw pass is scored (see ``gumbel_topk_sample``); a scored
+    pass of more draws is a ValueError.
+    """
     n = log_p.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k={k} out-edges per node impossible with {n} nodes")
+    if count < 1:
+        raise ValueError(f"gumbel_topk_samples: count must be at least 1, got {count}")
+    if rng is not None and noise is not None:
+        raise ValueError("gumbel_topk_samples: pass rng or noise, not both")
     if noise is not None:
         noise = np.asarray(noise, dtype=np.float64)
         if noise.shape != (n, n):
             raise nm.ShapeError(f"noise shape {noise.shape} does not match ({n}, {n})")
-    noise_free = rng is None and noise is None
-
-    targets = np.empty((n, k), dtype=np.intp)
+    if count > 1 and not isinstance(getattr(rng, "bit_generator", None), np.random.PCG64):
+        name = type(getattr(rng, "bit_generator", rng)).__name__
+        raise TypeError(f"gumbel_topk_samples: {count} draws need a PCG64 generator, "
+                        f"whose advance counts one step per uniform; got {name}")
     scored = nm.records(log_p.kernel.features, log_p.t)
+    if scored and count > 1:
+        raise ValueError(f"gumbel_topk_samples: only a one-draw pass is scored, "
+                         f"got {count} draws with gradients on")
+    noise_free = rng is None and noise is None
+    gens = [rng]
+    for s in range(1, count):
+        gens.append(copy.deepcopy(rng))
+        gens[s].bit_generator.advance(s * n * n)
+
+    targets = np.empty((count, n, k), dtype=np.intp)
     if scored:
         raw, row_lse = np.empty((n, k)), np.empty(n)
     step = rows_per_block(n)
     blocks = list(row_blocks(n, step))
+    jobs = len(blocks) * count
     with BlockHelper(0 if noise_free else len(blocks)) as helper:
-        # with the helper, block b + 1's noise is drawn while block b is scored
+        # with the helper, job j + 1's noise is filled while job j is ranked
         buffers = [] if noise_free else [np.empty((min(step, n), n))
                                          for _ in range(1 + helper.lag)]
 
-        def block_noise(b):
+        def job_noise(j):
+            b, s = divmod(j, count)
             r0, r1 = blocks[b]
-            out = buffers[b % len(buffers)][:r1 - r0]
+            out = buffers[j % len(buffers)][:r1 - r0]
             if noise is None:
-                return gumbel_fill(rng, out)
+                return gumbel_fill(gens[s], out)
             out[:] = noise[r0:r1]
             return out
 
         def block_lse(scores, rows):
             row_lse[rows] = offdiag_logsumexp(scores, rows)
 
-        fills = [helper.submit(block_noise, b) for b in range(helper.lag)]
-        for b, (r0, r1) in enumerate(blocks):
-            if not noise_free and b + helper.lag < len(blocks):
-                fills.append(helper.submit(block_noise, b + helper.lag))
-            rows = np.arange(r0, r1)
-            scores = log_p.rows(r0, r1)
+        fills = [helper.submit(job_noise, j) for j in range(helper.lag)]
+        for j in range(jobs):
+            b, s = divmod(j, count)
+            if not noise_free and j + helper.lag < jobs:
+                fills.append(helper.submit(job_noise, j + helper.lag))
+            r0, r1 = blocks[b]
+            if s == 0:
+                rows = np.arange(r0, r1)
+                scores = log_p.rows(r0, r1)
             if noise_free:
                 # ranked in place: masking the diagonal moves no edge's score
                 # and offdiag_logsumexp masks it anyway
                 perturbed = scores
             else:
-                perturbed = fills[b].result()
+                perturbed = fills[j].result()
                 perturbed += scores
             fill_block_diagonal(perturbed, rows, -np.inf)
-            targets[r0:r1] = topk_desc(perturbed, k)
+            targets[s, r0:r1] = topk_desc(perturbed, k)
             if scored:
-                raw[r0:r1] = scores[np.arange(r1 - r0)[:, None], targets[r0:r1]]
+                raw[r0:r1] = scores[np.arange(r1 - r0)[:, None], targets[0, r0:r1]]
                 helper.submit(block_lse, scores, rows)
+    if count > 1:
+        rng.bit_generator.state = gens[-1].bit_generator.state
     sources = np.repeat(np.arange(n), k)
-    edges = np.column_stack([sources, targets.reshape(-1)])
-    log_probs = None
+    graphs = [SampledGraph(edges=np.column_stack([sources, t.reshape(-1)]), log_probs=None,
+                           n_nodes=n, noise=noise) for t in targets]
     if scored:
-        log_probs = kernel_edge_scores(log_p.kernel, log_p.t, edges, raw.reshape(-1),
-                                          row_lse)
-    return SampledGraph(edges=edges, log_probs=log_probs, n_nodes=n, noise=noise)
+        graphs[0].log_probs = kernel_edge_scores(log_p.kernel, log_p.t, graphs[0].edges,
+                                                 raw.reshape(-1), row_lse)
+    return graphs
 
 
 def knn_static_graph(features, k: int, metric: str = "cosine") -> np.ndarray:

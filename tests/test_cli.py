@@ -555,17 +555,20 @@ def trained_run(tmp_path, **overrides):
 
 
 def test_cmd_train_draws_the_trained_graph_once(tmp_path, monkeypatch):
-    """One seed draws a graph per epoch, one per inference sample, and one
-    trained graph that gives both its homophily and its graph files; those
-    files match the graph that export draws afresh from the checkpoint."""
+    """One seed draws a graph per epoch, one per inference sample (all in one
+    pass), and one trained graph that gives both its homophily and its graph
+    files; those files match the graph that export draws afresh from the
+    checkpoint."""
     import popgraph.trainer as trainer_module
     calls = []
-    draw = trainer_module.gumbel_topk_sample
+    draw, draws = trainer_module.gumbel_topk_sample, trainer_module.gumbel_topk_samples
     monkeypatch.setattr(trainer_module, "gumbel_topk_sample",
                         lambda *args, **kwargs: calls.append(1) or draw(*args, **kwargs))
+    monkeypatch.setattr(trainer_module, "gumbel_topk_samples",
+                        lambda *args: calls.append(args[3]) or draws(*args))
     run_dir = trained_run(tmp_path)
     train_block = experiment_dict(tmp_path)["train"]
-    assert len(calls) == train_block["epochs"] + train_block["inference_samples"] + 1
+    assert calls == [1] * train_block["epochs"] + [train_block["inference_samples"], 1]
 
     cmd_export(run_dir, "graph-learned")
     seed_dir = run_dir / "seed_0"

@@ -541,6 +541,63 @@ def test_draw_that_raises_leaves_no_helper_job(monkeypatch, rng):
     assert len(jobs) >= 3 and all(job.done() for job in jobs)
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
+@pytest.mark.parametrize("rows_per_block", [37, 19, 13])
+def test_multi_draw_pass_matches_sequential_draws(metric, rows_per_block, monkeypatch, rng):
+    """A pass of S draws walks the kernel once and gives, draw for draw, the
+    edges of S one-draw calls from one generator, over 1, 2 and 3 row blocks
+    (the helper on only in the last), and leaves the generator where those
+    calls leave it. Each drawn graph has exactly k distinct out-edges per
+    node and no self-edge."""
+    jobs = _count_helper_jobs(monkeypatch)
+    monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", rows_per_block * 37)
+    n, k, count = 37, 4, 5
+    lp = edge_probabilities(pairwise_distance(rng.uniform(-0.4, 0.4, size=(n, 6)), metric), 2.5)
+    sequential = np.random.default_rng([7, 1])
+    expected = [gumbel_topk_sample(lp, k, rng=sequential).edges for _ in range(count)]
+    jobs.clear()
+    forward, walked = lp.kernel.forward, []
+    lp.kernel.forward = lambda rows: walked.append(rows) or forward(rows)
+    together = np.random.default_rng([7, 1])
+    graphs = graphgen.gumbel_topk_samples(lp, k, together, count)
+    assert np.array_equal(np.concatenate(walked), np.arange(n))  # each block scored once
+    assert (len(jobs) > 0) == (rows_per_block == 13)
+    assert len(graphs) == count
+    for graph, edges in zip(graphs, expected):
+        assert np.array_equal(graph.edges, edges)
+        assert graph.log_probs is None and graph.n_nodes == n
+        src, dst = graph.edges.T
+        assert np.array_equal(src, np.repeat(np.arange(n), k)) and np.all(src != dst)
+        assert all(len(set(dst[i * k:(i + 1) * k])) == k for i in range(n))
+    assert together.bit_generator.state == sequential.bit_generator.state
+    assert together.random() == sequential.random()
+
+
+def test_multi_draw_pass_refuses_what_it_cannot_replay_or_score(rng):
+    """More than one draw needs a PCG64 generator (one draw takes any), and
+    only a one-draw pass is scored."""
+    features = rng.uniform(size=(9, 3))
+    lp = edge_probabilities(pairwise_distance(features, "euclidean"), 1.0)
+    mt = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError, match="MT19937"):
+        graphgen.gumbel_topk_samples(lp, 2, mt, 3)
+    assert len(graphgen.gumbel_topk_samples(lp, 2, mt, 1)) == 1
+    with pytest.raises(ValueError, match="at least 1"):
+        graphgen.gumbel_topk_samples(lp, 2, np.random.default_rng(0), 0)
+    scored = edge_probabilities(pairwise_distance(Tensor(features, requires_grad=True),
+                                                  "euclidean"), 1.0)
+    with pytest.raises(ValueError, match="one-draw pass is scored"):
+        graphgen.gumbel_topk_samples(scored, 2, np.random.default_rng(0), 2)
+    assert graphgen.gumbel_topk_samples(scored, 2, np.random.default_rng(0), 1)[0].log_probs \
+        is not None
+
+
+def test_draw_refuses_both_rng_and_noise(rng):
+    lp = edge_probabilities(pairwise_distance(rng.uniform(size=(6, 3)), "euclidean"), 1.0)
+    with pytest.raises(ValueError, match="rng or noise, not both"):
+        gumbel_topk_sample(lp, 2, rng=np.random.default_rng(0), noise=np.zeros((6, 6)))
+
+
 def test_draw_holds_no_n_by_n_array(rng):
     """At N = 3000 one N x N float64 array is 72 MB: neither a no-grad draw
     nor a training draw's forward and backward may allocate that much."""

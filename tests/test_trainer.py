@@ -323,9 +323,10 @@ def test_a_training_step_records_one_op_per_stage(monkeypatch, regime, expected)
 
 
 def test_run_experiment_builds_one_distance_kernel_per_draw(monkeypatch):
-    """One kernel per graph draw: each of E epochs builds one with grad,
-    which its scored draw both walks and differentiates, and each of S
-    inference draws and the homophily draw builds one without: E + S + 1."""
+    """One kernel per pass over it: each of E epochs builds one with grad,
+    which its scored draw both walks and differentiates; the one pass that
+    makes all S inference draws and the homophily draw each build one
+    without: E + 2."""
     real = graphgen.BlockDistance.__init__
     grad_enabled = []
 
@@ -336,7 +337,7 @@ def test_run_experiment_builds_one_distance_kernel_per_draw(monkeypatch):
     monkeypatch.setattr(graphgen.BlockDistance, "__init__", counted)
     result, _ = run_experiment(tiny_dataset(), tiny_config(epochs=7, inference_samples=5))
     assert len(result.history) == 7
-    assert len(grad_enabled) == 7 + 5 + 1
+    assert len(grad_enabled) == 7 + 2
     assert grad_enabled.count(True) == 7
 
 
@@ -361,7 +362,7 @@ def test_train_restores_the_parameters_its_best_validation_measured():
                    fixed_edges=edges)
     assert result.best_epoch < len(result.history) - 1
     with nm.no_grad():
-        graph = _draw_graph(result, ds.phenotype_matrix(), np.random.default_rng(0))
+        graph, = _draw_graph(result, ds.phenotype_matrix(), np.random.default_rng(0), 1)
         preds = gcn_forward(graph.a_hat, ds.X, result.model).values
     assert _val_metric(preds, ds.y, ds.masks.val, "regression") == result.best_val
     assert result.history[result.best_epoch]["val_metric"] == result.best_val
@@ -524,6 +525,32 @@ def test_infer_deterministic_given_rng_seed():
     assert not np.array_equal(a.predictions, c.predictions)
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "random"])
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_infer_averages_the_sequential_draws_of_its_stream(task, metric, monkeypatch):
+    """infer's one pass gives exactly the mean, summed in draw order, of
+    one-graph ``_draw_graph`` calls one after another from the inference
+    stream; here over 3 row blocks, so the helper takes part."""
+    from popgraph.trainer import softmax_rows
+    monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", 16 * 48)
+    ds = tiny_dataset(task=task)
+    result = train(ds, tiny_config(task=task, n_classes=3, distance_metric=metric,
+                                   inference_samples=4))
+    rng = stream_rng(result.config.seed, INFERENCE_STREAM)
+    acc = None
+    with nm.no_grad():
+        for _ in range(4):
+            graph, = _draw_graph(result, ds.phenotype_matrix(), rng, 1)
+            out = gcn_forward(graph.a_hat, ds.X, result.model).values
+            out = softmax_rows(out) if task == "classification" else out
+            acc = out if acc is None else acc + out
+    got = infer(result, ds)
+    if task == "classification":
+        assert np.array_equal(got.probabilities, acc / 4)
+    else:
+        assert np.array_equal(got.predictions, acc / 4)
+
+
 def test_infer_fixed_graph_ignores_sample_count():
     ds = tiny_dataset()
     from popgraph.graphgen import knn_static_graph
@@ -580,8 +607,8 @@ def test_sample_trained_edges_shapes_and_paths():
     assert np.array_equal(edges, sample_trained_edges(result, ds))
     nm.reset_tape()
     with nm.no_grad():
-        drawn = _draw_graph(result, ds.phenotype_matrix(),
-                            stream_rng(result.config.seed, HOMOPHILY_STREAM))
+        drawn, = _draw_graph(result, ds.phenotype_matrix(),
+                             stream_rng(result.config.seed, HOMOPHILY_STREAM), 1)
     assert np.array_equal(edges, drawn.edges)
     assert drawn.log_probs is None and not nm._ops()
 
