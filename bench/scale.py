@@ -4,6 +4,7 @@ split and one inference at N = 2000, 4000, 8000 and 20,000.
     python3 bench/scale.py                              # measure, print the row
     python3 bench/scale.py --append BENCH_scale.json    # and append it there
     python3 bench/scale.py --root ../other-checkout     # measure another tree
+    python3 bench/scale.py --against ../parent --append BENCH_scale.json
 
 Each N runs in its own fresh process with one BLAS thread. The process
 builds the benchmark's population (``perfbench/workloads.POPULATION``, noise
@@ -54,6 +55,16 @@ Per N the row gives:
 Each row also names the commit and a hash of ``src/popgraph``, so a row
 measured on an uncommitted tree still identifies its code, plus nproc and the
 numpy version.
+
+With ``--against <checkout>`` the row compares two trees measured under the
+same load: per N it runs ``PAIRS`` pairs of child processes, one on the
+checkout (the parent) and one on ``--root`` (the change), the parent first
+on odd pairs and the change first on even ones. The row names both trees
+(the parent's under ``against``); each N's entry keeps both sides' points
+for every pair (``pairs``: ``first``, ``parent``, ``change``) and ``wins``,
+how many pairs the change reads lower in ``epoch_ms``, ``infer_ms`` and
+``split_ms.sampler`` (ties count for neither). Rows measured before this
+mode existed have no ``against``.
 """
 
 from __future__ import annotations
@@ -74,6 +85,8 @@ ROOT = HERE.parent
 SIZES = (2000, 4000, 8000, 20000)
 EPOCHS = 4
 SEED = 1
+PAIRS = 3
+WIN_METRICS = ("epoch_ms", "infer_ms", "split_ms.sampler")
 CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
              "MKL_NUM_THREADS": "1", "PYTHONHASHSEED": "0",
              "PYTHONDONTWRITEBYTECODE": "1"}
@@ -144,24 +157,58 @@ def _source_hash(root: Path) -> str:
     return digest.hexdigest()[:16]
 
 
-def row(root: Path) -> dict:
-    """Every N in its own child process, smallest first."""
-    import numpy
+def _point(root: Path, n: int) -> dict:
+    """One N measured on ``root``'s tree in a fresh child process."""
+    proc = subprocess.run([sys.executable, __file__, "--child", str(n),
+                           "--root", str(root)],
+                          env={**os.environ, **CHILD_ENV}, capture_output=True,
+                          text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"N = {n} on {root} failed:\n{proc.stderr}")
+    point = json.loads(proc.stdout.strip().splitlines()[-1])
+    print(json.dumps(point), file=sys.stderr)
+    return point
 
-    points = []
-    for n in SIZES:
-        proc = subprocess.run([sys.executable, __file__, "--child", str(n),
-                               "--root", str(root)],
-                              env={**os.environ, **CHILD_ENV}, capture_output=True,
-                              text=True, check=False)
-        if proc.returncode != 0:
-            raise RuntimeError(f"N = {n} failed:\n{proc.stderr}")
-        points.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-        print(json.dumps(points[-1]), file=sys.stderr)
+
+def _tree(root: Path) -> dict:
     return {"commit": _git(root, "rev-parse", "--short", "HEAD") or "unknown",
             "dirty": bool(_git(root, "status", "--porcelain", "--", "src")),
-            "source_sha256": _source_hash(root), "numpy": numpy.__version__,
-            "nproc": os.cpu_count(), "blas_threads": 1, "epochs": EPOCHS,
+            "source_sha256": _source_hash(root)}
+
+
+def _host() -> dict:
+    import numpy
+
+    return {"numpy": numpy.__version__, "nproc": os.cpu_count(), "blas_threads": 1,
+            "epochs": EPOCHS}
+
+
+def row(root: Path) -> dict:
+    """Every N in its own child process, smallest first."""
+    return {**_tree(root), **_host(), "points": [_point(root, n) for n in SIZES]}
+
+
+def _read(point: dict, metric: str) -> float:
+    for key in metric.split("."):
+        point = point[key]
+    return point
+
+
+def against_row(root: Path, parent: Path) -> dict:
+    """Per N, ``PAIRS`` alternating pairs of parent and change children."""
+    points = []
+    for n in SIZES:
+        pairs = []
+        for p in range(1, PAIRS + 1):
+            order = ("parent", "change") if p % 2 else ("change", "parent")
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = _point(parent if side == "parent" else root, n)
+            pairs.append(pair)
+        wins = {metric: sum(_read(pair["change"], metric) < _read(pair["parent"], metric)
+                            for pair in pairs) for metric in WIN_METRICS}
+        points.append({"n": n, "pairs": pairs, "wins": wins})
+    return {**_tree(root), "against": _tree(parent), **_host(), "pairs": PAIRS,
             "points": points}
 
 
@@ -170,16 +217,20 @@ def main() -> int:
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="checkout whose src/popgraph is measured")
     parser.add_argument("--append", type=Path, help="BENCH_scale.json to append the row to")
+    parser.add_argument("--against", type=Path,
+                        help="parent checkout to alternate with --root, pair by pair")
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     root = args.root.resolve()
-    if not (root / "src" / "popgraph" / "__init__.py").is_file():
-        parser.error(f"{root} holds no popgraph source tree (src/popgraph)")
+    parent = args.against.resolve() if args.against is not None else None
+    for tree in (root, parent):
+        if tree is not None and not (tree / "src" / "popgraph" / "__init__.py").is_file():
+            parser.error(f"{tree} holds no popgraph source tree (src/popgraph)")
     if args.child is not None:
         print(json.dumps(measure(root, args.child)))
         return 0
 
-    result = row(root)
+    result = row(root) if parent is None else against_row(root, parent)
     print(json.dumps(result, indent=2))
     if args.append is not None:
         bench = (json.loads(args.append.read_text(encoding="utf-8"))

@@ -15,18 +15,21 @@ hyperbolic kernel puts the rows inside the unit ball itself.
 ``pairwise_distance``, the one constructor of a kernel, returns the
 metric's kernel and ``edge_probabilities`` an ``EdgeScores`` operator over
 it, the sampler's only input; every draw walks them a block of rows at a
-time: distances, kernel, Gumbel noise, the diagonal mask and a partial
-top-k. ``gumbel_topk_samples`` makes several draws in one such pass, each
-block's scores computed once and shared by every draw, draw s reading the
-generator's stream from offset s * N^2; ``gumbel_topk_sample`` is its
-one-draw case. On a pass of enough blocks one helper thread, shared by
-every pass, takes part of each block's work (``BlockHelper``). The
-training draw's scores are one tape op, ``kernel_edge_scores``, whose
-backward walks that same kernel again. The normalized adjacency of a draw
-is a ``scipy.sparse`` CSR matrix, built on first use.
+time: distances, kernel, Gumbel noise, the diagonal mask and a threshold
+top-k (``topk_desc``). ``gumbel_topk_samples`` makes several draws in one
+such pass, each block's scores computed once and shared by every draw, draw
+s reading the generator's stream from offset s * N^2;
+``gumbel_topk_sample`` is its one-draw case. On a pass of enough blocks
+one helper thread, shared by every pass, takes part of each block's work
+(``BlockHelper``). The training draw's scores are one tape op,
+``kernel_edge_scores``, whose backward walks that same kernel again. The
+normalized adjacency of a draw is a ``scipy.sparse`` CSR matrix, built on
+first use.
 
 Static kNN and uniform-random graphs cover the non-adaptive baselines. A kNN
-graph is a draw with no noise at t = 1, through the same block pass.
+graph is a draw with no noise at t = 1, through the same block pass; a
+random graph draws every node's targets by Floyd's rule from one
+``integers`` call (``random_graph``).
 """
 
 from __future__ import annotations
@@ -77,6 +80,11 @@ BALL_MARGIN = 1e-3
 # a pass over at least this many blocks hands part of each block to the
 # helper thread; on a 2-block pass (N = 600) the hand-offs measured slower
 HELPER_MIN_BLOCKS = 3
+
+# once heavy ties give a block more than this many candidates per row and
+# per k, ``topk_desc`` ranks each row past that many by a stable sort: a
+# lexsort of so many candidates would be slower than the sort
+TOPK_CANDIDATES_PER_K = 8
 
 # the helper: one thread, started on first use, shared by every pass
 _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="popgraph-helper")
@@ -478,19 +486,39 @@ def edge_probabilities(distances: BlockDistance, t) -> EdgeScores:
 
 def topk_desc(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries of each row of a 2-D array,
-    descending, ties broken toward the lower index.
+    descending, ties broken toward the lower index: the first k columns of
+    a stable argsort of -values. A NaN entry is a ValueError.
 
-    A partial partition finds each row's k winners and a lexsort orders them;
-    rows whose ties straddle the k-th place fall back to a stable sort.
+    Each row is cut into max(16, k) chunks of equal width (the last takes
+    the rest; one column each on a row narrower than that). The row's k-th
+    largest chunk maximum is at most its k-th largest entry, so every top-k
+    entry, and every entry tied with the k-th, is at or above it: those
+    candidates, a few per row, are ordered by one lexsort of (row, -value,
+    column). When heavy ties give the block more than
+    ``TOPK_CANDIDATES_PER_K`` * k candidates per row, each row past that
+    many is ranked by a stable argsort instead. No (rows, N) index array is
+    made.
     """
-    n = values.shape[1]
-    rows = np.arange(values.shape[0])[:, None]
-    part = np.argpartition(values, n - k, axis=1)[:, n - k:]
-    picked = values[rows, part]
-    top = part[rows, np.lexsort((part, -picked), axis=1)]
-    straddle = (values >= picked.min(axis=1)[:, None]).sum(axis=1) > k
-    if straddle.any():
-        top[straddle] = np.argsort(-values[straddle], axis=1, kind="stable")[:, :k]
+    r, n = values.shape
+    chunks = min(n, max(16, k))
+    maxima = np.maximum.reduceat(values, np.arange(chunks) * (n // chunks), axis=1)
+    # a chunk holding NaN has a NaN maximum, which sorts last
+    part = np.partition(maxima, (chunks - k, chunks - 1), axis=1)
+    if np.isnan(part[:, -1]).any():
+        raise ValueError("topk_desc: values hold NaN, which has no rank")
+    candidate = values >= part[:, chunks - k, None]
+    limit = TOPK_CANDIDATES_PER_K * k
+    heavy = np.zeros(r, dtype=bool)
+    if np.count_nonzero(candidate) > limit * r:
+        heavy = np.count_nonzero(candidate, axis=1) > limit
+        candidate[heavy] = False
+    row, col = np.divmod(np.flatnonzero(candidate), n)
+    order = np.lexsort((col, -values[row, col], row))
+    top = np.empty((r, k), dtype=np.intp)
+    light = np.flatnonzero(~heavy)
+    top[light] = col[order[np.searchsorted(row, light)[:, None] + np.arange(k)]]
+    if heavy.any():
+        top[heavy] = np.argsort(-values[heavy], axis=1, kind="stable")[:, :k]
     return top
 
 
@@ -538,8 +566,8 @@ def gumbel_topk_samples(log_p: EdgeScores, k: int, rng: np.random.Generator | No
 
     Each block's scores are computed once and serve every draw: per draw the
     block's Gumbel noise is filled, the scores added, the diagonal masked
-    and a partial top-k taken, so self-edges never occur and every node ends
-    with exactly k out-edges. Jobs run block-major, (block b, draw s). Noise
+    and a threshold top-k taken, so self-edges never occur and every node
+    ends with exactly k out-edges. Jobs run block-major, (block b, draw s). Noise
     comes from ``gumbel_fill`` into a reused buffer, or into two while a
     ``BlockHelper`` fills the next job's ahead (only on a pass of at least
     ``HELPER_MIN_BLOCKS`` blocks); ``noise``, given for one draw, is copied
@@ -651,12 +679,24 @@ def knn_static_graph(features, k: int, metric: str = "cosine") -> np.ndarray:
 
 
 def random_graph(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k distinct uniform out-edges per node, never to itself."""
+    """k distinct uniform out-edges per node, never to itself, as an (N*k, 2)
+    edge array grouped by source.
+
+    Floyd's rule (Bentley and Floyd, CACM 1987) over each node's n - 1
+    others, every node at once from one ``rng.integers`` call of an (n, k)
+    array whose column c is uniform on [0, n - k + c). For c = 1 .. k - 1, a
+    row whose column c repeats one of its earlier columns takes
+    n - k + c - 1 there instead, a value no earlier column can hold. Each
+    node's targets are a uniform k-subset, but in Floyd's order, not a
+    uniform order; ``symmetrize`` and ``homophily_score`` read them as a
+    set. ``rng`` ends where that one call leaves it.
+    """
     if not 1 <= k < n:
         raise ValueError(f"k={k} out-edges per node impossible with {n} nodes")
-    targets = np.empty((n, k), dtype=np.intp)
-    for i in range(n):
-        targets[i] = rng.choice(n - 1, size=k, replace=False)
+    targets = rng.integers(0, np.arange(n - k, n), size=(n, k), dtype=np.intp)
+    for c in range(1, k):
+        repeat = (targets[:, :c] == targets[:, c, None]).any(axis=1)
+        targets[repeat, c] = n - k + c - 1
     targets += targets >= np.arange(n)[:, None]
     return np.column_stack([np.repeat(np.arange(n), k), targets.reshape(-1)])
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -234,8 +235,8 @@ def test_noise_free_draw_gives_no_helper_job_and_no_noise_buffer(rng, monkeypatc
     """At N = 2000 a pass has 16 blocks, enough for the helper, yet a
     noise-free draw hands it nothing, scored or not, and neither does a kNN
     graph. The draw ranks each score block in place: it peaks below three
-    blocks (the score block and topk_desc's indices), where a draw with
-    noise adds its two noise buffers."""
+    blocks (the score block and the temporaries of its making), where a
+    draw with noise adds its two noise buffers."""
     jobs = _count_helper_jobs(monkeypatch)
     n = 2000
     block = graphgen.rows_per_block(n) * n * 8
@@ -355,6 +356,47 @@ def test_topk_desc_breaks_ties_like_a_stable_sort(n):
         kth = np.take_along_axis(values, expect[:, -1:], axis=1)
         straddled += int(np.sum(np.count_nonzero(values >= kth, axis=1) > k))
     assert n == 2 or straddled > 0
+
+
+@pytest.mark.parametrize("n", [600, 2000, 20_000])
+@pytest.mark.parametrize("noise", [True, False])
+def test_topk_desc_matches_a_stable_sort_on_sampler_blocks(n, noise, rng):
+    """At the sampler's block shape for N, on Gumbel-perturbed and on
+    noise-free scores with the diagonal masked, at the sampler's k and at
+    larger k."""
+    rows = graphgen.rows_per_block(n)
+    values = -rng.uniform(0.0, 5.0, size=(rows, n))
+    if noise:
+        values += graphgen.gumbel_fill(rng, np.empty((rows, n)))
+    graphgen.fill_block_diagonal(values, np.arange(rows), -np.inf)
+    order = np.argsort(-values, axis=1, kind="stable")
+    for k in (1, 5, 40):
+        assert np.array_equal(topk_desc(values, k), order[:, :k]), k
+
+
+@pytest.mark.parametrize("levels", [4, 100, 1])
+def test_topk_desc_ranks_heavy_ties_like_a_stable_sort(levels, rng):
+    """A 131 x 2000 block of integers below ``levels``, whose ties straddle
+    the k-th place in most rows: at 4 every row has more candidates than
+    the lexsort takes, at 1 the block is all equal, and at 100 the
+    candidates stay few enough to be lexsorted. Then the same block with
+    every third row made of distinct values."""
+    ties = rng.integers(0, levels, size=(131, 2000)).astype(float)
+    expect = np.argsort(-ties, axis=1, kind="stable")[:, :5]
+    assert np.array_equal(topk_desc(ties, 5), expect)
+    kth = np.take_along_axis(ties, expect[:, -1:], axis=1)
+    assert np.mean(np.count_nonzero(ties >= kth, axis=1) > 5) > 0.5
+    mixed = ties.copy()
+    mixed[::3] = rng.normal(size=(44, 2000))
+    expect = np.argsort(-mixed, axis=1, kind="stable")[:, :5]
+    assert np.array_equal(topk_desc(mixed, 5), expect)
+
+
+def test_topk_desc_refuses_nan(rng):
+    values = rng.normal(size=(6, 300))
+    values[4, 17] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        topk_desc(values, 5)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
@@ -662,17 +704,42 @@ def test_random_graph_degrees_and_variation():
     assert not np.array_equal(edges, other)
 
 
-def test_random_graph_draws_one_choice_per_row_in_order():
-    # a seed keeps giving the edges of one rng.choice per row, row by row
-    for n, k, seed in [(2, 1, 0), (10, 3, 5), (600, 5, 1), (40, 39, 2)]:
-        rng = np.random.default_rng(seed)
-        expected = []
-        for i in range(n):
-            picks = rng.choice(n - 1, size=k, replace=False)
-            expected += [(i, int(j + (j >= i))) for j in picks]
-        edges = random_graph(n, k, np.random.default_rng(seed))
-        assert edges.dtype == np.intp
-        assert edges.tolist() == [list(e) for e in expected]
+@pytest.mark.parametrize("n,k,seed", [(6, 3, 0), (5, 4, 1)])
+def test_random_graph_row_is_a_uniform_subset(n, k, seed):
+    """20,000 seeded draws of node 2's targets hit every k-subset of the
+    other nodes, with a chi-square below its 1e-4 tail bound."""
+    import scipy.stats
+
+    others = [j for j in range(n) if j != 2]
+    subsets = {frozenset(c): 0 for c in itertools.combinations(others, k)}
+    rng = np.random.default_rng(seed)
+    draws = 20_000
+    for _ in range(draws):
+        subsets[frozenset(random_graph(n, k, rng)[2 * k:3 * k, 1].tolist())] += 1
+    counts = np.array(list(subsets.values()))
+    assert counts.min() > 0
+    expect = draws / len(counts)
+    chi2 = float(np.sum((counts - expect) ** 2 / expect))
+    assert chi2 < scipy.stats.chi2.ppf(1 - 1e-4, max(len(counts) - 1, 1))
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (10, 3), (600, 5), (2000, 5), (40, 39)])
+def test_random_graph_makes_one_integers_call_of_k_distinct_targets(n, k):
+    """Each node gets k distinct targets other than itself, the same seed
+    gives the same edges, and the generator ends where one ``integers``
+    call over the (n, k) bounds leaves it."""
+    rng = np.random.default_rng(n + k)
+    edges = random_graph(n, k, rng)
+    assert edges.dtype == np.intp and edges.shape == (n * k, 2)
+    assert np.array_equal(edges[:, 0], np.repeat(np.arange(n), k))
+    targets = np.sort(edges[:, 1].reshape(n, k), axis=1)
+    assert np.all(targets[:, 1:] > targets[:, :-1])
+    assert np.all(edges[:, 0] != edges[:, 1])
+    assert targets.min() >= 0 and targets.max() < n
+    assert np.array_equal(edges, random_graph(n, k, np.random.default_rng(n + k)))
+    ref = np.random.default_rng(n + k)
+    ref.integers(0, np.arange(n - k, n), size=(n, k), dtype=np.intp)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_random_graph_complete_exhaustion():
