@@ -10,11 +10,11 @@ only the edge distribution (feature weighting and temperature), never the
 predictor weights.
 
 ``graph_loss`` weights whatever per-edge scores and rewards it is given. The
-trainer passes the training draw's scores, the only draw that is scored:
-row-normalized (each edge's log p minus its source row's off-diagonal
-logsumexp, so one edge gains only at its row-mates' expense;
-``graphgen.kernel_edge_scores``), with rewards less each node's running
-mean reward.
+trainer passes the training draw's scores, the only draw that is scored: one
+per cell of its (N, k) target grid, row-major as its edges, each its log p
+less its row's off-diagonal logsumexp, so one edge gains only at its
+row-mates' expense (``graphgen.kernel_edge_scores``), with rewards less
+each node's running mean reward.
 """
 
 from __future__ import annotations

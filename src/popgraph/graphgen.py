@@ -21,10 +21,10 @@ such pass, each block's scores computed once and shared by every draw, draw
 s reading the generator's stream from offset s * N^2;
 ``gumbel_topk_sample`` is its one-draw case. On a pass of enough blocks
 one helper thread, shared by every pass, takes part of each block's work
-(``BlockHelper``). The training draw's scores are one tape op,
-``kernel_edge_scores``, whose backward walks that same kernel again. The
-normalized adjacency of a draw is a ``scipy.sparse`` CSR matrix, built on
-first use.
+(``BlockHelper``). The training draw's scores are one tape op over the
+draw's own (N, k) grid of targets, ``kernel_edge_scores``, whose backward
+walks that same kernel again. The normalized adjacency of a draw is a
+``scipy.sparse`` CSR matrix, built on first use.
 
 Static kNN and uniform-random graphs cover the non-adaptive baselines. A kNN
 graph is a draw with no noise at t = 1, through the same block pass; a
@@ -347,71 +347,48 @@ class _Poincare(BlockDistance):
 BLOCK_METRICS = {"euclidean": _Euclidean, "cosine": _Cosine, "hyperbolic": _Poincare}
 
 
-def _edge_blocks(live: np.ndarray, src: np.ndarray, step: int):
-    """Cut the ascending row set ``live`` into blocks of ``step`` rows and
-    give each edge, by its source (a member of ``live``), to its block.
-    Yields (rows, the block's edge indices, each such edge's row position
-    within the block)."""
-    pos = np.searchsorted(live, src)
-    order = np.argsort(pos, kind="stable")
-    cuts = np.searchsorted(pos, np.arange(0, len(live) + step, step), sorter=order)
-    for b, c0 in enumerate(range(0, len(live), step)):
-        sel = order[cuts[b]:cuts[b + 1]]
-        yield live[c0:c0 + step], sel, pos[sel] - c0
-
-
-def kernel_edge_scores(dist: BlockDistance, t, edges, raw, row_lse) -> Tensor:
-    """Record each (src, dst) edge's first-pick log-probability under log p =
-    -t d^2 over the kernel ``dist``: log p_e - logsumexp_{l != src} log
-    p_src,l (Plackett-Luce). The sampler's own pass over ``dist`` already has
-    each edge's ``raw`` log p and the (N,) off-diagonal ``row_lse`` of every
-    row, so the forward only subtracts.
+def kernel_edge_scores(dist: BlockDistance, t: Tensor, targets, raw, row_lse) -> Tensor:
+    """Record the first-pick log-probability under log p = -t d^2 over the
+    kernel ``dist`` of each edge of the draw's (N, k) grid ``targets``, k
+    distinct targets per row and none the row itself: log p_ij -
+    logsumexp_{l != i} log p_il (Plackett-Luce), as (N*k,) scores in the
+    row-major order of the draw's edges. The sampler's own pass over
+    ``dist`` already has their (N, k) ``raw`` log p and the (N,)
+    off-diagonal ``row_lse`` of every row, so the forward only subtracts.
 
     The backward recomputes blocks through ``dist`` itself, so gradients reach
     ``dist.features`` and no N x N array outlives a block. It visits only the
-    source rows with at least one edge of nonzero upstream gradient, in
-    blocks that are sets of such rows. Every other row's gradient block is
-    exactly zero: its normalizer weight, the sum of its edges' gradients, is
-    zero and no edge gradient lands in it. Each block's gradient is built in
-    one pass, in place in a (rows, N) buffer reused across blocks. On a pass
-    of enough blocks a ``BlockHelper`` builds it, and its product with the
-    squared distances, on the helper thread, into one of two buffers, while
-    the caller computes the next block's distances and pulls the previous
-    block back; the caller adds every block's share in block order.
+    rows with at least one edge of nonzero upstream gradient, in blocks of
+    consecutive such rows. Every other row's gradient block is exactly zero:
+    its normalizer weight, the sum of its edges' gradients, is zero and no
+    edge gradient lands in it. Each block's gradient is built in one pass,
+    in place in a (rows, N) buffer reused across blocks. On a pass of enough
+    blocks a ``BlockHelper`` builds it, and its product with the squared
+    distances, on the helper thread, into one of two buffers, while the
+    caller computes the next block's distances and pulls the previous block
+    back; the caller adds every block's share in block order.
     """
-    t = nm.as_tensor(t)
-    n = dist.shape[0]
-    if t.shape != ():
-        raise nm.ShapeError(f"kernel_edge_scores: t must be scalar, got {t.shape}")
-    edges = np.asarray(edges, dtype=np.intp)
-    if edges.ndim != 2 or edges.shape[1] != 2 or np.any((edges < 0) | (edges >= n)):
-        raise nm.ShapeError(f"kernel_edge_scores: edges must be (E, 2) node indices "
-                         f"below {n}")
-    src, dst = edges[:, 0], edges[:, 1]
-    if np.any(src == dst):
-        raise ValueError("kernel_edge_scores: edges contain self-edges")
-    if np.shape(raw) != (len(src),) or np.shape(row_lse) != (n,):
-        raise nm.ShapeError("kernel_edge_scores: need one raw score per edge and one "
-                         "row logsumexp per row")
+    n, k = targets.shape
     step = rows_per_block(n)
     tv = float(t.values)
 
     def bwd(g):
-        g_rows = np.bincount(src, weights=g, minlength=n)
-        live_edges = np.flatnonzero(g)
-        live = np.unique(src[live_edges])
+        g_rows = np.bincount(np.repeat(np.arange(n), k), weights=g, minlength=n)
+        g = g.reshape(n, k)
+        live = np.flatnonzero(g.any(axis=1))
         acc = dist.accumulator()
         g_t = 0.0
 
-        def block_grad(g_s, sq, rows, sel, pos):
+        def block_grad(g_s, sq, rows):
             # d(loss)/d(log p) of the block: -g_rows times the first-pick
-            # softmax, plus each edge's own gradient; returns its dot with sq
+            # softmax, plus each edge's own gradient (a row's targets are
+            # distinct, so one add per entry); returns its dot with sq
             np.multiply(sq, -tv, out=g_s)
             g_s -= row_lse[rows, None]
             fill_block_diagonal(g_s, rows, -np.inf)
             np.exp(g_s, out=g_s)
             g_s *= -g_rows[rows, None]
-            np.add.at(g_s.reshape(-1), pos * n + dst[sel], g[sel])
+            g_s[np.arange(len(rows))[:, None], targets[rows]] += g[rows]
             return np.dot(g_s.reshape(-1), sq.reshape(-1))
 
         def pull_back(rows, saved, g_s, job):
@@ -419,14 +396,14 @@ def kernel_edge_scores(dist: BlockDistance, t, edges, raw, row_lse) -> Tensor:
             dist.pullback(rows, saved, g_s, -tv, acc)
             return dot
 
-        blocks = list(_edge_blocks(live, src[live_edges], step))
+        blocks = [live[c0:c0 + step] for c0 in range(0, len(live), step)]
         pending = []
         with BlockHelper(len(blocks)) as helper:
             buffers = [np.empty((min(step, len(live)), n)) for _ in range(1 + helper.lag)]
-            for b, (rows, sel, pos) in enumerate(blocks):
+            for b, rows in enumerate(blocks):
                 sq, saved = dist.forward(rows)
                 g_s = buffers[b % len(buffers)][:len(rows)]
-                job = helper.submit(block_grad, g_s, sq, rows, live_edges[sel], pos)
+                job = helper.submit(block_grad, g_s, sq, rows)
                 sq = None  # free the block before the pullback's temporaries
                 pending.append((rows, saved, g_s, job))
                 if len(pending) > helper.lag:
@@ -435,7 +412,8 @@ def kernel_edge_scores(dist: BlockDistance, t, edges, raw, row_lse) -> Tensor:
                 g_t -= pull_back(*block)
         return dist.finish(acc), np.array(g_t)
 
-    return nm.record_op("kernel_edge_scores", raw - row_lse[src], (dist.features, t), bwd)
+    return nm.record_op("kernel_edge_scores", (raw - row_lse[:, None]).reshape(-1),
+                        (dist.features, t), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +549,8 @@ def gumbel_topk_samples(log_p: EdgeScores, k: int, rng: np.random.Generator | No
     comes from ``gumbel_fill`` into a reused buffer, or into two while a
     ``BlockHelper`` fills the next job's ahead (only on a pass of at least
     ``HELPER_MIN_BLOCKS`` blocks); ``noise``, given for one draw, is copied
-    in on the same schedule. A draw given both ``rng`` and ``noise`` is a
-    ValueError.
+    in on the same schedule. A draw given both ``rng`` and ``noise``, or a
+    pass of more draws given ``noise``, is a ValueError.
 
     Draw s reads ``rng``'s stream from offset s * N^2, each draw's blocks in
     order: draw 0 from ``rng`` itself and draw s from a copy moved on by
@@ -600,6 +578,8 @@ def gumbel_topk_samples(log_p: EdgeScores, k: int, rng: np.random.Generator | No
         noise = np.asarray(noise, dtype=np.float64)
         if noise.shape != (n, n):
             raise nm.ShapeError(f"noise shape {noise.shape} does not match ({n}, {n})")
+    if noise is not None and count > 1:
+        raise ValueError(f"gumbel_topk_samples: replay noise replays one draw, not {count}")
     if count > 1 and not isinstance(getattr(rng, "bit_generator", None), np.random.PCG64):
         name = type(getattr(rng, "bit_generator", rng)).__name__
         raise TypeError(f"gumbel_topk_samples: {count} draws need a PCG64 generator, "
@@ -664,8 +644,8 @@ def gumbel_topk_samples(log_p: EdgeScores, k: int, rng: np.random.Generator | No
     graphs = [SampledGraph(edges=np.column_stack([sources, t.reshape(-1)]), log_probs=None,
                            n_nodes=n, noise=noise) for t in targets]
     if scored:
-        graphs[0].log_probs = kernel_edge_scores(log_p.kernel, log_p.t, graphs[0].edges,
-                                                 raw.reshape(-1), row_lse)
+        graphs[0].log_probs = kernel_edge_scores(log_p.kernel, log_p.t, targets[0], raw,
+                                                 row_lse)
     return graphs
 
 

@@ -173,27 +173,29 @@ def kernel_distances(kernel: graphgen.BlockDistance) -> np.ndarray:
     return np.sqrt(kernel.forward(np.arange(kernel.shape[0]))[0])
 
 
-def dense_edge_forward(v: np.ndarray, t: float, metric: str, edges: np.ndarray):
+def dense_edge_forward(v: np.ndarray, t: float, metric: str, targets: np.ndarray):
     """(raw, row_lse) that a sampler's block pass hands
-    ``graphgen.kernel_edge_scores``: each edge's log p = -t d^2 and each
+    ``graphgen.kernel_edge_scores`` with the (N, k) grid ``targets``: the
+    (N, k) log p = -t d^2 of row i's edge to each targets[i, c] and each
     row's logsumexp over every column but its own, from the dense distances."""
     log_p = -float(t) * dense_distances(v, metric) ** 2
     np.fill_diagonal(log_p, -np.inf)
-    return log_p[edges[:, 0], edges[:, 1]], logsumexp(log_p, axis=1)
+    return np.take_along_axis(log_p, targets, axis=1), logsumexp(log_p, axis=1)
 
 
-def dense_kernel_edge_grads(v: np.ndarray, t: float, metric: str, edges: np.ndarray,
+def dense_kernel_edge_grads(v: np.ndarray, t: float, metric: str, targets: np.ndarray,
                             g: np.ndarray, block_rows: int):
     """(d/dv, d/dt) of sum_e g_e * kernel_edge_scores(pairwise_distance(v,
-    metric), t, edges, ...)_e, the backward as first written: every source row's
-    block is recomputed, whether or not any of its edges carries gradient,
-    in consecutive blocks of ``block_rows`` rows. A block's d/d(log p) is
-    built densely: a bincount scatter of the edge gradients, less each row's
-    summed gradient times its first-pick softmax (logsumexp taken here, not
-    from the forward)."""
-    n = v.shape[0]
+    metric), t, targets, ...)_e over the (N, k) grid ``targets``, with the
+    (N*k,) gradients ``g`` in its row-major order: the backward as first
+    written. Every row's block is recomputed, whether or not any of its edges
+    carries gradient, in consecutive blocks of ``block_rows`` rows. A block's
+    d/d(log p) is built densely: a bincount scatter of the edge gradients,
+    less each row's summed gradient times its first-pick softmax (logsumexp
+    taken here, not from the forward)."""
+    n, k = targets.shape
     dist = pairwise_distance(v, metric)
-    src, dst = edges[:, 0], edges[:, 1]
+    src, dst = np.repeat(np.arange(n), k), targets.reshape(-1)
     g_rows = np.bincount(src, weights=g, minlength=n)
     acc = dist.accumulator()
     g_t = 0.0

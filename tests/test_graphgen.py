@@ -616,13 +616,15 @@ def test_multi_draw_pass_matches_sequential_draws(metric, rows_per_block, monkey
 
 
 def test_multi_draw_pass_refuses_what_it_cannot_replay_or_score(rng):
-    """More than one draw needs a PCG64 generator (one draw takes any), and
-    only a one-draw pass is scored."""
+    """More than one draw needs a PCG64 generator (one draw takes any), replay
+    noise replays one draw, and only a one-draw pass is scored."""
     features = rng.uniform(size=(9, 3))
     lp = edge_probabilities(pairwise_distance(features, "euclidean"), 1.0)
     mt = np.random.Generator(np.random.MT19937(0))
     with pytest.raises(TypeError, match="MT19937"):
         graphgen.gumbel_topk_samples(lp, 2, mt, 3)
+    with pytest.raises(ValueError, match="replay noise replays one draw, not 2"):
+        graphgen.gumbel_topk_samples(lp, 2, None, 2, noise=np.zeros((9, 9)))
     assert len(graphgen.gumbel_topk_samples(lp, 2, mt, 1)) == 1
     with pytest.raises(ValueError, match="at least 1"):
         graphgen.gumbel_topk_samples(lp, 2, np.random.default_rng(0), 0)

@@ -1,6 +1,6 @@
-"""Import hygiene, in place of a linter: every name a module of the package
-or of the tests imports at module level is referenced in that module or
-listed in its ``__all__``."""
+"""Import hygiene, in place of a linter: every name a module of the package,
+of the tests or of ``bench`` imports at module level is referenced in that
+module or listed in its ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -26,7 +26,8 @@ def _unused_imports(path: Path) -> list:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    paths = sorted([*(ROOT / "src" / "popgraph").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    paths = sorted([*(ROOT / "src" / "popgraph").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                    *(ROOT / "bench").glob("*.py")])
     assert len(paths) > 10
     assert [unused for path in paths for unused in _unused_imports(path)] == []
 

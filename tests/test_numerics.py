@@ -158,9 +158,10 @@ def _brute_offdiag_logsumexp(v):
                      for i in range(n)])
 
 
-def _all_pairs(n):
-    """Every off-diagonal (src, dst) pair, grouped by source."""
-    return np.array([(i, j) for i in range(n) for j in range(n) if j != i])
+def _all_targets(n):
+    """The (n, n - 1) target grid of every off-diagonal pair: row i holds
+    every node but i, ascending."""
+    return np.array([[j for j in range(n) if j != i] for i in range(n)])
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 7, 256])
@@ -179,18 +180,18 @@ def test_offdiag_logsumexp_rows_values_and_fd(block_rows, monkeypatch, rng):
     monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", block_rows * 7)
     f = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
     t = Tensor(0.8, requires_grad=True)
-    edges = _all_pairs(7)
-    raw, row_lse = dense_edge_forward(f.values, t.values, "euclidean", edges)
-    scores = graphgen.kernel_edge_scores(pairwise_distance(f, "euclidean"), t, edges, raw,
-                                   row_lse).values
+    targets = _all_targets(7)
+    raw, row_lse = dense_edge_forward(f.values, t.values, "euclidean", targets)
+    scores = graphgen.kernel_edge_scores(pairwise_distance(f, "euclidean"), t, targets, raw,
+                                         row_lse).values
     assert np.allclose(np.exp(scores).reshape(7, 6).sum(axis=1), 1.0, atol=1e-12)
     dense = np.zeros((7, 7))
-    dense[edges[:, 0], edges[:, 1]] = raw
+    np.put_along_axis(dense, targets, raw, axis=1)
     np.fill_diagonal(dense, 5.0)
-    assert np.allclose(scores, raw - _brute_offdiag_logsumexp(dense)[edges[:, 0]],
+    assert np.allclose(scores, (raw - _brute_offdiag_logsumexp(dense)[:, None]).reshape(-1),
                        atol=1e-12)
-    weights = rng.normal(size=len(edges))
-    _check(lambda: weighted_sum(_edge_scores(f, t, "euclidean", edges), weights), [f, t])
+    weights = rng.normal(size=raw.size)
+    _check(lambda: weighted_sum(_edge_scores(f, t, "euclidean", targets), weights), [f, t])
 
 
 def test_offdiag_logsumexp_rows_rejects_bad_operands():
@@ -200,22 +201,14 @@ def test_offdiag_logsumexp_rows_rejects_bad_operands():
         pairwise_distance(Tensor(np.zeros((1, 1))), "euclidean")
     with pytest.raises(ValueError, match="metric"):
         pairwise_distance(Tensor(np.zeros((3, 3))), "manhattan")
-    dist = pairwise_distance(Tensor(np.zeros((3, 3))), "euclidean")
-    edges = np.array([[0, 1]])
-    with pytest.raises(ValueError, match="self-edges"):
-        graphgen.kernel_edge_scores(dist, Tensor(1.0), np.array([[1, 1]]), np.zeros(1),
-                              np.zeros(3))
-    with pytest.raises(ShapeError, match="per edge"):
-        graphgen.kernel_edge_scores(dist, Tensor(1.0), edges, np.zeros(2), np.zeros(3))
-    with pytest.raises(ShapeError, match="per row"):
-        graphgen.kernel_edge_scores(dist, Tensor(1.0), edges, np.zeros(1), np.zeros(2))
 
 
-def _edge_scores(f, t, metric, edges):
-    """kernel_edge_scores with the forward a sampler's block pass would hand
-    it, taken from the dense oracle at the current values of f and t."""
-    raw, row_lse = dense_edge_forward(f.values, t.values, metric, edges)
-    return graphgen.kernel_edge_scores(pairwise_distance(f, metric), t, edges, raw, row_lse)
+def _edge_scores(f, t, metric, targets):
+    """kernel_edge_scores over the (N, k) grid ``targets`` with the forward a
+    sampler's block pass would hand it, taken from the dense oracle at the
+    current values of f and t."""
+    raw, row_lse = dense_edge_forward(f.values, t.values, metric, targets)
+    return graphgen.kernel_edge_scores(pairwise_distance(f, metric), t, targets, raw, row_lse)
 
 
 # source rows whose every edge gets zero weight, by id prefix
@@ -239,10 +232,10 @@ def test_kernel_edge_scores_fd(metric, block_rows, dead, monkeypatch, rng):
     hyperbolic kernel's rescale differentiates through: a tie at the
     largest norm, as rows 2 and 5 would make, is a kink. Row 9 is zero; its cosine distances are 1 by
     convention, a kink that finite differences cannot see through, so it is
-    held out of the check and must get exactly zero cosine gradient. Every
-    edge out of a ``dead`` source row has zero weight, so the backward skips
-    that row: rows 4-7 are the whole second block of four, and rows 1 and 6
-    leave two blocks partly live."""
+    held out of the check and must get exactly zero cosine gradient. Each
+    row has 5 distinct targets, in no order. Every edge out of a ``dead`` row
+    has zero weight, so the backward skips that row: rows 4-7 are the whole
+    second block of four, and rows 1 and 6 leave two blocks partly live."""
     monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", block_rows * 10)
     v = rng.uniform(-0.4, 0.4, size=(9, 3))
     v[5] = v[2]
@@ -250,13 +243,13 @@ def test_kernel_edge_scores_fd(metric, block_rows, dead, monkeypatch, rng):
     f = Tensor(v, requires_grad=True)
     zero_row = Tensor(np.zeros((1, 3)), requires_grad=True)
     t = Tensor(1.7, requires_grad=True)
-    edges = _all_pairs(10)[rng.permutation(90)[:50]]  # ungrouped, both directions
-    weights = rng.normal(size=50)
-    weights[np.isin(edges[:, 0], dead)] = 0.0
+    targets = np.argsort(rng.random((10, 10)) + 2.0 * np.eye(10), axis=1)[:, :5]
+    weights = rng.normal(size=(10, 5))
+    weights[list(dead)] = 0.0
 
     def loss():
         rows = concat([f, zero_row], axis=0)
-        return weighted_sum(_edge_scores(rows, t, metric, edges), weights)
+        return weighted_sum(_edge_scores(rows, t, metric, targets), weights.reshape(-1))
 
     _check(loss, [f, t])
     reset_tape()
@@ -269,10 +262,9 @@ def test_kernel_edge_scores_fd(metric, block_rows, dead, monkeypatch, rng):
 @pytest.mark.parametrize("metric", METRICS)
 def test_kernel_edge_scores_backward_skips_dead_rows(metric, monkeypatch, rng):
     """Building the scores hands the block kernel no block: the forward comes
-    from the sampler's pass. The backward hands it each source row that has
-    an edge with nonzero gradient exactly once, in blocks of at most
-    rows_per_block rows, and no other row; with no gradient at all it
-    computes no block."""
+    from the sampler's pass. The backward hands it each row that has an edge
+    with nonzero gradient exactly once, in blocks of at most rows_per_block
+    rows, and no other row; with no gradient at all it computes no block."""
     monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", 3 * 12)
     kernel = graphgen.BLOCK_METRICS[metric]
     forward = kernel.forward
@@ -285,44 +277,50 @@ def test_kernel_edge_scores_backward_skips_dead_rows(metric, monkeypatch, rng):
     monkeypatch.setattr(kernel, "forward", counting_forward)
     f = Tensor(rng.uniform(-0.4, 0.4, size=(12, 3)), requires_grad=True)
     t = Tensor(1.3, requires_grad=True)
-    edges = _all_pairs(12)
+    targets = _all_targets(12)
     live = np.array([0, 2, 3, 7, 8, 11])
-    weights = np.where(np.isin(edges[:, 0], live), rng.normal(size=len(edges)), 0.0)
-    weights[np.flatnonzero(edges[:, 0] == 7)[:10]] = 0.0  # row 7 keeps one live edge
+    weights = np.where(np.isin(np.arange(12), live)[:, None], rng.normal(size=(12, 11)), 0.0)
+    weights[7, :10] = 0.0  # row 7 keeps one live edge
 
-    scores = _edge_scores(f, t, metric, edges)
+    scores = _edge_scores(f, t, metric, targets)
     assert handed == []
-    backward(weighted_sum(scores, weights))
+    backward(weighted_sum(scores, weights.reshape(-1)))
     assert max(len(rows) for rows in handed) == 3
     assert np.array_equal(np.concatenate(handed), live)
 
     f.zero_grad()
     t.zero_grad()
-    scores = _edge_scores(f, t, metric, edges)
+    scores = _edge_scores(f, t, metric, targets)
     handed.clear()
-    backward(weighted_sum(scores, np.zeros(len(edges))))
+    backward(weighted_sum(scores, np.zeros(targets.size)))
     assert handed == []
     assert np.all(f.grad == 0.0) and t.grad == 0.0
 
 
-@pytest.mark.parametrize("metric", METRICS)
-def test_kernel_edge_scores_backward_matches_dense_reference(metric, monkeypatch):
+@pytest.mark.parametrize("metric, dropout", [
+    pytest.param(metric, dropout, id=f"{prefix}True-{metric}")
+    for prefix, dropout in (("", 0.0), ("part-live-", 0.5))
+    for metric in ("euclidean", "cosine", "hyperbolic")])
+def test_kernel_edge_scores_backward_matches_dense_reference(metric, dropout, monkeypatch):
     """Against the backward as first written (oracles.dense_kernel_edge_grads:
     every row's block, a dense scatter) at N = 300 in blocks of 64 rows, with
     k = 5 edges per row and zero gradient on every edge out of about a
-    quarter of the rows, as graph_loss gives the non-training sources."""
+    quarter of the rows, as graph_loss gives the non-training sources. With
+    ``dropout``, each edge of the other rows also gets zero gradient with
+    that probability, so live rows add exact zeros at some targets."""
     rng = np.random.default_rng(7)
     n, k, block_rows = 300, 5, 64
     monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", block_rows * n)
     v = rng.uniform(-0.3, 0.3, size=(n, 8))
     targets = np.argsort(rng.random((n, n)) + 2.0 * np.eye(n), axis=1)[:, :k]
-    edges = np.column_stack([np.repeat(np.arange(n), k), targets.reshape(-1)])
-    g = np.where(rng.random(n)[edges[:, 0]] < 0.75, rng.normal(size=n * k), 0.0)
+    g = np.where(rng.random(n)[:, None] < 0.75, rng.normal(size=(n, k)), 0.0)
+    g[rng.random((n, k)) < dropout] = 0.0
+    g = g.reshape(-1)
     f = Tensor(v, requires_grad=True)
     t = Tensor(10.0, requires_grad=True)
 
-    backward(weighted_sum(_edge_scores(f, t, metric, edges), g))
-    grad_f, grad_t = dense_kernel_edge_grads(v, 10.0, metric, edges, g, block_rows)
+    backward(weighted_sum(_edge_scores(f, t, metric, targets), g))
+    grad_f, grad_t = dense_kernel_edge_grads(v, 10.0, metric, targets, g, block_rows)
     assert np.max(np.abs(f.grad - grad_f)) <= 1e-12 * np.max(np.abs(grad_f))
     assert abs(t.grad - grad_t) <= 1e-12 * abs(grad_t)
 
@@ -384,7 +382,7 @@ def _dense(metric, v):
 def _pair_loss(f, metric, w):
     """sum_e w_e * (first-pick log p_e at t = 1) over every off-diagonal pair,
     which reaches every distance."""
-    return weighted_sum(_edge_scores(f, Tensor(1.0), metric, _all_pairs(f.shape[0])), w)
+    return weighted_sum(_edge_scores(f, Tensor(1.0), metric, _all_targets(f.shape[0])), w)
 
 
 def _brute_sqdist(v):
