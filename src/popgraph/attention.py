@@ -53,9 +53,6 @@ class AttentionMlp:
     def n_phenotypes(self) -> int:
         return self.w1.shape[0]
 
-    def params(self) -> list:
-        return [self.w1, self.b1, self.w2, self.b2]
-
 
 def attention_forward(phenotypes, mlp: AttentionMlp) -> Tensor:
     """Per-subject sigmoid scores, shape (N, n_phenotypes)."""

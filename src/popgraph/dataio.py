@@ -465,11 +465,13 @@ def split(dataset: PopulationDataset, fractions=(0.75, 0.05, 0.20),
     """Random train/val/test partition with largest-remainder sizing.
 
     Sizes are the floors of fraction*N, with leftover slots handed to the
-    largest fractional remainders (ties broken by position). Raises if a
-    fraction is not a finite, nonnegative number, or if any split comes out
-    empty.
+    largest fractional remainders (ties broken by position). Raises if
+    there are not three fractions, if one is not a finite, nonnegative
+    number, or if any split comes out empty.
     """
     names = ("train", "val", "test")
+    if len(fractions) != len(names):
+        raise ValueError(f"fractions must be three entries (train, val, test), got {fractions}")
     for name, f in zip(names, fractions):
         if not (_finite_number(f) and f >= 0.0):
             raise ValueError(f"{name} fraction {f!r} in {fractions} must be a finite, "

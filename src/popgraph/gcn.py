@@ -72,9 +72,6 @@ class GcnModel:
     def n_features(self) -> int:
         return self.w1.shape[0]
 
-    def params(self) -> list:
-        return [self.w1, self.w2, self.b2, self.w3, self.b3]
-
 
 def gcn_forward(a_hat, x, model: GcnModel) -> Tensor:
     """ReLU(Â X W1) -> ReLU(· W2 + b2) -> · W3 + b3.

@@ -15,16 +15,17 @@ hyperbolic kernel puts the rows inside the unit ball itself.
 ``pairwise_distance``, the one constructor of a kernel, returns the
 metric's kernel and ``edge_probabilities`` an ``EdgeScores`` operator over
 it, the sampler's only input; every draw walks them a block of rows at a
-time: distances, kernel, Gumbel noise, the diagonal mask and a threshold
-top-k (``topk_desc``). ``gumbel_topk_samples`` makes several draws in one
-such pass, each block's scores computed once and shared by every draw, draw
-s reading the generator's stream from offset s * N^2;
-``gumbel_topk_sample`` is its one-draw case. On a pass of enough blocks
-one helper thread, shared by every pass, takes part of each block's work
-(``BlockHelper``). The training draw's scores are one tape op over the
-draw's own (N, k) grid of targets, ``kernel_edge_scores``, whose backward
-walks that same kernel again. The normalized adjacency of a draw is a
-``scipy.sparse`` CSR matrix, built on first use.
+time: distances, kernel, Gumbel noise from the draw's generator (none
+without one), the diagonal mask and a threshold top-k (``topk_desc``).
+``gumbel_topk_samples`` makes several draws in one such pass, each block's
+scores computed once and shared by every draw, draw s reading the
+generator's stream from offset s * N^2; ``gumbel_topk_sample`` is its
+one-draw case. On a pass of enough blocks one helper thread, shared by
+every pass, takes part of each block's work (``BlockHelper``). The training
+draw's scores are one tape op over the draw's own (N, k) grid of targets,
+``kernel_edge_scores``, whose backward walks that same kernel again. The
+normalized adjacency of a draw is a ``scipy.sparse`` CSR matrix, built on
+first use.
 
 Static kNN and uniform-random graphs cover the non-adaptive baselines. A kNN
 graph is a draw with no noise at t = 1, through the same block pass; a
@@ -80,11 +81,6 @@ BALL_MARGIN = 1e-3
 # a pass over at least this many blocks hands part of each block to the
 # helper thread; on a 2-block pass (N = 600) the hand-offs measured slower
 HELPER_MIN_BLOCKS = 3
-
-# once heavy ties give a block more than this many candidates per row and
-# per k, ``topk_desc`` ranks each row past that many by a stable sort: a
-# lexsort of so many candidates would be slower than the sort
-TOPK_CANDIDATES_PER_K = 8
 
 # the helper: one thread, started on first use, shared by every pass
 _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="popgraph-helper")
@@ -470,12 +466,10 @@ def topk_desc(values: np.ndarray, k: int) -> np.ndarray:
     Each row is cut into max(16, k) chunks of equal width (the last takes
     the rest; one column each on a row narrower than that). The row's k-th
     largest chunk maximum is at most its k-th largest entry, so every top-k
-    entry, and every entry tied with the k-th, is at or above it: those
-    candidates, a few per row, are ordered by one lexsort of (row, -value,
-    column). When heavy ties give the block more than
-    ``TOPK_CANDIDATES_PER_K`` * k candidates per row, each row past that
-    many is ranked by a stable argsort instead. No (rows, N) index array is
-    made.
+    entry, and every entry tied with the k-th, is at or above it. Those
+    candidates, at least k per row and usually a few, are ordered by one
+    lexsort of (row, -value, column), which gives the stable argsort's
+    answer; only ties as wide as the row make them the whole block.
     """
     r, n = values.shape
     chunks = min(n, max(16, k))
@@ -484,20 +478,9 @@ def topk_desc(values: np.ndarray, k: int) -> np.ndarray:
     part = np.partition(maxima, (chunks - k, chunks - 1), axis=1)
     if np.isnan(part[:, -1]).any():
         raise ValueError("topk_desc: values hold NaN, which has no rank")
-    candidate = values >= part[:, chunks - k, None]
-    limit = TOPK_CANDIDATES_PER_K * k
-    heavy = np.zeros(r, dtype=bool)
-    if np.count_nonzero(candidate) > limit * r:
-        heavy = np.count_nonzero(candidate, axis=1) > limit
-        candidate[heavy] = False
-    row, col = np.divmod(np.flatnonzero(candidate), n)
+    row, col = np.divmod(np.flatnonzero(values >= part[:, chunks - k, None]), n)
     order = np.lexsort((col, -values[row, col], row))
-    top = np.empty((r, k), dtype=np.intp)
-    light = np.flatnonzero(~heavy)
-    top[light] = col[order[np.searchsorted(row, light)[:, None] + np.arange(k)]]
-    if heavy.any():
-        top[heavy] = np.argsort(-values[heavy], axis=1, kind="stable")[:, :k]
-    return top
+    return col[order[np.searchsorted(row, np.arange(r))[:, None] + np.arange(k)]]
 
 
 @dataclass
@@ -509,7 +492,8 @@ class SampledGraph:
     log_probs: Tensor | None  # (N*k,) noise-free per-edge score, on the tape;
                               # None when the draw is not scored
     n_nodes: int
-    noise: np.ndarray | None = None  # the replay noise passed in, if any
+    # no draw keeps its noise; read by the benchmark's per-draw byte count
+    noise = None
 
     @functools.cached_property
     def a_hat(self) -> sp.csr_array:
@@ -517,15 +501,14 @@ class SampledGraph:
         return symmetrize(self.edges, self.n_nodes)
 
 
-def gumbel_topk_sample(log_p: EdgeScores, k: int, rng: np.random.Generator | None = None,
-                       noise: np.ndarray | None = None) -> SampledGraph:
+def gumbel_topk_sample(log_p: EdgeScores, k: int,
+                       rng: np.random.Generator | None = None) -> SampledGraph:
     """Draw k out-edges per node from the scores: the one-draw pass of
-    ``gumbel_topk_samples``, its noise drawn from ``rng`` itself or copied
-    from the replay ``noise`` (``gumbel_fill`` of an (N, N) array gives the
-    generator's), never both. With neither, the draw has no noise: each
-    row's k best scores, ties to the lower index, ranked in place in the
-    score block, with no noise buffer and no helper job. At t = 1 over a
-    distance kernel that is the kNN graph.
+    ``gumbel_topk_samples``, its noise drawn from ``rng`` itself, as
+    ``gumbel_fill`` of one (N, N) array would draw it. Without ``rng`` the
+    draw has no noise: each row's k best scores, ties to the lower index,
+    ranked in place in the score block, with no noise buffer and no helper
+    job. At t = 1 over a distance kernel that is the kNN graph.
 
     A draw is scored exactly when the tape would record it
     (``numerics.records`` of the kernel's features and t): each edge's
@@ -534,11 +517,11 @@ def gumbel_topk_sample(log_p: EdgeScores, k: int, rng: np.random.Generator | Non
     ``log_probs`` is None. Gumbel-Top-k ignores a per-row constant, so the
     same noise picks the same edges either way.
     """
-    return gumbel_topk_samples(log_p, k, rng, 1, noise)[0]
+    return gumbel_topk_samples(log_p, k, rng, 1)[0]
 
 
 def gumbel_topk_samples(log_p: EdgeScores, k: int, rng: np.random.Generator | None,
-                        count: int, noise: np.ndarray | None = None) -> list[SampledGraph]:
+                        count: int) -> list[SampledGraph]:
     """``count`` draws of k out-edges per node over one ``EdgeScores``, in
     one pass over its row blocks, as a list of ``SampledGraph``.
 
@@ -548,9 +531,7 @@ def gumbel_topk_samples(log_p: EdgeScores, k: int, rng: np.random.Generator | No
     ends with exactly k out-edges. Jobs run block-major, (block b, draw s). Noise
     comes from ``gumbel_fill`` into a reused buffer, or into two while a
     ``BlockHelper`` fills the next job's ahead (only on a pass of at least
-    ``HELPER_MIN_BLOCKS`` blocks); ``noise``, given for one draw, is copied
-    in on the same schedule. A draw given both ``rng`` and ``noise``, or a
-    pass of more draws given ``noise``, is a ValueError.
+    ``HELPER_MIN_BLOCKS`` blocks). Without ``rng`` there is no noise.
 
     Draw s reads ``rng``'s stream from offset s * N^2, each draw's blocks in
     order: draw 0 from ``rng`` itself and draw s from a copy moved on by
@@ -572,14 +553,6 @@ def gumbel_topk_samples(log_p: EdgeScores, k: int, rng: np.random.Generator | No
         raise ValueError(f"k={k} out-edges per node impossible with {n} nodes")
     if count < 1:
         raise ValueError(f"gumbel_topk_samples: count must be at least 1, got {count}")
-    if rng is not None and noise is not None:
-        raise ValueError("gumbel_topk_samples: pass rng or noise, not both")
-    if noise is not None:
-        noise = np.asarray(noise, dtype=np.float64)
-        if noise.shape != (n, n):
-            raise nm.ShapeError(f"noise shape {noise.shape} does not match ({n}, {n})")
-    if noise is not None and count > 1:
-        raise ValueError(f"gumbel_topk_samples: replay noise replays one draw, not {count}")
     if count > 1 and not isinstance(getattr(rng, "bit_generator", None), np.random.PCG64):
         name = type(getattr(rng, "bit_generator", rng)).__name__
         raise TypeError(f"gumbel_topk_samples: {count} draws need a PCG64 generator, "
@@ -588,7 +561,7 @@ def gumbel_topk_samples(log_p: EdgeScores, k: int, rng: np.random.Generator | No
     if scored and count > 1:
         raise ValueError(f"gumbel_topk_samples: only a one-draw pass is scored, "
                          f"got {count} draws with gradients on")
-    noise_free = rng is None and noise is None
+    noise_free = rng is None
     gens = [rng]
     for s in range(1, count):
         gens.append(copy.deepcopy(rng))
@@ -608,11 +581,7 @@ def gumbel_topk_samples(log_p: EdgeScores, k: int, rng: np.random.Generator | No
         def job_noise(j):
             b, s = divmod(j, count)
             r0, r1 = blocks[b]
-            out = buffers[j % len(buffers)][:r1 - r0]
-            if noise is None:
-                return gumbel_fill(gens[s], out)
-            out[:] = noise[r0:r1]
-            return out
+            return gumbel_fill(gens[s], buffers[j % len(buffers)][:r1 - r0])
 
         def block_lse(scores, rows):
             row_lse[rows] = offdiag_logsumexp(scores, rows)
@@ -642,7 +611,7 @@ def gumbel_topk_samples(log_p: EdgeScores, k: int, rng: np.random.Generator | No
         rng.bit_generator.state = gens[-1].bit_generator.state
     sources = np.repeat(np.arange(n), k)
     graphs = [SampledGraph(edges=np.column_stack([sources, t.reshape(-1)]), log_probs=None,
-                           n_nodes=n, noise=noise) for t in targets]
+                           n_nodes=n) for t in targets]
     if scored:
         graphs[0].log_probs = kernel_edge_scores(log_p.kernel, log_p.t, targets[0], raw,
                                                  row_lse)

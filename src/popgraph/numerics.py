@@ -2,8 +2,10 @@
 
 The tape holds the pipeline's stages, not their arithmetic: the attention
 scorer's and the GCN's layers (``dense``, ``sigmoid``), the phenotype
-gating (``mul_rowvec``), the temperature (``exp``), the graph draw's edge
-scores, and one op per loss term. Every op checks its output for NaN/Inf
+gating (``mul_rowvec``), the temperature (``exp``), the regression head's
+one output column as a vector (``reshape``), the graph draw's edge scores,
+and one op per loss term. The pipeline runs every primitive here; an op
+only tests need lives in the tests. Every op checks its output for NaN/Inf
 and raises instead of propagating garbage.
 
 ``record_op`` is the one way onto the tape. Each primitive here records
@@ -33,7 +35,6 @@ __all__ = [
     "records",
     "backward",
     "reset_tape",
-    "gather_rows",
     "dense",
     "mul_rowvec",
     "record_op",
@@ -258,7 +259,7 @@ def exp(a) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shape / indexing primitives
+# shape primitives
 # ---------------------------------------------------------------------------
 
 
@@ -267,24 +268,6 @@ def reshape(a, shape) -> Tensor:
     old = a.shape
     out = np.reshape(a.values, shape)
     return record_op("reshape", out, (a,), lambda g: (g.reshape(old),))
-
-
-def gather_rows(a, indices) -> Tensor:
-    """Select rows (2-D) or elements (1-D) by integer index, with repeats."""
-    a = as_tensor(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows: indices must be 1-D, got shape {idx.shape}")
-    if a.ndim not in (1, 2):
-        raise ShapeError(f"gather_rows: operand must be 1-D or 2-D, got {a.shape}")
-    shape = a.shape
-
-    def bwd(g):
-        z = np.zeros(shape)
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return record_op("gather_rows", a.values[idx], (a,), bwd)
 
 
 def log_softmax_rows(values: np.ndarray) -> np.ndarray:

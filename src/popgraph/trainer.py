@@ -661,9 +661,11 @@ def load_run(path, dataset: PopulationDataset) -> TrainResult:
     tensors its config and fixed edges call for are built as ``train`` builds
     them (``_init_params``) and take the stored values. A name missing or
     unknown, a shape off the built one (``gcn.w2 shape [8, 4], expected [8,
-    5]``), values that are not that many finite numbers, or fixed edges that
-    are not [src, dst] pairs of distinct nodes is a ValueError naming the file
-    and the entry. The history is not stored (it lives in the history CSV)."""
+    5]``), values that are not that many finite numbers, fixed edges that are
+    not [src, dst] pairs of distinct nodes, an ``epsilon`` or ``best_val``
+    that is not a finite number or a ``best_epoch`` that is not a
+    non-negative integer is a ValueError naming the file and the entry. The
+    history is not stored (it lives in the history CSV)."""
     where = f"run checkpoint {path}"
     payload = read_json(path)
     if not isinstance(payload, dict):
@@ -674,6 +676,12 @@ def load_run(path, dataset: PopulationDataset) -> TrainResult:
     for key in ("config", "epsilon", "best_epoch", "best_val", "tensors", "fixed_edges"):
         if key not in payload:
             raise ValueError(f"{where}: missing key {key!r}")
+    for key, kind, ok in (("epsilon", "a finite number", _finite_number),
+                          ("best_val", "a finite number", _finite_number),
+                          ("best_epoch", "a non-negative integer",
+                           lambda v: type(v) is int and v >= 0)):
+        if not ok(payload[key]):
+            raise ValueError(f"{where}: {key} {payload[key]!r} must be {kind}")
     try:
         config = TrainConfig(**payload["config"])
     except (TypeError, ValueError) as exc:

@@ -329,6 +329,32 @@ def concat(tensors: Sequence, axis: int = 0) -> nm.Tensor:
                         tuple(parts), bwd)
 
 
+def gather_rows(a, indices) -> nm.Tensor:
+    """Select rows (2-D) or elements (1-D) by integer index, with repeats."""
+    a = nm.as_tensor(a)
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise nm.ShapeError(f"gather_rows: indices must be 1-D, got shape {idx.shape}")
+    if a.ndim not in (1, 2):
+        raise nm.ShapeError(f"gather_rows: operand must be 1-D or 2-D, got {a.shape}")
+    shape = a.shape
+
+    def bwd(g):
+        z = np.zeros(shape)
+        np.add.at(z, idx, g)
+        return (z,)
+
+    return nm.record_op("gather_rows", a.values[idx], (a,), bwd)
+
+
+def tensors(*parts) -> list:
+    """Every Tensor field of each part (a model's weights, in field order),
+    and a part that is itself a Tensor, such as tau, as it is."""
+    return [p for part in parts
+            for p in ([part] if isinstance(part, nm.Tensor) else vars(part).values())
+            if isinstance(p, nm.Tensor)]
+
+
 @dataclass
 class GradCheckReport:
     """Comparison of analytic gradients against central finite differences."""

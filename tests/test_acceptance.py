@@ -14,7 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import FixedKernel, plackett_luce_set_probs, softmax, total_variation
+from oracles import (FixedKernel, gather_rows, plackett_luce_set_probs, softmax, tensors,
+                     total_variation)
 from popgraph import numerics as nm
 from popgraph.attention import (
     AttentionMlp,
@@ -44,6 +45,7 @@ from popgraph.gcn import (
 from popgraph.graphgen import (
     SampledGraph,
     edge_probabilities,
+    gumbel_fill,
     gumbel_topk_sample,
     homophily_score,
     knn_static_graph,
@@ -168,8 +170,9 @@ def _twelve_node_population() -> PopulationDataset:
                              y=ages, masks=masks)
 
 
-def _frozen_objective(ds, mlp, model, tau, noise, rho0=None):
-    """Rebuild the full objective with a fixed selection draw, as the trainer
+def _frozen_objective(ds, mlp, model, tau, noise_seed, rho0=None):
+    """Rebuild the full objective with a fixed selection draw, its noise from
+    a generator seeded with ``noise_seed`` on each call, as the trainer
     builds it: each sampled edge's score is normalized by its source row's
     off-diagonal logsumexp. With rho0 given, the edge rewards are held at
     their base values, matching what the analytic gradient differentiates
@@ -179,7 +182,7 @@ def _frozen_objective(ds, mlp, model, tau, noise, rho0=None):
     f = weight_phenotypes(a, Tensor(phen))
     d = pairwise_distance(f, "euclidean")
     log_p = edge_probabilities(d, nm.exp(tau))
-    graph = gumbel_topk_sample(log_p, 2, noise=noise)
+    graph = gumbel_topk_sample(log_p, 2, rng=np.random.default_rng(noise_seed))
     preds = gcn_forward(graph.a_hat, ds.X, model)
     l_gcn = huber_loss(preds, ds.y, ds.masks.train)
     if rho0 is None:
@@ -197,9 +200,9 @@ def test_frozen_draw_gradients_match_central_differences():
     model = GcnModel.init(8, rng, hidden1=8, hidden2=4,
                           head_bias=float(ds.y[ds.masks.train].mean()))
     tau = Tensor(0.0, requires_grad=True)
-    noise = np.random.default_rng(201).gumbel(0.0, 1.0, (12, 12))
+    noise = gumbel_fill(np.random.default_rng(201), np.empty((12, 12)))
 
-    breakdown, rho0, preds = _frozen_objective(ds, mlp, model, tau, noise)
+    breakdown, rho0, preds = _frozen_objective(ds, mlp, model, tau, 201)
 
     # difference quotients must not straddle a discontinuity: the drawn
     # selection needs clearance between kept and dropped candidates, and
@@ -216,7 +219,7 @@ def test_frozen_draw_gradients_match_central_differences():
     train_errors = np.abs(preds.values - ds.y)[ds.masks.train]
     assert float(np.min(np.abs(train_errors - 1.0))) > 0.05
 
-    params = mlp.params() + model.params() + [tau]
+    params = tensors(mlp, model, tau)
     nm.backward(breakdown.total)
     analytic = [np.zeros_like(np.atleast_1d(p.values)) if p.grad is None
                 else np.array(p.grad, dtype=float, copy=True) for p in params]
@@ -229,9 +232,9 @@ def test_frozen_draw_gradients_match_central_differences():
         for idx in range(values.size):
             keep = values.flat[idx]
             values.flat[idx] = keep + h
-            up = _frozen_objective(ds, mlp, model, tau, noise, rho0)[0].total_value
+            up = _frozen_objective(ds, mlp, model, tau, 201, rho0)[0].total_value
             values.flat[idx] = keep - h
-            down = _frozen_objective(ds, mlp, model, tau, noise, rho0)[0].total_value
+            down = _frozen_objective(ds, mlp, model, tau, 201, rho0)[0].total_value
             values.flat[idx] = keep
             fd = (up - down) / (2.0 * h)
             a_val = float(flat_grad.flat[idx])
@@ -313,9 +316,9 @@ def test_kernel_reward_and_loss_identities():
     rng = np.random.default_rng(5)
     lp_leaf = Tensor(rng.normal(0.0, 1.0, (6, 6)), requires_grad=True)
     edges = gumbel_topk_sample(edge_probabilities(FixedKernel(-lp_leaf.values), 1.0), 2,
-                               noise=rng.gumbel(0.0, 1.0, (6, 6))).edges
-    graph = SampledGraph(edges, nm.gather_rows(nm.reshape(lp_leaf, (36,)),
-                                               edges[:, 0] * 6 + edges[:, 1]), 6)
+                               rng=rng).edges
+    graph = SampledGraph(edges, gather_rows(nm.reshape(lp_leaf, (36,)),
+                                            edges[:, 0] * 6 + edges[:, 1]), 6)
     rho = rng.normal(0.0, 3.0, 6)
     train_mask = np.array([True, True, True, True, False, False])
     nm.backward(graph_loss(graph, rho, train_mask))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grad_check, kernel_distances, weighted_sum
+from oracles import grad_check, kernel_distances, tensors, weighted_sum
 from popgraph import numerics as nm
 from popgraph.attention import (
     AttentionMlp,
@@ -26,7 +26,7 @@ def make_mlp(n_phen, seed=0):
 
 def test_zero_parameters_give_half_scores():
     mlp = make_mlp(4)
-    for p in mlp.params():
+    for p in tensors(mlp):
         p.values[:] = 0.0
     scores = attention_forward(np.zeros((3, 4)), mlp)
     assert np.allclose(scores.values, 0.5)
@@ -34,7 +34,7 @@ def test_zero_parameters_give_half_scores():
 
 def test_large_bias_saturates_column(rng):
     mlp = make_mlp(5)
-    for p in mlp.params():
+    for p in tensors(mlp):
         p.values[:] = 0.0
     mlp.b2.values[3] = 10.0
     scores = attention_forward(rng.uniform(size=(1, 5)), mlp)
@@ -51,7 +51,7 @@ def test_mean_score_gradient_matches_fd(rng):
     mlp = make_mlp(3, seed=2)
     phen = rng.uniform(size=(6, 3))
     report = grad_check(lambda: weighted_sum(attention_forward(phen, mlp), 1.0 / phen.size),
-                        mlp.params())
+                        tensors(mlp))
     assert report.passed, report.summary()
 
 
@@ -115,7 +115,7 @@ def test_end_to_end_scorer_gradient_through_aggregation(rng):
         a = aggregate_attention(attention_forward(phen, mlp))
         return weighted_sum(a, coeffs)
 
-    report = grad_check(loss, mlp.params())
+    report = grad_check(loss, tensors(mlp))
     assert report.passed, report.summary()
 
 
@@ -199,4 +199,4 @@ def test_aggregation_stays_on_tape(rng):
     a = aggregate_attention(attention_forward(phen, mlp))
     loss = weighted_sum(a, rng.normal(size=4))
     backward(loss)
-    assert max(float(np.abs(p.grad).max()) for p in mlp.params()) > 0.0
+    assert max(float(np.abs(p.grad).max()) for p in tensors(mlp)) > 0.0

@@ -820,11 +820,15 @@ def _narrow_attention(tensors, p=5):
     (lambda run: run.update(fixed_edges=[[0, 1.0]]),
      "fixed_edges must be [src, dst] pairs of distinct nodes below 40"),
     (lambda run: run.update(fixed_edges=[[0, 1]]), "attention.b1 unknown"),
+    (lambda run: run.update(epsilon="oops"), "epsilon 'oops' must be a finite number"),
+    (lambda run: run.update(best_epoch="x"), "best_epoch 'x' must be a non-negative integer"),
+    (lambda run: run.update(best_val=None), "best_val None must be a finite number"),
 ], ids=["missing", "unknown", "shape", "values", "config-width", "attention-missing",
         "attention-shape", "attention-null", "temperature-null", "temperature-nan",
         "tensors-not-object", "entry-not-object", "entry-without-shape", "nan-value",
         "wider-features", "narrower-attention", "string-value", "edge-off-population",
-        "self-edge", "float-node", "edges-on-adaptive-run"])
+        "self-edge", "float-node", "edges-on-adaptive-run", "epsilon-string",
+        "best-epoch-string", "best-val-null"])
 def test_main_export_rejects_checkpoint_entries_off_the_config(tmp_path, capsys,
                                                                 edit, named):
     """Every tensor is read against the layout the run's config and dataset

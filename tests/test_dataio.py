@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,6 +323,10 @@ def test_split_bad_fractions():
         split(ds, (0.5, 0.5, float("inf")), seed=0)
     with pytest.raises(ValueError, match="train fraction '0.5'"):
         split(ds, ("0.5", 0.25, 0.25), seed=0)
+    for fractions in [(0.5, 0.5), (0.5, 0.25, 0.125, 0.125)]:
+        with pytest.raises(ValueError, match=r"three entries \(train, val, test\), got "
+                           + re.escape(str(fractions))):
+            split(ds, fractions, seed=0)
 
 
 @settings(max_examples=25, deadline=None)

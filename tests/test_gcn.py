@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import FixedKernel, grad_check, tape_size
+from oracles import FixedKernel, grad_check, tape_size, tensors
 from popgraph import numerics as nm
 from popgraph.gcn import (
     HUBER_DELTA,
@@ -93,7 +93,7 @@ def test_forward_gradients_match_fd(rng):
     def loss():
         return huber_loss(gcn_forward(a_hat, x, model), y, mask)
 
-    report = grad_check(loss, model.params())
+    report = grad_check(loss, tensors(model))
     assert report.passed, report.summary()
 
 
@@ -115,7 +115,7 @@ def test_training_step_holds_few_layer_arrays():
     finally:
         tracemalloc.stop()
     assert peak < bound, f"peaked at {peak / (n * 512 * 8):.2f} (N, 512) arrays"
-    assert all(np.all(np.isfinite(p.grad)) for p in model.params())
+    assert all(np.all(np.isfinite(p.grad)) for p in tensors(model))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ def test_graph_loss_excludes_gcn_parameters(rng):
     loss = graph_loss(graph, rho, train)
     backward(loss)
     assert tau.grad != 0.0
-    assert all(p.grad is None or not p.grad.any() for p in model.params())
+    assert all(p.grad is None or not p.grad.any() for p in tensors(model))
 
 
 def test_each_loss_term_is_one_tape_op(rng):

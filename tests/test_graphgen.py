@@ -91,7 +91,7 @@ def test_distance_gradients_match_fd(metric, rng):
 
     def loss():
         lp = edge_probabilities(pairwise_distance(f, metric), 1.0)
-        graph = gumbel_topk_sample(lp, 4, noise=np.zeros((5, 5)))
+        graph = gumbel_topk_sample(lp, 4)
         return weighted_sum(graph.log_probs, w)
 
     report = grad_check(loss, [f])
@@ -144,7 +144,7 @@ def test_kernel_gradient_through_temperature(rng):
 
     def loss():
         lp = edge_probabilities(d, nm.exp(tau))
-        return weighted_sum(gumbel_topk_sample(lp, 3, noise=np.zeros((4, 4))).log_probs, w)
+        return weighted_sum(gumbel_topk_sample(lp, 3).log_probs, w)
 
     report = grad_check(loss, [tau])
     assert report.passed, report.summary()
@@ -185,17 +185,19 @@ def test_sampler_retains_noise_free_scores(rng):
     assert np.max(np.abs(g.log_probs.values - expected)) <= 1e-12
 
 
-def test_sampler_replay_with_frozen_noise(rng):
-    # the generator's noise, drawn again as one (N, N) array, replays the draw
-    lp = fixed_scores(rng.normal(size=(7, 7)))
-    g1 = gumbel_topk_sample(lp, k=3, rng=np.random.default_rng(5))
-    g2 = gumbel_topk_sample(lp, k=3, noise=graphgen.gumbel_fill(np.random.default_rng(5),
-                                                          np.empty((7, 7))))
-    assert np.array_equal(g1.edges, g2.edges)
+def test_sampler_replay_with_frozen_noise(rng, monkeypatch):
+    # the generator's noise, filled block by block (here 2 rows at a time),
+    # is the noise of one (N, N) fill from a generator seeded alike
+    monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", 2 * 7)
+    v = rng.normal(size=(7, 3))
+    lp = edge_probabilities(pairwise_distance(v, "euclidean"), 1.5)
+    g = gumbel_topk_sample(lp, k=3, rng=np.random.default_rng(5))
+    noise = graphgen.gumbel_fill(np.random.default_rng(5), np.empty((7, 7)))
+    assert np.array_equal(g.edges, dense_draw(v, 1.5, "euclidean", 3, noise)[0])
 
 
 def test_sampler_zero_noise_recovers_knn(rng):
-    """At t = 1 with zero noise the sampler picks the kNN graph's edges in
+    """At t = 1 without noise the sampler picks the kNN graph's edges in
     its order, ties included, for every metric: both rank the same negated
     squared-distance blocks. Rows 2 and 6 coincide; for cosine, row 4 is
     zero, at distance 1 from every other row."""
@@ -205,7 +207,7 @@ def test_sampler_zero_noise_recovers_knn(rng):
         if metric == "cosine":
             f[4] = 0.0
         lp = edge_probabilities(pairwise_distance(f, metric), 1.0)
-        g = gumbel_topk_sample(lp, k=3, noise=np.zeros((9, 9)))
+        g = gumbel_topk_sample(lp, k=3)
         knn = knn_static_graph(f, k=3, metric=metric)
         assert np.array_equal(g.edges, knn), metric
 
@@ -213,20 +215,20 @@ def test_sampler_zero_noise_recovers_knn(rng):
 @pytest.mark.parametrize("metric", ["euclidean", "cosine", "hyperbolic"])
 @pytest.mark.parametrize("rows_per_block", [4, 37])
 def test_noise_free_draw_is_a_zero_noise_replay(metric, rows_per_block, rng, monkeypatch):
-    """A draw with neither rng nor noise picks the edges of a replay of zero
-    noise, and scores them alike, in ten blocks and in one. Rows 3 and 7
-    coincide; for cosine, row 11 is zero, at distance 1 from every other
-    row: ties both break toward the lower index."""
+    """A draw without rng picks the edges of a dense draw over zero noise,
+    and scores them alike, in ten blocks and in one. Rows 3 and 7 coincide;
+    for cosine, row 11 is zero, at distance 1 from every other row: ties
+    both break toward the lower index."""
     monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", rows_per_block * 37)
     v = rng.normal(size=(37, 6))
     v[7] = v[3]
     if metric == "cosine":
         v[11] = 0.0
     lp = edge_probabilities(pairwise_distance(v, metric), Tensor(2.5, requires_grad=True))
-    replay = gumbel_topk_sample(lp, 5, noise=np.zeros((37, 37)))
+    edges, first_pick, _ = dense_draw(v, 2.5, metric, 5, np.zeros((37, 37)))
     free = gumbel_topk_sample(lp, 5)
-    assert np.array_equal(free.edges, replay.edges)
-    assert np.array_equal(free.log_probs.values, replay.log_probs.values)
+    assert np.array_equal(free.edges, edges)
+    assert np.max(np.abs(free.log_probs.values - first_pick)) <= 1e-12
     assert free.noise is None
     nm.reset_tape()
 
@@ -266,12 +268,11 @@ def test_draw_is_scored_exactly_when_the_tape_records_it(rng):
     features trainable. Under ``no_grad``, or with constant features and t,
     it picks the same edges, scores none and leaves the tape empty."""
     f = rng.uniform(size=(8, 3))
-    noise = rng.gumbel(size=(8, 8))
     tau = Tensor(0.3, requires_grad=True)
 
     def draw(features, t):
         lp = edge_probabilities(pairwise_distance(features, "euclidean"), t)
-        return gumbel_topk_sample(lp, 2, noise=noise)
+        return gumbel_topk_sample(lp, 2, rng=np.random.default_rng(3))
 
     nm.reset_tape()
     scored = draw(f, nm.exp(tau))
@@ -377,10 +378,10 @@ def test_topk_desc_matches_a_stable_sort_on_sampler_blocks(n, noise, rng):
 @pytest.mark.parametrize("levels", [4, 100, 1])
 def test_topk_desc_ranks_heavy_ties_like_a_stable_sort(levels, rng):
     """A 131 x 2000 block of integers below ``levels``, whose ties straddle
-    the k-th place in most rows: at 4 every row has more candidates than
-    the lexsort takes, at 1 the block is all equal, and at 100 the
-    candidates stay few enough to be lexsorted. Then the same block with
-    every third row made of distinct values."""
+    the k-th place in most rows: at 4 each row has hundreds of candidates,
+    at 1 the block is all equal, so every entry is a candidate, and at 100
+    the candidates stay few; the one lexsort ranks them all. Then the same
+    block with every third row made of distinct values."""
     ties = rng.integers(0, levels, size=(131, 2000)).astype(float)
     expect = np.argsort(-ties, axis=1, kind="stable")[:, :5]
     assert np.array_equal(topk_desc(ties, 5), expect)
@@ -405,8 +406,8 @@ def test_blocked_draw_matches_dense_reference(metric, rows_per_block, monkeypatc
     """Blocks of 1 row, of 4 rows (the last one ragged) and one block: the
     same noise picks the same edges as a dense draw with a full stable sort,
     with the same first-pick log p and the same normalized adjacency; the
-    generator's block-by-block noise is one (N, N) ``gumbel_fill``. A replay
-    of three or more blocks copies its noise rows on the helper thread."""
+    generator's block-by-block noise is one (N, N) ``gumbel_fill``. A draw
+    of three or more blocks fills its noise rows on the helper thread."""
     jobs = _count_helper_jobs(monkeypatch)
     n, k, t = 37, 5, 2.5
     v = rng.normal(size=(n, 6))
@@ -418,7 +419,7 @@ def test_blocked_draw_matches_dense_reference(metric, rows_per_block, monkeypatc
     edges, first_pick, a_hat = dense_draw(v, t, metric, k, noise)
 
     lp = edge_probabilities(pairwise_distance(v, metric), Tensor(t, requires_grad=True))
-    g = gumbel_topk_sample(lp, k, noise=noise)
+    g = gumbel_topk_sample(lp, k, rng=np.random.default_rng(8))
     assert bool(jobs) == (rows_per_block < n)
     assert np.array_equal(g.edges, edges)
     assert np.max(np.abs(g.log_probs.values - first_pick)) <= 1e-12
@@ -616,15 +617,13 @@ def test_multi_draw_pass_matches_sequential_draws(metric, rows_per_block, monkey
 
 
 def test_multi_draw_pass_refuses_what_it_cannot_replay_or_score(rng):
-    """More than one draw needs a PCG64 generator (one draw takes any), replay
-    noise replays one draw, and only a one-draw pass is scored."""
+    """More than one draw needs a PCG64 generator (one draw takes any), and
+    only a one-draw pass is scored."""
     features = rng.uniform(size=(9, 3))
     lp = edge_probabilities(pairwise_distance(features, "euclidean"), 1.0)
     mt = np.random.Generator(np.random.MT19937(0))
     with pytest.raises(TypeError, match="MT19937"):
         graphgen.gumbel_topk_samples(lp, 2, mt, 3)
-    with pytest.raises(ValueError, match="replay noise replays one draw, not 2"):
-        graphgen.gumbel_topk_samples(lp, 2, None, 2, noise=np.zeros((9, 9)))
     assert len(graphgen.gumbel_topk_samples(lp, 2, mt, 1)) == 1
     with pytest.raises(ValueError, match="at least 1"):
         graphgen.gumbel_topk_samples(lp, 2, np.random.default_rng(0), 0)
@@ -634,12 +633,6 @@ def test_multi_draw_pass_refuses_what_it_cannot_replay_or_score(rng):
         graphgen.gumbel_topk_samples(scored, 2, np.random.default_rng(0), 2)
     assert graphgen.gumbel_topk_samples(scored, 2, np.random.default_rng(0), 1)[0].log_probs \
         is not None
-
-
-def test_draw_refuses_both_rng_and_noise(rng):
-    lp = edge_probabilities(pairwise_distance(rng.uniform(size=(6, 3)), "euclidean"), 1.0)
-    with pytest.raises(ValueError, match="rng or noise, not both"):
-        gumbel_topk_sample(lp, 2, rng=np.random.default_rng(0), noise=np.zeros((6, 6)))
 
 
 def test_draw_holds_no_n_by_n_array(rng):

@@ -1,6 +1,7 @@
 """Import hygiene, in place of a linter: every name a module of the package,
 of the tests or of ``bench`` imports at module level is referenced in that
-module or listed in its ``__all__``."""
+module or listed in its ``__all__``, and every definition in the package is
+used by a program, not only by tests."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,43 @@ def test_numerics_imports_no_package_module_and_no_thread_pool():
         elif isinstance(node, ast.ImportFrom):
             roots.add("popgraph" if node.level else node.module.split(".")[0])
     assert roots.isdisjoint({"popgraph", "concurrent"}), sorted(roots)
+
+
+def _definitions(path: Path):
+    """(name, line) of each top-level function and class of a module and of
+    each method of its classes that is not a dunder."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.name, item.lineno) for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def _references(path: Path, hooks: bool) -> set:
+    """Every name a module reads, as a bare name or as an attribute, and with
+    ``hooks`` the last part of each dotted "module.attr" string constant."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif (hooks and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "." in node.value and all(p.isidentifier() for p in node.value.split("."))):
+            refs.add(node.value.rsplit(".", 1)[1])
+    return refs
+
+
+def test_every_package_definition_is_used_by_a_program():
+    """Each function, class and method defined in the package is referenced
+    by the package itself, by ``bench`` or by the ``perfbench`` harness (whose
+    hooks name it as a "module.attr" string): code only the tests call
+    belongs in the tests, for example in ``tests/oracles.py``."""
+    src = sorted((ROOT / "src" / "popgraph").glob("*.py"))
+    refs = set().union(*(_references(p, False) for p in [*src, *(ROOT / "bench").glob("*.py")]),
+                       *(_references(p, True) for p in (ROOT / "perfbench").glob("*.py")))
+    unused = [f"{path.relative_to(ROOT)}:{line}: {name}" for path in src
+              for name, line in _definitions(path) if name not in refs]
+    assert unused == []

@@ -2,6 +2,7 @@
 stopping, split isolation), stochastic inference, and the evaluation metrics.
 """
 
+import copy
 import dataclasses
 import json
 import math
@@ -17,7 +18,7 @@ import pytest
 import popgraph
 import popgraph.graphgen as graphgen
 import popgraph.numerics as nm
-from oracles import rank_auc
+from oracles import rank_auc, tensors
 from popgraph.attention import AttentionMlp, aggregate_attention, attention_forward, weight_phenotypes
 from popgraph.dataio import SyntheticConfig, generate_synthetic, make_class_labels, normalize_minmax, split
 from popgraph.gcn import GcnModel, gcn_forward, graph_loss, huber_loss, null_epsilon, reward, total_loss
@@ -158,7 +159,7 @@ def test_train_is_bit_identical_across_runs():
     r1 = train(ds1, tiny_config(seed=7))
     r2 = train(ds2, tiny_config(seed=7))
     assert r1.history == r2.history
-    for a, b in zip(r1.model.params(), r2.model.params()):
+    for a, b in zip(tensors(r1.model), tensors(r2.model)):
         assert np.array_equal(a.values, b.values)
     assert np.array_equal(r1.attention_vector, r2.attention_vector)
     assert r1.tau.values == r2.tau.values
@@ -193,7 +194,7 @@ def test_train_ignores_val_and_test_labels_for_updates():
     r2 = train(ds2, cfg)
     for key in ("L_total", "L_gcn", "L_graph"):
         assert [row[key] for row in r1.history] == [row[key] for row in r2.history]
-    for a, b in zip(r1.model.params(), r2.model.params()):
+    for a, b in zip(tensors(r1.model), tensors(r2.model)):
         assert np.array_equal(a.values, b.values)
 
 
@@ -402,17 +403,18 @@ def test_train_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# gradient wiring: one hand-built epoch with frozen selection noise
+# gradient wiring: one hand-built epoch with frozen selection noise, each
+# draw's from its own copy of one generator state
 # ---------------------------------------------------------------------------
 
 
-def build_frozen_loss(ds, mlp, tau, model, noise, k=3):
+def build_frozen_loss(ds, mlp, tau, model, noise_rng, k=3):
     phen = ds.phenotype_matrix()
     a = aggregate_attention(attention_forward(phen, mlp))
     f = weight_phenotypes(a, Tensor(phen))
     d = pairwise_distance(f, "euclidean")
     log_p = edge_probabilities(d, nm.exp(tau))
-    graph = gumbel_topk_sample(log_p, k, noise=noise)
+    graph = gumbel_topk_sample(log_p, k, rng=copy.deepcopy(noise_rng))
     preds = gcn_forward(graph.a_hat, ds.X, model)
     l_gcn = huber_loss(preds, ds.y, ds.masks.train)
     eps = null_epsilon(ds.y[ds.masks.train])
@@ -428,12 +430,11 @@ def test_edge_loss_reaches_scorer_and_temperature():
     mlp = AttentionMlp.init(phen.shape[1], rng)
     model = GcnModel.init(ds.X.shape[1], rng, hidden1=8, hidden2=4)
     tau = Tensor(0.0, requires_grad=True)
-    noise = rng.gumbel(0.0, 1.0, (24, 24))
 
-    breakdown, _ = build_frozen_loss(ds, mlp, tau, model, noise)
+    breakdown, _ = build_frozen_loss(ds, mlp, tau, model, rng)
     nm.backward(breakdown.total)
     assert tau.grad is not None and float(np.abs(tau.grad)) > 0
-    assert any(np.abs(p.grad).max() > 0 for p in mlp.params())
+    assert any(np.abs(p.grad).max() > 0 for p in tensors(mlp))
     assert all(np.abs(p.grad).max() > 0 for p in (model.w1, model.w3))
 
 
@@ -445,10 +446,9 @@ def test_one_small_step_descends_frozen_objective():
     model = GcnModel.init(ds.X.shape[1], rng, hidden1=8, hidden2=4,
                           head_bias=float(ds.y[ds.masks.train].mean()))
     tau = Tensor(0.0, requires_grad=True)
-    noise = rng.gumbel(0.0, 1.0, (24, 24))
-    params = mlp.params() + model.params() + [tau]
+    params = tensors(mlp, model, tau)
 
-    breakdown, rho0 = build_frozen_loss(ds, mlp, tau, model, noise)
+    breakdown, rho0 = build_frozen_loss(ds, mlp, tau, model, rng)
     before = breakdown.total_value
     nm.backward(breakdown.total)
     for p in params:
@@ -462,7 +462,7 @@ def test_one_small_step_descends_frozen_objective():
     f = weight_phenotypes(a, phen_t)
     d = pairwise_distance(f, "euclidean")
     log_p = edge_probabilities(d, nm.exp(tau))
-    graph = gumbel_topk_sample(log_p, 3, noise=noise)
+    graph = gumbel_topk_sample(log_p, 3, rng=copy.deepcopy(rng))
     preds = gcn_forward(graph.a_hat, ds.X, model)
     l_gcn = huber_loss(preds, ds.y, ds.masks.train)
     l_graph = graph_loss(graph, rho0, ds.masks.train)
@@ -481,14 +481,13 @@ def test_edge_normalizer_keeps_the_drawn_edges():
     phen = ds.phenotype_matrix()
     mlp = AttentionMlp.init(phen.shape[1], rng)
     tau = Tensor(1.5, requires_grad=True)
-    noise = rng.gumbel(0.0, 1.0, (24, 24))
     k = 3
     a = aggregate_attention(attention_forward(phen, mlp))
     scores = edge_probabilities(pairwise_distance(weight_phenotypes(a, Tensor(phen)),
                                                   "euclidean"), nm.exp(tau))
     with nm.no_grad():
-        unscored = gumbel_topk_sample(scores, k, noise=noise)
-    scored = gumbel_topk_sample(scores, k, noise=noise)
+        unscored = gumbel_topk_sample(scores, k, rng=copy.deepcopy(rng))
+    scored = gumbel_topk_sample(scores, k, rng=copy.deepcopy(rng))
     nm.reset_tape()
     assert unscored.log_probs is None
     assert np.array_equal(unscored.edges, scored.edges)
