@@ -18,14 +18,13 @@ it, the sampler's only input; every draw walks them a block of rows at a
 time: distances, kernel, Gumbel noise from the draw's generator (none
 without one), the diagonal mask and a threshold top-k (``topk_desc``).
 ``gumbel_topk_samples`` makes several draws in one such pass, each block's
-scores computed once and shared by every draw, draw s reading the
-generator's stream from offset s * N^2; ``gumbel_topk_sample`` is its
-one-draw case. On a pass of enough blocks one helper thread, shared by
-every pass, takes part of each block's work (``BlockHelper``). The training
-draw's scores are one tape op over the draw's own (N, k) grid of targets,
-``kernel_edge_scores``, whose backward walks that same kernel again. The
-normalized adjacency of a draw is a ``scipy.sparse`` CSR matrix, built on
-first use.
+scores computed once and shared by every draw, each draw's noise from its
+own generator; ``gumbel_topk_sample`` is its one-draw case. On a pass of
+enough blocks one helper thread, shared by every pass, takes part of each
+block's work (``BlockHelper``). The training draw's scores are one tape op
+over the draw's own (N, k) grid of targets, ``kernel_edge_scores``, whose
+backward walks that same kernel again. The normalized adjacency of a draw
+is a ``scipy.sparse`` CSR matrix, built on first use.
 
 Static kNN and uniform-random graphs cover the non-adaptive baselines. A kNN
 graph is a draw with no noise at t = 1, through the same block pass; a
@@ -35,9 +34,8 @@ random graph draws every node's targets by Floyd's rule from one
 
 from __future__ import annotations
 
-import copy
 import functools
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,31 +84,20 @@ HELPER_MIN_BLOCKS = 3
 _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="popgraph-helper")
 
 
-class _Done:
-    """A job already run on the calling thread, read like its Future."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def result(self):
-        return self.value
-
-
 class BlockHelper:
     """The helper-thread jobs of one pass over ``n_blocks`` row blocks.
 
-    ``submit(fn, *args)`` runs fn(*args) and returns a handle whose
-    ``result()`` is fn's value. On a pass of at least ``HELPER_MIN_BLOCKS``
-    blocks it runs on the module's one helper thread, one job at a time in
-    submission order, while the caller goes on with its own part of the
-    pass; ``lag`` is 1. On a shorter pass it runs at once on the calling
-    thread and ``lag`` is 0. A job works in place on
-    arrays the caller allocated and does not allocate block-sized arrays: a
-    thread's own malloc arena would keep those resident. Leaving the ``with``
-    block waits for every job, so none outlives the pass, whether it returns
-    or raises; on a normal exit a job's exception is raised there.
+    ``submit(fn, *args)`` runs fn(*args) and returns a ``Future`` of its
+    value. On a pass of at least ``HELPER_MIN_BLOCKS`` blocks it runs on the
+    module's one helper thread, one job at a time in submission order, while
+    the caller goes on with its own part of the pass; ``lag`` is 1. On a
+    shorter pass it runs at once on the calling thread, which returns a
+    finished Future or raises fn's exception, and ``lag`` is 0. A job works
+    in place on arrays the caller allocated and does not allocate
+    block-sized arrays: a thread's own malloc arena would keep those
+    resident. Leaving the ``with`` block waits for every job, so none
+    outlives the pass, whether it returns or raises; on a normal exit a
+    job's exception is raised there.
     """
 
     def __init__(self, n_blocks: int):
@@ -119,7 +106,9 @@ class BlockHelper:
 
     def submit(self, fn, *args):
         if not self.lag:
-            return _Done(fn(*args))
+            job = Future()
+            job.set_result(fn(*args))
+            return job
         job = _HELPER.submit(fn, *args)
         self._jobs.append(job)
         return job
@@ -305,22 +294,28 @@ class _Poincare(BlockDistance):
     def forward(self, rows):
         a = _sqdist_block(self.v, self.r, rows)
         b = np.outer(self.b[rows], self.b)
-        z = 1.0 + 2.0 * a / b
-        d = np.arccosh(np.maximum(z, 1.0))
+        # arcosh(1 + q) = log1p(q + r) with r = sqrt(q (q + 2)): no scalar
+        # libm loop as in np.arccosh, and no rounding of 1 + q
+        q = np.multiply(a, 2.0)
+        q /= b
+        r = q + 2.0
+        r *= q
+        np.sqrt(r, out=r)
+        d = np.log1p(np.add(q, r, out=q), out=q)
         fill_block_diagonal(d, rows, 0.0)
-        return d * d, (d, a, b, z)
+        return d * d, (d, a, b, r)
 
     def accumulator(self):
         # d(loss)/du through |u_i - u_j|^2, and d(loss)/d(1 - |u_i|^2)
         return np.zeros_like(self.v), np.zeros_like(self.b)
 
     def pullback(self, rows, saved, g, scale, acc):
-        d, a, b, z = saved
+        d, a, b, r = saved
         d *= g
         d *= 2.0 * scale
         gv, db = acc
-        zsq = np.maximum(z * z - 1.0, 0.0)
-        w = np.where(zsq > 1e-24, d / np.sqrt(np.where(zsq > 0, zsq, 1.0)), 0.0)
+        # d arcosh(1 + q) / dq = 1 / r; zero subgradient where points coincide
+        w = np.divide(d, r, out=np.zeros_like(d), where=r > 1e-12)
         gb = w * (-2.0 * a / (b * b))
         _sqdist_pullback(self.v, rows, w * (2.0 / b), 1.0, gv)
         db += gb.T @ self.b[rows]
@@ -517,55 +512,39 @@ def gumbel_topk_sample(log_p: EdgeScores, k: int,
     ``log_probs`` is None. Gumbel-Top-k ignores a per-row constant, so the
     same noise picks the same edges either way.
     """
-    return gumbel_topk_samples(log_p, k, rng, 1)[0]
+    return gumbel_topk_samples(log_p, k, [rng])[0]
 
 
-def gumbel_topk_samples(log_p: EdgeScores, k: int, rng: np.random.Generator | None,
-                        count: int) -> list[SampledGraph]:
-    """``count`` draws of k out-edges per node over one ``EdgeScores``, in
-    one pass over its row blocks, as a list of ``SampledGraph``.
+def gumbel_topk_samples(log_p: EdgeScores, k: int, rngs) -> list[SampledGraph]:
+    """One draw of k out-edges per node over one ``EdgeScores`` for each
+    generator of ``rngs``, in one pass over its row blocks, as a list of
+    ``SampledGraph``: draw s is the draw of ``gumbel_topk_sample(log_p, k,
+    rng=rngs[s])``, and leaves ``rngs[s]`` where that call would.
 
     Each block's scores are computed once and serve every draw: per draw the
-    block's Gumbel noise is filled, the scores added, the diagonal masked
-    and a threshold top-k taken, so self-edges never occur and every node
-    ends with exactly k out-edges. Jobs run block-major, (block b, draw s). Noise
-    comes from ``gumbel_fill`` into a reused buffer, or into two while a
-    ``BlockHelper`` fills the next job's ahead (only on a pass of at least
-    ``HELPER_MIN_BLOCKS`` blocks). Without ``rng`` there is no noise.
-
-    Draw s reads ``rng``'s stream from offset s * N^2, each draw's blocks in
-    order: draw 0 from ``rng`` itself and draw s from a copy moved on by
-    ``advance``, so its uniforms are those of the s-th of ``count``
-    sequential one-draw calls, and each draw within a few ULP of one (N, N)
-    ``Generator.gumbel`` draw. More than one draw needs a PCG64 bit
-    generator, whose ``advance`` counts one step per float64 uniform; any
-    other is a TypeError. Afterwards ``rng`` is where the last draw's copy
-    ended, count * N^2 uniforms on. The one departure from sequential
-    calls: a uniform of exactly 0 (probability 2^-53 each) is redrawn from
-    its draw's own generator, so it shifts that draw's later blocks but not
-    the later draws.
+    block's Gumbel noise is filled from its own generator, the scores added,
+    the diagonal masked and a threshold top-k taken, so self-edges never
+    occur and every node ends with exactly k out-edges. Jobs run
+    block-major, (block b, draw s). Noise comes from ``gumbel_fill`` into a
+    reused buffer, or into two while a ``BlockHelper`` fills the next job's
+    ahead (only on a pass of at least ``HELPER_MIN_BLOCKS`` blocks).
+    ``[None]`` is the one noise-free draw; None among more generators is a
+    ValueError, and no generators give no draws.
 
     Only a one-draw pass is scored (see ``gumbel_topk_sample``); a scored
     pass of more draws is a ValueError.
     """
-    n = log_p.shape[0]
+    n, count = log_p.shape[0], len(rngs)
     if not 1 <= k < n:
         raise ValueError(f"k={k} out-edges per node impossible with {n} nodes")
-    if count < 1:
-        raise ValueError(f"gumbel_topk_samples: count must be at least 1, got {count}")
-    if count > 1 and not isinstance(getattr(rng, "bit_generator", None), np.random.PCG64):
-        name = type(getattr(rng, "bit_generator", rng)).__name__
-        raise TypeError(f"gumbel_topk_samples: {count} draws need a PCG64 generator, "
-                        f"whose advance counts one step per uniform; got {name}")
+    noise_free = None in rngs
+    if noise_free and count > 1:
+        raise ValueError(f"gumbel_topk_samples: only a one-draw pass is noise-free, "
+                         f"got None among {count} generators")
     scored = nm.records(log_p.kernel.features, log_p.t)
     if scored and count > 1:
         raise ValueError(f"gumbel_topk_samples: only a one-draw pass is scored, "
                          f"got {count} draws with gradients on")
-    noise_free = rng is None
-    gens = [rng]
-    for s in range(1, count):
-        gens.append(copy.deepcopy(rng))
-        gens[s].bit_generator.advance(s * n * n)
 
     targets = np.empty((count, n, k), dtype=np.intp)
     if scored:
@@ -581,7 +560,7 @@ def gumbel_topk_samples(log_p: EdgeScores, k: int, rng: np.random.Generator | No
         def job_noise(j):
             b, s = divmod(j, count)
             r0, r1 = blocks[b]
-            return gumbel_fill(gens[s], buffers[j % len(buffers)][:r1 - r0])
+            return gumbel_fill(rngs[s], buffers[j % len(buffers)][:r1 - r0])
 
         def block_lse(scores, rows):
             row_lse[rows] = offdiag_logsumexp(scores, rows)
@@ -607,8 +586,6 @@ def gumbel_topk_samples(log_p: EdgeScores, k: int, rng: np.random.Generator | No
             if scored:
                 raw[r0:r1] = scores[np.arange(r1 - r0)[:, None], targets[0, r0:r1]]
                 helper.submit(block_lse, scores, rows)
-    if count > 1:
-        rng.bit_generator.state = gens[-1].bit_generator.state
     sources = np.repeat(np.arange(n), k)
     graphs = [SampledGraph(edges=np.column_stack([sources, t.reshape(-1)]), log_probs=None,
                            n_nodes=n) for t in targets]

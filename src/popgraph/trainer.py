@@ -5,10 +5,11 @@ on validation, stochastic-inference averaging, and evaluation metrics.
 A run's graph is its fixed edges, uniform random edges (``distance_metric=
 "random"``) or a Gumbel-Top-k draw over weighted phenotypes. ``_draw_graph``
 alone decides which; every training, inference and homophily draw goes
-through it. Training and homophily ask it for one graph, inference for all
-of its ``inference_samples`` graphs at once, which a sampled run draws in one
-pass over the kernel. An epoch's validation metric is read off its training
-forward.
+through it, with one generator per graph. Training and homophily ask it
+for one graph, inference for all of its ``inference_samples`` graphs at
+once, one from each child spawned off the inference stream, which a sampled
+run draws in one pass over the kernel. An epoch's validation metric is read
+off its training forward.
 
 One call to train() owns one RNG stream (seeded from the config), so two runs
 with the same config produce bit-identical histories.
@@ -211,23 +212,22 @@ def attention_weights(mlp: AttentionMlp, phenotypes) -> np.ndarray:
         return aggregate_attention(attention_forward(phenotypes, mlp)).values
 
 
-def _draw_graph(result: TrainResult, phenotypes: np.ndarray, rng: np.random.Generator,
-                count: int) -> list[SampledGraph]:
-    """``count`` draws of the graph a run trains and predicts on, as a list
-    of ``SampledGraph``.
+def _draw_graph(result: TrainResult, phenotypes: np.ndarray, rngs) -> list[SampledGraph]:
+    """One draw of the graph a run trains and predicts on from each generator
+    of ``rngs``, as a list of ``SampledGraph``.
 
     A fixed run's draw is the same graph every time, built on the first draw,
-    so its A_hat is symmetrized once per run, and it gives one graph whatever
-    ``count`` says. Under ``distance_metric="random"`` each graph gives every
-    node k fresh uniform out-edges, one ``random_graph`` call after another
-    from ``rng``. Any other run takes Gumbel-Top-k draws over phenotypes
+    so its A_hat is symmetrized once per run, and it gives one graph however
+    many generators it gets. Under ``distance_metric="random"`` each graph
+    gives every node k fresh uniform out-edges, one ``random_graph`` call per
+    generator. Any other run takes Gumbel-Top-k draws over phenotypes
     weighted by the attention vector (or by ones), all in one pass over one
     kernel: one draw through ``gumbel_topk_sample``, more through
-    ``gumbel_topk_samples``, whose draw s reads ``rng`` from offset s * N^2.
-    Only the training draw runs with gradients on, so only it is scored: its
-    ``log_probs`` are first-pick log-probabilities (see
-    ``gumbel_topk_sample``). Inference, homophily and export draws run under
-    ``no_grad``, select edges and score none.
+    ``gumbel_topk_samples``, draw s from ``rngs[s]``. Only the training draw
+    runs with gradients on, so only it is scored: its ``log_probs`` are
+    first-pick log-probabilities (see ``gumbel_topk_sample``). Inference,
+    homophily and export draws run under ``no_grad``, select edges and score
+    none.
     """
     config = result.config
     n = phenotypes.shape[0]
@@ -236,18 +236,18 @@ def _draw_graph(result: TrainResult, phenotypes: np.ndarray, rng: np.random.Gene
             result._fixed_graph = SampledGraph(result.fixed_edges, None, n)
         return [result._fixed_graph]
     if config.distance_metric == "random":
-        return [SampledGraph(random_graph(n, config.k, rng), None, n) for _ in range(count)]
+        return [SampledGraph(random_graph(n, config.k, rng), None, n) for rng in rngs]
     if config.attention_mode == "ones":
         a = Tensor(np.ones(phenotypes.shape[1]))
     else:
         a = aggregate_attention(attention_forward(phenotypes, result.attention))
     d = pairwise_distance(weight_phenotypes(a, Tensor(phenotypes)), config.distance_metric)
     scores = edge_probabilities(d, nm.exp(result.tau))
-    if count == 1:
+    if len(rngs) == 1:
         # one draw, the training draw among them, goes through the entry
         # point that perfbench and bench/scale.py time and check as the sampler
-        return [gumbel_topk_sample(scores, config.k, rng=rng)]
-    return gumbel_topk_samples(scores, config.k, rng, count)
+        return [gumbel_topk_sample(scores, config.k, rng=rngs[0])]
+    return gumbel_topk_samples(scores, config.k, rngs)
 
 
 def _targets(dataset: PopulationDataset, task: str):
@@ -352,7 +352,7 @@ def train(dataset: PopulationDataset, config: TrainConfig,
         try:
             nm.reset_tape()
             optimizer.zero_grad()
-            graph = _draw_graph(result, phenotypes, rng, 1)[0]
+            graph = _draw_graph(result, phenotypes, [rng])[0]
             preds = gcn_forward(graph.a_hat, dataset.X, model)
             val_metric = _val_metric(preds.values, targets, val_mask, config.task)
             if config.task == "regression":
@@ -426,22 +426,22 @@ def softmax_rows(values: np.ndarray) -> np.ndarray:
 
 
 def infer(result: TrainResult, dataset: PopulationDataset) -> InferenceResult:
-    """Average predictions over the run's ``inference_samples`` graphs, drawn
-    from its ``INFERENCE_STREAM``, so every call for a run predicts the same.
+    """Average predictions over the run's ``inference_samples`` graphs, draw
+    s from child s that its ``INFERENCE_STREAM`` spawns, so every call for a
+    run predicts the same.
 
     A sampled graph's draws come from one ``_draw_graph`` call, so one pass
-    over the kernel draws them all; draw s reads the stream from offset
-    s * N^2. The forwards are summed in draw order. Regression averages raw
-    outputs; classification averages per-class probabilities and then takes
-    the argmax. A fixed graph is one draw, so it gets one forward whatever
-    ``inference_samples`` says.
+    over the kernel draws them all. The forwards are summed in draw order.
+    Regression averages raw outputs; classification averages per-class
+    probabilities and then takes the argmax. A fixed graph is one draw, so it
+    gets one forward whatever ``inference_samples`` says.
     """
     config = result.config
     phenotypes = dataset.phenotype_matrix()
-    rng = stream_rng(config.seed, INFERENCE_STREAM)
+    rngs = stream_rng(config.seed, INFERENCE_STREAM).spawn(config.inference_samples)
     acc = None
     with nm.no_grad():
-        graphs = _draw_graph(result, phenotypes, rng, config.inference_samples)
+        graphs = _draw_graph(result, phenotypes, rngs)
         for graph in graphs:
             out = gcn_forward(graph.a_hat, dataset.X, result.model).values
             if config.task == "classification":
@@ -460,8 +460,8 @@ def sample_trained_edges(result: TrainResult, dataset: PopulationDataset):
     if result._trained_edges is None:
         rng = stream_rng(result.config.seed, HOMOPHILY_STREAM)
         with nm.no_grad():
-            result._trained_edges = _draw_graph(result, dataset.phenotype_matrix(), rng,
-                                                1)[0].edges
+            result._trained_edges = _draw_graph(result, dataset.phenotype_matrix(),
+                                                [rng])[0].edges
     return result._trained_edges
 
 

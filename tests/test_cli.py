@@ -27,7 +27,7 @@ from popgraph.cli import (
     restrict_phenotypes,
 )
 from popgraph.dataio import CsvSchema, SyntheticConfig, config_hash, load_csv
-from popgraph.trainer import RUN_FORMAT_VERSION, TrainConfig
+from popgraph.trainer import INFERENCE_STREAM, RUN_FORMAT_VERSION, TrainConfig, stream_rng
 
 
 def experiment_dict(out_dir, **overrides):
@@ -556,19 +556,28 @@ def trained_run(tmp_path, **overrides):
 
 def test_cmd_train_draws_the_trained_graph_once(tmp_path, monkeypatch):
     """One seed draws a graph per epoch, one per inference sample (all in one
-    pass), and one trained graph that gives both its homophily and its graph
-    files; those files match the graph that export draws afresh from the
+    pass, one generator each: the children its inference stream spawns), and
+    one trained graph that gives both its homophily and its graph files;
+    those files match the graph that export draws afresh from the
     checkpoint."""
     import popgraph.trainer as trainer_module
-    calls = []
+    calls, states = [], []
     draw, draws = trainer_module.gumbel_topk_sample, trainer_module.gumbel_topk_samples
+
+    def counted_draws(log_p, k, rngs):
+        calls.append(len(rngs))
+        states.extend(rng.bit_generator.state for rng in rngs)
+        return draws(log_p, k, rngs)
+
     monkeypatch.setattr(trainer_module, "gumbel_topk_sample",
                         lambda *args, **kwargs: calls.append(1) or draw(*args, **kwargs))
-    monkeypatch.setattr(trainer_module, "gumbel_topk_samples",
-                        lambda *args: calls.append(args[3]) or draws(*args))
+    monkeypatch.setattr(trainer_module, "gumbel_topk_samples", counted_draws)
     run_dir = trained_run(tmp_path)
     train_block = experiment_dict(tmp_path)["train"]
-    assert calls == [1] * train_block["epochs"] + [train_block["inference_samples"], 1]
+    samples = train_block["inference_samples"]
+    assert calls == [1] * train_block["epochs"] + [samples, 1]
+    children = stream_rng(0, INFERENCE_STREAM).spawn(samples)
+    assert states == [child.bit_generator.state for child in children]
 
     cmd_export(run_dir, "graph-learned")
     seed_dir = run_dir / "seed_0"

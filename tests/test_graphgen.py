@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -588,21 +589,21 @@ def test_draw_that_raises_leaves_no_helper_job(monkeypatch, rng):
 @pytest.mark.parametrize("rows_per_block", [37, 19, 13])
 def test_multi_draw_pass_matches_sequential_draws(metric, rows_per_block, monkeypatch, rng):
     """A pass of S draws walks the kernel once and gives, draw for draw, the
-    edges of S one-draw calls from one generator, over 1, 2 and 3 row blocks
-    (the helper on only in the last), and leaves the generator where those
-    calls leave it. Each drawn graph has exactly k distinct out-edges per
-    node and no self-edge."""
+    edges of a one-draw call on a copy of that draw's generator, over 1, 2
+    and 3 row blocks (the helper on only in the last), and leaves each
+    generator where that call leaves its copy. Each drawn graph has exactly
+    k distinct out-edges per node and no self-edge."""
     jobs = _count_helper_jobs(monkeypatch)
     monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", rows_per_block * 37)
     n, k, count = 37, 4, 5
     lp = edge_probabilities(pairwise_distance(rng.uniform(-0.4, 0.4, size=(n, 6)), metric), 2.5)
-    sequential = np.random.default_rng([7, 1])
-    expected = [gumbel_topk_sample(lp, k, rng=sequential).edges for _ in range(count)]
+    rngs = np.random.default_rng([7, 1]).spawn(count)
+    copies = [copy.deepcopy(r) for r in rngs]
+    expected = [gumbel_topk_sample(lp, k, rng=r).edges for r in copies]
     jobs.clear()
     forward, walked = lp.kernel.forward, []
     lp.kernel.forward = lambda rows: walked.append(rows) or forward(rows)
-    together = np.random.default_rng([7, 1])
-    graphs = graphgen.gumbel_topk_samples(lp, k, together, count)
+    graphs = graphgen.gumbel_topk_samples(lp, k, rngs)
     assert np.array_equal(np.concatenate(walked), np.arange(n))  # each block scored once
     assert (len(jobs) > 0) == (rows_per_block == 13)
     assert len(graphs) == count
@@ -612,26 +613,31 @@ def test_multi_draw_pass_matches_sequential_draws(metric, rows_per_block, monkey
         src, dst = graph.edges.T
         assert np.array_equal(src, np.repeat(np.arange(n), k)) and np.all(src != dst)
         assert all(len(set(dst[i * k:(i + 1) * k])) == k for i in range(n))
-    assert together.bit_generator.state == sequential.bit_generator.state
-    assert together.random() == sequential.random()
+    for one, alone in zip(rngs, copies):
+        assert one.bit_generator.state == alone.bit_generator.state
+    # the draws differ from one another
+    assert len({graph.edges.tobytes() for graph in graphs}) == count
 
 
-def test_multi_draw_pass_refuses_what_it_cannot_replay_or_score(rng):
-    """More than one draw needs a PCG64 generator (one draw takes any), and
-    only a one-draw pass is scored."""
+def test_multi_draw_pass_refuses_what_it_cannot_score(rng):
+    """A pass takes any bit generator, one per draw; only a one-draw pass is
+    scored or noise-free, and no generators give no draws."""
     features = rng.uniform(size=(9, 3))
     lp = edge_probabilities(pairwise_distance(features, "euclidean"), 1.0)
-    mt = np.random.Generator(np.random.MT19937(0))
-    with pytest.raises(TypeError, match="MT19937"):
-        graphgen.gumbel_topk_samples(lp, 2, mt, 3)
-    assert len(graphgen.gumbel_topk_samples(lp, 2, mt, 1)) == 1
-    with pytest.raises(ValueError, match="at least 1"):
-        graphgen.gumbel_topk_samples(lp, 2, np.random.default_rng(0), 0)
+    mts = [np.random.Generator(np.random.MT19937(s)) for s in range(3)]
+    twins = copy.deepcopy(mts)
+    graphs = graphgen.gumbel_topk_samples(lp, 2, mts)
+    assert [g.edges.tolist() for g in graphs] == \
+        [gumbel_topk_sample(lp, 2, rng=mt).edges.tolist() for mt in twins]
+    assert graphgen.gumbel_topk_samples(lp, 2, []) == []
+    with pytest.raises(ValueError, match="one-draw pass is noise-free"):
+        graphgen.gumbel_topk_samples(lp, 2, [np.random.default_rng(0), None])
+    assert graphgen.gumbel_topk_samples(lp, 2, [None])[0].edges.shape == (18, 2)
     scored = edge_probabilities(pairwise_distance(Tensor(features, requires_grad=True),
                                                   "euclidean"), 1.0)
     with pytest.raises(ValueError, match="one-draw pass is scored"):
-        graphgen.gumbel_topk_samples(scored, 2, np.random.default_rng(0), 2)
-    assert graphgen.gumbel_topk_samples(scored, 2, np.random.default_rng(0), 1)[0].log_probs \
+        graphgen.gumbel_topk_samples(scored, 2, np.random.default_rng(0).spawn(2))
+    assert graphgen.gumbel_topk_samples(scored, 2, [np.random.default_rng(0)])[0].log_probs \
         is not None
 
 

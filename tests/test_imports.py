@@ -47,6 +47,42 @@ def test_numerics_imports_no_package_module_and_no_thread_pool():
     assert roots.isdisjoint({"popgraph", "concurrent"}), sorted(roots)
 
 
+# the functions that may seed a generator: a run's master stream, its derived
+# streams, the checkpoint loader's throwaway initial values and the dataset's
+# own seeded population and split
+SEEDING_FUNCTIONS = {("trainer", "stream_rng"), ("trainer", "train"), ("trainer", "load_run"),
+                     ("dataio", "generate_synthetic"), ("dataio", "split")}
+
+
+def _named(node) -> set:
+    """The names a node of a syntax tree reads or imports."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+    return set()
+
+
+def test_package_has_one_seed_derivation_scheme():
+    """Generators come only from seeds: no module of the package names a
+    generator's bit generator, moves one on with ``advance`` or copies one
+    with ``deepcopy``, and ``default_rng`` is called only in the functions
+    of ``SEEDING_FUNCTIONS``; a draw that needs several streams takes
+    children that ``Generator.spawn`` made."""
+    found = []
+    for path in sorted((ROOT / "src" / "popgraph").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.stem}:{node.lineno}: {name}" for node in ast.walk(tree)
+                  for name in _named(node) & {"advance", "bit_generator", "deepcopy"}]
+        for top in tree.body:
+            if (path.stem, getattr(top, "name", None)) not in SEEDING_FUNCTIONS:
+                found += [f"{path.stem}:{node.lineno}: default_rng" for node in ast.walk(top)
+                          if isinstance(node, ast.Call) and "default_rng" in _named(node.func)]
+    assert found == []
+
+
 def _definitions(path: Path):
     """(name, line) of each top-level function and class of a module and of
     each method of its classes that is not a dunder."""
