@@ -22,8 +22,6 @@ import numpy as np
 from .attention import rank_phenotypes
 from .baselines import linear_fit, static_gcn_experiment
 from .dataio import (
-    KIND_IMAGING,
-    KIND_NONIMAGING,
     CsvSchema,
     PopulationDataset,
     SyntheticConfig,
@@ -263,10 +261,8 @@ def _write_graph(edges, labels, stem: Path, stamp: str) -> None:
 
 
 def _attention_files(weights, dataset, out_dir: Path, stamp: str) -> None:
-    names = dataset.phenotype_names
-    kinds = ([KIND_NONIMAGING] * dataset.n_nonimaging
-             + [KIND_IMAGING] * dataset.n_imaging)
-    ranking = rank_phenotypes(weights, names, kinds)
+    names, kinds = dataset.phenotype_names, dataset.column_kinds()
+    ranking = rank_phenotypes(weights, names, [kinds[name] for name in names])
     write_csv(out_dir / "attention.csv", stamp, ["rank", "name", "kind", "weight"],
               [[row["rank"], row["name"], row["kind"], repr(row["weight"])]
                for row in ranking])
@@ -317,7 +313,8 @@ def _run_pool(items, worker, n_workers: int):
 
 
 def cmd_generate(config: ExperimentConfig) -> Path:
-    """Write dataset.csv plus metadata.json (seed, relevance flags, hash)."""
+    """Write dataset.csv plus metadata.json (seed, relevance flags, hash and
+    the column kinds, a ``dataset.kinds`` block that reloads every column)."""
     block = config.dataset
     if block.source != "synthetic":
         raise CliError("generate only makes sense for synthetic dataset blocks")
@@ -335,8 +332,7 @@ def cmd_generate(config: ExperimentConfig) -> Path:
         "label_column": ds.meta["label_column"],
         "relevant": {name: bool(flag) for name, flag
                      in zip(ds.phenotype_names, ds.relevant)},
-        "kinds": {**{n: KIND_NONIMAGING for n in ds.nonimaging_names},
-                  **{n: KIND_IMAGING for n in ds.imaging_names}},
+        "kinds": ds.column_kinds(),
         "synthetic": block.synthetic.to_dict(),
     }
     write_json(out / "metadata.json", metadata)

@@ -4,7 +4,10 @@ splits, and class binning.
 A dataset couples a node-feature matrix X (one row per subject) with a set of
 phenotype columns. Non-imaging phenotypes live in their own matrix; imaging
 phenotypes ARE columns of X, referenced by index, so the containment holds by
-construction rather than by convention.
+construction rather than by convention. ``PopulationDataset.column_kinds`` is
+the one statement of the table's column layout (non-imaging, imaging, then
+feature-only columns): the CSV writer, its schema and every file that names a
+column's kind read it.
 
 Synthetic data plants known-relevant columns (monotone transforms of age) so
 that feature-selection quality can be scored against ground truth.
@@ -17,6 +20,7 @@ import hashlib
 import json
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -237,6 +241,17 @@ class PopulationDataset:
     def phenotype_names(self) -> list:
         return list(self.nonimaging_names) + list(self.imaging_names)
 
+    def _feature_only_cols(self) -> list:
+        return [i for i in range(self.X.shape[1]) if i not in self.imaging_cols]
+
+    def column_kinds(self) -> dict:
+        """Each column's kind by name, in CSV order: the non-imaging
+        phenotypes, the imaging phenotypes, then the X columns that are node
+        features only. As a ``CsvSchema``'s kinds it reloads every column."""
+        return {**dict.fromkeys(self.nonimaging_names, KIND_NONIMAGING),
+                **dict.fromkeys(self.imaging_names, KIND_IMAGING),
+                **{self.feature_names[i]: KIND_FEATURE for i in self._feature_only_cols()}}
+
     def phenotype_matrix(self) -> np.ndarray:
         """(N, Q+S) matrix: non-imaging columns first, then imaging."""
         return np.concatenate([self.nonimaging, self.X[:, self.imaging_cols]], axis=1)
@@ -322,109 +337,98 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> PopulationDataset:
 
 
 def save_csv(dataset: PopulationDataset, path) -> None:
-    """Write `id,<columns>,<label>`; column order is non-imaging, imaging,
-    then feature-only columns."""
+    """Write `id,<columns>,<label>` with the columns of ``column_kinds``, each
+    cell the repr of its float, every line ending in CRLF."""
     label = dataset.meta.get("label_column", "age")
-    extra_idx = [i for i in range(dataset.X.shape[1]) if i not in dataset.imaging_cols]
-    names = (list(dataset.nonimaging_names) + list(dataset.imaging_names)
-             + [dataset.feature_names[i] for i in extra_idx])
+    table = np.column_stack([
+        dataset.nonimaging,
+        dataset.X[:, [*dataset.imaging_cols, *dataset._feature_only_cols()]],
+        dataset.y])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id"] + names + [label])
-        for i in range(dataset.n_subjects):
-            row = [str(i)]
-            row += [repr(float(v)) for v in dataset.nonimaging[i]]
-            row += [repr(float(dataset.X[i, c])) for c in dataset.imaging_cols]
-            row += [repr(float(dataset.X[i, c])) for c in extra_idx]
-            row.append(repr(float(dataset.y[i])))
-            writer.writerow(row)
+        writer.writerow(["id", *dataset.column_kinds(), label])
+        writer.writerows([str(i), *map(repr, row)] for i, row in enumerate(table.tolist()))
 
 
 def csv_schema_for(dataset: PopulationDataset) -> CsvSchema:
     """Schema that reloads a save_csv export of this dataset."""
-    extra_idx = [i for i in range(dataset.X.shape[1]) if i not in dataset.imaging_cols]
-    kinds = {**dict.fromkeys(dataset.nonimaging_names, KIND_NONIMAGING),
-             **dict.fromkeys(dataset.imaging_names, KIND_IMAGING),
-             **{dataset.feature_names[i]: KIND_FEATURE for i in extra_idx}}
-    return CsvSchema(label_column=dataset.meta.get("label_column", "age"), kinds=kinds)
+    return CsvSchema(dataset.meta.get("label_column", "age"), dataset.column_kinds())
+
+
+def _cell(path, row: int, column: str, text: str) -> float:
+    """The float a CSV cell holds; a non-numeric or non-finite (nan, inf)
+    cell is an error naming the file, row and column."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{path}: row {row}, column {column!r}: "
+                         f"non-numeric cell {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: row {row}, column {column!r}: non-finite cell {text!r}")
+    return value
 
 
 def load_csv(path, schema: CsvSchema) -> PopulationDataset:
-    """Load a phenotype table. Rows missing any mapped cell or the label are
-    dropped (count recorded in meta['n_dropped']); non-numeric and non-finite
-    cells (nan, inf) are an error naming the row and column. Every header
-    error names the file: a repeated or missing schema column, or a kind
-    given to the label column."""
+    """Load a phenotype table in one pass over its rows. Rows missing any
+    mapped cell or the label are dropped (count recorded in
+    meta['n_dropped']); non-numeric and non-finite cells (nan, inf) are an
+    error naming the row and column. Every header error names the file: a
+    repeated or missing schema column, a kind given to the label column, an
+    unknown kind, or a kind map with no non-imaging or imaging column (every
+    graph is built from phenotypes); the header is counted once, so the
+    checks take time linear in its width. Columns keep the header's order
+    within each kind; the arrays are fresh C-contiguous float64."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        rows = list(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        counts = Counter(header)
+        for name in [*schema.kinds, schema.label_column]:
+            if counts[name] > 1:
+                raise ValueError(f"{path}: header repeats column {name!r}")
+        for name, kind in schema.kinds.items():
+            if name not in counts:
+                raise ValueError(f"{path}: kind map names unknown column {name!r}")
+            if name == schema.label_column:
+                raise ValueError(f"{path}: kind map gives the label column {name!r} a kind; "
+                                 "the label cannot be an input")
+            if kind not in COLUMN_KINDS:
+                raise ValueError(f"{path}: kind map gives column {name!r} unknown kind "
+                                 f"{kind!r}; expected one of {list(COLUMN_KINDS)}")
+        if schema.label_column not in counts:
+            raise ValueError(f"{path}: label column {schema.label_column!r} not in header")
 
-    col_pos = {name: i for i, name in enumerate(header)}
-    for name in [*schema.kinds, schema.label_column]:
-        if header.count(name) > 1:
-            raise ValueError(f"{path}: header repeats column {name!r}")
-    for name, kind in schema.kinds.items():
-        if name not in col_pos:
-            raise ValueError(f"{path}: kind map names unknown column {name!r}")
-        if name == schema.label_column:
-            raise ValueError(f"{path}: kind map gives the label column {name!r} a kind; "
-                             "the label cannot be an input")
-        if kind not in COLUMN_KINDS:
-            raise ValueError(f"{path}: kind map gives column {name!r} unknown kind {kind!r}; "
-                             f"expected one of {list(COLUMN_KINDS)}")
-    if schema.label_column not in col_pos:
-        raise ValueError(f"{path}: label column {schema.label_column!r} not in header")
+        nonimaging_pos, imaging_pos, extra_pos = (
+            [i for i, name in enumerate(header) if schema.kinds.get(name) == kind]
+            for kind in COLUMN_KINDS)
+        if not nonimaging_pos and not imaging_pos:
+            raise ValueError(f"{path}: kind map names no {KIND_NONIMAGING} or "
+                             f"{KIND_IMAGING} column; every graph needs a phenotype")
+        positions = [*nonimaging_pos, *imaging_pos, *extra_pos, header.index(schema.label_column)]
+        columns = [header[i] for i in positions]
 
-    nonimaging_names = [n for n in header if schema.kinds.get(n) == KIND_NONIMAGING]
-    imaging_names = [n for n in header if schema.kinds.get(n) == KIND_IMAGING]
-    extra_names = [n for n in header if schema.kinds.get(n) == KIND_FEATURE]
-    needed = nonimaging_names + imaging_names + extra_names + [schema.label_column]
+        table, n_dropped = [], 0
+        for r, row in enumerate(reader, start=2):
+            cells = [row[i].strip() if i < len(row) else "" for i in positions]
+            if "" in cells:
+                n_dropped += 1
+                continue
+            table.append([_cell(path, r, name, text) for name, text in zip(columns, cells)])
 
-    parsed = []
-    n_dropped = 0
-    for r, row in enumerate(rows):
-        cells = {name: row[col_pos[name]].strip() if col_pos[name] < len(row) else ""
-                 for name in needed}
-        if any(cells[name] == "" for name in needed):
-            n_dropped += 1
-            continue
-        values = {}
-        for name in needed:
-            try:
-                values[name] = float(cells[name])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {r + 2}, column {name!r}: "
-                    f"non-numeric cell {cells[name]!r}") from None
-            if not math.isfinite(values[name]):
-                raise ValueError(f"{path}: row {r + 2}, column {name!r}: "
-                                 f"non-finite cell {cells[name]!r}")
-        parsed.append(values)
-
-    if not parsed:
+    if not table:
         raise ValueError(f"{path}: no usable rows after dropping incomplete ones")
-
-    n = len(parsed)
-    nonimaging = np.array([[row[c] for c in nonimaging_names] for row in parsed])
-    nonimaging = nonimaging.reshape(n, len(nonimaging_names))
-    feature_names = imaging_names + extra_names
-    X = np.array([[row[c] for c in feature_names] for row in parsed])
-    X = X.reshape(n, len(feature_names))
-    y = np.array([row[schema.label_column] for row in parsed])
-
+    values = np.array(table, dtype=float)
+    q, s = len(nonimaging_pos), len(imaging_pos)
     return PopulationDataset(
-        X=X,
-        nonimaging=nonimaging,
-        imaging_cols=list(range(len(imaging_names))),
-        nonimaging_names=nonimaging_names,
-        imaging_names=imaging_names,
-        feature_names=feature_names,
-        y=y,
+        X=values[:, q:-1].copy(),
+        nonimaging=values[:, :q].copy(),
+        imaging_cols=list(range(s)),
+        nonimaging_names=columns[:q],
+        imaging_names=columns[q:q + s],
+        feature_names=columns[q:-1],
+        y=values[:, -1].copy(),
         meta={
             "source": str(path),
             "label_column": schema.label_column,
@@ -445,18 +449,11 @@ def normalize_minmax(dataset: PopulationDataset) -> PopulationDataset:
     if not train.any():
         raise ValueError("training split is empty")
 
-    def norm_inplace(mat: np.ndarray) -> None:
-        for j in range(mat.shape[1]):
-            col = mat[:, j]
-            lo = col[train].min()
-            hi = col[train].max()
-            if hi == lo:
-                mat[:, j] = 0.5
-            else:
-                mat[:, j] = np.clip((col - lo) / (hi - lo), 0.0, 1.0)
-
-    norm_inplace(dataset.nonimaging)
-    norm_inplace(dataset.X)
+    for mat in (dataset.nonimaging, dataset.X):
+        lo, hi = mat[train].min(axis=0), mat[train].max(axis=0)
+        flat = hi == lo
+        np.clip((mat - lo) / np.where(flat, 1.0, hi - lo), 0.0, 1.0, out=mat)
+        mat[:, flat] = 0.5
     return dataset
 
 

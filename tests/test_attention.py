@@ -171,8 +171,8 @@ def test_rank_phenotypes_order_and_ties():
 
 
 def test_ranking_csv_and_json_exports(tmp_path):
-    dataset = SimpleNamespace(n_nonimaging=1, n_imaging=1,
-                              phenotype_names=["q00", "s00"])
+    kinds = {"q00": "non-imaging", "s00": "imaging", "f00": "feature"}
+    dataset = SimpleNamespace(phenotype_names=["q00", "s00"], column_kinds=lambda: kinds)
     _attention_files(np.array([0.25, 1.0]), dataset, tmp_path, "abc123")
     lines = (tmp_path / "attention.csv").read_text().strip().splitlines()
     assert lines[0] == "# config_hash=abc123"

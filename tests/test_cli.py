@@ -26,7 +26,8 @@ from popgraph.cli import (
     main,
     restrict_phenotypes,
 )
-from popgraph.dataio import CsvSchema, SyntheticConfig, config_hash, load_csv
+from popgraph.dataio import (CsvSchema, SyntheticConfig, config_hash,
+                             generate_synthetic, load_csv)
 from popgraph.trainer import INFERENCE_STREAM, RUN_FORMAT_VERSION, TrainConfig, stream_rng
 
 
@@ -224,11 +225,16 @@ def test_cmd_generate_writes_dataset_and_metadata(tmp_path):
     assert metadata["n_subjects"] == 40
     assert sum(metadata["relevant"].values()) == 4
 
+    # the kinds reload every column, the two feature-only ones included
     schema = CsvSchema(label_column=metadata["label_column"],
                        kinds=metadata["kinds"])
     back = load_csv(out / "dataset.csv", schema)
-    assert back.n_subjects == 40
-    assert back.n_phenotypes == 8
+    ds = generate_synthetic(config.dataset.synthetic, seed=config.dataset.seed)
+    assert back.n_phenotypes == 8 and back.X.shape == (40, 6)
+    assert np.array_equal(back.X, ds.X)
+    assert np.array_equal(back.nonimaging, ds.nonimaging)
+    assert np.array_equal(back.y, ds.y)
+    assert metadata["kinds"] == ds.column_kinds()
 
 
 def test_cmd_generate_seeds_change_file_contents(tmp_path):
@@ -742,7 +748,7 @@ def test_main_rejects_bad_synthetic_block_before_writing(tmp_path, capsys, key, 
 @pytest.mark.parametrize("command", ["train", "ablate"])
 @pytest.mark.parametrize("broken", ["one_class", "missing_csv", "negative_fraction",
                                     "nonfinite_csv", "bad_kind", "repeated_column",
-                                    "label_kind"])
+                                    "label_kind", "no_phenotype"])
 def test_main_dataset_failure_leaves_no_run_directory(tmp_path, capsys,
                                                       command, broken):
     payload = experiment_dict(tmp_path / "run")
@@ -755,7 +761,8 @@ def test_main_dataset_failure_leaves_no_run_directory(tmp_path, capsys,
         payload["dataset"]["split_fractions"] = [1.2, -0.1, -0.1]
     else:
         # enough rows to split; the one nan cell, the misspelled kind, the
-        # repeated header column or the label given a kind is the only fault
+        # repeated header column, the label given a kind or the kind map
+        # without a phenotype is the only fault
         rows = [f"{i / 40},{50 + i}" for i in range(40)]
         if broken == "nonfinite_csv":
             rows[7] = "nan,57"
@@ -765,7 +772,7 @@ def test_main_dataset_failure_leaves_no_run_directory(tmp_path, capsys,
             rows = [f"0.5,{row}" for row in rows]
         csv_path = tmp_path / "pop.csv"
         csv_path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
-        kind = "imagin" if broken == "bad_kind" else "non-imaging"
+        kind = {"bad_kind": "imagin", "no_phenotype": "feature"}.get(broken, "non-imaging")
         kinds = {"a": kind, "age": "imaging"} if broken == "label_kind" else {"a": kind}
         payload["dataset"].update(source="csv", csv_path=str(csv_path), kinds=kinds)
     path = write_config(tmp_path, payload)
@@ -775,7 +782,8 @@ def test_main_dataset_failure_leaves_no_run_directory(tmp_path, capsys,
     cause = {"negative_fraction": "val fraction -0.1", "nonfinite_csv": "row 9, column 'a'",
              "bad_kind": "column 'a' unknown kind 'imagin'",
              "repeated_column": "pop.csv: header repeats column 'a'",
-             "label_kind": "pop.csv: kind map gives the label column 'age' a kind"}
+             "label_kind": "pop.csv: kind map gives the label column 'age' a kind",
+             "no_phenotype": "pop.csv: kind map names no non-imaging or imaging column"}
     assert cause.get(broken, "") in err
     assert not (tmp_path / "run").exists()
 

@@ -144,15 +144,36 @@ def test_ols_on_relevant_columns_hits_noise_floor():
 
 
 def test_csv_round_trip(tmp_path):
+    """save_csv then load_csv with csv_schema_for gives the dataset back,
+    also without non-imaging columns or without feature-only ones."""
+    for overrides in ({}, {"n_nonimaging": 0, "n_relevant_nonimaging": 0},
+                      {"n_node_features": 3}):
+        ds = generate_synthetic(small_config(**overrides), seed=9)
+        path = tmp_path / "pop.csv"
+        save_csv(ds, path)
+        assert path.read_bytes().splitlines(keepends=True)[0] == (
+            ",".join(["id", *ds.column_kinds(), "age"]) + "\r\n").encode()
+        back = load_csv(path, csv_schema_for(ds))
+        assert np.array_equal(back.X, ds.X)
+        assert np.array_equal(back.nonimaging, ds.nonimaging)
+        assert np.array_equal(back.y, ds.y)
+        assert back.imaging_cols == ds.imaging_cols
+        assert back.feature_names == ds.feature_names
+        assert back.column_kinds() == ds.column_kinds()
+        assert back.meta["n_dropped"] == 0
+        assert all(a.flags.c_contiguous and a.flags.owndata
+                   for a in (back.X, back.nonimaging, back.y))
+
+
+def test_column_kinds_lists_every_column_in_csv_order():
     ds = generate_synthetic(small_config(), seed=9)
-    path = tmp_path / "pop.csv"
-    save_csv(ds, path)
-    back = load_csv(path, csv_schema_for(ds))
-    assert np.array_equal(back.X, ds.X)
-    assert np.array_equal(back.nonimaging, ds.nonimaging)
-    assert np.array_equal(back.y, ds.y)
-    assert back.imaging_cols == ds.imaging_cols
-    assert back.meta["n_dropped"] == 0
+    assert ds.column_kinds() == {"q00": KIND_NONIMAGING, "q01": KIND_NONIMAGING,
+                                 "q02": KIND_NONIMAGING, "q03": KIND_NONIMAGING,
+                                 "s00": KIND_IMAGING, "s01": KIND_IMAGING,
+                                 "s02": KIND_IMAGING, "f00": KIND_FEATURE,
+                                 "f01": KIND_FEATURE}
+    assert list(ds.column_kinds()) == [*ds.nonimaging_names, *ds.feature_names]
+    assert csv_schema_for(ds).kinds == ds.column_kinds()
 
 
 def _write(path, text):
@@ -205,6 +226,17 @@ def test_csv_repeated_schema_column(tmp_path):
     # a repeated column the schema does not read is left alone
     path = _write(tmp_path / "t.csv", "id,id,a,age\n1,1,0.1,50\n2,2,0.2,51\n")
     assert load_csv(path, CsvSchema("age", {"a": KIND_NONIMAGING})).n_subjects == 2
+
+
+def test_csv_kind_map_without_a_phenotype(tmp_path):
+    """Every graph is built from phenotypes: a kind map that names only
+    feature-only columns, or none, is refused before any row is read."""
+    path = _write(tmp_path / "t.csv", "id,a,b,age\n1,0.1,0.2,50\n2,0.3,0.4,51\n")
+    for kinds in ({"a": KIND_FEATURE}, {"a": KIND_FEATURE, "b": KIND_FEATURE}, {}):
+        with pytest.raises(ValueError, match=r"t\.csv: kind map names no non-imaging "
+                                             r"or imaging column"):
+            load_csv(path, CsvSchema("age", kinds))
+    assert load_csv(path, CsvSchema("age", {"a": KIND_FEATURE, "b": KIND_IMAGING})).n_imaging == 1
 
 
 def test_csv_zero_usable_rows(tmp_path):
@@ -262,6 +294,32 @@ def test_normalize_idempotent():
     normalize_minmax(ds)
     assert np.array_equal(ds.X, x1)
     assert np.array_equal(ds.nonimaging, q1)
+
+
+def test_normalize_matches_each_column_alone_in_place():
+    """Whole-matrix normalization gives every column exactly what scaling it
+    alone gives, a column constant on the training split included, and
+    writes into the dataset's own arrays."""
+    ds = generate_synthetic(small_config(), seed=3)
+    split(ds, seed=2)
+    ds.X[:, 1] = 4.0
+    ds.nonimaging[ds.masks.train, 0] = -1.0
+    train = ds.masks.train
+
+    def by_column(mat):
+        out = mat.copy()
+        for j in range(mat.shape[1]):
+            lo, hi = mat[train, j].min(), mat[train, j].max()
+            out[:, j] = 0.5 if hi == lo else np.clip((mat[:, j] - lo) / (hi - lo), 0.0, 1.0)
+        return out
+
+    expected = by_column(ds.X), by_column(ds.nonimaging)
+    arrays = ds.X, ds.nonimaging
+    normalize_minmax(ds)
+    assert ds.X is arrays[0] and ds.nonimaging is arrays[1]
+    assert ds.X.tobytes() == expected[0].tobytes()
+    assert ds.nonimaging.tobytes() == expected[1].tobytes()
+    assert np.all(ds.X[:, 1] == 0.5) and np.all(ds.nonimaging[:, 0] == 0.5)
 
 
 def test_normalize_requires_masks():

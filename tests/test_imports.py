@@ -121,3 +121,15 @@ def test_every_package_definition_is_used_by_a_program():
     unused = [f"{path.relative_to(ROOT)}:{line}: {name}" for path in src
               for name, line in _definitions(path) if name not in refs]
     assert unused == []
+
+
+def test_only_dataio_names_the_column_kinds():
+    """The population table's column layout has one owner: only ``dataio``
+    names the ``KIND_*`` constants, and every other module reads a column's
+    kind from ``PopulationDataset.column_kinds``."""
+    kinds = {"KIND_NONIMAGING", "KIND_IMAGING", "KIND_FEATURE"}
+    found = [f"{path.stem}:{node.lineno}: {name}"
+             for path in sorted((ROOT / "src" / "popgraph").glob("*.py")) if path.stem != "dataio"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             for name in _named(node) & kinds]
+    assert found == []
