@@ -12,7 +12,7 @@ import numpy as np
 
 from .graphgen import knn_static_graph, random_graph
 from .numerics import log_softmax_rows
-from .trainer import STATIC_RANDOM_STREAM, TrainConfig, run_experiment, softmax_rows, stream_rng
+from .trainer import STATIC_RANDOM_STREAM, TrainConfig, run_experiment, stream_rng
 
 __all__ = [
     "LinearModel",
@@ -55,7 +55,7 @@ class LinearModel:
     def predict_proba(self, x) -> np.ndarray:
         if self.weights.ndim == 1:
             raise ValueError("probabilities only exist for the logistic fit")
-        return softmax_rows(self._check(x) @ self.weights + self.bias)
+        return np.exp(log_softmax_rows(self._check(x) @ self.weights + self.bias))
 
 
 def _ridge_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
@@ -175,7 +175,4 @@ def static_gcn_experiment(dataset, feature_source: str, config: TrainConfig,
         edges = random_graph(len(source), k, stream_rng(config.seed, STATIC_RANDOM_STREAM))
     else:
         edges = knn_static_graph(source, k, metric=metric)
-    result, record = run_experiment(dataset, config, fixed_edges=edges)
-    record.extra.update(experiment="static", feature_source=feature_source,
-                        graph_metric=metric, graph_k=k)
-    return result, record
+    return run_experiment(dataset, config, fixed_edges=edges)

@@ -22,6 +22,7 @@ import numpy as np
 from .attention import rank_phenotypes
 from .baselines import linear_fit, static_gcn_experiment
 from .dataio import (
+    PHENOTYPE_SUBSETS,
     CsvSchema,
     PopulationDataset,
     SyntheticConfig,
@@ -32,6 +33,7 @@ from .dataio import (
     make_class_labels,
     normalize_minmax,
     read_json,
+    restrict_phenotypes,
     save_csv,
     spec,
     split,
@@ -41,6 +43,7 @@ from .dataio import (
 from .graphgen import GRAPH_FORMATS, export_graph, homophily_score, knn_static_graph
 from .trainer import (
     DISTANCE_METRICS,
+    METRIC_FIELDS,
     TASKS,
     InferenceResult,
     MetricsRecord,
@@ -61,7 +64,6 @@ __all__ = [
     "CliError",
     "load_config",
     "build_dataset",
-    "restrict_phenotypes",
     "cmd_generate",
     "cmd_train",
     "cmd_ablate",
@@ -69,7 +71,6 @@ __all__ = [
     "main",
 ]
 
-PHENOTYPE_SUBSETS = ("non-imaging", "both", "imaging")
 ABLATION_METHODS = ("adaptive", "static", "random", "linear")
 # methods whose result reads neither the distance metric nor the phenotype
 # subset: the linear fit of the node features, and the random graph, which
@@ -228,28 +229,6 @@ def build_dataset(config: ExperimentConfig) -> PopulationDataset:
     return ds
 
 
-def restrict_phenotypes(dataset: PopulationDataset, subset: str) -> PopulationDataset:
-    """A view of the dataset keeping only one phenotype block. Node features,
-    labels, and masks are shared; only the phenotype columns change."""
-    if subset not in PHENOTYPE_SUBSETS:
-        raise ValueError(f"unknown phenotype subset {subset!r}")
-    if subset == "both":
-        return dataset
-    q = dataset.n_nonimaging
-    rel = dataset.relevant
-    if subset == "non-imaging":
-        out = dataclasses.replace(
-            dataset, imaging_cols=[], imaging_names=[],
-            relevant=None if rel is None else rel[:q])
-    else:
-        out = dataclasses.replace(
-            dataset, nonimaging=dataset.nonimaging[:, :0], nonimaging_names=[],
-            relevant=None if rel is None else rel[q:])
-    if out.n_phenotypes == 0:
-        raise ValueError(f"subset {subset!r} leaves no phenotype columns")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # shared output helpers
 # ---------------------------------------------------------------------------
@@ -273,14 +252,10 @@ def _attention_files(weights, dataset, out_dir: Path, stamp: str) -> None:
     })
 
 
-_METRIC_FIELDS = ("mae", "pearson_r", "accuracy", "macro_auc", "macro_f1",
-                  "homophily")
-
-
 def aggregate_records(records: list) -> dict:
     """Per-metric mean/std/median over seeds, ignoring missing values."""
     out = {}
-    for name in _METRIC_FIELDS:
+    for name in METRIC_FIELDS:
         values = [v for v in (getattr(r, name) for r in records) if v is not None]
         if values:
             out[name] = {
@@ -329,7 +304,7 @@ def cmd_generate(config: ExperimentConfig) -> Path:
         "config_hash": config.experiment_hash,
         "seed": block.seed,
         "n_subjects": ds.n_subjects,
-        "label_column": ds.meta["label_column"],
+        "label_column": ds.label_column,
         "relevant": {name: bool(flag) for name, flag
                      in zip(ds.phenotype_names, ds.relevant)},
         "kinds": ds.column_kinds(),
@@ -434,7 +409,7 @@ def _ablate_cell(datasets: dict, config: ExperimentConfig, cell) -> MetricsRecor
     raise ValueError(f"unknown method {method!r}")
 
 
-_CELL_COLUMNS = ("subset", "metric", "method", "seed") + _METRIC_FIELDS
+_CELL_COLUMNS = ("subset", "metric", "method", "seed") + METRIC_FIELDS
 
 
 def _run_key(cell) -> tuple:
@@ -488,7 +463,7 @@ def cmd_ablate(config: ExperimentConfig) -> int:
             continue
         by_cell.setdefault((subset, metric, method), []).append(record)
         csv_rows.append([subset, metric, method, seed]
-                        + [getattr(record, name) for name in _METRIC_FIELDS])
+                        + [getattr(record, name) for name in METRIC_FIELDS])
 
     stamp = config.experiment_hash
     write_csv(out / "cells.csv", stamp, _CELL_COLUMNS,

@@ -3,11 +3,12 @@ splits, and class binning.
 
 A dataset couples a node-feature matrix X (one row per subject) with a set of
 phenotype columns. Non-imaging phenotypes live in their own matrix; imaging
-phenotypes ARE columns of X, referenced by index, so the containment holds by
-construction rather than by convention. ``PopulationDataset.column_kinds`` is
-the one statement of the table's column layout (non-imaging, imaging, then
-feature-only columns): the CSV writer, its schema and every file that names a
-column's kind read it.
+phenotypes ARE the leading ``n_imaging`` columns of X, so the containment
+holds by construction rather than by convention. This module alone knows
+that layout: ``PopulationDataset.column_kinds`` states the table's columns
+(non-imaging, imaging, then feature-only), which the CSV writer, its schema
+and every file that names a column's kind read, and ``restrict_phenotypes``
+is the one view that drops a phenotype block.
 
 Synthetic data plants known-relevant columns (monotone transforms of age) so
 that feature-selection quality can be scored against ground truth.
@@ -21,7 +22,7 @@ import json
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "SyntheticConfig",
     "CsvSchema",
     "PopulationDataset",
+    "PHENOTYPE_SUBSETS",
     "spec",
     "check_fields",
     "config_hash",
@@ -44,6 +46,7 @@ __all__ = [
     "load_csv",
     "save_csv",
     "csv_schema_for",
+    "restrict_phenotypes",
     "normalize_minmax",
     "split",
     "make_class_labels",
@@ -53,6 +56,9 @@ KIND_NONIMAGING = "non-imaging"
 KIND_IMAGING = "imaging"
 KIND_FEATURE = "feature"  # node-feature-only column, not a phenotype
 COLUMN_KINDS = (KIND_NONIMAGING, KIND_IMAGING, KIND_FEATURE)
+
+# the phenotype blocks a graph can be built from (``restrict_phenotypes``)
+PHENOTYPE_SUBSETS = ("non-imaging", "both", "imaging")
 
 
 def config_hash(mapping) -> str:
@@ -211,11 +217,11 @@ class CsvSchema:
 class PopulationDataset:
     X: np.ndarray                      # (N, M) node features
     nonimaging: np.ndarray             # (N, Q)
-    imaging_cols: list                 # S indices into X columns
+    n_imaging: int                     # S: X's first S columns are imaging phenotypes
     nonimaging_names: list
-    imaging_names: list
     feature_names: list                # M names for X columns
     y: np.ndarray                      # (N,) label in years
+    label_column: str = "age"          # the label's name in the CSV table
     relevant: np.ndarray | None = None  # (Q+S,) planted flags
     masks: SplitMasks | None = None
     class_labels: np.ndarray | None = None
@@ -230,8 +236,8 @@ class PopulationDataset:
         return self.nonimaging.shape[1]
 
     @property
-    def n_imaging(self) -> int:
-        return len(self.imaging_cols)
+    def imaging_names(self) -> list:
+        return self.feature_names[:self.n_imaging]
 
     @property
     def n_phenotypes(self) -> int:
@@ -241,20 +247,17 @@ class PopulationDataset:
     def phenotype_names(self) -> list:
         return list(self.nonimaging_names) + list(self.imaging_names)
 
-    def _feature_only_cols(self) -> list:
-        return [i for i in range(self.X.shape[1]) if i not in self.imaging_cols]
-
     def column_kinds(self) -> dict:
         """Each column's kind by name, in CSV order: the non-imaging
         phenotypes, the imaging phenotypes, then the X columns that are node
         features only. As a ``CsvSchema``'s kinds it reloads every column."""
         return {**dict.fromkeys(self.nonimaging_names, KIND_NONIMAGING),
                 **dict.fromkeys(self.imaging_names, KIND_IMAGING),
-                **{self.feature_names[i]: KIND_FEATURE for i in self._feature_only_cols()}}
+                **dict.fromkeys(self.feature_names[self.n_imaging:], KIND_FEATURE)}
 
     def phenotype_matrix(self) -> np.ndarray:
         """(N, Q+S) matrix: non-imaging columns first, then imaging."""
-        return np.concatenate([self.nonimaging, self.X[:, self.imaging_cols]], axis=1)
+        return np.concatenate([self.nonimaging, self.X[:, :self.n_imaging]], axis=1)
 
     def require_masks(self) -> SplitMasks:
         if self.masks is None:
@@ -319,9 +322,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> PopulationDataset:
     return PopulationDataset(
         X=X,
         nonimaging=nonimaging,
-        imaging_cols=list(range(config.n_imaging)),
+        n_imaging=config.n_imaging,
         nonimaging_names=nonimaging_names,
-        imaging_names=imaging_names,
         feature_names=feature_names,
         y=ages,
         relevant=relevant,
@@ -330,7 +332,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> PopulationDataset:
             "seed": int(seed),
             "config": cfg,
             "config_hash": config_hash(cfg),
-            "label_column": "age",
             "column_shapes": shape_table,
         },
     )
@@ -339,20 +340,16 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> PopulationDataset:
 def save_csv(dataset: PopulationDataset, path) -> None:
     """Write `id,<columns>,<label>` with the columns of ``column_kinds``, each
     cell the repr of its float, every line ending in CRLF."""
-    label = dataset.meta.get("label_column", "age")
-    table = np.column_stack([
-        dataset.nonimaging,
-        dataset.X[:, [*dataset.imaging_cols, *dataset._feature_only_cols()]],
-        dataset.y])
+    table = np.column_stack([dataset.nonimaging, dataset.X, dataset.y])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", *dataset.column_kinds(), label])
+        writer.writerow(["id", *dataset.column_kinds(), dataset.label_column])
         writer.writerows([str(i), *map(repr, row)] for i, row in enumerate(table.tolist()))
 
 
 def csv_schema_for(dataset: PopulationDataset) -> CsvSchema:
     """Schema that reloads a save_csv export of this dataset."""
-    return CsvSchema(dataset.meta.get("label_column", "age"), dataset.column_kinds())
+    return CsvSchema(dataset.label_column, dataset.column_kinds())
 
 
 def _cell(path, row: int, column: str, text: str) -> float:
@@ -420,21 +417,38 @@ def load_csv(path, schema: CsvSchema) -> PopulationDataset:
     if not table:
         raise ValueError(f"{path}: no usable rows after dropping incomplete ones")
     values = np.array(table, dtype=float)
-    q, s = len(nonimaging_pos), len(imaging_pos)
+    q = len(nonimaging_pos)
     return PopulationDataset(
         X=values[:, q:-1].copy(),
         nonimaging=values[:, :q].copy(),
-        imaging_cols=list(range(s)),
+        n_imaging=len(imaging_pos),
         nonimaging_names=columns[:q],
-        imaging_names=columns[q:q + s],
         feature_names=columns[q:-1],
         y=values[:, -1].copy(),
-        meta={
-            "source": str(path),
-            "label_column": schema.label_column,
-            "n_dropped": n_dropped,
-        },
+        label_column=schema.label_column,
+        meta={"source": str(path), "n_dropped": n_dropped},
     )
+
+
+def restrict_phenotypes(dataset: PopulationDataset, subset: str) -> PopulationDataset:
+    """A view of the dataset keeping only one phenotype block of
+    ``PHENOTYPE_SUBSETS``. Node features, labels, and masks are shared; only
+    the phenotype columns change. A view left with no phenotype column is a
+    ValueError."""
+    if subset not in PHENOTYPE_SUBSETS:
+        raise ValueError(f"unknown phenotype subset {subset!r}")
+    if subset == "both":
+        return dataset
+    q = dataset.n_nonimaging
+    rel = dataset.relevant
+    if subset == "non-imaging":
+        out = replace(dataset, n_imaging=0, relevant=None if rel is None else rel[:q])
+    else:
+        out = replace(dataset, nonimaging=dataset.nonimaging[:, :0], nonimaging_names=[],
+                      relevant=None if rel is None else rel[q:])
+    if out.n_phenotypes == 0:
+        raise ValueError(f"subset {subset!r} leaves no phenotype columns")
+    return out
 
 
 def normalize_minmax(dataset: PopulationDataset) -> PopulationDataset:

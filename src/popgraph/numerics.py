@@ -12,7 +12,8 @@ and raises instead of propagating garbage.
 through it, and so does each op of another module (the edge scores, the
 attention min-max, each loss term and their sum): its forward and its
 closed-form backward as one op. ``log_softmax_rows`` is plain numpy, off
-the tape, for the cross-entropy loss and the logistic baseline.
+the tape, and the package's one softmax: the cross-entropy loss, the
+logistic baseline and every class probability read it.
 
 The tape is thread-local: one training run owns one tape. Independent runs
 may execute on separate threads without sharing state.

@@ -56,11 +56,11 @@ __all__ = [
     "TrainResult",
     "TrainingError",
     "MetricsRecord",
+    "METRIC_FIELDS",
     "AdamW",
     "train",
     "infer",
     "InferenceResult",
-    "softmax_rows",
     "attention_weights",
     "stream_rng",
     "sample_trained_edges",
@@ -418,13 +418,6 @@ class InferenceResult:
     probabilities: np.ndarray | None = None  # (N, C) for classification
 
 
-def softmax_rows(values: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of an (n, c) array."""
-    shifted = values - values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def infer(result: TrainResult, dataset: PopulationDataset) -> InferenceResult:
     """Average predictions over the run's ``inference_samples`` graphs, draw
     s from child s that its ``INFERENCE_STREAM`` spawns, so every call for a
@@ -445,7 +438,7 @@ def infer(result: TrainResult, dataset: PopulationDataset) -> InferenceResult:
         for graph in graphs:
             out = gcn_forward(graph.a_hat, dataset.X, result.model).values
             if config.task == "classification":
-                out = softmax_rows(out)
+                out = np.exp(nm.log_softmax_rows(out))
             acc = out if acc is None else acc + out
     mean = acc / len(graphs)
     if config.task == "classification":
@@ -547,6 +540,11 @@ def evaluate_classification(probabilities, classes, mask) -> dict:
 # ---------------------------------------------------------------------------
 # records and exports
 # ---------------------------------------------------------------------------
+
+
+# the score fields of a MetricsRecord: what evaluate_regression and
+# evaluate_classification return, then the trained graph's homophily
+METRIC_FIELDS = ("mae", "pearson_r", "accuracy", "macro_auc", "macro_f1", "homophily")
 
 
 @dataclass

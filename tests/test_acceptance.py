@@ -163,9 +163,8 @@ def _twelve_node_population() -> PopulationDataset:
     masks = SplitMasks(train=np.array([True] * 9 + [False] * 3),
                        val=np.array([False] * 9 + [True, False, False]),
                        test=np.array([False] * 10 + [True, True]))
-    return PopulationDataset(X=X, nonimaging=phen[:, :3], imaging_cols=[0, 1, 2],
+    return PopulationDataset(X=X, nonimaging=phen[:, :3], n_imaging=3,
                              nonimaging_names=["q0", "q1", "q2"],
-                             imaging_names=["s0", "s1", "s2"],
                              feature_names=[f"f{i}" for i in range(8)],
                              y=ages, masks=masks)
 

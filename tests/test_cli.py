@@ -24,11 +24,11 @@ from popgraph.cli import (
     cmd_train,
     load_config,
     main,
-    restrict_phenotypes,
 )
 from popgraph.dataio import (CsvSchema, SyntheticConfig, config_hash,
-                             generate_synthetic, load_csv)
-from popgraph.trainer import INFERENCE_STREAM, RUN_FORMAT_VERSION, TrainConfig, stream_rng
+                             generate_synthetic, load_csv, restrict_phenotypes)
+from popgraph.trainer import (INFERENCE_STREAM, METRIC_FIELDS, RUN_FORMAT_VERSION, TrainConfig,
+                              evaluate_classification, evaluate_regression, stream_rng)
 
 
 def experiment_dict(out_dir, **overrides):
@@ -434,6 +434,41 @@ def test_cmd_ablate_subsets_and_static(tmp_path):
         encoding="utf-8"))["table"]
     assert {row["subset"] for row in table} == {"non-imaging", "imaging"}
     assert all(row["method"] == "static" for row in table)
+
+
+def test_main_ablate_refuses_a_subset_without_phenotypes(tmp_path, capsys):
+    """A CSV whose kinds name only imaging and feature-only columns, ablated
+    over its non-imaging block, exits 2 before any run directory is made."""
+    rows = [f"{i / 40},{(i * 7 % 40) / 40},{50 + i}" for i in range(40)]
+    csv_path = tmp_path / "pop.csv"
+    csv_path.write_text("\n".join(["s,f,age", *rows]) + "\n", encoding="utf-8")
+    payload = experiment_dict(tmp_path / "run",
+                              ablation={"phenotype_subsets": ["non-imaging"],
+                                        "distance_metrics": ["cosine"],
+                                        "methods": ["static"]})
+    payload["dataset"].update(source="csv", csv_path=str(csv_path),
+                              kinds={"s": "imaging", "f": "feature"})
+    path = write_config(tmp_path, payload)
+    assert main(["ablate", "--config", str(path)]) == 2
+    assert ("error: subset 'non-imaging' leaves no phenotype columns"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+def test_cells_csv_carries_every_metric_field(tmp_path):
+    """``METRIC_FIELDS`` is every score the evaluators return plus the
+    graph's homophily, and ``cells.csv`` has a column for each."""
+    mask = np.ones(4, dtype=bool)
+    scores = {**evaluate_regression([1.0, 2.0, 3.0, 5.0], [1.0, 2.0, 4.0, 4.0], mask),
+              **evaluate_classification(np.full((4, 2), 0.5), [0, 1, 0, 1], mask)}
+    assert METRIC_FIELDS == (*scores, "homophily")
+    payload = experiment_dict(tmp_path / "ablate",
+                              ablation={"phenotype_subsets": ["both"],
+                                        "distance_metrics": ["euclidean"],
+                                        "methods": ["linear"]})
+    assert cmd_ablate(ExperimentConfig.from_dict(payload)) == 0
+    header = (tmp_path / "ablate" / "cells.csv").read_text(encoding="utf-8").splitlines()[1]
+    assert header.split(",") == ["subset", "metric", "method", "seed", *METRIC_FIELDS]
 
 
 def read_cells(path):

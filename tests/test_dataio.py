@@ -18,6 +18,7 @@ from popgraph.dataio import (
     load_csv,
     make_class_labels,
     normalize_minmax,
+    restrict_phenotypes,
     save_csv,
     split,
 )
@@ -57,8 +58,27 @@ def test_generator_shapes_and_flags():
 def test_imaging_columns_live_inside_node_features():
     ds = generate_synthetic(small_config(), seed=3)
     phen = ds.phenotype_matrix()
-    for k, col in enumerate(ds.imaging_cols):
-        assert np.array_equal(phen[:, ds.n_nonimaging + k], ds.X[:, col])
+    for k in range(ds.n_imaging):
+        assert np.array_equal(phen[:, ds.n_nonimaging + k], ds.X[:, k])
+
+
+def test_restrict_phenotypes_refuses_a_view_without_phenotypes():
+    """The non-imaging view keeps X whole, its columns now feature-only; a
+    one-block view that leaves no phenotype column is refused, in either
+    direction."""
+    ds = generate_synthetic(small_config(), seed=3)
+    non = restrict_phenotypes(ds, "non-imaging")
+    assert non.X is ds.X
+    assert list(non.column_kinds().values()) == [KIND_NONIMAGING] * 4 + [KIND_FEATURE] * 5
+
+    only_imaging = generate_synthetic(
+        small_config(n_nonimaging=0, n_relevant_nonimaging=0), seed=3)
+    with pytest.raises(ValueError, match="subset 'non-imaging' leaves no phenotype columns"):
+        restrict_phenotypes(only_imaging, "non-imaging")
+    only_nonimaging = generate_synthetic(
+        small_config(n_imaging=0, n_relevant_imaging=0), seed=3)
+    with pytest.raises(ValueError, match="subset 'imaging' leaves no phenotype columns"):
+        restrict_phenotypes(only_nonimaging, "imaging")
 
 
 def test_noiseless_linear_column_is_monotone_in_age():
@@ -157,7 +177,7 @@ def test_csv_round_trip(tmp_path):
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.nonimaging, ds.nonimaging)
         assert np.array_equal(back.y, ds.y)
-        assert back.imaging_cols == ds.imaging_cols
+        assert back.n_imaging == ds.n_imaging
         assert back.feature_names == ds.feature_names
         assert back.column_kinds() == ds.column_kinds()
         assert back.meta["n_dropped"] == 0
@@ -266,7 +286,7 @@ def _tiny_dataset(nonimaging, y, train, val, test):
     n = len(y)
     ds = PopulationDataset(
         X=np.zeros((n, 1)), nonimaging=np.asarray(nonimaging, dtype=float),
-        imaging_cols=[0], nonimaging_names=["a"], imaging_names=["s0"],
+        n_imaging=1, nonimaging_names=["a"],
         feature_names=["s0"], y=np.asarray(y, dtype=float))
     ds.masks = SplitMasks(np.asarray(train), np.asarray(val), np.asarray(test))
     return ds

@@ -9,18 +9,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _exported(tree) -> list:
+    """The names a module's ``__all__`` lists (none without one)."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
 def _unused_imports(path: Path) -> list:
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    imported, exported = {}, set()
+    imported, exported = {}, set(_exported(tree))
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in imported.items()
             if name not in used and name not in exported]
@@ -55,11 +59,14 @@ SEEDING_FUNCTIONS = {("trainer", "stream_rng"), ("trainer", "train"), ("trainer"
 
 
 def _named(node) -> set:
-    """The names a node of a syntax tree reads or imports."""
+    """The names a node of a syntax tree reads, imports or passes as a
+    keyword argument."""
     if isinstance(node, ast.Name):
         return {node.id}
     if isinstance(node, ast.Attribute):
         return {node.attr}
+    if isinstance(node, ast.keyword) and node.arg is not None:
+        return {node.arg}
     if isinstance(node, (ast.Import, ast.ImportFrom)):
         return {alias.name.rsplit(".", 1)[-1] for alias in node.names}
     return set()
@@ -123,13 +130,52 @@ def test_every_package_definition_is_used_by_a_program():
     assert unused == []
 
 
+def _named_outside_dataio(names: set) -> list:
+    """Where a package module other than ``dataio`` names one of ``names``."""
+    return [f"{path.stem}:{node.lineno}: {name}"
+            for path in sorted((ROOT / "src" / "popgraph").glob("*.py")) if path.stem != "dataio"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            for name in _named(node) & names]
+
+
 def test_only_dataio_names_the_column_kinds():
     """The population table's column layout has one owner: only ``dataio``
     names the ``KIND_*`` constants, and every other module reads a column's
     kind from ``PopulationDataset.column_kinds``."""
-    kinds = {"KIND_NONIMAGING", "KIND_IMAGING", "KIND_FEATURE"}
-    found = [f"{path.stem}:{node.lineno}: {name}"
-             for path in sorted((ROOT / "src" / "popgraph").glob("*.py")) if path.stem != "dataio"
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             for name in _named(node) & kinds]
-    assert found == []
+    assert _named_outside_dataio({"KIND_NONIMAGING", "KIND_IMAGING", "KIND_FEATURE"}) == []
+
+
+def test_only_dataio_names_the_phenotype_layout():
+    """Where each phenotype lives has one owner: no module but ``dataio``
+    reads a dataset's layout fields or sets them as keyword arguments (as
+    ``dataclasses.replace`` would). The others see the phenotypes through
+    ``phenotype_matrix``, ``phenotype_names``, ``column_kinds`` and the
+    one-block views of ``restrict_phenotypes``."""
+    layout = {"nonimaging", "nonimaging_names", "n_nonimaging", "n_imaging",
+              "imaging_names", "imaging_cols", "feature_names"}
+    assert _named_outside_dataio(layout) == []
+
+
+def _top_level_definitions(tree) -> set:
+    """The names a module's own top-level statements define: its functions,
+    classes and assigned names, not what it imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_all_lists_only_the_modules_own_definitions():
+    """A module's ``__all__`` exports what it defines, never a name it
+    imports: a name moved to another module and left behind in the old
+    ``__all__`` would otherwise pass ``_unused_imports`` as used."""
+    foreign = []
+    for path in sorted((ROOT / "src" / "popgraph").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = _top_level_definitions(tree)
+        foreign += [f"{path.stem}: {name}" for name in _exported(tree) if name not in own]
+    assert foreign == []

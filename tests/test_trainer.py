@@ -542,7 +542,6 @@ def test_infer_averages_the_sequential_draws_of_its_stream(task, metric, monkeyp
     one-graph ``_draw_graph`` calls, one from each of the four children the
     inference stream spawns; here over 3 row blocks, so the helper takes
     part."""
-    from popgraph.trainer import softmax_rows
     monkeypatch.setattr(graphgen, "BLOCK_ENTRIES", 16 * 48)
     ds = tiny_dataset(task=task)
     result = train(ds, tiny_config(task=task, n_classes=3, distance_metric=metric,
@@ -552,7 +551,7 @@ def test_infer_averages_the_sequential_draws_of_its_stream(task, metric, monkeyp
         for child in stream_rng(result.config.seed, INFERENCE_STREAM).spawn(4):
             graph, = _draw_graph(result, ds.phenotype_matrix(), [child])
             out = gcn_forward(graph.a_hat, ds.X, result.model).values
-            out = softmax_rows(out) if task == "classification" else out
+            out = np.exp(nm.log_softmax_rows(out)) if task == "classification" else out
             acc = out if acc is None else acc + out
     got = infer(result, ds)
     if task == "classification":
